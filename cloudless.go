@@ -90,7 +90,6 @@ type (
 // State storage backends for Options.StateBackend.
 const (
 	BackendMemory = statedb.BackendMemory
-	BackendMVCC   = statedb.BackendMVCC
 	BackendWAL    = statedb.BackendWAL
 )
 
@@ -120,11 +119,12 @@ type Options struct {
 	// GlobalLock switches the lock manager to whole-infrastructure
 	// locking (the baseline behaviour). Default: per-resource locks.
 	GlobalLock bool
-	// StateBackend selects the golden-state storage engine: "memory"
-	// (default; sharded in-memory map), "mvcc" (copy-on-write versions per
-	// commit serial, so reads pinned at a serial stay consistent during
-	// concurrent applies), or "wal" (append-only durable commit log with
-	// snapshot compaction and crash recovery).
+	// StateBackend selects the golden-state engine's durability: "memory"
+	// (default; in-memory version chains only) or "wal" (the same engine
+	// over an fsynced commit log in StateDir, with snapshot compaction and
+	// crash recovery). Either way every commit keeps copy-on-write versions
+	// per serial, so reads pinned at a serial stay consistent during
+	// concurrent applies. "mvcc", a retired name, is read as "memory".
 	StateBackend string
 	// StateDir is the durable directory for the wal backend (required for
 	// it; ignored otherwise). Existing durable contents win over
@@ -361,10 +361,9 @@ func (s *Stack) InvalidateReplanCache() { s.ws.InvalidateReplanCache() }
 func (s *Stack) PlanOffline(ctx context.Context) (*Plan, error) { return s.ws.PlanOffline(ctx) }
 
 // PlanOfflineAt plans against the golden state as of a past serial instead
-// of the latest. Requires a backend with version retention (mvcc); other
-// backends return statedb.ErrNoSuchSerial for anything but the current
-// serial. The returned plan is pinned at that serial, so applying it against
-// a state that moved on aborts with *StaleBaseError.
+// of the latest; serials from before the stack was opened return
+// statedb.ErrNoSuchSerial. The returned plan is pinned at that serial, so
+// applying it against a state that moved on aborts with *StaleBaseError.
 func (s *Stack) PlanOfflineAt(ctx context.Context, serial int) (*Plan, error) {
 	return s.ws.PlanOfflineAt(ctx, serial)
 }

@@ -65,7 +65,7 @@ func main() {
 		{"E9", "porting quality: naive vs optimized vs modules (§3.1)", e9},
 		{"E10", "policy controller: decision latency and outlier detection (§3.6)", e10},
 		{"ET", "telemetry instrumentation overhead: traced vs untraced apply and plan", et},
-		{"SD", "state storage engines: churn throughput and plan-during-apply (§3.4)", sd},
+		{"SD", "state engine, commit log off and on: churn throughput and plan-during-apply (§3.4)", sd},
 		{"PV", "provider runtime: coalesced drift scans and AIMD apply under 429s", pv},
 		{"CR", "crash recovery: randomized kill/restart/recover convergence (§3.5, §3.6)", cr},
 		{"HG", "health-gated progressive applies: guarded vs unguarded under readiness faults (§24)", hg},

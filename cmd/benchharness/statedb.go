@@ -1,18 +1,18 @@
 package main
 
-// SD: state-storage engine comparison (DESIGN.md S21). Two measurements per
-// backend:
+// SD: the state engine with its commit log off and on (DESIGN.md S21). Two
+// measurements per configuration:
 //
 //  1. engine-level reader/writer throughput: one writer committing batches
 //     as fast as the engine allows while concurrent readers materialize
-//     snapshots — mvcc readers pinned at the pre-churn serial, the others at
-//     latest (the only serial they retain);
+//     snapshots pinned at the pre-churn serial;
 //  2. stack-level plans completed during one in-flight apply: scale a web
 //     tier out under a latency-scaled simulator and count how many offline
-//     plans finish while the apply holds its locks.
+//     plans pinned at the pre-apply serial finish while the apply holds its
+//     locks.
 //
-// Together they quantify what the mvcc backend buys (consistent pinned reads
-// under write churn) and what the wal backend costs (fsync per commit).
+// Together they check that pinned reads stay consistent under write churn on
+// both configurations and quantify what the log costs (fsync per commit).
 
 import (
 	"context"
@@ -90,7 +90,7 @@ func sd() {
 
 // sdEngine builds one engine of the given backend (wal over a throwaway
 // temp dir) and hands back a cleanup.
-func sdEngine(backend string) (statedb.Engine, func()) {
+func sdEngine(backend string) (*statedb.Engine, func()) {
 	opts := statedb.EngineOptions{}
 	cleanup := func() {}
 	if backend == statedb.BackendWAL {
@@ -122,15 +122,8 @@ func sdEngineChurn(backend string) (commitsPerSec, snapshotsPerSec float64, pinn
 		}
 	}
 	pin := eng.Serial()
-	// mvcc retains pin; the others only serve their current serial.
-	readSerial := 0
-	if backend == statedb.BackendMVCC {
-		readSerial = pin
-	}
 
-	var commits, snapshots atomic.Int64
-	pinnedOK = true
-	var pinnedMu sync.Mutex
+	var commits, snapshots, unpinned atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < sdReaders; r++ {
@@ -143,15 +136,13 @@ func sdEngineChurn(backend string) (commitsPerSec, snapshotsPerSec float64, pinn
 					return
 				default:
 				}
-				s, err := eng.Snapshot(readSerial)
+				s, err := eng.Snapshot(pin)
 				if err != nil {
 					panic(err)
 				}
 				snapshots.Add(1)
-				if readSerial != 0 && s.Serial != pin {
-					pinnedMu.Lock()
-					pinnedOK = false
-					pinnedMu.Unlock()
+				if s.Serial != pin {
+					unpinned.Add(1)
 				}
 			}
 		}()
@@ -169,12 +160,7 @@ func sdEngineChurn(backend string) (commitsPerSec, snapshotsPerSec float64, pinn
 	close(stop)
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	if backend != statedb.BackendMVCC {
-		// No retention: the pinned serial is gone once the writer moves on.
-		_, err := eng.Snapshot(pin)
-		pinnedOK = err == nil && eng.Serial() == pin
-	}
-	return float64(commits.Load()) / elapsed, float64(snapshots.Load()) / elapsed, pinnedOK
+	return float64(commits.Load()) / elapsed, float64(snapshots.Load()) / elapsed, unpinned.Load() == 0
 }
 
 func sdBatch(slot, n int) *statedb.Batch {
@@ -216,7 +202,7 @@ resource "aws_virtual_machine" "web" {
 
 // sdPlanDuringApply deploys a 2-VM tier, scales it to 6 under a
 // latency-scaled simulator, and counts plans completed while the apply is in
-// flight — pinned at the pre-apply serial on mvcc, at latest elsewhere.
+// flight, each pinned at the pre-apply serial.
 func sdPlanDuringApply(backend string) (plans int, applyMs float64) {
 	opts := cloud.DefaultOptions()
 	opts.DisableRateLimit = true
@@ -274,12 +260,7 @@ func sdPlanDuringApply(backend string) (plans int, applyMs float64) {
 			return plans, float64(time.Since(start).Milliseconds())
 		default:
 		}
-		if backend == statedb.BackendMVCC {
-			_, err = s.PlanOfflineAt(ctx, pin)
-		} else {
-			_, err = s.PlanOffline(ctx)
-		}
-		if err != nil {
+		if _, err := s.PlanOfflineAt(ctx, pin); err != nil {
 			panic(err)
 		}
 		plans++

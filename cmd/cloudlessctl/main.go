@@ -166,7 +166,7 @@ func newCommon(name string) *commonFlags {
 		policies:   fs.String("policies", "", "CCL policy file enforced across the lifecycle"),
 		traceOut:   fs.String("trace-out", "", "write a Chrome/Perfetto trace of this run to the given file"),
 		stateBackend: fs.String("state-backend", "memory",
-			"golden-state storage engine: memory (sharded map), mvcc (versioned snapshots), or wal (durable commit log at <state>.wal/)"),
+			"golden-state durability: memory (no log) or wal (durable commit log at <state>.wal/); mvcc is an alias of memory"),
 		providerTTL: fs.Duration("provider-cache-ttl", 0,
 			"provider-runtime read-cache TTL (0 = default 30s, negative = disable caching)"),
 		providerRetries: fs.Int("provider-retries", 0,

@@ -40,7 +40,7 @@ func main() {
 	tokens := flag.String("tokens", "", "comma-separated principal=token pairs; empty disables auth (dev only)")
 	admins := flag.String("admins", "", "comma-separated principals with access to every workspace")
 	workers := flag.Int("workers", 8, "job worker ceiling (AIMD admission adapts below it)")
-	backend := flag.String("state-backend", "", "default golden-state backend per workspace (memory|mvcc|wal)")
+	backend := flag.String("state-backend", "", "default golden-state backend per workspace (memory|wal; mvcc = alias of memory)")
 	guard := flag.Bool("guard", false, "default new workspaces to health-gated applies")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for in-flight jobs and workspace drains")
 	flag.Parse()

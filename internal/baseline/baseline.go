@@ -41,24 +41,11 @@ type Engine struct {
 	Concurrency int
 }
 
-// New builds a baseline engine over a cloud and initial state, on the
-// default memory storage backend.
+// New builds a baseline engine over a cloud and initial state.
 func New(cl cloud.Interface, initial *state.State) *Engine {
 	return &Engine{
 		Cloud:       cl,
 		DB:          statedb.Open(initial, statedb.GlobalLock),
-		Concurrency: 10,
-	}
-}
-
-// NewWithEngine builds a baseline engine over an explicit storage backend.
-// The global lock is kept regardless of backend — the baseline's defining
-// §3.4 behaviour is the whole-infrastructure lock, not the storage layout —
-// so backend comparisons isolate storage effects from locking effects.
-func NewWithEngine(cl cloud.Interface, eng statedb.Engine) *Engine {
-	return &Engine{
-		Cloud:       cl,
-		DB:          statedb.OpenEngine(eng, statedb.GlobalLock),
 		Concurrency: 10,
 	}
 }

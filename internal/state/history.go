@@ -22,9 +22,10 @@ type Snapshot struct {
 	State             *State
 }
 
-// History is the versioned state store — the paper's "time machine" for
-// checkpointing resource states and generating precise rollback plans.
-// It is safe for concurrent use.
+// History is the CLI's on-disk "time machine": the container `cloudlessctl
+// -history <dir>` loads its snapshot files into for listing and rollback
+// plans. A running stack's time machine is the statedb engine's version
+// chains. It is safe for concurrent use.
 type History struct {
 	mu        sync.RWMutex
 	snapshots []*Snapshot
@@ -42,18 +43,7 @@ func NewHistory(limit int) *History {
 // snapshot's, that serial is kept, so a state store's serial numbers and its
 // history line up; otherwise the next sequential serial is assigned.
 func (h *History) Commit(s *State, description, configFingerprint string) int {
-	return h.commit(s.Clone(), description, configFingerprint)
-}
-
-// CommitOwned is Commit without the defensive clone: the caller hands over
-// ownership of s, which must not be mutated afterwards. Storage engines use
-// it to feed the time machine with snapshots they already materialized,
-// avoiding a second full-state copy per commit.
-func (h *History) CommitOwned(s *State, description, configFingerprint string) int {
-	return h.commit(s, description, configFingerprint)
-}
-
-func (h *History) commit(cp *State, description, configFingerprint string) int {
+	cp := s.Clone()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	last := 0

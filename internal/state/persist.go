@@ -43,12 +43,7 @@ func SaveSnapshot(dir string, snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, snapshotFileName(snap.Serial))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("state: write snapshot: %w", err)
-	}
-	return os.Rename(tmp, path)
+	return writeFileAtomic(filepath.Join(dir, snapshotFileName(snap.Serial)), data)
 }
 
 // SaveHistoryDir persists every retained snapshot of a history.

@@ -13,80 +13,61 @@ import (
 // DB is the golden-state database: the authoritative, transactional record
 // of the infrastructure. Updates are scheduled against the logical state and
 // locks here, and only then applied to the physical cloud — the ordering the
-// paper prescribes in §3.4. Storage is delegated to a pluggable Engine
-// (memory, mvcc, wal); DB layers the lock manager, transactions, and the
-// time machine on top.
+// paper prescribes in §3.4. Storage and the time machine are the Engine's
+// (version chains, optionally over a durable commit log); DB layers the lock
+// manager and transactions on top.
 type DB struct {
-	engine  Engine
-	history *state.History
+	engine  *Engine
 	locks   *LockManager
 	nextTxn atomic.Int64
-
-	// commitMu serializes engine commit + history snapshot so the time
-	// machine records every serial exactly once, in order.
-	commitMu sync.Mutex
 
 	commits atomic.Int64
 	aborts  atomic.Int64
 }
 
-// Open creates a database seeded with an initial state, backed by the
-// default sharded memory engine.
+// Open creates a database seeded with an initial state, with no commit log.
 func Open(initial *state.State, mode LockMode) *DB {
 	eng, err := NewEngine(BackendMemory, initial, EngineOptions{})
 	if err != nil {
-		// The memory backend cannot fail to construct.
+		// Without a log there is nothing to fail.
 		panic(err)
 	}
 	return OpenEngine(eng, mode)
 }
 
 // OpenEngine creates a database over an already-constructed storage engine.
-func OpenEngine(eng Engine, mode LockMode) *DB {
-	db := &DB{
-		engine:  eng,
-		history: state.NewHistory(0),
-		locks:   NewLockManager(mode),
-	}
-	// Seed the time machine with the engine's current state, so
-	// DB.Serial() always names a snapshot History.At can retrieve.
-	if snap, err := eng.Snapshot(0); err == nil {
-		db.history.CommitOwned(snap, "initial", "")
-	}
-	return db
+func OpenEngine(eng *Engine, mode LockMode) *DB {
+	return &DB{engine: eng, locks: NewLockManager(mode)}
 }
-
-// Engine exposes the storage backend.
-func (db *DB) Engine() Engine { return db.engine }
 
 // Backend names the storage backend in use.
 func (db *DB) Backend() string { return db.engine.Name() }
 
-// Close releases the storage engine's resources (e.g. the WAL file handle).
+// Close releases the storage engine's resources (the commit log's file).
 func (db *DB) Close() error { return db.engine.Close() }
 
 // Locks exposes the lock manager (for stats and for the applier, which
 // holds locks across the physical apply).
 func (db *DB) Locks() *LockManager { return db.locks }
 
-// History exposes the time machine.
-func (db *DB) History() *state.History { return db.history }
-
 // Snapshot returns a deep copy of the current golden state.
 func (db *DB) Snapshot() *state.State {
 	s, err := db.engine.Snapshot(0)
 	if err != nil {
-		// Latest-serial snapshots cannot fail on any shipped engine.
+		// The latest serial is always inside the retained window.
 		panic(fmt.Sprintf("statedb: snapshot: %v", err))
 	}
 	return s
 }
 
-// SnapshotAt returns a deep copy of the state as of a past serial. Engines
-// without version retention (memory, wal) serve only the current serial and
-// return ErrNoSuchSerial otherwise; the mvcc engine serves any serial inside
-// its retention window.
+// SnapshotAt returns a deep copy of the state as of a past serial — the
+// time machine. Serials older than the one the engine was opened at, or newer
+// than the head, return ErrNoSuchSerial — as does 0, which no commit carries
+// (the engine reads it as "latest"; that is Snapshot).
 func (db *DB) SnapshotAt(serial int) (*state.State, error) {
+	if serial == 0 {
+		return nil, fmt.Errorf("statedb: snapshot at serial 0: %w", ErrNoSuchSerial)
+	}
 	return db.engine.Snapshot(serial)
 }
 
@@ -293,10 +274,10 @@ func (t *Txn) Delete(addr string) error {
 }
 
 // Commit atomically publishes the transaction's writes through the storage
-// engine, records a history snapshot, and releases all locks. Committing an
-// already-committed transaction is a no-op returning the original serial;
-// committing an aborted transaction is an error. When the transaction was
-// pinned with BeginAt/SetBase, a conflicting concurrent commit surfaces as
+// engine and releases all locks. Committing an already-committed transaction
+// is a no-op returning the original serial; committing an aborted
+// transaction is an error. When the transaction was pinned with
+// BeginAt/SetBase, a conflicting concurrent commit surfaces as
 // *StaleBaseError and the transaction stays open (abort it and re-plan).
 func (t *Txn) Commit() (serial int, err error) {
 	t.mu.Lock()
@@ -317,14 +298,7 @@ func (t *Txn) Commit() (serial int, err error) {
 		b.Outputs = t.outputs
 		b.SetOutputs = true
 	}
-	t.db.commitMu.Lock()
 	serial, err = t.db.engine.Commit(b)
-	if err == nil {
-		if snap, serr := t.db.engine.Snapshot(serial); serr == nil {
-			t.db.history.CommitOwned(snap, t.desc, "")
-		}
-	}
-	t.db.commitMu.Unlock()
 	if err != nil {
 		return 0, err
 	}

@@ -3,6 +3,9 @@ package statedb
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"sort"
+	"sync"
 
 	"cloudless/internal/eval"
 	"cloudless/internal/state"
@@ -10,15 +13,14 @@ import (
 
 // Backend names accepted by NewEngine and the CLIs' -state-backend flag.
 const (
-	// BackendMemory is the default: a sharded in-memory map retaining only
-	// the latest committed version.
+	// BackendMemory is the default: version chains in memory, no commit log.
 	BackendMemory = "memory"
-	// BackendMVCC keeps copy-on-write versions per commit serial, so readers
-	// pinned at an older serial stay consistent while commits land.
-	BackendMVCC = "mvcc"
-	// BackendWAL layers an append-only commit log plus periodic snapshot
-	// compaction over the memory engine, for crash-recoverable durability.
+	// BackendWAL adds the durable commit log in EngineOptions.Dir.
 	BackendWAL = "wal"
+	// backendMVCC is the retired name of the versioned in-memory engine,
+	// still accepted so manifests and wire requests written by earlier
+	// daemons open.
+	backendMVCC = "mvcc"
 )
 
 // BaseUnchecked as a Batch.Base disables stale-base conflict detection.
@@ -28,9 +30,9 @@ const BaseUnchecked = -1
 // and (optionally) replaced root outputs of a transaction, plus the serial
 // its reads were pinned at.
 type Batch struct {
-	// Base is the serial the writer's reads were pinned at. Engines reject
-	// the batch with *StaleBaseError when any touched address was modified
-	// by a commit after Base. BaseUnchecked disables the check.
+	// Base is the serial the writer's reads were pinned at. The engine
+	// rejects the batch with *StaleBaseError when any touched address was
+	// modified by a commit after Base. BaseUnchecked disables the check.
 	Base int
 	// Desc describes the commit (mirrors the transaction description).
 	Desc string
@@ -41,20 +43,6 @@ type Batch struct {
 	// Outputs, when SetOutputs is true, replaces the root outputs.
 	Outputs    map[string]eval.Value
 	SetOutputs bool
-}
-
-// addrs returns every address the batch touches.
-func (b *Batch) addrs() []string {
-	out := make([]string, 0, len(b.Writes)+len(b.Deletes))
-	for a := range b.Writes {
-		out = append(out, a)
-	}
-	for a := range b.Deletes {
-		if _, dup := b.Writes[a]; !dup {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // StaleBaseError reports an optimistic-concurrency conflict: a commit's base
@@ -75,77 +63,278 @@ func (e *StaleBaseError) Error() string {
 		e.Base, e.Addr, e.Committed)
 }
 
-// ErrNoSuchSerial is returned by Engine.Snapshot/Get for a serial the engine
-// does not retain (the memory and WAL engines keep only the latest version;
-// the MVCC engine may have compacted it away).
+// ErrNoSuchSerial is returned by Engine.Snapshot/Get for a serial outside
+// the retained window: newer than the head, or older than the serial the
+// engine was opened at.
 var ErrNoSuchSerial = errors.New("statedb: no version retained at the requested serial")
 
-// Engine is a pluggable storage backend for the golden-state database: a
-// versioned store of resource states keyed by address, committed atomically
-// at monotonically increasing serials. Implementations must be safe for
-// concurrent use; locking and transaction bookkeeping live above the engine
-// in DB/Txn.
-type Engine interface {
-	// Name returns the backend name (memory, mvcc, wal).
-	Name() string
-	// Serial returns the newest committed serial.
-	Serial() int
-	// Get reads one resource at the given serial (0 = latest). The returned
-	// state is a private copy. A missing address yields (nil, nil); an
-	// unretained serial yields ErrNoSuchSerial.
-	Get(addr string, serial int) (*state.ResourceState, error)
-	// Snapshot materializes a consistent deep-copy state at the given serial
-	// (0 = latest). The caller owns the result.
-	Snapshot(serial int) (*state.State, error)
-	// Commit atomically applies a batch at the next serial and returns it.
-	// A batch with Base >= 0 fails with *StaleBaseError when any touched
-	// address was modified after Base.
-	Commit(b *Batch) (int, error)
-	// Close flushes and releases backend resources (file handles, etc.).
-	Close() error
-}
-
-// EngineOptions tune NewEngine.
+// EngineOptions configure NewEngine.
 type EngineOptions struct {
-	// Shards is the shard count for the memory and WAL engines
-	// (default DefaultShards).
-	Shards int
-	// Dir is the durable directory for the WAL engine (required for it).
+	// Dir is the durable directory of the commit log (required for
+	// BackendWAL, ignored otherwise).
 	Dir string
-	// CompactEvery is the WAL engine's commit count between snapshot
-	// compactions (default 64).
-	CompactEvery int
-	// Retain is the MVCC engine's version-retention horizon: versions more
-	// than Retain serials behind the head become eligible for automatic
-	// compaction. 0 keeps everything.
-	Retain int
 }
 
-// NewEngine builds a backend by name, seeded with the initial state. For a
-// fresh store the seed serial is bumped by one so the first committed
-// snapshot aligns with the history's serial numbering (matching Open); a WAL
-// directory that already holds durable data wins over the seed.
-func NewEngine(backend string, initial *state.State, opts EngineOptions) (Engine, error) {
+// version is one committed version of one address. A nil resource marks a
+// deletion tombstone.
+type version struct {
+	serial int
+	rs     *state.ResourceState
+}
+
+// outputsVersion is one committed version of the root outputs.
+type outputsVersion struct {
+	serial  int
+	outputs map[string]eval.Value
+}
+
+// Engine is the golden-state store: resource states keyed by address,
+// committed atomically at monotonically increasing serials. Every commit
+// appends one copy-on-write version per touched address, so a reader pinned
+// at serial N resolves each lookup to the newest version <= N and needs no
+// coordination with commits landing after it; the time machine costs
+// O(touched addresses) per commit. With a commit log the batch is made
+// durable before it becomes visible. Safe for concurrent use; locking and
+// transaction bookkeeping live above the engine in DB/Txn.
+type Engine struct {
+	// wmu serializes commits and owns the log. mu is taken exclusively only
+	// for the in-memory apply, so readers never wait on an fsync.
+	wmu sync.Mutex
+	log *commitLog // nil: no durability
+
+	mu     sync.RWMutex
+	serial int
+	// oldest is the serial the engine was opened at, the lower bound of
+	// the readable window.
+	oldest  int
+	chains  map[string][]version
+	outputs []outputsVersion
+}
+
+// NewEngine builds the engine, seeded with the initial state. For a fresh
+// store the seed serial is bumped by one, so the first committed snapshot
+// has a serial of its own; a log directory that already holds durable data
+// wins over the seed.
+func NewEngine(backend string, initial *state.State, opts EngineOptions) (*Engine, error) {
 	if initial == nil {
 		initial = state.New()
 	}
 	seed := initial.Clone()
 	seed.Serial++
 	switch backend {
-	case BackendMemory, "":
-		return NewMemoryEngine(seed, opts.Shards), nil
-	case BackendMVCC:
-		return NewMVCCEngine(seed, opts.Retain), nil
+	case "", BackendMemory, backendMVCC:
+		return newEngine(seed), nil
 	case BackendWAL:
 		if opts.Dir == "" {
 			return nil, fmt.Errorf("statedb: the %s backend requires EngineOptions.Dir", BackendWAL)
 		}
-		return OpenWAL(opts.Dir, seed, opts)
+		return openDurable(opts.Dir, seed)
 	default:
-		return nil, fmt.Errorf("statedb: unknown state backend %q (want %s, %s, or %s)",
-			backend, BackendMemory, BackendMVCC, BackendWAL)
+		return nil, fmt.Errorf("statedb: unknown state backend %q (want %s or %s)",
+			backend, BackendMemory, BackendWAL)
 	}
 }
 
-// Backends lists the available backend names.
-func Backends() []string { return []string{BackendMemory, BackendMVCC, BackendWAL} }
+// Backends lists the backend names.
+func Backends() []string { return []string{BackendMemory, BackendWAL} }
+
+// newEngine indexes a base state the caller hands over.
+func newEngine(base *state.State) *Engine {
+	e := &Engine{
+		serial:  base.Serial,
+		oldest:  base.Serial,
+		chains:  make(map[string][]version, len(base.Resources)),
+		outputs: []outputsVersion{{serial: base.Serial, outputs: base.Outputs}},
+	}
+	for addr, rs := range base.Resources {
+		e.chains[addr] = []version{{serial: base.Serial, rs: rs}}
+	}
+	return e
+}
+
+// Name returns the backend name: wal with a commit log, memory without.
+func (e *Engine) Name() string {
+	if e.log != nil {
+		return BackendWAL
+	}
+	return BackendMemory
+}
+
+// Serial returns the newest committed serial.
+func (e *Engine) Serial() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.serial
+}
+
+// resolveLocked checks a requested serial (0 = latest) against the readable
+// window. Caller holds e.mu.
+func (e *Engine) resolveLocked(serial int) (int, error) {
+	if serial == 0 {
+		return e.serial, nil
+	}
+	if serial > e.serial || serial < e.oldest {
+		return 0, fmt.Errorf("statedb: read at serial %d (window [%d, %d]): %w",
+			serial, e.oldest, e.serial, ErrNoSuchSerial)
+	}
+	return serial, nil
+}
+
+// versionAt resolves the newest version of a chain at or before serial.
+// Chains ascend by serial, and reads at the head take the tail directly.
+func versionAt(chain []version, serial int) *state.ResourceState {
+	i := len(chain) - 1
+	if i >= 0 && chain[i].serial > serial {
+		i = sort.Search(len(chain), func(i int) bool { return chain[i].serial > serial }) - 1
+	}
+	if i < 0 {
+		return nil
+	}
+	return chain[i].rs
+}
+
+// Get reads one resource at the given serial (0 = latest). The returned
+// state is a private copy. A missing address yields (nil, nil); a serial
+// outside the retained window yields ErrNoSuchSerial.
+func (e *Engine) Get(addr string, serial int) (*state.ResourceState, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	at, err := e.resolveLocked(serial)
+	if err != nil {
+		return nil, err
+	}
+	if rs := versionAt(e.chains[addr], at); rs != nil {
+		return rs.Clone(), nil
+	}
+	return nil, nil
+}
+
+// Snapshot materializes a consistent deep-copy state at the given serial
+// (0 = latest). The caller owns the result.
+func (e *Engine) Snapshot(serial int) (*state.State, error) {
+	return e.stateAt(serial, true)
+}
+
+// stateAt assembles the state at the given serial. With own false it is
+// built from the retained versions themselves: they are never mutated, so
+// the result may be read without the lock, but not modified or handed out.
+func (e *Engine) stateAt(serial int, own bool) (*state.State, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	at, err := e.resolveLocked(serial)
+	if err != nil {
+		return nil, err
+	}
+	s := state.New()
+	s.Serial = at
+	for addr, chain := range e.chains {
+		if rs := versionAt(chain, at); rs != nil {
+			if own {
+				rs = rs.Clone()
+			}
+			s.Resources[addr] = rs
+		}
+	}
+	for i := len(e.outputs) - 1; i >= 0; i-- {
+		if v := e.outputs[i]; v.serial <= at {
+			if own {
+				maps.Copy(s.Outputs, v.outputs)
+			} else {
+				s.Outputs = v.outputs
+			}
+			break
+		}
+	}
+	return s, nil
+}
+
+// Commit atomically applies a batch at the next serial and returns it. A
+// batch with Base >= 0 fails with *StaleBaseError when any touched address
+// was modified after Base. With a commit log the order is conflict check,
+// durable append, in-memory apply: a rejected batch never reaches the log,
+// and a crash after the append replays the record on reopen. Once the batch
+// is durable the commit has landed, whatever log upkeep does afterwards.
+func (e *Engine) Commit(b *Batch) (int, error) {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	// Only commits write the index and they all hold wmu, so the check
+	// reads it without mu.
+	if err := e.conflict(b); err != nil {
+		return 0, err
+	}
+	serial := e.serial + 1
+	writes := make(map[string]*state.ResourceState, len(b.Writes))
+	for addr, rs := range b.Writes {
+		cp := rs.Clone()
+		cp.Addr = addr
+		writes[addr] = cp
+	}
+	if e.log != nil {
+		if err := e.log.append(serial, b, writes); err != nil {
+			return 0, err
+		}
+	}
+	e.apply(serial, writes, b.Deletes, maps.Clone(b.Outputs), b.SetOutputs)
+	if e.log != nil && e.log.sinceCompact >= compactEvery {
+		// The commit is already durable: a failed compaction is kept for
+		// Close and retried by the next commit while the log keeps growing.
+		e.log.compactErr = e.log.compact(e)
+	}
+	return serial, nil
+}
+
+// conflict rejects a batch whose base predates a commit to any address it
+// touches. Caller holds wmu.
+func (e *Engine) conflict(b *Batch) error {
+	if b.Base < 0 {
+		return nil
+	}
+	check := func(addr string) error {
+		if chain := e.chains[addr]; len(chain) > 0 {
+			if last := chain[len(chain)-1].serial; last > b.Base {
+				return &StaleBaseError{Addr: addr, Base: b.Base, Committed: last}
+			}
+		}
+		return nil
+	}
+	for addr := range b.Writes {
+		if err := check(addr); err != nil {
+			return err
+		}
+	}
+	for addr := range b.Deletes {
+		if err := check(addr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// apply appends one version per touched address at the given serial, and one
+// of the outputs when setOutputs. The engine takes ownership of writes and
+// outputs. Caller holds wmu (or is the only user, during replay).
+func (e *Engine) apply(serial int, writes map[string]*state.ResourceState, deletes map[string]bool, outputs map[string]eval.Value, setOutputs bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for addr, rs := range writes {
+		e.chains[addr] = append(e.chains[addr], version{serial: serial, rs: rs})
+	}
+	for addr := range deletes {
+		e.chains[addr] = append(e.chains[addr], version{serial: serial})
+	}
+	if setOutputs {
+		e.outputs = append(e.outputs, outputsVersion{serial: serial, outputs: outputs})
+	}
+	e.serial = serial
+}
+
+// Close flushes and releases the commit log; reads keep working. It reports
+// a log compaction that failed and has not succeeded since.
+func (e *Engine) Close() error {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	if e.log == nil {
+		return nil
+	}
+	return e.log.close()
+}

@@ -1,10 +1,12 @@
 package statedb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -12,17 +14,19 @@ import (
 	"cloudless/internal/state"
 )
 
-// backendsUnderTest honors the CI matrix: with CLOUDLESS_STATE_BACKEND set,
-// only that backend runs; otherwise every backend runs.
-func backendsUnderTest() []string {
-	if b := os.Getenv("CLOUDLESS_STATE_BACKEND"); b != "" {
-		return []string{b}
-	}
-	return Backends()
+// The engine conformance suite: every case runs with the commit log off
+// (memory) and on (wal); cases about the log's files run on wal alone.
+
+// everyBackendName lists each name NewEngine accepts with the Name() the
+// engine then reports: the two configurations, and the retired alias.
+var everyBackendName = []struct{ name, reports string }{
+	{BackendMemory, BackendMemory},
+	{backendMVCC, BackendMemory},
+	{BackendWAL, BackendWAL},
 }
 
 // newTestEngine builds a backend over the seed, with a temp dir for wal.
-func newTestEngine(t *testing.T, backend string, seed *state.State) Engine {
+func newTestEngine(t *testing.T, backend string, seed *state.State) *Engine {
 	t.Helper()
 	opts := EngineOptions{}
 	if backend == BackendWAL {
@@ -36,6 +40,24 @@ func newTestEngine(t *testing.T, backend string, seed *state.State) Engine {
 	return eng
 }
 
+// logOffAndOn runs a case against a fresh empty engine per configuration.
+func logOffAndOn(t *testing.T, fn func(t *testing.T, e *Engine)) {
+	for _, backend := range Backends() {
+		backend := backend
+		t.Run(backend, func(t *testing.T) { fn(t, newTestEngine(t, backend, nil)) })
+	}
+}
+
+func openWALDir(t *testing.T, dir string) *Engine {
+	t.Helper()
+	e, err := NewEngine(BackendWAL, nil, EngineOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
 func put(addr string, n int) *Batch {
 	return &Batch{
 		Base:   BaseUnchecked,
@@ -44,33 +66,72 @@ func put(addr string, n int) *Batch {
 	}
 }
 
-// TestEngineConformance runs the shared backend contract over every engine:
-// commit/get/delete round trips, serial monotonicity, snapshot isolation
-// from later mutation, outputs replacement, and typed stale-base conflicts.
+func mustCommit(t *testing.T, e *Engine, b *Batch) int {
+	t.Helper()
+	s, err := e.Commit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// versionCount is the total of retained version entries.
+func versionCount(e *Engine) int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	n := 0
+	for _, chain := range e.chains {
+		n += len(chain)
+	}
+	return n
+}
+
+func ctxb() context.Context { return context.Background() }
+
+func TestNewEngineBackendNames(t *testing.T) {
+	if _, err := NewEngine(BackendWAL, nil, EngineOptions{}); err == nil {
+		t.Error("wal without Dir accepted")
+	}
+	if _, err := NewEngine("sharded", nil, EngineOptions{}); err == nil {
+		t.Error("unknown backend name accepted")
+	}
+	e, err := NewEngine("", nil, EngineOptions{})
+	if err != nil || e.Name() != BackendMemory {
+		t.Errorf(`NewEngine("") = %v, %v; want the memory configuration`, e, err)
+	}
+}
+
+// TestEngineConformance runs the engine contract under every accepted
+// backend name: commit/get/delete round trips, serial monotonicity, snapshot
+// isolation from later mutation, outputs replacement, and typed stale-base
+// conflicts.
 func TestEngineConformance(t *testing.T) {
-	for _, backend := range backendsUnderTest() {
+	for _, backend := range everyBackendName {
 		backend := backend
-		t.Run(backend, func(t *testing.T) {
+		t.Run(backend.name, func(t *testing.T) {
 			seed := state.New()
+			seed.Serial = 3
 			seed.Set(rs("aws_vpc.seeded", 100))
-			e := newTestEngine(t, backend, seed)
-			if e.Name() != backend {
-				t.Errorf("Name() = %q, want %q", e.Name(), backend)
+			e := newTestEngine(t, backend.name, seed)
+			if e.Name() != backend.reports {
+				t.Errorf("Name() = %q, want %q", e.Name(), backend.reports)
 			}
 			base := e.Serial()
-			if base <= seed.Serial {
-				t.Errorf("fresh engine serial = %d, want > seed's %d", base, seed.Serial)
+			if base != seed.Serial+1 {
+				t.Errorf("fresh engine serial = %d, want seed's %d + 1", base, seed.Serial)
 			}
 			got, err := e.Get("aws_vpc.seeded", 0)
 			if err != nil || got == nil || got.Attr("n").AsInt() != 100 {
 				t.Fatalf("seeded read = %+v, %v", got, err)
 			}
+			// The engine copied the seed: mutating it later must not leak in.
+			seed.Get("aws_vpc.seeded").Attrs["n"] = eval.Int(-1)
+			if got, _ := e.Get("aws_vpc.seeded", 0); got.Attr("n").AsInt() != 100 {
+				t.Error("seed mutation leaked into engine")
+			}
 
 			// Commit a write and a delete.
-			s1, err := e.Commit(put("aws_vpc.a", 1))
-			if err != nil {
-				t.Fatal(err)
-			}
+			s1 := mustCommit(t, e, put("aws_vpc.a", 1))
 			if s1 != base+1 {
 				t.Errorf("serial after commit = %d, want %d", s1, base+1)
 			}
@@ -102,30 +163,42 @@ func TestEngineConformance(t *testing.T) {
 			}
 
 			// Outputs replacement.
-			if _, err := e.Commit(&Batch{
+			mustCommit(t, e, &Batch{
 				Base:       BaseUnchecked,
 				Outputs:    map[string]eval.Value{"url": eval.String("https://x")},
 				SetOutputs: true,
-			}); err != nil {
-				t.Fatal(err)
-			}
+			})
 			snap, _ = e.Snapshot(0)
 			if snap.Outputs["url"].AsString() != "https://x" {
 				t.Error("outputs not replaced")
 			}
+			snap.Outputs["url"] = eval.String("mutated")
+			if again, _ := e.Snapshot(0); again.Outputs["url"].AsString() != "https://x" {
+				t.Error("snapshot outputs mutation leaked into engine")
+			}
+			if old, _ := e.Snapshot(s2); len(old.Outputs) != 0 {
+				t.Errorf("outputs at serial %d = %v, want none yet", s2, old.Outputs)
+			}
 
 			// Stale base: a batch pinned before s2 touching aws_vpc.b
-			// (modified at s2) must fail with the typed conflict...
-			_, err = e.Commit(&Batch{
-				Base:   s1,
-				Writes: map[string]*state.ResourceState{"aws_vpc.b": rs("aws_vpc.b", 9)},
-			})
-			var stale *StaleBaseError
-			if !errors.As(err, &stale) {
-				t.Fatalf("stale commit error = %v, want *StaleBaseError", err)
-			}
-			if stale.Addr != "aws_vpc.b" || stale.Base != s1 || stale.Committed != s2 {
-				t.Errorf("conflict detail = %+v", stale)
+			// (modified at s2) must fail with the typed conflict, as must
+			// one touching the address s2 deleted...
+			for _, b := range []*Batch{
+				{Base: s1, Writes: map[string]*state.ResourceState{"aws_vpc.b": rs("aws_vpc.b", 9)}},
+				{Base: s1, Deletes: map[string]bool{"aws_vpc.seeded": true}},
+			} {
+				before := e.Serial()
+				_, err = e.Commit(b)
+				var stale *StaleBaseError
+				if !errors.As(err, &stale) {
+					t.Fatalf("stale commit error = %v, want *StaleBaseError", err)
+				}
+				if stale.Base != s1 || stale.Committed != s2 {
+					t.Errorf("conflict detail = %+v", stale)
+				}
+				if e.Serial() != before {
+					t.Error("rejected batch advanced the serial")
+				}
 			}
 			// ...while a disjoint batch at the same stale base is fine.
 			if _, err := e.Commit(&Batch{
@@ -135,26 +208,34 @@ func TestEngineConformance(t *testing.T) {
 				t.Errorf("disjoint stale-base commit rejected: %v", err)
 			}
 
-			// Unretained serials answer with the typed sentinel.
-			if _, err := e.Snapshot(e.Serial() + 100); !errors.Is(err, ErrNoSuchSerial) {
-				t.Errorf("future-serial snapshot error = %v, want ErrNoSuchSerial", err)
+			// Serials outside the retained window answer with the typed
+			// sentinel: ahead of the head, and before the engine was opened.
+			for _, serial := range []int{e.Serial() + 100, base - 1} {
+				if _, err := e.Snapshot(serial); !errors.Is(err, ErrNoSuchSerial) {
+					t.Errorf("snapshot at %d: error = %v, want ErrNoSuchSerial", serial, err)
+				}
+				if _, err := e.Get("aws_vpc.a", serial); !errors.Is(err, ErrNoSuchSerial) {
+					t.Errorf("get at %d: error = %v, want ErrNoSuchSerial", serial, err)
+				}
+			}
+			// The opening serial itself stays readable.
+			if first, err := e.Snapshot(base); err != nil || first.Len() != 1 || first.Get("aws_vpc.seeded") == nil {
+				t.Errorf("snapshot at opening serial = %+v, %v", first, err)
 			}
 		})
 	}
 }
 
-// TestEngineConcurrentReadsDuringCommits exercises every backend with point
-// reads and snapshots racing a committer (run under -race).
+// TestEngineConcurrentReadsDuringCommits has point reads and snapshots race
+// a committer (run under -race).
 func TestEngineConcurrentReadsDuringCommits(t *testing.T) {
-	for _, backend := range backendsUnderTest() {
+	for _, backend := range everyBackendName {
 		backend := backend
-		t.Run(backend, func(t *testing.T) {
-			e := newTestEngine(t, backend, nil)
+		t.Run(backend.name, func(t *testing.T) {
+			e := newTestEngine(t, backend.name, nil)
 			const addrs = 8
 			for i := 0; i < addrs; i++ {
-				if _, err := e.Commit(put(fmt.Sprintf("aws_vpc.a%d", i), 0)); err != nil {
-					t.Fatal(err)
-				}
+				mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", i), 0))
 			}
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -181,9 +262,7 @@ func TestEngineConcurrentReadsDuringCommits(t *testing.T) {
 				}(r)
 			}
 			for i := 0; i < 100; i++ {
-				if _, err := e.Commit(put(fmt.Sprintf("aws_vpc.a%d", i%addrs), i)); err != nil {
-					t.Fatal(err)
-				}
+				mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", i%addrs), i))
 			}
 			close(stop)
 			wg.Wait()
@@ -191,18 +270,17 @@ func TestEngineConcurrentReadsDuringCommits(t *testing.T) {
 	}
 }
 
-// TestDBOnEveryBackend drives the full DB/Txn stack (locks, history,
-// commit/abort) over each engine to prove the database semantics are
-// backend-independent.
+// TestDBOnEveryBackend drives the full DB/Txn stack (locks, time machine,
+// commit/abort) under every accepted backend name.
 func TestDBOnEveryBackend(t *testing.T) {
-	for _, backend := range backendsUnderTest() {
+	for _, backend := range everyBackendName {
 		backend := backend
-		t.Run(backend, func(t *testing.T) {
-			eng := newTestEngine(t, backend, nil)
-			db := OpenEngine(eng, ResourceLock)
-			if db.Backend() != backend {
+		t.Run(backend.name, func(t *testing.T) {
+			db := OpenEngine(newTestEngine(t, backend.name, nil), ResourceLock)
+			if db.Backend() != backend.reports {
 				t.Errorf("Backend() = %q", db.Backend())
 			}
+			opened := db.Serial()
 			txn := db.Begin("create")
 			if err := txn.Lock(ctxb(), "aws_vpc.a"); err != nil {
 				t.Fatal(err)
@@ -220,8 +298,14 @@ func TestDBOnEveryBackend(t *testing.T) {
 			if db.Serial() != serial {
 				t.Errorf("db serial %d != commit serial %d", db.Serial(), serial)
 			}
-			if snap, err := db.History().At(serial); err != nil || snap.State.Get("aws_vpc.a") == nil {
-				t.Errorf("history at %d: %v", serial, err)
+			if snap, err := db.SnapshotAt(serial); err != nil || snap.Get("aws_vpc.a") == nil {
+				t.Errorf("time machine at %d: %v", serial, err)
+			}
+			if snap, err := db.SnapshotAt(opened); err != nil || snap.Len() != 0 {
+				t.Errorf("time machine at the opening serial %d: %+v, %v", opened, snap, err)
+			}
+			if _, err := db.SnapshotAt(0); !errors.Is(err, ErrNoSuchSerial) {
+				t.Errorf("SnapshotAt(0) error = %v, want ErrNoSuchSerial", err)
 			}
 
 			// Stale-base conflict through the Txn layer: pin a txn at the
@@ -256,4 +340,657 @@ func TestDBOnEveryBackend(t *testing.T) {
 	}
 }
 
-func ctxb() context.Context { return context.Background() }
+// TestMVCCPinnedReaderIsolation is the headline guarantee of the version
+// chains: a reader pinned at serial N never observes writes from serial N+1
+// (or later), even while those commits land concurrently. 16 concurrent
+// writers commit under -race while pinned readers continuously re-verify
+// their snapshots.
+func TestMVCCPinnedReaderIsolation(t *testing.T) {
+	logOffAndOn(t, func(t *testing.T, e *Engine) {
+		// Lay down a known baseline: addr i holds value i at pinSerial.
+		const addrs = 8
+		for i := 0; i < addrs; i++ {
+			mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", i), i))
+		}
+		pinSerial := e.Serial()
+		pinned, err := e.Snapshot(pinSerial)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		const writers = 16
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 25; i++ {
+					addr := fmt.Sprintf("aws_vpc.a%d", (w+i)%addrs)
+					if _, err := e.Commit(put(addr, 1000+w*100+i)); err != nil {
+						t.Errorf("writer %d: %v", w, err)
+						return
+					}
+				}
+			}(w)
+		}
+		// Readers pinned at pinSerial race the writers the whole time.
+		readErr := make(chan error, 4)
+		done := make(chan struct{})
+		for r := 0; r < 4; r++ {
+			go func() {
+				for {
+					select {
+					case <-done:
+						readErr <- nil
+						return
+					default:
+					}
+					for i := 0; i < addrs; i++ {
+						addr := fmt.Sprintf("aws_vpc.a%d", i)
+						got, err := e.Get(addr, pinSerial)
+						if err != nil {
+							readErr <- fmt.Errorf("pinned get %s: %w", addr, err)
+							return
+						}
+						if n := got.Attr("n").AsInt(); n != i {
+							readErr <- fmt.Errorf("pinned reader at serial %d saw %s=%d, want %d", pinSerial, addr, n, i)
+							return
+						}
+					}
+					snap, err := e.Snapshot(pinSerial)
+					if err != nil {
+						readErr <- fmt.Errorf("pinned snapshot: %w", err)
+						return
+					}
+					if snap.Serial != pinSerial {
+						readErr <- fmt.Errorf("pinned snapshot serial = %d, want %d", snap.Serial, pinSerial)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(done)
+		for r := 0; r < 4; r++ {
+			if err := <-readErr; err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// After all 400 commits: the pinned snapshot still reads as before,
+		// the latest snapshot reflects the churn, and re-materializing at
+		// pinSerial matches the copy taken before the churn started.
+		if e.Serial() != pinSerial+writers*25 {
+			t.Errorf("final serial = %d, want %d", e.Serial(), pinSerial+writers*25)
+		}
+		again, err := e.Snapshot(pinSerial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < addrs; i++ {
+			addr := fmt.Sprintf("aws_vpc.a%d", i)
+			if got := again.Get(addr).Attr("n").AsInt(); got != pinned.Get(addr).Attr("n").AsInt() {
+				t.Errorf("re-materialized %s = %d, want %d", addr, got, i)
+			}
+		}
+		latest, _ := e.Snapshot(0)
+		anyChanged := false
+		for i := 0; i < addrs; i++ {
+			if latest.Get(fmt.Sprintf("aws_vpc.a%d", i)).Attr("n").AsInt() >= 1000 {
+				anyChanged = true
+			}
+		}
+		if !anyChanged {
+			t.Error("writers' churn not visible at latest serial")
+		}
+	})
+}
+
+// TestMVCCSerialBoundary pins the exact N / N+1 boundary: a snapshot at N
+// taken *after* N+1 committed still shows N's world.
+func TestMVCCSerialBoundary(t *testing.T) {
+	logOffAndOn(t, func(t *testing.T, e *Engine) {
+		n := mustCommit(t, e, put("aws_vpc.x", 1))
+		mustCommit(t, e, &Batch{
+			Base:   BaseUnchecked,
+			Writes: map[string]*state.ResourceState{"aws_vpc.x": rs("aws_vpc.x", 2), "aws_vpc.y": rs("aws_vpc.y", 2)},
+		})
+		atN, err := e.Snapshot(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := atN.Get("aws_vpc.x").Attr("n").AsInt(); got != 1 {
+			t.Errorf("snapshot at N: x = %d, want 1", got)
+		}
+		if atN.Get("aws_vpc.y") != nil {
+			t.Error("snapshot at N shows resource created at N+1")
+		}
+		// Point reads at N agree.
+		if got, _ := e.Get("aws_vpc.y", n); got != nil {
+			t.Error("Get at N shows resource created at N+1")
+		}
+		// Deletes are versioned too: delete x at N+2, N+1 still shows it.
+		mustCommit(t, e, &Batch{Base: BaseUnchecked, Deletes: map[string]bool{"aws_vpc.x": true}})
+		if got, err := e.Get("aws_vpc.x", n+1); err != nil || got == nil || got.Attr("n").AsInt() != 2 {
+			t.Errorf("Get x at N+1 after delete at N+2 = %v, %v; want n=2", got, err)
+		}
+		if got, _ := e.Get("aws_vpc.x", 0); got != nil {
+			t.Error("deleted resource visible at latest")
+		}
+	})
+}
+
+// TestHistoryGrowsPerCommit is the structural check on what the time machine
+// costs: K one-resource transactions over an N-resource seed retain N+K
+// versions — not N×K, a copy of the state per commit — and every one of the
+// K+1 serials stays readable.
+func TestHistoryGrowsPerCommit(t *testing.T) {
+	const n, k = 50, 20
+	for _, backend := range Backends() {
+		backend := backend
+		t.Run(backend, func(t *testing.T) {
+			seed := state.New()
+			for i := 0; i < n; i++ {
+				seed.Set(rs(fmt.Sprintf("aws_vpc.r%d", i), 0))
+			}
+			db := OpenEngine(newTestEngine(t, backend, seed), ResourceLock)
+			opened := db.Serial()
+			for i := 1; i <= k; i++ {
+				txn := db.Begin(fmt.Sprintf("c%d", i))
+				if err := txn.Lock(ctxb(), "aws_vpc.r0"); err != nil {
+					t.Fatal(err)
+				}
+				if err := txn.Put(rs("aws_vpc.r0", i)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := txn.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := versionCount(db.engine); got != n+k {
+				t.Errorf("retained versions = %d, want %d (N+K)", got, n+k)
+			}
+			for i := 0; i <= k; i++ {
+				snap, err := db.SnapshotAt(opened + i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap.Len() != n || snap.Get("aws_vpc.r0").Attr("n").AsInt() != i {
+					t.Errorf("serial %d: len=%d r0=%v", opened+i, snap.Len(), snap.Get("aws_vpc.r0").Attr("n"))
+				}
+			}
+		})
+	}
+}
+
+// TestWALReplayOnReopen: a cleanly closed log replays every commit, and the
+// reopened engine serves pinned reads across the replayed serials.
+func TestWALReplayOnReopen(t *testing.T) {
+	dir := t.TempDir()
+	e := openWALDir(t, dir)
+	first := e.Serial()
+	var last int
+	for i := 0; i < 5; i++ {
+		last = mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", i), i))
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Commit(put("aws_vpc.late", 1)); err == nil {
+		t.Error("commit on a closed log succeeded")
+	}
+	if err := e.Close(); err != nil {
+		t.Errorf("second Close = %v", err)
+	}
+
+	re := openWALDir(t, dir)
+	if re.Serial() != last {
+		t.Fatalf("reopened serial = %d, want %d", re.Serial(), last)
+	}
+	for i := 0; i < 5; i++ {
+		got, err := re.Get(fmt.Sprintf("aws_vpc.a%d", i), 0)
+		if err != nil || got == nil || got.Attr("n").AsInt() != i {
+			t.Errorf("replayed a%d = %+v, %v", i, got, err)
+		}
+		// Serial first+i+1 created a<i>: the replayed chains keep it pinned.
+		at, err := re.Snapshot(first + i + 1)
+		if err != nil || at.Len() != i+1 {
+			t.Errorf("reopened snapshot at %d = %+v, %v; want %d resources", first+i+1, at, err, i+1)
+		}
+	}
+	// The durable dir wins over whatever seed the caller passes on reopen.
+	seeded := state.New()
+	seeded.Set(rs("aws_vpc.imposter", 1))
+	re.Close()
+	re2, err := NewEngine(BackendWAL, seeded, EngineOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	if got, _ := re2.Get("aws_vpc.imposter", 0); got != nil {
+		t.Error("seed overrode durable state on reopen")
+	}
+	if re2.Serial() != last {
+		t.Errorf("reopen with seed: serial = %d, want %d", re2.Serial(), last)
+	}
+}
+
+// TestWALCrashRecoveryTornTail simulates a kill mid-commit: the final log
+// record is truncated partway through its payload. Reopen must drop the torn
+// tail and recover to the last *durable* commit with zero lost commits.
+func TestWALCrashRecoveryTornTail(t *testing.T) {
+	dir := t.TempDir()
+	e := openWALDir(t, dir)
+	var durable int
+	for i := 0; i < 4; i++ {
+		durable = mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", i), i))
+	}
+	// One more commit, which we'll tear.
+	mustCommit(t, e, put("aws_vpc.torn", 99))
+	preTearSize := e.log.size
+	e.Close()
+
+	// Simulate the crash: keep the header of the last record but cut its
+	// payload short, as if the process died mid-write.
+	logPath := filepath.Join(dir, walLogName)
+	if err := os.Truncate(logPath, preTearSize-5); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openWALDir(t, dir)
+	if re.Serial() != durable {
+		t.Fatalf("recovered serial = %d, want last durable %d", re.Serial(), durable)
+	}
+	if got, _ := re.Get("aws_vpc.torn", 0); got != nil {
+		t.Error("torn commit visible after recovery")
+	}
+	for i := 0; i < 4; i++ {
+		got, err := re.Get(fmt.Sprintf("aws_vpc.a%d", i), 0)
+		if err != nil || got == nil || got.Attr("n").AsInt() != i {
+			t.Errorf("lost durable commit a%d: %+v, %v", i, got, err)
+		}
+	}
+	// The engine keeps accepting commits after recovery, and the replaced
+	// tail replays on the next reopen.
+	if s := mustCommit(t, re, put("aws_vpc.post", 1)); s != durable+1 {
+		t.Errorf("post-recovery serial = %d, want %d", s, durable+1)
+	}
+	re.Close()
+	if re2 := openWALDir(t, dir); re2.Serial() != durable+1 {
+		t.Errorf("second reopen serial = %d, want %d", re2.Serial(), durable+1)
+	}
+}
+
+// TestWALCrashRecoveryCorruptRecord: a bit-flip inside a record's payload
+// fails its CRC; replay stops there, dropping the corrupt record and
+// everything after it.
+func TestWALCrashRecoveryCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	e := openWALDir(t, dir)
+	s1 := mustCommit(t, e, put("aws_vpc.good", 1))
+	goodSize := e.log.size
+	mustCommit(t, e, put("aws_vpc.bad", 2))
+	mustCommit(t, e, put("aws_vpc.after", 3))
+	e.Close()
+
+	// Flip a byte inside the second record's payload (past its 8-byte
+	// frame header) so the CRC check fails.
+	logPath := filepath.Join(dir, walLogName)
+	raw, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[goodSize+8+4] ^= 0xFF
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openWALDir(t, dir)
+	if re.Serial() != s1 {
+		t.Fatalf("recovered serial = %d, want %d (first intact commit)", re.Serial(), s1)
+	}
+	if got, _ := re.Get("aws_vpc.good", 0); got == nil {
+		t.Error("intact commit lost")
+	}
+	if got, _ := re.Get("aws_vpc.after", 0); got != nil {
+		t.Error("record after the corrupt one survived replay")
+	}
+}
+
+func stateLen(t *testing.T, e *Engine) int {
+	t.Helper()
+	s, err := e.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Len()
+}
+
+func logFileSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	st, err := os.Stat(filepath.Join(dir, walLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+// TestWALCompaction: every compactEvery commits the log is folded into
+// snapshot.json and reset, the compacted state round-trips a reopen, and
+// serials from before the compaction stay pinned in memory meanwhile.
+func TestWALCompaction(t *testing.T) {
+	dir := t.TempDir()
+	e := openWALDir(t, dir)
+	first := e.Serial()
+	for i := 1; i < compactEvery; i++ {
+		mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", i%5), i))
+	}
+	if size := logFileSize(t, dir); size == 0 || size != e.log.size {
+		t.Fatalf("log size before compaction = %d on disk, %d tracked", size, e.log.size)
+	}
+	serial := mustCommit(t, e, put("aws_vpc.boundary", 0))
+	if size := logFileSize(t, dir); size != 0 || e.log.size != 0 {
+		t.Errorf("log size after compaction = %d on disk, %d tracked; want 0", size, e.log.size)
+	}
+	snap, err := state.LoadFile(filepath.Join(dir, walSnapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Serial != serial || snap.Len() != 6 {
+		t.Errorf("snapshot.json serial=%d len=%d, want %d and 6", snap.Serial, snap.Len(), serial)
+	}
+	if old, err := e.Snapshot(first + 1); err != nil || old.Len() != 1 {
+		t.Errorf("pre-compaction serial after compaction = %+v, %v", old, err)
+	}
+	// The log keeps taking records after the reset.
+	after := mustCommit(t, e, put("aws_vpc.after", 1))
+	if logFileSize(t, dir) == 0 {
+		t.Error("commit after compaction did not reach the log")
+	}
+	e.Close()
+	re := openWALDir(t, dir)
+	if re.Serial() != after {
+		t.Errorf("reopen after compaction: serial = %d, want %d", re.Serial(), after)
+	}
+	if got, _ := re.Get("aws_vpc.after", 0); got == nil || stateLen(t, re) != 7 {
+		t.Errorf("reopen after compaction lost state: after=%v len=%d", got, stateLen(t, re))
+	}
+	// A reopened engine's window starts at the compacted snapshot.
+	if _, err := re.Snapshot(first + 1); !errors.Is(err, ErrNoSuchSerial) {
+		t.Errorf("pre-snapshot serial after reopen: error = %v, want ErrNoSuchSerial", err)
+	}
+}
+
+// TestCommitSurvivesFailedCompaction: a commit that is durable in the log
+// has landed even when the compaction it triggers fails. It returns its
+// serial (so Txn.Commit finishes the transaction), the log keeps growing,
+// compaction is retried by the next commit, and Close reports a failure
+// that was never made good.
+func TestCommitSurvivesFailedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	db := OpenEngine(openWALDir(t, dir), ResourceLock)
+	e := db.engine
+	// SaveFile writes snapshot.json through this temp name; a non-empty
+	// directory in its place makes every compaction fail.
+	blocker := filepath.Join(dir, walSnapshotName+".tmp")
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var last int
+	for i := 0; i < compactEvery+3; i++ {
+		txn := db.Begin("c")
+		if err := txn.Lock(ctxb(), "aws_vpc.a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Put(rs("aws_vpc.a", i)); err != nil {
+			t.Fatal(err)
+		}
+		serial, err := txn.Commit()
+		if err != nil {
+			t.Fatalf("commit %d reported failure though it is durable: %v", i, err)
+		}
+		if serial != db.Serial() || serial <= last {
+			t.Fatalf("commit %d: serial %d, db at %d, previous %d", i, serial, db.Serial(), last)
+		}
+		last = serial
+	}
+	if db.Locks().Holder("aws_vpc.a") != 0 {
+		t.Error("a transaction is still pending over state that moved")
+	}
+	if e.log.compactErr == nil {
+		t.Fatal("compaction did not fail; the test's blocker is ineffective")
+	}
+	if size := logFileSize(t, dir); size == 0 || size != e.log.size {
+		t.Errorf("log after failed compactions = %d on disk, %d tracked; want it still growing", size, e.log.size)
+	}
+
+	// Everything acknowledged is on disk without the compaction.
+	cp := t.TempDir()
+	for _, name := range []string{walLogName, walSnapshotName} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := openWALDir(t, cp).Serial(); got != last {
+		t.Errorf("reopen of the uncompacted directory: serial = %d, want %d", got, last)
+	}
+
+	// Unblock: the next commit retries the compaction and clears the error.
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	last = mustCommit(t, e, put("aws_vpc.b", 1))
+	if e.log.compactErr != nil || logFileSize(t, dir) != 0 {
+		t.Errorf("retry after unblocking: compactErr = %v, log size = %d", e.log.compactErr, logFileSize(t, dir))
+	}
+	if err := e.Close(); err != nil {
+		t.Errorf("Close after a made-good compaction = %v", err)
+	}
+	if got := openWALDir(t, dir).Serial(); got != last {
+		t.Errorf("reopen after retry: serial = %d, want %d", got, last)
+	}
+
+	// A failure never made good surfaces from Close.
+	dir2 := t.TempDir()
+	e2 := openWALDir(t, dir2)
+	if err := os.MkdirAll(filepath.Join(dir2, walSnapshotName+".tmp", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < compactEvery; i++ {
+		mustCommit(t, e2, put("aws_vpc.a", i))
+	}
+	if err := e2.Close(); err == nil {
+		t.Error("Close hid a compaction that failed and was never retried successfully")
+	}
+}
+
+// faultyLog wraps the real log file and fails calls on demand.
+type faultyLog struct {
+	*os.File
+	tornWrite, failSync, failTruncate bool
+}
+
+var errInjected = errors.New("injected I/O error")
+
+// Write with tornWrite set leaves half the frame in the file, as a disk
+// filling up mid-write does.
+func (f *faultyLog) Write(p []byte) (int, error) {
+	if f.tornWrite {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return f.File.Write(p)
+}
+
+func (f *faultyLog) Sync() error {
+	if f.failSync {
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+func (f *faultyLog) Truncate(size int64) error {
+	if f.failTruncate {
+		return errInjected
+	}
+	return f.File.Truncate(size)
+}
+
+// TestFailedAppendLeavesNoTornFrame: a failed write or fsync must not leave
+// a partial frame in front of later records — replay stops at the first bad
+// frame, so every commit acknowledged behind it would vanish on reopen. The
+// log is cut back to its last durable offset; when even that fails, no later
+// commit is acknowledged.
+func TestFailedAppendLeavesNoTornFrame(t *testing.T) {
+	dir := t.TempDir()
+	e := openWALDir(t, dir)
+	fl := &faultyLog{File: e.log.f.(*os.File)}
+	e.log.f = fl
+	acked := map[string]int{}
+	commit := func(addr string) error {
+		s, err := e.Commit(put(addr, 1))
+		if err == nil {
+			acked[addr] = s
+		}
+		return err
+	}
+	if err := commit("aws_vpc.before"); err != nil {
+		t.Fatal(err)
+	}
+	fl.tornWrite = true
+	if err := commit("aws_vpc.torn"); !errors.Is(err, errInjected) {
+		t.Fatalf("torn write: commit error = %v", err)
+	}
+	fl.tornWrite, fl.failSync = false, true
+	if err := commit("aws_vpc.unsynced"); !errors.Is(err, errInjected) {
+		t.Fatalf("failed fsync: commit error = %v", err)
+	}
+	fl.failSync = false
+	if size := logFileSize(t, dir); size != e.log.size {
+		t.Errorf("log holds %d bytes, %d are durable: the failed frames were not cut out", size, e.log.size)
+	}
+	for _, addr := range []string{"aws_vpc.torn", "aws_vpc.unsynced"} {
+		if got, _ := e.Get(addr, 0); got != nil {
+			t.Errorf("%s is visible though its commit failed", addr)
+		}
+	}
+	if err := commit("aws_vpc.after"); err != nil {
+		t.Fatalf("commit after a repaired append: %v", err)
+	}
+	if acked["aws_vpc.after"] != acked["aws_vpc.before"]+1 {
+		t.Errorf("serials %v: a failed commit consumed a serial", acked)
+	}
+
+	// The cut itself fails: the log cannot be trusted again.
+	fl.tornWrite, fl.failTruncate = true, true
+	if err := commit("aws_vpc.stuck"); !errors.Is(err, errInjected) {
+		t.Fatalf("torn write with failing truncate: commit error = %v", err)
+	}
+	fl.tornWrite, fl.failTruncate = false, false
+	if err := commit("aws_vpc.refused"); err == nil {
+		t.Error("commit acknowledged behind a partial frame that could not be removed")
+	}
+	e.Close()
+
+	re := openWALDir(t, dir)
+	if want := acked["aws_vpc.after"]; re.Serial() != want {
+		t.Errorf("reopened serial = %d, want the last acknowledged %d", re.Serial(), want)
+	}
+	for addr, serial := range acked {
+		if got, err := re.Get(addr, serial); err != nil || got == nil {
+			t.Errorf("acknowledged commit %s@%d lost on reopen: %v, %v", addr, serial, got, err)
+		}
+	}
+	if stateLen(t, re) != len(acked) {
+		t.Errorf("reopened state holds %d resources, want the %d acknowledged", stateLen(t, re), len(acked))
+	}
+}
+
+// formatFixture is the seed and the commits that produced
+// testdata/pr11-format.
+func formatFixture() (seed *state.State, batches []*Batch) {
+	seed = state.New()
+	seed.Serial = 3
+	seed.Set(rs("aws_vpc.seeded", 100))
+	seed.Set(rs("aws_vpc.kept", 7))
+	seed.Outputs["region"] = eval.String("us-east-1")
+	return seed, []*Batch{
+		{Base: BaseUnchecked, Desc: "put a", Writes: map[string]*state.ResourceState{"aws_vpc.a": rs("aws_vpc.a", 1)}},
+		{Base: BaseUnchecked, Desc: "swap", Writes: map[string]*state.ResourceState{"aws_vpc.b": rs("aws_vpc.b", 2)}, Deletes: map[string]bool{"aws_vpc.seeded": true}},
+		{Base: BaseUnchecked, Desc: "outputs", Outputs: map[string]eval.Value{"url": eval.String("https://x")}, SetOutputs: true},
+		{Base: BaseUnchecked, Desc: "put a again", Writes: map[string]*state.ResourceState{"aws_vpc.a": rs("aws_vpc.a", 4)}},
+	}
+}
+
+// TestOnDiskFormatUnchanged holds the directory format to the one the WAL
+// engine of PR 11 wrote: testdata/pr11-format was produced by that commit's
+// NewEngine(BackendWAL, seed) + the four commits of formatFixture. It must
+// reopen to the same serial and contents, and the same commits through this
+// engine must produce the same bytes.
+func TestOnDiskFormatUnchanged(t *testing.T) {
+	seed, batches := formatFixture()
+	fixture := map[string][]byte{}
+	old := t.TempDir()
+	for _, name := range []string{walSnapshotName, walLogName} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "pr11-format", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixture[name] = raw
+		if err := os.WriteFile(filepath.Join(old, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e := openWALDir(t, old)
+	if e.Serial() != 8 {
+		t.Fatalf("fixture reopened at serial %d, want 8", e.Serial())
+	}
+	got, _ := e.Snapshot(0)
+	if got.Len() != 3 || got.Get("aws_vpc.seeded") != nil ||
+		got.Get("aws_vpc.a").Attr("n").AsInt() != 4 || got.Get("aws_vpc.b").Attr("n").AsInt() != 2 ||
+		got.Get("aws_vpc.kept").Attr("n").AsInt() != 7 {
+		t.Errorf("fixture contents = %v", got.Addrs())
+	}
+	if len(got.Outputs) != 1 || got.Outputs["url"].AsString() != "https://x" {
+		t.Errorf("fixture outputs = %v", got.Outputs)
+	}
+	// The replayed records rebuild the chains back to the snapshot.
+	if at4, err := e.Snapshot(4); err != nil || at4.Len() != 2 || at4.Outputs["region"].AsString() != "us-east-1" {
+		t.Errorf("fixture at its snapshot serial = %+v, %v", at4, err)
+	}
+	if at5, err := e.Get("aws_vpc.a", 5); err != nil || at5.Attr("n").AsInt() != 1 {
+		t.Errorf("fixture a@5 = %v, %v", at5, err)
+	}
+	if logFileSize(t, old) != int64(len(fixture[walLogName])) {
+		t.Error("reopen cut an intact fixture log")
+	}
+
+	fresh := t.TempDir()
+	w, err := NewEngine(BackendWAL, seed, EngineOptions{Dir: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		mustCommit(t, w, b)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range fixture {
+		raw, err := os.ReadFile(filepath.Join(fresh, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, want) {
+			t.Errorf("%s differs from the PR 11 format:\n got %q\nwant %q", name, raw, want)
+		}
+	}
+}

@@ -62,8 +62,8 @@ type Config struct {
 	InitialState *state.State
 	// GlobalLock switches the lock manager to whole-infrastructure locking.
 	GlobalLock bool
-	// StateBackend selects the golden-state storage engine ("memory",
-	// "mvcc", "wal").
+	// StateBackend selects the golden-state engine's durability: "memory"
+	// (no commit log) or "wal" (commit log in StateDir).
 	StateBackend string
 	// StateDir is the durable directory for the wal backend.
 	StateDir string
@@ -645,7 +645,8 @@ func (w *Workspace) PlanOffline(ctx context.Context) (*plan.Plan, error) {
 }
 
 // PlanOfflineAt plans against the golden state as of a past serial instead
-// of the latest. Requires a backend with version retention (mvcc).
+// of the latest; serials outside the engine's retained window fail with
+// statedb.ErrNoSuchSerial.
 func (w *Workspace) PlanOfflineAt(ctx context.Context, serial int) (*plan.Plan, error) {
 	if err := w.begin(); err != nil {
 		return nil, err
@@ -1055,12 +1056,11 @@ func (w *Workspace) Observe(metrics map[string]any) ([]policy.Decision, error) {
 
 // PlanRollback computes a minimal rollback to a historical serial (§3.4).
 func (w *Workspace) PlanRollback(serial int) (*rollback.Plan, *state.State, error) {
-	snap, err := w.db.History().At(serial)
+	target, err := w.db.SnapshotAt(serial)
 	if err != nil {
 		return nil, nil, err
 	}
-	current := w.db.Snapshot()
-	return rollback.Compute(current, snap.State), snap.State, nil
+	return rollback.Compute(w.db.Snapshot(), target), target, nil
 }
 
 // ExecuteRollback runs a rollback plan and commits the resulting state.

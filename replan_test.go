@@ -3,7 +3,6 @@ package cloudless_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -58,17 +57,12 @@ func encodeFacadePlan(p *cloudless.Plan) string {
 }
 
 // TestReplanMatchesFullPlanOnEveryBackend is the facade-level acceptance
-// property for incremental replanning: on every storage backend (or just
-// $CLOUDLESS_STATE_BACKEND under the CI matrix), Replan is byte-identical to
-// Plan through the whole lifecycle — cold, clean, config edit, apply-driven
+// property for incremental replanning: on every storage backend, Replan is
+// byte-identical to Plan through the whole lifecycle — cold, clean, config edit, apply-driven
 // serial advance, and out-of-band drift — while re-evaluating only dirty
 // subtrees.
 func TestReplanMatchesFullPlanOnEveryBackend(t *testing.T) {
-	backends := statedb.Backends()
-	if b := os.Getenv("CLOUDLESS_STATE_BACKEND"); b != "" {
-		backends = []string{b}
-	}
-	for _, backend := range backends {
+	for _, backend := range statedb.Backends() {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			ctx := context.Background()

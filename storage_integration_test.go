@@ -3,7 +3,6 @@ package cloudless_test
 import (
 	"context"
 	"errors"
-	"os"
 	"testing"
 
 	cloudless "cloudless"
@@ -27,11 +26,20 @@ func openStackOn(t *testing.T, sim cloud.Interface, backend, stateDir string) *c
 	return s
 }
 
-// TestMVCCPlanDuringApply is the acceptance test for the mvcc backend: a
-// plan started while an apply is in flight returns results consistent with
-// the pre-apply serial — and keeps doing so after the apply commits, because
-// the backend retains the pinned version.
+// TestMVCCPlanDuringApply is the acceptance test for the engine's version
+// chains, with the commit log off and on: a plan started while an apply is in
+// flight returns results consistent with the pre-apply serial — and keeps
+// doing so after the apply commits, because the engine retains the pinned
+// version. The same serial then serves a rollback plan, and the durable
+// stack reopens at the last acknowledged serial.
 func TestMVCCPlanDuringApply(t *testing.T) {
+	for _, backend := range statedb.Backends() {
+		backend := backend
+		t.Run(backend, func(t *testing.T) { testPlanDuringApply(t, backend) })
+	}
+}
+
+func testPlanDuringApply(t *testing.T, backend string) {
 	opts := cloud.DefaultOptions()
 	opts.DisableRateLimit = true
 	// Real latency so the scale-out apply stays in flight long enough for
@@ -39,7 +47,11 @@ func TestMVCCPlanDuringApply(t *testing.T) {
 	opts.TimeScale = 0.0005
 	sim := cloud.NewSim(opts)
 	ctx := context.Background()
-	s := openStackOn(t, sim, cloudless.BackendMVCC, "")
+	dir := ""
+	if backend == cloudless.BackendWAL {
+		dir = t.TempDir()
+	}
+	s := openStackOn(t, sim, backend, dir)
 
 	// Deploy the initial 2-VM stack.
 	p, err := s.Plan(ctx)
@@ -155,17 +167,37 @@ loop:
 	if got := s.DB().Snapshot().Len(); got != 10 {
 		t.Errorf("resources after aborted stale apply = %d, want 10", got)
 	}
+
+	// The time machine plans a rollback from the same pinned serial: the
+	// scale-out's 2 NICs + 2 VMs go, and the target is the pre-apply world.
+	rp, target, err := s.PlanRollback(preSerial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rp.Steps) != 4 || target.Len() != preLen || target.Serial != preSerial {
+		t.Errorf("rollback to %d: %s, target len=%d serial=%d", preSerial, rp.Summary(), target.Len(), target.Serial)
+	}
+	if _, _, err := s.PlanRollback(s.DB().Serial() + 1); !errors.Is(err, statedb.ErrNoSuchSerial) {
+		t.Errorf("rollback to an uncommitted serial: error = %v, want ErrNoSuchSerial", err)
+	}
+
+	if backend == cloudless.BackendWAL {
+		last := s.DB().Serial()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re := openStackOn(t, sim, backend, dir)
+		if re.DB().Serial() != last || re.DB().Snapshot().Len() != 10 {
+			t.Errorf("reopened at serial %d with %d resources, want %d and 10",
+				re.DB().Serial(), re.DB().Snapshot().Len(), last)
+		}
+	}
 }
 
 // TestStackLifecycleOnEveryBackend runs plan/apply/destroy on each storage
-// backend (or just $CLOUDLESS_STATE_BACKEND under the CI matrix) to prove the
-// facade is backend-agnostic.
+// backend to prove the facade is backend-agnostic.
 func TestStackLifecycleOnEveryBackend(t *testing.T) {
-	backends := statedb.Backends()
-	if b := os.Getenv("CLOUDLESS_STATE_BACKEND"); b != "" {
-		backends = []string{b}
-	}
-	for _, backend := range backends {
+	for _, backend := range statedb.Backends() {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			ctx := context.Background()
