@@ -1,7 +1,7 @@
 // Apply journal: a durable write-ahead record of every operation an apply
-// intends to perform, begins, and finishes, using the same CRC-framed log
-// format as the golden-state WAL (internal/wal). The contract that makes
-// applies crash-safe:
+// intends to perform, begins, and finishes, kept in a wal.Log (which owns
+// framing, replay and the torn-tail contract). What this file adds is the
+// record schema and the ordering that makes applies crash-safe:
 //
 //  1. The full op list ("intents") is journaled and fsynced before the first
 //     cloud call, so recovery always knows what the plan was going to do.
@@ -97,13 +97,13 @@ type journalRecord struct {
 // Journal is the write side, safe for concurrent use by the apply walk.
 type Journal struct {
 	mu     sync.Mutex
-	f      *os.File
+	log    *wal.Log
 	path   string
 	meta   Meta
 	killed bool
 }
 
-// NewJournal creates a journal file (truncating any stale one — the caller
+// NewJournal creates a journal file (dropping any stale one — the caller
 // must have recovered it first) and durably writes the meta record.
 func NewJournal(path string, meta Meta) (*Journal, error) {
 	if meta.ID == "" {
@@ -115,13 +115,14 @@ func NewJournal(path string, meta Meta) (*Journal, error) {
 	if meta.CreatedAt.IsZero() {
 		meta.CreatedAt = time.Now()
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	// Accepting no frame of a stale journal cuts it back to empty.
+	log, err := wal.Open(path, func([]byte) bool { return false })
 	if err != nil {
 		return nil, fmt.Errorf("apply: create journal: %w", err)
 	}
-	j := &Journal{f: f, path: path, meta: meta}
+	j := &Journal{log: log, path: path, meta: meta}
 	if err := j.append(journalRecord{Kind: recMeta, Meta: &meta}, true); err != nil {
-		f.Close()
+		log.Close(false)
 		return nil, err
 	}
 	return j, nil
@@ -129,9 +130,6 @@ func NewJournal(path string, meta Meta) (*Journal, error) {
 
 // Meta returns the run identity.
 func (j *Journal) Meta() Meta { return j.meta }
-
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
 
 // IdemKey derives the idempotency key for a create at addr. Stable across
 // crash and recovery of the same run — that stability is the whole point.
@@ -181,54 +179,27 @@ func (j *Journal) append(rec journalRecord, sync bool) error {
 	if j.killed {
 		return ErrJournalKilled
 	}
-	if j.f == nil {
-		return errors.New("apply: journal closed")
-	}
-	if _, err := j.f.Write(wal.Encode(payload)); err != nil {
-		return fmt.Errorf("apply: append journal: %w", err)
-	}
-	if sync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("apply: sync journal: %w", err)
-		}
+	if err := j.log.Append(payload, sync); err != nil {
+		return fmt.Errorf("apply: journal: %w", err)
 	}
 	return nil
 }
 
-// Sync flushes the journal to disk (graceful-shutdown path).
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.killed || j.f == nil {
-		return nil
-	}
-	return j.f.Sync()
-}
-
 // Close syncs and closes the file, leaving it on disk for recovery to
 // inspect.
-func (j *Journal) Close() error {
+func (j *Journal) Close() error { return j.close(true) }
+
+func (j *Journal) close(sync bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	f := j.f
-	j.f = nil
-	if !j.killed {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
+	return j.log.Close(sync && !j.killed)
 }
 
 // Discard closes and deletes the journal — called only after the apply's
 // outcome is durably committed to the golden state, at which point the
-// journal has nothing left to say.
+// journal has nothing left to say and nothing worth flushing.
 func (j *Journal) Discard() error {
-	if err := j.Close(); err != nil {
+	if err := j.close(false); err != nil {
 		return err
 	}
 	if err := os.Remove(j.path); err != nil && !os.IsNotExist(err) {
@@ -250,9 +221,12 @@ func (j *Journal) Kill() {
 func (j *Journal) KillTorn() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.killed && j.f != nil {
+	if !j.killed {
 		frame := wal.Encode([]byte(`{"kind":"done","op":{"addr":"torn"}}`))
-		j.f.Write(frame[:len(frame)/2])
+		j.log.Wrap(func(f wal.File) wal.File {
+			f.Write(frame[:len(frame)/2])
+			return f
+		})
 	}
 	j.killed = true
 }
@@ -305,15 +279,8 @@ func (js *JournalState) InDoubt() []string {
 // ReadJournal replays a journal file, dropping any torn tail. A missing file
 // returns (nil, nil): nothing to recover.
 func ReadJournal(path string) (*JournalState, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("apply: read journal: %w", err)
-	}
 	js := &JournalState{Ops: map[string]*OpStatus{}, Path: path}
-	wal.Scan(data, func(payload []byte) bool {
+	_, _, err := wal.Replay(path, func(payload []byte) bool {
 		var rec journalRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return false // CRC-intact but undecodable: treat as torn
@@ -351,9 +318,12 @@ func ReadJournal(path string) (*JournalState, error) {
 		}
 		return true
 	})
+	if err != nil {
+		return nil, fmt.Errorf("apply: read journal: %w", err)
+	}
 	if js.Meta.ID == "" && len(js.Intents) == 0 && len(js.Ops) == 0 {
-		// Nothing durable survived (e.g. a journal torn inside its first
-		// frame): treat as absent.
+		// No file, or nothing durable survived (e.g. a journal torn inside
+		// its first frame): treat as absent.
 		return nil, nil
 	}
 	return js, nil
@@ -362,8 +332,6 @@ func ReadJournal(path string) (*JournalState, error) {
 // AttrsOut converts resolved attribute values to their wire (JSON) form for
 // journaling. Unknown sentinels survive the round-trip, though by the time
 // an op begins every attr must already be known.
-// AttrsOut converts resolved attribute values to their wire (JSON) form for
-// journaling.
 func AttrsOut(attrs map[string]eval.Value) map[string]any {
 	out := make(map[string]any, len(attrs))
 	for k, v := range attrs {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -266,6 +267,55 @@ func TestFlightRecorderBoundsTail(t *testing.T) {
 	fi, _ := os.Stat(path)
 	if fi.Size() == 0 {
 		t.Fatal("artifact empty")
+	}
+}
+
+// TestFlightRecorderRewritesOncePerBudget: a long run appends one line per
+// event and rewrites the artifact only when it holds twice flightKeep lines,
+// not on every event past the budget; readers still get the newest flightKeep.
+func TestFlightRecorderRewritesOncePerBudget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "long.events.jsonl")
+	b := NewBus(nil)
+	rec, err := NewFlightRecorder(path, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := func() int {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(raw), "\n")
+	}
+	n := 0
+	tick := func(count int) {
+		for i := 0; i < count; i++ {
+			rec.record(Event{Kind: "test.tick", N: int64(n)})
+			n++
+		}
+	}
+	tick(2*flightKeep - 1)
+	if got := lines(); got != 2*flightKeep-1 {
+		t.Fatalf("artifact holds %d lines before the first rewrite, want every one of %d", got, 2*flightKeep-1)
+	}
+	tick(1)
+	if got := lines(); got != flightKeep {
+		t.Fatalf("artifact holds %d lines after the rewrite, want %d", got, flightKeep)
+	}
+	tick(10)
+	if got := lines(); got != flightKeep+10 {
+		t.Fatalf("artifact holds %d lines, want %d: the events after a rewrite are appended", got, flightKeep+10)
+	}
+	b.Close()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFlightLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != flightKeep || got[len(got)-1].N != int64(n-1) || got[0].N != int64(n-flightKeep) {
+		t.Fatalf("read %d events [%d..%d], want the newest %d ending at %d", len(got), got[0].N, got[len(got)-1].N, flightKeep, n-1)
 	}
 }
 

@@ -10,21 +10,23 @@ import (
 
 func wallClock() int64 { return time.Now().UnixNano() }
 
-// flightKeep bounds the events a FlightRecorder retains per run.
+// flightKeep bounds the events ReadFlightLog returns for a run. The artifact
+// holds up to twice as many lines between rewrites.
 const flightKeep = 2048
 
 // FlightRecorder persists a bounded tail of bus events to a JSONL artifact
 // next to the journal, for post-mortem reconstruction of a run that died
 // with no live subscriber attached. Events are written through on arrival
-// (crash-safe up to OS buffering); when a new run starts (apply.run_start or
-// recover.start) the file is rewritten from the retained tail so one
-// artifact never grows without bound across runs.
+// (crash-safe up to OS buffering). The file restarts when a new run starts
+// (apply.run_start or recover.start) and is cut back to its newest flightKeep
+// lines whenever it reaches twice that, so one artifact never grows without
+// bound and a long run pays for a rewrite once per flightKeep events.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
 	w    *bufio.Writer
-	tail []Event // bounded at flightKeep
+	tail []Event // the lines in the file, fewer than 2*flightKeep
 	sub  *Subscription
 	done chan struct{}
 }
@@ -66,23 +68,15 @@ func (r *FlightRecorder) record(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e.Kind == "apply.run_start" || e.Kind == "recover.start" {
-		// New run: restart the artifact so it holds this run's events (the
-		// retained tail of the previous run stays in memory only).
+		// New run: restart the artifact so it holds this run's events.
 		r.tail = r.tail[:0]
-		r.w.Flush()
-		if err := r.f.Truncate(0); err == nil {
-			r.f.Seek(0, 0)
-			r.w.Reset(r.f)
-		}
+		r.restart()
 	}
 	r.tail = append(r.tail, e)
-	if len(r.tail) > flightKeep {
-		// Over budget: rewrite the file from the bounded tail.
+	if len(r.tail) >= 2*flightKeep {
+		// Over budget: rewrite the file from the newest flightKeep events.
 		r.tail = append(r.tail[:0], r.tail[len(r.tail)-flightKeep:]...)
-		r.w.Flush()
-		if err := r.f.Truncate(0); err == nil {
-			r.f.Seek(0, 0)
-			r.w.Reset(r.f)
+		if r.restart() {
 			for _, te := range r.tail {
 				r.writeLine(te)
 			}
@@ -92,6 +86,16 @@ func (r *FlightRecorder) record(e Event) {
 	}
 	r.writeLine(e)
 	r.w.Flush()
+}
+
+// restart empties the artifact, reporting whether it could.
+func (r *FlightRecorder) restart() bool {
+	r.w.Flush()
+	if err := r.f.Truncate(0); err != nil {
+		return false
+	}
+	r.w.Reset(r.f) // f is O_APPEND: the next write lands at the new end
+	return true
 }
 
 func (r *FlightRecorder) writeLine(e Event) {
@@ -117,8 +121,8 @@ func (r *FlightRecorder) Close() error {
 	return r.f.Close()
 }
 
-// ReadFlightLog loads a flight-recorder artifact back into events, tolerant
-// of a torn final line from a crash mid-write.
+// ReadFlightLog loads the newest flightKeep events of a flight-recorder
+// artifact, tolerant of a torn final line from a crash mid-write.
 func ReadFlightLog(path string) ([]Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -133,6 +137,9 @@ func ReadFlightLog(path string) ([]Event, error) {
 		if json.Unmarshal(sc.Bytes(), &e) == nil && e.Kind != "" {
 			out = append(out, e)
 		}
+	}
+	if len(out) > flightKeep {
+		out = out[len(out)-flightKeep:]
 	}
 	return out, sc.Err()
 }

@@ -1,18 +1,19 @@
 // Durable job store (DESIGN.md S28). The queue itself is an in-memory
 // scheduler; this file gives cloudlessd a crash-safe ledger under it: every
 // job transition (submitted -> running -> terminal) is appended to a
-// CRC-framed per-tenant journal (internal/wal) and fsynced, so a SIGKILL'd
-// daemon can replay the journals at startup and rebuild its entire job
-// table — queued jobs are re-enqueued, jobs that were mid-flight are routed
-// through recovery, and a client re-polling a pre-crash job ID sees the
-// real outcome instead of a 404.
+// per-tenant wal.Log and fsynced, so a SIGKILL'd daemon can replay the
+// journals at startup and rebuild its entire job table — queued jobs are
+// re-enqueued, jobs that were mid-flight are routed through recovery, and a
+// client re-polling a pre-crash job ID sees the real outcome instead of a
+// 404.
 //
 // Record format: each frame's payload is one JSON StoredJob snapshot (the
 // full folded state at that transition, not a delta). Replay folds by job
 // ID with last-record-wins, which makes the fold trivially idempotent and
-// keeps torn-tail handling entirely inside internal/wal. Terminal records
-// past the retention cap are compacted away by rewriting the journal once
-// dead frames dominate, so a long-lived daemon's journal stays bounded.
+// keeps torn-tail and failed-write handling entirely inside internal/wal.
+// Terminal records past the retention cap are compacted away by rewriting
+// the journal once dead frames dominate, so a long-lived daemon's journal
+// stays bounded.
 package jobs
 
 import (
@@ -76,8 +77,7 @@ type Store struct {
 // tenantLog is one tenant's open journal plus the folded live view that
 // drives compaction.
 type tenantLog struct {
-	f      *os.File
-	path   string
+	log    *wal.Log
 	live   map[string]*StoredJob // folded job state, retention already applied
 	order  []string              // terminal job IDs, oldest first
 	frames int                   // frames in the file since last compaction
@@ -96,9 +96,6 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	}
 	return &Store{root: dir, opts: opts, tenants: map[string]*tenantLog{}}, nil
 }
-
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
 
 // tenantPath returns the journal path for a tenant. Tenant names are
 // workspace names, already validated path-safe by workspace.ValidName; a
@@ -123,27 +120,19 @@ func (s *Store) open(tenant string) (*tenantLog, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: open journal: %w", err)
 	}
-	live, frames, durable, err := readJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	tl := &tenantLog{live: map[string]*StoredJob{}}
+	tl.log, err = wal.Open(path, func(payload []byte) bool {
+		var j StoredJob
+		if json.Unmarshal(payload, &j) == nil && j.ID != "" {
+			tl.live[j.ID] = &j
+		}
+		tl.frames++
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("jobs: open journal: %w", err)
 	}
-	// Drop a torn tail left by a crash mid-append before appending past it.
-	if fi, statErr := f.Stat(); statErr == nil && fi.Size() > int64(durable) {
-		if err := f.Truncate(int64(durable)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("jobs: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, err
-	}
-	tl := &tenantLog{f: f, path: path, live: live, frames: frames}
-	for _, j := range jobsInOrder(live) {
+	for _, j := range jobsInOrder(tl.live) {
 		if j.Status.Terminal() {
 			tl.order = append(tl.order, j.ID)
 		}
@@ -151,30 +140,6 @@ func (s *Store) open(tenant string) (*tenantLog, error) {
 	s.tenants[tenant] = tl
 	s.retire(tl)
 	return tl, nil
-}
-
-// readJournal folds one journal file into job state. Returns the folded
-// jobs, the number of intact frames, and the durable byte prefix.
-func readJournal(path string) (map[string]*StoredJob, int, int, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[string]*StoredJob{}, 0, 0, nil
-	}
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("jobs: read journal: %w", err)
-	}
-	live := map[string]*StoredJob{}
-	frames := 0
-	durable := wal.Scan(data, func(payload []byte) bool {
-		var j StoredJob
-		if json.Unmarshal(payload, &j) == nil && j.ID != "" {
-			cp := j
-			live[j.ID] = &cp
-		}
-		frames++
-		return true
-	})
-	return live, frames, durable, nil
 }
 
 // jobsInOrder sorts folded jobs by ID (zero-padded sequence numbers, so
@@ -208,22 +173,16 @@ func (s *Store) Append(j StoredJob) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encode record: %w", err)
 	}
-	if _, err := tl.f.Write(wal.Encode(payload)); err != nil {
+	if err := tl.log.Append(payload, !s.opts.NoSync); err != nil {
 		return fmt.Errorf("jobs: append record: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := tl.f.Sync(); err != nil {
-			return fmt.Errorf("jobs: sync journal: %w", err)
-		}
-	}
 	tl.frames++
-	cp := j
 	if prev := tl.live[j.ID]; prev == nil || !prev.Status.Terminal() {
 		if j.Status.Terminal() {
 			tl.order = append(tl.order, j.ID)
 		}
 	}
-	tl.live[j.ID] = &cp
+	tl.live[j.ID] = &j
 	s.retire(tl)
 	return s.maybeCompact(tl)
 }
@@ -239,58 +198,22 @@ func (s *Store) retire(tl *tenantLog) {
 
 // maybeCompact rewrites the journal once dead frames dominate: more than
 // twice the live-job count (plus slack so small journals never churn).
-// The rewrite is crash-safe: new file, fsync, rename over the old one.
 func (s *Store) maybeCompact(tl *tenantLog) error {
 	if tl.frames <= 2*len(tl.live)+64 {
 		return nil
 	}
-	tmp := tl.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: compact: %w", err)
-	}
-	frames := 0
+	payloads := make([][]byte, 0, len(tl.live))
 	for _, j := range jobsInOrder(tl.live) {
 		payload, err := json.Marshal(j)
 		if err != nil {
-			f.Close()
-			os.Remove(tmp)
 			return fmt.Errorf("jobs: compact: %w", err)
 		}
-		if _, err := f.Write(wal.Encode(payload)); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("jobs: compact: %w", err)
-		}
-		frames++
+		payloads = append(payloads, payload)
 	}
-	if !s.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("jobs: compact: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := tl.log.Rewrite(payloads); err != nil {
 		return fmt.Errorf("jobs: compact: %w", err)
 	}
-	if err := os.Rename(tmp, tl.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: compact: %w", err)
-	}
-	old := tl.f
-	nf, err := os.OpenFile(tl.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: compact reopen: %w", err)
-	}
-	if _, err := nf.Seek(0, 2); err != nil {
-		nf.Close()
-		return err
-	}
-	old.Close()
-	tl.f = nf
-	tl.frames = frames
+	tl.frames = len(payloads)
 	return nil
 }
 
@@ -352,7 +275,7 @@ func (s *Store) Drop(tenant string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if tl := s.tenants[tenant]; tl != nil {
-		tl.f.Close()
+		tl.log.Close(false)
 		delete(s.tenants, tenant)
 	}
 	path, err := s.tenantPath(tenant)
@@ -378,7 +301,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	var first error
 	for name, tl := range s.tenants {
-		if err := tl.f.Close(); err != nil && first == nil {
+		if err := tl.log.Close(false); err != nil && first == nil {
 			first = err
 		}
 		delete(s.tenants, name)

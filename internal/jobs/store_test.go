@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -334,10 +335,18 @@ func TestShutdownCheckpointsQueuedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(block)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := q.Shutdown(ctx); err != nil {
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- q.Shutdown(ctx) }()
+	// Shutdown checkpoints the queued job before it waits for the running
+	// one. Only then may the blocker finish: released earlier, the worker
+	// can claim the queued job ahead of the shutdown.
+	if _, err := queued.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(block)
+	if err := <-shutdown; err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -394,4 +403,193 @@ func TestDropTenant(t *testing.T) {
 	if len(q.List("ws")) != 0 {
 		t.Fatal("dropped tenant still has listed jobs")
 	}
+}
+
+// shortWrite wraps a journal's file (wal.Log.Wrap) and, while armed, leaves
+// half of each frame in the file and fails the write.
+type shortWrite struct {
+	wal.File
+	armed bool
+}
+
+func (f *shortWrite) Write(p []byte) (int, error) {
+	if f.armed {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errors.New("injected short write")
+	}
+	return f.File.Write(p)
+}
+
+// TestStoreShortWriteHidesNothing: a short write fails its Append and leaves
+// no partial frame in the journal, so a job acknowledged after it is replayed
+// by the next daemon. (The journal used to keep the half frame; replay stopped
+// there and lost every record behind it.)
+func TestStoreShortWriteHidesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(StoredJob{ID: jobID(1), Tenant: "t", Status: StatusQueued}); err != nil {
+		t.Fatal(err)
+	}
+	sw := &shortWrite{armed: true}
+	s.tenants["t"].log.Wrap(func(f wal.File) wal.File { sw.File = f; return sw })
+	if err := s.Append(StoredJob{ID: jobID(2), Tenant: "t", Status: StatusQueued}); err == nil {
+		t.Fatal("Append acknowledged a short write")
+	}
+	sw.armed = false
+	if err := s.Append(StoredJob{ID: jobID(3), Tenant: "t", Status: StatusQueued}); err != nil {
+		t.Fatalf("append after the failed one: %v", err)
+	}
+	s.Close()
+
+	s2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	jobs, err := s2.Replay("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 || jobs[0].ID != jobID(1) || jobs[1].ID != jobID(3) {
+		t.Fatalf("replay after a short write = %+v, want jobs 1 and 3", jobs)
+	}
+}
+
+// journalFixture is the append sequence that produced
+// testdata/parent-format/jobs.journal.
+func journalFixture() []StoredJob {
+	ts := time.Date(2026, 9, 28, 12, 0, 0, 0, time.UTC)
+	j1 := StoredJob{ID: "j-000001", Tenant: "ws", Kind: "apply", Status: StatusQueued, IdemKey: "idem-1",
+		Params: json.RawMessage(`{"kind":"apply","workspace":"ws"}`), Cost: 2.5, Submitted: ts}
+	j1run, j1done := j1, j1
+	j1run.Status, j1run.Started = StatusRunning, ts.Add(time.Second)
+	j1done.Status, j1done.Started, j1done.Finished = StatusSucceeded, j1run.Started, ts.Add(3*time.Second)
+	j1done.Result = json.RawMessage(`{"adds":3,"serial":7}`)
+	j2 := StoredJob{ID: "j-000002", Tenant: "ws", Kind: "plan", Status: StatusQueued, Submitted: ts.Add(4 * time.Second)}
+	j2run := j2
+	j2run.Status, j2run.Started = StatusRunning, ts.Add(5*time.Second)
+	rc := StoredJob{ID: reconcilerID, Tenant: "ws", Kind: "reconciler", Status: StatusRunning,
+		Params: json.RawMessage(`{"enabled":true,"watermark":41}`)}
+	j3 := StoredJob{ID: "j-000003", Tenant: "ws", Kind: "destroy", Status: StatusFailed, Err: "cloud said no",
+		Submitted: ts.Add(6 * time.Second), Started: ts.Add(7 * time.Second), Finished: ts.Add(8 * time.Second)}
+	return []StoredJob{j1, j1run, j2, j1done, j2run, rc, j3}
+}
+
+// TestJournalFormatUnchanged holds jobs.journal to the bytes the store wrote
+// before it moved onto wal.Log: testdata/parent-format/jobs.journal is
+// journalFixture appended through that commit's Store. It must replay to the
+// same fold and survive an append untouched, and the same appends through
+// this store must produce the same bytes.
+func TestJournalFormatUnchanged(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-format", storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(old, "ws"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	oldPath := filepath.Join(old, "ws", storeFile)
+	if err := os.WriteFile(oldPath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(old, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	jobs, err := s.Replay("ws")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fold []string
+	for _, j := range jobs {
+		fold = append(fold, j.ID+"="+string(j.Status))
+	}
+	if got := fmt.Sprint(fold); got != "[j-000001=succeeded j-000002=running j-000003=failed]" {
+		t.Errorf("fixture folds to %s", got)
+	}
+	if string(jobs[0].Result) != `{"adds":3,"serial":7}` || jobs[0].IdemKey != "idem-1" || jobs[2].Err != "cloud said no" {
+		t.Errorf("fixture contents = %+v", jobs)
+	}
+	if cp, err := s.LoadReconciler("ws"); err != nil || string(cp) != `{"enabled":true,"watermark":41}` {
+		t.Errorf("fixture reconciler checkpoint = %s, %v", cp, err)
+	}
+	if err := s.Append(StoredJob{ID: "j-000004", Tenant: "ws", Status: StatusQueued}); err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := os.ReadFile(oldPath); !bytes.HasPrefix(raw, fixture) || len(raw) == len(fixture) {
+		t.Errorf("an append left %d bytes that do not extend the %d of the fixture", len(raw), len(fixture))
+	}
+
+	fresh := t.TempDir()
+	w, err := OpenStore(fresh, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range journalFixture() {
+		if err := w.Append(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	if raw, _ := os.ReadFile(filepath.Join(fresh, "ws", storeFile)); !bytes.Equal(raw, fixture) {
+		t.Errorf("jobs.journal differs from the parent format:\n got %q\nwant %q", raw, fixture)
+	}
+}
+
+// FuzzStoreReplay feeds arbitrary bytes to a tenant's journal. Invariants:
+// opening never panics or fails, replay is stable across a reopen, and a job
+// appended after the open is replayed with whatever survived.
+func FuzzStoreReplay(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-format", storeFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	f.Add(fixture[:len(fixture)-7])
+	f.Add(wal.Encode([]byte(`{"id":"","status":"queued"}`)))
+	f.Add(wal.Encode([]byte(`not json`)))
+	dir := f.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "t"), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, "t", storeFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replay := func() []StoredJob {
+			s, err := OpenStore(dir, StoreOptions{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			jobs, err := s.Replay("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return jobs
+		}
+		first := replay()
+		if second := replay(); fmt.Sprint(first) != fmt.Sprint(second) {
+			t.Fatalf("replay changed across a reopen:\n%v\n%v", first, second)
+		}
+		s, err := OpenStore(dir, StoreOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(StoredJob{ID: "zz-appended", Tenant: "t", Status: StatusQueued}); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		for _, j := range replay() {
+			if j.ID == "zz-appended" {
+				return
+			}
+		}
+		t.Fatal("job appended behind fuzzed bytes was not replayed")
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"cloudless/internal/jobs"
+	"cloudless/internal/wal"
 	"cloudless/internal/workspace"
 )
 
@@ -170,13 +171,7 @@ func (s *Server) saveACLs() {
 		s.log.Warn("save acls", "err", err)
 		return
 	}
-	tmp := s.aclPath + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o600); err != nil {
-		s.log.Warn("save acls", "err", err)
-		return
-	}
-	if err := os.Rename(tmp, s.aclPath); err != nil {
-		os.Remove(tmp)
+	if err := wal.WriteFileAtomic(s.aclPath, raw, 0o600); err != nil {
 		s.log.Warn("save acls", "err", err)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"cloudless/internal/wal"
 )
 
 // snapshotJSON is the on-disk form of one history snapshot.
@@ -43,7 +45,7 @@ func SaveSnapshot(dir string, snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, snapshotFileName(snap.Serial)), data)
+	return wal.WriteFileAtomic(filepath.Join(dir, snapshotFileName(snap.Serial)), data, 0o644)
 }
 
 // SaveHistoryDir persists every retained snapshot of a history.

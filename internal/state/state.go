@@ -9,12 +9,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"time"
 
 	"cloudless/internal/eval"
+	"cloudless/internal/wal"
 )
 
 // ResourceState records one deployed resource instance.
@@ -212,46 +212,14 @@ func Decode(data []byte) (*State, error) {
 	return s, nil
 }
 
-// SaveFile writes the state to a file atomically and durably.
+// SaveFile writes the state to a file atomically and durably: the commit
+// log relies on that before it discards the records a snapshot covers.
 func (s *State) SaveFile(path string) error {
 	data, err := s.Encode()
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, data)
-}
-
-// writeFileAtomic replaces path with data: the temp file is fsynced before
-// the rename and the directory after it, so once it returns a power loss
-// cannot leave path missing, old or half-written — the commit log relies on
-// that before it discards the records a snapshot covers.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("state: write %s: %w", tmp, err)
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("state: write %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("state: rename: %w", err)
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("state: sync dir of %s: %w", path, err)
-	}
-	defer dir.Close()
-	if err := dir.Sync(); err != nil {
-		return fmt.Errorf("state: sync dir of %s: %w", path, err)
-	}
-	return nil
+	return wal.WriteFileAtomic(path, data, 0o644)
 }
 
 // LoadFile reads a state file; a missing file yields an empty state.

@@ -336,5 +336,5 @@ func (e *Engine) Close() error {
 	if e.log == nil {
 		return nil
 	}
-	return e.log.close()
+	return errors.Join(e.log.Close(true), e.log.compactErr)
 }

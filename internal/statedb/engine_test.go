@@ -12,6 +12,7 @@ import (
 
 	"cloudless/internal/eval"
 	"cloudless/internal/state"
+	"cloudless/internal/wal"
 )
 
 // The engine conformance suite: every case runs with the commit log off
@@ -590,7 +591,7 @@ func TestWALCrashRecoveryTornTail(t *testing.T) {
 	}
 	// One more commit, which we'll tear.
 	mustCommit(t, e, put("aws_vpc.torn", 99))
-	preTearSize := e.log.size
+	preTearSize := e.log.Size()
 	e.Close()
 
 	// Simulate the crash: keep the header of the last record but cut its
@@ -631,7 +632,7 @@ func TestWALCrashRecoveryCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
 	e := openWALDir(t, dir)
 	s1 := mustCommit(t, e, put("aws_vpc.good", 1))
-	goodSize := e.log.size
+	goodSize := e.log.Size()
 	mustCommit(t, e, put("aws_vpc.bad", 2))
 	mustCommit(t, e, put("aws_vpc.after", 3))
 	e.Close()
@@ -688,12 +689,12 @@ func TestWALCompaction(t *testing.T) {
 	for i := 1; i < compactEvery; i++ {
 		mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", i%5), i))
 	}
-	if size := logFileSize(t, dir); size == 0 || size != e.log.size {
-		t.Fatalf("log size before compaction = %d on disk, %d tracked", size, e.log.size)
+	if size := logFileSize(t, dir); size == 0 || size != e.log.Size() {
+		t.Fatalf("log size before compaction = %d on disk, %d tracked", size, e.log.Size())
 	}
 	serial := mustCommit(t, e, put("aws_vpc.boundary", 0))
-	if size := logFileSize(t, dir); size != 0 || e.log.size != 0 {
-		t.Errorf("log size after compaction = %d on disk, %d tracked; want 0", size, e.log.size)
+	if size := logFileSize(t, dir); size != 0 || e.log.Size() != 0 {
+		t.Errorf("log size after compaction = %d on disk, %d tracked; want 0", size, e.log.Size())
 	}
 	snap, err := state.LoadFile(filepath.Join(dir, walSnapshotName))
 	if err != nil {
@@ -763,8 +764,8 @@ func TestCommitSurvivesFailedCompaction(t *testing.T) {
 	if e.log.compactErr == nil {
 		t.Fatal("compaction did not fail; the test's blocker is ineffective")
 	}
-	if size := logFileSize(t, dir); size == 0 || size != e.log.size {
-		t.Errorf("log after failed compactions = %d on disk, %d tracked; want it still growing", size, e.log.size)
+	if size := logFileSize(t, dir); size == 0 || size != e.log.Size() {
+		t.Errorf("log after failed compactions = %d on disk, %d tracked; want it still growing", size, e.log.Size())
 	}
 
 	// Everything acknowledged is on disk without the compaction.
@@ -811,9 +812,10 @@ func TestCommitSurvivesFailedCompaction(t *testing.T) {
 	}
 }
 
-// faultyLog wraps the real log file and fails calls on demand.
+// faultyLog wraps the commit log's file (wal.Log.Wrap) and fails calls on
+// demand.
 type faultyLog struct {
-	*os.File
+	wal.File
 	tornWrite, failSync, failTruncate bool
 }
 
@@ -851,8 +853,8 @@ func (f *faultyLog) Truncate(size int64) error {
 func TestFailedAppendLeavesNoTornFrame(t *testing.T) {
 	dir := t.TempDir()
 	e := openWALDir(t, dir)
-	fl := &faultyLog{File: e.log.f.(*os.File)}
-	e.log.f = fl
+	fl := &faultyLog{}
+	e.log.Wrap(func(f wal.File) wal.File { fl.File = f; return fl })
 	acked := map[string]int{}
 	commit := func(addr string) error {
 		s, err := e.Commit(put(addr, 1))
@@ -873,8 +875,8 @@ func TestFailedAppendLeavesNoTornFrame(t *testing.T) {
 		t.Fatalf("failed fsync: commit error = %v", err)
 	}
 	fl.failSync = false
-	if size := logFileSize(t, dir); size != e.log.size {
-		t.Errorf("log holds %d bytes, %d are durable: the failed frames were not cut out", size, e.log.size)
+	if size := logFileSize(t, dir); size != e.log.Size() {
+		t.Errorf("log holds %d bytes, %d are durable: the failed frames were not cut out", size, e.log.Size())
 	}
 	for _, addr := range []string{"aws_vpc.torn", "aws_vpc.unsynced"} {
 		if got, _ := e.Get(addr, 0); got != nil {

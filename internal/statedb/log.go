@@ -3,9 +3,7 @@ package statedb
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -16,13 +14,10 @@ import (
 // Commit-log layout inside the engine directory:
 //
 //	snapshot.json — full state at the last compaction (state JSON format)
-//	wal.log       — commits since, each a CRC-framed JSON record in the
-//	                shared internal/wal frame format (also used by the
-//	                apply journal)
+//	wal.log       — commits since, one JSON walRecord per wal.Log frame
 //
-// Replay on open applies every intact record after the snapshot; a torn
-// tail (short frame or checksum mismatch, the crash-mid-commit case) is
-// dropped and the log truncated back to the last durable commit.
+// Open applies the records above the snapshot's serial; wal.Log drops the
+// torn tail of a crash mid-commit.
 const (
 	walLogName      = "wal.log"
 	walSnapshotName = "snapshot.json"
@@ -41,31 +36,16 @@ type walRecord struct {
 	SetOutputs bool            `json:"set_outputs,omitempty"`
 }
 
-// logFile is what the commit log needs of its append-only file (an
-// *os.File opened O_APPEND); tests substitute one whose calls fail.
-type logFile interface {
-	io.WriteCloser
-	Sync() error
-	Truncate(size int64) error
-}
-
-// commitLog is the engine's optional durability: an fsynced append per
-// commit, folded into snapshot.json every compactEvery commits. The engine's
-// wmu guards it.
+// commitLog is the engine's optional durability: an fsynced wal.Log append
+// per commit, folded into snapshot.json every compactEvery commits. The
+// engine's wmu guards it.
 type commitLog struct {
-	dir string
-	f   logFile
-	// size is the durable length of the log: every acknowledged record
-	// lies below it.
-	size         int64
+	*wal.Log
+	dir          string
 	sinceCompact int
 	// compactErr is the failure of the last compaction, nil once one
-	// succeeds; close reports it.
+	// succeeds; Engine.Close reports it.
 	compactErr error
-	// err, once set, fails every later append: the log is closed, or a
-	// partial record could not be cut back out of it.
-	err    error
-	closed bool
 }
 
 // openDurable opens (or creates) an engine over the commit log in dir. When
@@ -76,10 +56,6 @@ func openDurable(dir string, seed *state.State) (*Engine, error) {
 		return nil, fmt.Errorf("statedb: create wal dir: %w", err)
 	}
 	snapPath, logPath := filepath.Join(dir, walSnapshotName), filepath.Join(dir, walLogName)
-	data, err := os.ReadFile(logPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("statedb: read wal log: %w", err)
-	}
 	var base *state.State
 	switch raw, err := os.ReadFile(snapPath); {
 	case err == nil:
@@ -88,9 +64,11 @@ func openDurable(dir string, seed *state.State) (*Engine, error) {
 		}
 	case !os.IsNotExist(err):
 		return nil, fmt.Errorf("statedb: read wal snapshot: %w", err)
-	case len(data) > 0:
-		base = state.New()
 	default:
+		if fi, err := os.Stat(logPath); err == nil && fi.Size() > 0 {
+			base = state.New()
+			break
+		}
 		// Make the seed durable immediately so a reopen before the first
 		// commit recovers the same serial.
 		base = seed
@@ -99,27 +77,13 @@ func openDurable(dir string, seed *state.State) (*Engine, error) {
 		}
 	}
 	e := newEngine(base)
-
-	// Replay every intact record above the snapshot's serial, stopping at
-	// the first torn, corrupt or undecodable frame.
-	durable := 0
-	for {
-		payload, next, ok := wal.Next(data, durable)
-		if !ok || !e.replay(payload) {
-			break
-		}
-		durable = next
-	}
-	if durable < len(data) {
-		if err := os.Truncate(logPath, int64(durable)); err != nil {
-			return nil, fmt.Errorf("statedb: truncate torn wal tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	// Replay every intact record above the snapshot's serial; the log is
+	// cut at the first torn, corrupt or undecodable frame.
+	log, err := wal.Open(logPath, e.replay)
 	if err != nil {
-		return nil, fmt.Errorf("statedb: open wal log: %w", err)
+		return nil, fmt.Errorf("statedb: %w", err)
 	}
-	e.log = &commitLog{dir: dir, f: f, size: int64(durable)}
+	e.log = &commitLog{Log: log, dir: dir}
 	return e, nil
 }
 
@@ -152,9 +116,6 @@ func (e *Engine) replay(payload []byte) bool {
 // append makes one commit durable: frame, write, fsync. writes are the
 // batch's resources, already copied and addressed.
 func (l *commitLog) append(serial int, b *Batch, writes map[string]*state.ResourceState) error {
-	if l.err != nil {
-		return l.err
-	}
 	rec := walRecord{Serial: serial, Desc: b.Desc, SetOutputs: b.SetOutputs}
 	for addr := range b.Deletes {
 		rec.Deletes = append(rec.Deletes, addr)
@@ -177,22 +138,9 @@ func (l *commitLog) append(serial int, b *Batch, writes map[string]*state.Resour
 	if err != nil {
 		return fmt.Errorf("statedb: encode wal record: %w", err)
 	}
-	frame := wal.Encode(payload)
-	if _, err = l.f.Write(frame); err == nil {
-		err = l.f.Sync()
+	if err := l.Append(payload, true); err != nil {
+		return fmt.Errorf("statedb: %w", err)
 	}
-	if err != nil {
-		err = fmt.Errorf("statedb: append wal record: %w", err)
-		// Replay stops at the first bad frame, so a partial one left here
-		// would hide every commit acknowledged after it: cut it out, or
-		// stop accepting commits.
-		if terr := l.f.Truncate(l.size); terr != nil {
-			l.err = fmt.Errorf("%w; commit log unusable, cannot cut the partial record: %v", err, terr)
-			return l.err
-		}
-		return err
-	}
-	l.size += int64(len(frame))
 	l.sinceCompact++
 	return nil
 }
@@ -208,23 +156,9 @@ func (l *commitLog) compact(e *Engine) error {
 	if err := snap.SaveFile(filepath.Join(l.dir, walSnapshotName)); err != nil {
 		return fmt.Errorf("statedb: compact wal: %w", err)
 	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("statedb: reset wal log: %w", err)
+	if err := l.Reset(); err != nil {
+		return fmt.Errorf("statedb: %w", err)
 	}
-	l.size, l.sinceCompact = 0, 0
+	l.sinceCompact = 0
 	return nil
-}
-
-// close syncs and releases the log file.
-func (l *commitLog) close() error {
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	l.err = errors.New("statedb: engine is closed")
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return errors.Join(err, l.compactErr)
 }

@@ -1,15 +1,16 @@
-// Package wal implements the CRC-framed append-only record format shared by
-// the golden-state WAL engine (internal/statedb) and the apply journal
-// (internal/apply). Each record is framed as
+// Package wal owns every durable file in the repository: Log, the CRC-framed
+// append-only file under the golden-state commit log (internal/statedb), the
+// apply journal (internal/apply) and the jobs journal (internal/jobs), and
+// WriteFileAtomic for files replaced whole (state snapshots, workspace
+// manifests, ACLs). Each record is framed as
 //
 //	[uint32 payload length][uint32 CRC-32 (IEEE) of payload][payload]
 //
 // with little-endian headers. The format is deliberately dumb: no file
 // header, no compression, no record type — callers own the payload encoding
-// (both current users store JSON). What the package does own is the crash
-// contract: a frame is either durable and intact or it is dropped at read
-// time, so a write torn by a crash (short header, short payload, corrupted
-// bytes) can never surface a partial record to replay logic.
+// (all current users store JSON). What the package does own is the crash
+// contract, stated on Log: a frame is either durable and intact or dropped at
+// read time, so a torn write never surfaces a partial record to replay.
 package wal
 
 import (

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"cloudless/internal/wal"
 )
 
 // manifestFile is the persisted workspace definition under Root/<name>/.
@@ -43,9 +45,8 @@ type manifest struct {
 	HealthProbeIntervalMS   int64   `json:"health_probe_interval_ms,omitempty"`
 }
 
-// persist writes the workspace manifest atomically (tmp + fsync + rename)
-// so a crash mid-write leaves either the old manifest or the new one,
-// never a torn file.
+// persist writes the workspace manifest atomically, so a crash mid-write
+// leaves either the old manifest or the new one, never a torn file.
 func (m *Manager) persist(name string, cfg Config) error {
 	if m.opts.Root == "" {
 		return nil
@@ -70,23 +71,7 @@ func (m *Manager) persist(name string, cfg Config) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("cloudless: persist workspace %s: %w", name, err)
 	}
-	path := filepath.Join(dir, manifestFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("cloudless: persist workspace %s: %w", name, err)
-	}
-	if _, err := f.Write(raw); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := wal.WriteFileAtomic(filepath.Join(dir, manifestFile), raw, 0o644); err != nil {
 		return fmt.Errorf("cloudless: persist workspace %s: %w", name, err)
 	}
 	return nil
