@@ -56,18 +56,24 @@ func BenchmarkAblationEvalExpression(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScopeBuild measures ValueStore.ScopeFor, the O(instances)
-// scope assembly performed per evaluated attribute set.
+// BenchmarkAblationScopeBuild measures the value store the way plan.Compute
+// drives it: one ScopeFor and one Set per instance, interleaved, so every
+// scope is built just after a write. Per-op cost divided by n is the cost of
+// one scope; it stays flat as n grows when scope assembly follows the
+// instance's references rather than the size of the module.
 func BenchmarkAblationScopeBuild(b *testing.B) {
+	written := eval.Object(map[string]eval.Value{"id": eval.String("id-1")})
 	for _, vms := range []int{25, 100, 400} {
 		b.Run(fmt.Sprintf("n%d", vms), func(b *testing.B) {
 			ex := expandFilesB(b, workload.WebTier("web", 4, vms))
-			vs := plan.NewValueStore(ex)
-			inst := ex.ByAddr["aws_load_balancer.web"]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = vs.ScopeFor(inst)
+				vs := plan.NewValueStore(ex)
+				for _, inst := range ex.Instances {
+					_ = vs.ScopeFor(inst)
+					vs.Set(inst.Addr, written)
+				}
 			}
 		})
 	}

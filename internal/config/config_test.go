@@ -315,6 +315,64 @@ resource "aws_vpc" "b" {
 	}
 }
 
+// A reference that stops at a type, data or module root names no resource,
+// so there is nothing to order its evaluation by; it is rejected at expand
+// time rather than read as an order-dependent value.
+func TestBareRootReferenceDiagnostic(t *testing.T) {
+	const vpc = `resource "aws_vpc" "a" { cidr_block = "10.0.0.0/16" }
+data "aws_region" "current" {}
+`
+	for _, tc := range []struct{ name, src, want string }{
+		{"type root", `resource "aws_vpc" "b" { cidr_block = aws_vpc["a"].cidr_block }`,
+			`reference aws_vpc["a"].cidr_block must name a resource: aws_vpc.<name>`},
+		{"type root in a call", `resource "aws_vpc" "b" { cidr_block = keys(aws_vpc)[0] }`,
+			"reference aws_vpc must name a resource: aws_vpc.<name>"},
+		{"data root", `resource "aws_vpc" "b" { cidr_block = keys(data.aws_region)[0] }`,
+			"reference data.aws_region must name a data source: data.<type>.<name>"},
+		{"module root", `resource "aws_vpc" "b" { cidr_block = keys(module)[0] }`,
+			"reference module must name a module call: module.<call>"},
+		{"output", `output "all" { value = aws_vpc }`,
+			"reference aws_vpc must name a resource: aws_vpc.<name>"},
+		{"depends_on", `resource "aws_vpc" "b" {
+  cidr_block = "10.1.0.0/16"
+  depends_on = [aws_vpc]
+}`, "reference aws_vpc must name a resource: aws_vpc.<name>"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, diags := Expand(loadOK(t, vpc+tc.src), nil, nil)
+			if !diags.HasErrors() || !strings.Contains(diags.Error(), tc.want) {
+				t.Errorf("diags = %v, want %q", diags, tc.want)
+			}
+		})
+	}
+}
+
+func TestSelfAndModuleReferencesAreRecorded(t *testing.T) {
+	resolver := MapResolver{"./m": {"m.ccl": `
+resource "aws_vpc" "v" { cidr_block = "10.0.0.0/16" }
+output "cidr" { value = aws_vpc.v.cidr_block }
+`}}
+	m := loadOK(t, `
+module "child" { source = "./m" }
+resource "aws_subnet" "s" {
+  count      = 2
+  cidr_block = count.index == 0 ? module.child.cidr : aws_subnet.s[0].cidr_block
+}
+resource "aws_vpc" "plain" { cidr_block = "10.1.0.0/16" }
+`)
+	ex, diags := Expand(m, nil, resolver)
+	if diags.HasErrors() {
+		t.Fatal(diags.Error())
+	}
+	s := ex.ByAddr["aws_subnet.s[1]"]
+	if !s.RefsSelf || !s.RefsModule || strings.Join(s.DependsOn, ",") != "module.child.aws_vpc.v" {
+		t.Errorf("subnet: self=%v module=%v deps=%v", s.RefsSelf, s.RefsModule, s.DependsOn)
+	}
+	if p := ex.ByAddr["aws_vpc.plain"]; p.RefsSelf || p.RefsModule {
+		t.Errorf("plain vpc: self=%v module=%v", p.RefsSelf, p.RefsModule)
+	}
+}
+
 func TestNestedBlockBecomesObjectAttr(t *testing.T) {
 	m := loadOK(t, `
 resource "aws_vpc" "v" {

@@ -31,7 +31,14 @@ type Instance struct {
 	// DependsOn lists resource-level addresses (no instance index) this
 	// instance depends on, sorted and de-duplicated.
 	DependsOn []string
-	DeclRange hcl.Range
+	// RefsSelf reports that the declaration names its own resource
+	// (aws_subnet.s[0].id from inside aws_subnet.s). DependsOn omits that
+	// edge, so the planner needs this to expose the instance's own group.
+	RefsSelf bool
+	// RefsModule reports that a root-module declaration names module.*
+	// (child modules cannot see module outputs).
+	RefsModule bool
+	DeclRange  hcl.Range
 	// Provider is the owning provider's name.
 	Provider string
 	// Region is the resolved region for the instance: explicit attribute,
@@ -289,7 +296,8 @@ func (ex *Expansion) expandModule(m *Module, scope *eval.Context, modulePath str
 		if d.HasErrors() {
 			return
 		}
-		deps := ex.resourceDeps(r, m, modulePath)
+		refs, d := ex.resourceRefs(r, m, modulePath)
+		diags = diags.Extend(d)
 		provName := ""
 		if p, ok := schema.ProviderForType(r.Type); ok {
 			provName = p.Name
@@ -302,7 +310,9 @@ func (ex *Expansion) expandModule(m *Module, scope *eval.Context, modulePath str
 				Name:       r.Name,
 				Attrs:      r.Attrs,
 				AttrRange:  r.AttrRange,
-				DependsOn:  deps,
+				DependsOn:  refs.deps,
+				RefsSelf:   refs.self,
+				RefsModule: refs.module,
 				DeclRange:  r.DeclRange,
 				Provider:   provName,
 			}
@@ -346,16 +356,17 @@ func (ex *Expansion) expandModule(m *Module, scope *eval.Context, modulePath str
 	// Outputs.
 	outs := map[string]*OutputSpec{}
 	for name, o := range m.Outputs {
-		spec := &OutputSpec{
+		deps, d := ex.exprDeps(o.Expr, m, modulePath)
+		diags = diags.Extend(d)
+		outs[name] = &OutputSpec{
 			ModulePath: modulePath,
 			Name:       name,
 			Expr:       o.Expr,
 			Scope:      scope,
+			Deps:       deps,
 			Sensitive:  o.Sensitive,
 			DeclRange:  o.DeclRange,
 		}
-		spec.Deps = ex.exprDeps(o.Expr, m, modulePath)
-		outs[name] = spec
 	}
 	if modulePath == "" {
 		ex.Outputs = outs
@@ -487,16 +498,33 @@ func instanceKeys(r *Resource, scope *eval.Context) ([]instKey, hcl.Diagnostics)
 	}
 }
 
-// resourceDeps computes the resource-level dependency addresses of a
-// declaration: explicit depends_on plus every reference in its expressions.
-func (ex *Expansion) resourceDeps(r *Resource, m *Module, modulePath string) []string {
+// declRefs is what one declaration names, resolved once and shared by every
+// instance it expands to.
+type declRefs struct {
+	deps         []string // resource-level addresses, sorted, self excluded
+	self, module bool
+}
+
+// resourceRefs resolves the references of a declaration: explicit depends_on
+// plus every reference in its expressions.
+func (ex *Expansion) resourceRefs(r *Resource, m *Module, modulePath string) (declRefs, hcl.Diagnostics) {
+	var refs declRefs
+	var diags hcl.Diagnostics
 	set := map[string]bool{}
-	for _, tr := range r.DependsOn {
-		if addr, ok := ex.refToAddr(tr, m, modulePath); ok {
-			for _, a := range addr {
-				set[a] = true
-			}
+	note := func(tr hcl.Traversal, at hcl.Range) {
+		addrs, err := ex.refToAddr(tr, m, modulePath)
+		if err != nil {
+			diags = diags.Append(hcl.Errorf(at, "%s", err))
 		}
+		for _, a := range addrs {
+			set[a] = true
+		}
+		if tr.RootName() == "module" && modulePath == "" {
+			refs.module = true
+		}
+	}
+	for _, tr := range r.DependsOn {
+		note(tr, r.DeclRange)
 	}
 	exprs := make([]hcl.Expression, 0, len(r.Attrs)+2)
 	for _, e := range r.Attrs {
@@ -510,36 +538,36 @@ func (ex *Expansion) resourceDeps(r *Resource, m *Module, modulePath string) []s
 	}
 	for _, e := range exprs {
 		for _, tr := range e.Variables() {
-			if addrs, ok := ex.refToAddr(tr, m, modulePath); ok {
-				for _, a := range addrs {
-					set[a] = true
-				}
-			}
+			note(tr, e.Range())
 		}
 	}
 	self := r.Key()
 	if modulePath != "" {
 		self = "module." + modulePath + "." + self
 	}
+	refs.self = set[self]
 	delete(set, self)
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
+	refs.deps = sortedSet(set)
+	return refs, diags
 }
 
 // exprDeps resolves the dependencies of a standalone expression (outputs).
-func (ex *Expansion) exprDeps(e hcl.Expression, m *Module, modulePath string) []string {
+func (ex *Expansion) exprDeps(e hcl.Expression, m *Module, modulePath string) ([]string, hcl.Diagnostics) {
+	var diags hcl.Diagnostics
 	set := map[string]bool{}
 	for _, tr := range e.Variables() {
-		if addrs, ok := ex.refToAddr(tr, m, modulePath); ok {
-			for _, a := range addrs {
-				set[a] = true
-			}
+		addrs, err := ex.refToAddr(tr, m, modulePath)
+		if err != nil {
+			diags = diags.Append(hcl.Errorf(e.Range(), "%s", err))
+		}
+		for _, a := range addrs {
+			set[a] = true
 		}
 	}
+	return sortedSet(set), diags
+}
+
+func sortedSet(set map[string]bool) []string {
 	out := make([]string, 0, len(set))
 	for a := range set {
 		out = append(out, a)
@@ -549,57 +577,59 @@ func (ex *Expansion) exprDeps(e hcl.Expression, m *Module, modulePath string) []
 }
 
 // refToAddr maps a traversal to the resource-level addresses it depends on.
-func (ex *Expansion) refToAddr(tr hcl.Traversal, m *Module, modulePath string) ([]string, bool) {
+// A traversal that stops at a resource, data or module root without naming a
+// member (aws_vpc, data.aws_region, module) is an error: it has no address to
+// order evaluation by, so its value would depend on evaluation order.
+func (ex *Expansion) refToAddr(tr hcl.Traversal, m *Module, modulePath string) ([]string, error) {
 	prefix := ""
 	if modulePath != "" {
 		prefix = "module." + modulePath + "."
 	}
+	attr := func(i int) (string, bool) {
+		if len(tr) <= i {
+			return "", false
+		}
+		a, ok := tr[i].(hcl.TraverseAttr)
+		return a.Name, ok
+	}
 	root := tr.RootName()
 	switch root {
 	case "var", "local", "count", "each", "path":
-		return nil, false
+		return nil, nil
 	case "data":
-		if len(tr) >= 3 {
-			typ, ok1 := tr[1].(hcl.TraverseAttr)
-			name, ok2 := tr[2].(hcl.TraverseAttr)
-			if ok1 && ok2 {
-				return []string{prefix + "data." + typ.Name + "." + name.Name}, true
-			}
+		typ, ok1 := attr(1)
+		name, ok2 := attr(2)
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("reference %s must name a data source: data.<type>.<name>", tr)
 		}
-		return nil, false
+		return []string{prefix + "data." + typ + "." + name}, nil
 	case "module":
 		// module.<call>.<output>: depend on whatever the output depends on.
-		if len(tr) >= 2 {
-			call, ok := tr[1].(hcl.TraverseAttr)
-			if !ok {
-				return nil, false
-			}
-			outs := ex.ModuleOutputs[call.Name]
-			if len(tr) >= 3 {
-				if outName, ok := tr[2].(hcl.TraverseAttr); ok {
-					if spec, exists := outs[outName.Name]; exists {
-						return spec.Deps, true
-					}
-				}
-			}
-			var all []string
-			for _, spec := range outs {
-				all = append(all, spec.Deps...)
-			}
-			return all, len(all) > 0
+		call, ok := attr(1)
+		if !ok {
+			return nil, fmt.Errorf("reference %s must name a module call: module.<call>", tr)
 		}
-		return nil, false
+		outs := ex.ModuleOutputs[call]
+		if outName, ok := attr(2); ok {
+			if spec, exists := outs[outName]; exists {
+				return spec.Deps, nil
+			}
+		}
+		var all []string
+		for _, spec := range outs {
+			all = append(all, spec.Deps...)
+		}
+		return all, nil
 	default:
 		// A resource-type root such as aws_vpc.
 		if _, isType := schema.LookupResource(root); !isType {
-			return nil, false
+			return nil, nil
 		}
-		if len(tr) >= 2 {
-			if name, ok := tr[1].(hcl.TraverseAttr); ok {
-				return []string{prefix + root + "." + name.Name}, true
-			}
+		name, ok := attr(1)
+		if !ok {
+			return nil, fmt.Errorf("reference %s must name a resource: %s.<name>", tr, root)
 		}
-		return nil, false
+		return []string{prefix + root + "." + name}, nil
 	}
 }
 

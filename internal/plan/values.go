@@ -7,7 +7,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -68,117 +67,85 @@ func ParseAddr(addr string) (Addr, error) {
 	return out, nil
 }
 
-// groupKey identifies one resource-level group within a module.
-type groupKey struct {
-	data bool
-	typ  string
-	name string
+// group is one resource-level declaration's instances and their assembled
+// value: a single object, an index-ordered list, or a key-addressed map.
+type group struct {
+	modulePath string
+	data       bool
+	typ, name  string
+	members    []member
+	// assembled caches the group value; Set on any member clears valid.
+	assembled eval.Value
+	valid     bool
 }
 
-// memberRef locates an instance within the group index.
-type memberRef struct {
-	modulePath string
-	gk         groupKey
-	keyRepr    string
-	key        any // nil, int, or string
+type member struct {
+	addr string
+	key  any // nil, int, or string
 }
 
 // ValueStore holds the evaluated object value of every resource instance and
 // provides evaluation scopes that expose them to expressions. It is safe for
 // concurrent use (the applier writes from many workers).
 //
-// Scope roots are cached at group granularity: Set(addr) re-assembles only
-// the group containing addr and marks its root dirty, so building N scopes
-// interleaved with N writes costs O(N·groupSize) instead of O(N²) — the
-// difference between a 100-resource plan taking milliseconds and taking
-// seconds.
+// Scopes are reference-driven: ScopeFor exposes exactly the groups the
+// instance's declaration names, each taken from a per-group cache that Set
+// invalidates for the written group only. A scope therefore costs
+// O(references) plus the re-assembly of referenced groups written since
+// their last read, so N scopes interleaved with N writes — a full plan —
+// cost O(N) when dependencies are evaluated before their dependents.
 type ValueStore struct {
 	mu   sync.Mutex
 	vals map[string]eval.Value // instance addr -> object value
 	ex   *config.Expansion
 
 	// Static index, built once from the expansion.
-	memberOf map[string]memberRef
-	groups   map[string]map[groupKey][]memberRef // modulePath -> group -> members
+	groups   map[string]*group // resource-level addr -> group
+	memberOf map[string]*group // instance addr -> group
 
-	// Caches.
-	assembled    map[string]map[groupKey]eval.Value // group value cache
-	roots        map[string]map[string]eval.Value   // modulePath -> root name -> value
-	dirtyRoots   map[string]map[string]bool         // modulePath -> root name -> dirty
-	moduleDirty  bool                               // "module" root of the root module
-	moduleCached eval.Value
+	// The root module's "module" root, rebuilt after a write inside any
+	// child module.
+	moduleRoot      eval.Value
+	moduleRootValid bool
 }
 
 // NewValueStore builds a store for an expansion.
 func NewValueStore(ex *config.Expansion) *ValueStore {
 	vs := &ValueStore{
-		vals:        map[string]eval.Value{},
-		ex:          ex,
-		memberOf:    map[string]memberRef{},
-		groups:      map[string]map[groupKey][]memberRef{},
-		assembled:   map[string]map[groupKey]eval.Value{},
-		roots:       map[string]map[string]eval.Value{},
-		dirtyRoots:  map[string]map[string]bool{},
-		moduleDirty: true,
+		vals:     map[string]eval.Value{},
+		ex:       ex,
+		groups:   map[string]*group{},
+		memberOf: map[string]*group{},
 	}
 	for _, inst := range ex.Instances {
 		pa, err := ParseAddr(inst.Addr)
 		if err != nil {
 			continue
 		}
-		ref := memberRef{
-			modulePath: inst.ModulePath,
-			gk:         groupKey{data: pa.Data, typ: pa.Type, name: pa.Name},
-			keyRepr:    fmt.Sprintf("%v", pa.Key),
-			key:        pa.Key,
+		resourceAddr := inst.ResourceAddr()
+		g := vs.groups[resourceAddr]
+		if g == nil {
+			g = &group{modulePath: pa.ModulePath, data: pa.Data, typ: pa.Type, name: pa.Name}
+			vs.groups[resourceAddr] = g
 		}
-		vs.memberOf[inst.Addr] = ref
-		if vs.groups[ref.modulePath] == nil {
-			vs.groups[ref.modulePath] = map[groupKey][]memberRef{}
-			vs.assembled[ref.modulePath] = map[groupKey]eval.Value{}
-			vs.dirtyRoots[ref.modulePath] = map[string]bool{}
-			vs.roots[ref.modulePath] = map[string]eval.Value{}
-		}
-		vs.groups[ref.modulePath][ref.gk] = append(vs.groups[ref.modulePath][ref.gk], ref)
-	}
-	// Everything starts dirty (all values unknown).
-	for mp, byGroup := range vs.groups {
-		for gk := range byGroup {
-			vs.markDirtyLocked(mp, gk)
-		}
+		g.members = append(g.members, member{addr: inst.Addr, key: pa.Key})
+		vs.memberOf[inst.Addr] = g
 	}
 	return vs
 }
 
-func rootNameOf(gk groupKey) string {
-	if gk.data {
-		return "data"
+// assembleLocked returns the group's value, re-assembling it from the member
+// values when a member was written since the last call.
+func (vs *ValueStore) assembleLocked(g *group) eval.Value {
+	if g.valid {
+		return g.assembled
 	}
-	return gk.typ
-}
-
-func (vs *ValueStore) markDirtyLocked(modulePath string, gk groupKey) {
-	delete(vs.assembled[modulePath], gk)
-	vs.dirtyRoots[modulePath][rootNameOf(gk)] = true
-	if modulePath != "" {
-		vs.moduleDirty = true
-	}
-}
-
-// assembleGroupLocked computes the value of one group: a single object,
-// an index-ordered list, or a key-addressed map.
-func (vs *ValueStore) assembleGroupLocked(modulePath string, gk groupKey) eval.Value {
-	if v, ok := vs.assembled[modulePath][gk]; ok {
-		return v
-	}
-	members := vs.groups[modulePath][gk]
-	var out eval.Value
-	switch members[0].key.(type) {
+	switch g.members[0].key.(type) {
 	case nil:
-		out = vs.valueOfLocked(modulePath, gk, members[0])
+		g.assembled = vs.valueOfLocked(g.members[0])
 	case int:
 		maxIdx := -1
-		for _, m := range members {
+		for _, m := range g.members {
 			if i := m.key.(int); i > maxIdx {
 				maxIdx = i
 			}
@@ -187,82 +154,63 @@ func (vs *ValueStore) assembleGroupLocked(modulePath string, gk groupKey) eval.V
 		for i := range list {
 			list[i] = eval.Unknown
 		}
-		for _, m := range members {
-			list[m.key.(int)] = vs.valueOfLocked(modulePath, gk, m)
+		for _, m := range g.members {
+			list[m.key.(int)] = vs.valueOfLocked(m)
 		}
-		out = eval.ListOf(list)
+		g.assembled = eval.ListOf(list)
 	case string:
-		obj := map[string]eval.Value{}
-		for _, m := range members {
-			obj[m.key.(string)] = vs.valueOfLocked(modulePath, gk, m)
+		obj := make(map[string]eval.Value, len(g.members))
+		for _, m := range g.members {
+			obj[m.key.(string)] = vs.valueOfLocked(m)
 		}
-		out = eval.Object(obj)
+		g.assembled = eval.Object(obj)
 	}
-	vs.assembled[modulePath][gk] = out
-	return out
+	g.valid = true
+	return g.assembled
 }
 
-func (vs *ValueStore) valueOfLocked(modulePath string, gk groupKey, m memberRef) eval.Value {
-	addr := instanceAddr(modulePath, gk, m)
-	if v, ok := vs.vals[addr]; ok {
+func (vs *ValueStore) valueOfLocked(m member) eval.Value {
+	if v, ok := vs.vals[m.addr]; ok {
 		return v
 	}
 	return eval.Unknown
 }
 
-func instanceAddr(modulePath string, gk groupKey, m memberRef) string {
-	base := gk.typ + "." + gk.name
-	if gk.data {
-		base = "data." + base
-	}
-	if modulePath != "" {
-		base = "module." + modulePath + "." + base
-	}
-	switch k := m.key.(type) {
-	case nil:
-		return base
-	case int:
-		return fmt.Sprintf("%s[%d]", base, k)
-	default:
-		return fmt.Sprintf("%s[%q]", base, k)
-	}
-}
-
-// refreshRootsLocked rebuilds the dirty root objects of one module.
-func (vs *ValueStore) refreshRootsLocked(modulePath string) {
-	dirty := vs.dirtyRoots[modulePath]
-	if len(dirty) == 0 {
-		return
-	}
-	for rootName := range dirty {
-		byName := map[string]eval.Value{}
-		if rootName == "data" {
-			byType := map[string]map[string]eval.Value{}
-			for gk := range vs.groups[modulePath] {
-				if !gk.data {
-					continue
-				}
-				if byType[gk.typ] == nil {
-					byType[gk.typ] = map[string]eval.Value{}
-				}
-				byType[gk.typ][gk.name] = vs.assembleGroupLocked(modulePath, gk)
-			}
-			dr := map[string]eval.Value{}
-			for typ, names := range byType {
-				dr[typ] = eval.Object(names)
-			}
-			vs.roots[modulePath]["data"] = eval.Object(dr)
-			continue
+// exposeLocked binds the named groups of one module into scope under their
+// type roots (and the "data" root). Addresses in other modules are skipped:
+// they reach the root module through module outputs only.
+func (vs *ValueStore) exposeLocked(scope *eval.Context, modulePath string, resourceAddrs []string) {
+	managed := map[string]map[string]eval.Value{} // type -> name -> group value
+	data := map[string]map[string]eval.Value{}
+	names := func(isData bool, typ string) map[string]eval.Value {
+		byType := managed
+		if isData {
+			byType = data
 		}
-		for gk := range vs.groups[modulePath] {
-			if gk.data || gk.typ != rootName {
-				continue
-			}
-			byName[gk.name] = vs.assembleGroupLocked(modulePath, gk)
+		if byType[typ] == nil {
+			byType[typ] = map[string]eval.Value{}
 		}
-		vs.roots[modulePath][rootName] = eval.Object(byName)
+		return byType[typ]
 	}
-	vs.dirtyRoots[modulePath] = map[string]bool{}
+	for _, addr := range resourceAddrs {
+		if g := vs.groups[addr]; g != nil {
+			if g.modulePath == modulePath {
+				names(g.data, g.typ)[g.name] = vs.assembleLocked(g)
+			}
+		} else if pa, err := ParseAddr(addr); err == nil && pa.ModulePath == modulePath {
+			// An undeclared resource still binds its type root, so evaluation
+			// reports the missing name rather than an undeclared type.
+			names(pa.Data, pa.Type)
+		}
+	}
+	for typ, byName := range managed {
+		scope.Variables[typ] = eval.Object(byName)
+	}
+	dataRoot := make(map[string]eval.Value, len(data))
+	for typ, byName := range data {
+		dataRoot[typ] = eval.Object(byName)
+	}
+	scope.Variables["data"] = eval.Object(dataRoot)
 }
 
 // NewEmptyValueStore builds a store with no configuration behind it, used
@@ -294,13 +242,16 @@ func ResourceAddrOf(addr string) string {
 	return addr
 }
 
-// Set records the current object value of an instance and invalidates the
-// caches covering it.
+// Set records the current object value of an instance and drops the
+// assembled value of its group.
 func (vs *ValueStore) Set(addr string, v eval.Value) {
 	vs.mu.Lock()
 	vs.vals[addr] = v
-	if ref, ok := vs.memberOf[addr]; ok {
-		vs.markDirtyLocked(ref.modulePath, ref.gk)
+	if g := vs.memberOf[addr]; g != nil {
+		g.valid = false
+		if g.modulePath != "" {
+			vs.moduleRootValid = false
+		}
 	}
 	vs.mu.Unlock()
 }
@@ -314,105 +265,43 @@ func (vs *ValueStore) Get(addr string) (eval.Value, bool) {
 }
 
 // ScopeFor builds the evaluation context for an instance: its configuration
-// scope (vars, locals, count/each) extended with every resource, data
-// source, and module output visible from its module. Root objects come from
-// the group cache; only groups written since the last call are reassembled.
+// scope (vars, locals, count/each) extended with the groups its declaration
+// references — its same-module dependencies, its own group when it names
+// itself, and the module outputs when a root-module declaration names
+// module.*.
 func (vs *ValueStore) ScopeFor(inst *config.Instance) *eval.Context {
 	scope := inst.Scope.Child()
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 
-	vs.refreshRootsLocked(inst.ModulePath)
-	for rootName, v := range vs.roots[inst.ModulePath] {
-		scope.Variables[rootName] = v
+	refs := inst.DependsOn
+	if inst.RefsSelf {
+		refs = append([]string{inst.ResourceAddr()}, refs...)
 	}
-	if _, ok := scope.Variables["data"]; !ok {
-		scope.Variables["data"] = eval.Object(nil)
-	}
-
-	// Module outputs are visible from the root module only.
-	if inst.ModulePath == "" && len(vs.ex.ModuleOutputs) > 0 {
-		if vs.moduleDirty {
-			modRoot := map[string]eval.Value{}
+	vs.exposeLocked(scope, inst.ModulePath, refs)
+	if inst.RefsModule {
+		if !vs.moduleRootValid {
+			calls := make(map[string]eval.Value, len(vs.ex.ModuleOutputs))
 			for callName, outs := range vs.ex.ModuleOutputs {
-				outVals := map[string]eval.Value{}
+				outVals := make(map[string]eval.Value, len(outs))
 				for name, spec := range outs {
 					outVals[name] = vs.evaluateOutputLocked(spec)
 				}
-				modRoot[callName] = eval.Object(outVals)
+				calls[callName] = eval.Object(outVals)
 			}
-			vs.moduleCached = eval.Object(modRoot)
-			vs.moduleDirty = false
+			vs.moduleRoot = eval.Object(calls)
+			vs.moduleRootValid = true
 		}
-		scope.Variables["module"] = vs.moduleCached
+		scope.Variables["module"] = vs.moduleRoot
 	}
 	return scope
 }
 
-// evaluateOutputLocked computes a module output against current values.
-// Callers hold vs.mu (at least RLock); the nested ScopeFor-like assembly is
-// done through a pseudo instance bound to the module path.
+// evaluateOutputLocked computes an output against current values, in a scope
+// exposing the groups its expression references. Callers hold vs.mu.
 func (vs *ValueStore) evaluateOutputLocked(spec *config.OutputSpec) eval.Value {
-	// Build a minimal scope: the module's own resources.
 	scope := spec.Scope.Child()
-	roots := map[string]map[string]map[string]eval.Value{} // type -> name -> key -> val
-	for _, other := range vs.ex.Instances {
-		if other.ModulePath != spec.ModulePath {
-			continue
-		}
-		pa, err := ParseAddr(other.Addr)
-		if err != nil || pa.Data {
-			continue
-		}
-		v, ok := vs.vals[other.Addr]
-		if !ok {
-			v = eval.Unknown
-		}
-		if roots[pa.Type] == nil {
-			roots[pa.Type] = map[string]map[string]eval.Value{}
-		}
-		if roots[pa.Type][pa.Name] == nil {
-			roots[pa.Type][pa.Name] = map[string]eval.Value{}
-		}
-		roots[pa.Type][pa.Name][fmt.Sprintf("%v", pa.Key)] = v
-	}
-	for typ, byName := range roots {
-		obj := map[string]eval.Value{}
-		for name, members := range byName {
-			if v, single := members["<nil>"]; single && len(members) == 1 {
-				obj[name] = v
-				continue
-			}
-			// Indexed: decide list vs map by key shape.
-			isList := true
-			for k := range members {
-				if _, err := strconv.Atoi(k); err != nil {
-					isList = false
-					break
-				}
-			}
-			if isList {
-				keys := make([]int, 0, len(members))
-				for k := range members {
-					n, _ := strconv.Atoi(k)
-					keys = append(keys, n)
-				}
-				sort.Ints(keys)
-				list := make([]eval.Value, len(keys))
-				for i, k := range keys {
-					list[i] = members[strconv.Itoa(k)]
-				}
-				obj[name] = eval.ListOf(list)
-			} else {
-				m := map[string]eval.Value{}
-				for k, v := range members {
-					m[k] = v
-				}
-				obj[name] = eval.Object(m)
-			}
-		}
-		scope.Variables[typ] = eval.Object(obj)
-	}
+	vs.exposeLocked(scope, spec.ModulePath, spec.Deps)
 	v, diags := eval.Evaluate(spec.Expr, scope)
 	if diags.HasErrors() {
 		return eval.Unknown

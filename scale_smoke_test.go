@@ -3,6 +3,7 @@ package cloudless_test
 import (
 	"context"
 	"os"
+	"runtime"
 	"testing"
 
 	"cloudless/internal/apply"
@@ -66,5 +67,40 @@ func TestScaleSmoke(t *testing.T) {
 	if incr.EvaluatedInstances*10 >= full.EvaluatedInstances {
 		t.Errorf("incremental replan evaluated %d of %d instances (>= 10%%)",
 			incr.EvaluatedInstances, full.EvaluatedInstances)
+	}
+}
+
+// TestFullPlanAllocationIsLinear pins the planner's cold path to the size of
+// the estate: a no-op full plan over a converged random DAG four times the
+// size allocates about four times the bytes (at most 6x). Bytes are
+// deterministic where wall time is not; when every scope rebuilt its whole
+// type root the ratio was ~14x.
+func TestFullPlanAllocationIsLinear(t *testing.T) {
+	ctx := context.Background()
+	noopPlanBytes := func(decls int) uint64 {
+		ex := expandFiles(t, workload.RandomDAG(decls, 7))
+		p, diags := plan.Compute(ctx, ex, state.New(), plan.Options{})
+		if diags.HasErrors() {
+			t.Fatal(diags.Error())
+		}
+		res := apply.Apply(ctx, newSim(), p, apply.Options{
+			Principal: "cloudless", Concurrency: 128, BatchOps: true,
+		})
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		noop, diags := plan.Compute(ctx, ex, res.State, plan.Options{Concurrency: 1})
+		runtime.ReadMemStats(&after)
+		if diags.HasErrors() || noop.PendingCount() != 0 || noop.Noops != len(ex.Instances) {
+			t.Fatalf("plan over converged state: %s; %v", noop.Summary(), diags)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := noopPlanBytes(167), noopPlanBytes(667) // 252 and 1002 instances
+	if large > 6*small {
+		t.Errorf("no-op plan allocated %d B at 1002 instances, %d B at 252: %.1fx for 4x the size",
+			large, small, float64(large)/float64(small))
 	}
 }
