@@ -5,7 +5,7 @@ package main
 //
 //  1. engine-level reader/writer throughput: one writer committing batches
 //     as fast as the engine allows while concurrent readers materialize
-//     snapshots pinned at the pre-churn serial;
+//     snapshots pinned at a serial inside the retention window;
 //  2. stack-level plans completed during one in-flight apply: scale a web
 //     tier out under a latency-scaled simulator and count how many offline
 //     plans pinned at the pre-apply serial finish while the apply holds its
@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -109,8 +110,10 @@ func sdEngine(backend string) (*statedb.Engine, func()) {
 }
 
 // sdEngineChurn runs one writer against sdReaders snapshotting readers for
-// sdChurn and reports commit and snapshot throughput, plus whether reads
-// pinned at the pre-churn serial stayed available throughout.
+// sdChurn and reports commit and snapshot throughput, plus whether every
+// pinned read answered at its pin. A reader pins the head and keeps reading
+// there while commits land, until the serial leaves the engine's retention
+// window (ErrNoSuchSerial); then it pins the head again.
 func sdEngineChurn(backend string) (commitsPerSec, snapshotsPerSec float64, pinnedOK bool) {
 	eng, cleanup := sdEngine(backend)
 	defer cleanup()
@@ -121,8 +124,6 @@ func sdEngineChurn(backend string) (commitsPerSec, snapshotsPerSec float64, pinn
 			panic(err)
 		}
 	}
-	pin := eng.Serial()
-
 	var commits, snapshots, unpinned atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -130,6 +131,7 @@ func sdEngineChurn(backend string) (commitsPerSec, snapshotsPerSec float64, pinn
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			pin := eng.Serial()
 			for {
 				select {
 				case <-stop:
@@ -137,6 +139,10 @@ func sdEngineChurn(backend string) (commitsPerSec, snapshotsPerSec float64, pinn
 				default:
 				}
 				s, err := eng.Snapshot(pin)
+				if errors.Is(err, statedb.ErrNoSuchSerial) {
+					pin = eng.Serial()
+					continue
+				}
 				if err != nil {
 					panic(err)
 				}

@@ -96,7 +96,10 @@ type journalRecord struct {
 
 // Journal is the write side, safe for concurrent use by the apply walk.
 type Journal struct {
-	mu     sync.Mutex
+	// mu is held shared across an append, so the walkers' begin records
+	// share fsyncs in the log, and exclusively by Kill and Close, which
+	// thereby wait out every append in flight.
+	mu     sync.RWMutex
 	log    *wal.Log
 	path   string
 	meta   Meta
@@ -174,8 +177,8 @@ func (j *Journal) append(rec journalRecord, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("apply: encode journal record: %w", err)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.mu.RLock()
+	defer j.mu.RUnlock()
 	if j.killed {
 		return ErrJournalKilled
 	}

@@ -2,14 +2,21 @@ package apply
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"cloudless/internal/cloud"
 	"cloudless/internal/eval"
+	"cloudless/internal/state"
 	"cloudless/internal/wal"
 )
 
@@ -129,39 +136,26 @@ func TestJournalKillStopsAppends(t *testing.T) {
 	}
 }
 
-// syncCounter wraps a journal's file and counts its fsyncs.
-type syncCounter struct {
-	wal.File
-	syncs int
-}
-
-func (f *syncCounter) Sync() error {
-	f.syncs++
-	return f.File.Sync()
-}
-
 // TestJournalDiscardRemovesFile: Discard unlinks the journal without flushing
 // it first (its outcome is already committed to the golden state); Close,
 // which keeps the file for recovery, does flush the unsynced done records.
 func TestJournalDiscardRemovesFile(t *testing.T) {
 	kept, _ := tempJournal(t)
-	sc := &syncCounter{}
-	kept.log.Wrap(func(f wal.File) wal.File { sc.File = f; return sc })
-	if err := kept.Done(OpRecord{Addr: "aws_vpc.a"}); err != nil || sc.syncs != 0 {
-		t.Fatalf("Done = %v after %d fsyncs, want none", err, sc.syncs)
+	sc := wal.WrapFaulty(kept.log)
+	if err := kept.Done(OpRecord{Addr: "aws_vpc.a"}); err != nil || sc.Syncs() != 0 {
+		t.Fatalf("Done = %v after %d fsyncs, want none", err, sc.Syncs())
 	}
-	if err := kept.Close(); err != nil || sc.syncs != 1 {
-		t.Fatalf("Close = %v after %d fsyncs, want the one that flushes done records", err, sc.syncs)
+	if err := kept.Close(); err != nil || sc.Syncs() != 1 {
+		t.Fatalf("Close = %v after %d fsyncs, want the one that flushes done records", err, sc.Syncs())
 	}
 
 	j, path := tempJournal(t)
-	sc = &syncCounter{}
-	j.log.Wrap(func(f wal.File) wal.File { sc.File = f; return sc })
+	sc = wal.WrapFaulty(j.log)
 	if err := j.Discard(); err != nil {
 		t.Fatal(err)
 	}
-	if sc.syncs != 0 {
-		t.Errorf("Discard fsynced the journal %d times before unlinking it", sc.syncs)
+	if sc.Syncs() != 0 {
+		t.Errorf("Discard fsynced the journal %d times before unlinking it", sc.Syncs())
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("journal still on disk: %v", err)
@@ -303,4 +297,178 @@ func FuzzReadJournal(f *testing.F) {
 			t.Fatalf("second replay differs: %+v, %v", again, err)
 		}
 	})
+}
+
+// orderLog interleaves what the journal's file and the cloud see, in the
+// order they happen.
+type orderLog struct {
+	mu     sync.Mutex
+	events []orderEvent
+}
+
+// orderEvent is a begin frame in the file ("begin"), an fsync entered
+// ("sync") or returned ("synced"), or a mutation issued ("call"). key names
+// the op on both sides: the idempotency key of a create, "action id" else.
+type orderEvent struct{ kind, key string }
+
+func (o *orderLog) add(kind, key string) {
+	o.mu.Lock()
+	o.events = append(o.events, orderEvent{kind, key})
+	o.mu.Unlock()
+}
+
+// trace is the journal file's wal.Faulty.Trace.
+func (o *orderLog) trace(op string, frame []byte) {
+	if op != "write" {
+		o.add(op, "")
+		return
+	}
+	var rec journalRecord
+	if err := json.Unmarshal(frame[wal.HeaderSize:], &rec); err != nil || rec.Kind != recBegin {
+		return
+	}
+	if rec.Op.IdemKey != "" {
+		o.add("begin", rec.Op.IdemKey)
+	} else {
+		o.add("begin", rec.Op.Action+" "+rec.Op.ID)
+	}
+}
+
+// recordingCloud notes each mutation as it is issued.
+type recordingCloud struct {
+	cloud.Interface
+	log *orderLog
+}
+
+func (c recordingCloud) Create(ctx context.Context, req cloud.CreateRequest) (*cloud.Resource, error) {
+	c.log.add("call", req.IdempotencyKey)
+	return c.Interface.Create(ctx, req)
+}
+
+func (c recordingCloud) Update(ctx context.Context, req cloud.UpdateRequest) (*cloud.Resource, error) {
+	c.log.add("call", "update "+req.ID)
+	return c.Interface.Update(ctx, req)
+}
+
+func (c recordingCloud) Delete(ctx context.Context, typ, id, principal string) error {
+	c.log.add("call", "delete "+id)
+	return c.Interface.Delete(ctx, typ, id, principal)
+}
+
+// TestBeginIsDurableBeforeTheCloudCall: with ten walkers sharing fsyncs, no
+// create, update or delete is issued before an fsync that was entered after
+// the op's begin frame was in the file has returned.
+func TestBeginIsDurableBeforeTheCloudCall(t *testing.T) {
+	const wide = `
+resource "aws_vpc" "v" {
+  count      = 40
+  name       = "v-${count.index}"
+  cidr_block = "10.0.0.0/16"
+}
+`
+	sim := newSim()
+	order := &orderLog{}
+	cl := recordingCloud{Interface: sim, log: order}
+	prior := state.New()
+	begins := 0
+	for _, src := range []string{wide, strings.ReplaceAll(wide, `"v-`, `"w-`), "# nothing left\n"} {
+		j, _ := tempJournal(t)
+		ff := wal.WrapFaulty(j.log)
+		ff.Trace = order.trace
+		p, res := planAndApply(t, cl, src, prior, Options{Journal: j, Concurrency: 10})
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Discard(); err != nil {
+			t.Fatal(err)
+		}
+		// How much the walkers share depends on how long this disk's fsync
+		// takes; internal/wal pins the sharing itself.
+		t.Logf("%d ops, %d fsyncs", len(nonNoop(p)), ff.Syncs())
+		begins += len(nonNoop(p))
+		prior = res.State
+	}
+
+	written := map[string]int{} // begin key -> index of its write
+	var durable []string        // begins in the file when the running fsync was entered
+	safe := map[string]bool{}   // begins covered by an fsync that has returned
+	calls := 0
+	for i, ev := range order.events {
+		switch ev.kind {
+		case "begin":
+			written[ev.key] = i
+		case "sync":
+			durable = durable[:0]
+			for key := range written {
+				durable = append(durable, key)
+			}
+		case "synced":
+			for _, key := range durable {
+				safe[key] = true
+			}
+		case "call":
+			calls++
+			if !safe[ev.key] {
+				_, begun := written[ev.key]
+				t.Errorf("event %d: %s reached the cloud before its begin record was durable (begin written: %v)", i, ev.key, begun)
+			}
+		}
+	}
+	if begins != 120 || calls != begins || len(written) != begins {
+		t.Errorf("saw %d begin frames and %d cloud mutations for %d ops, want 120 of each", len(written), calls, begins)
+	}
+}
+
+// TestKillTornUnderConcurrentWalkers: killing the journal mid-write while ten
+// walkers append through it is free of races, reaches the disk no more after
+// it returns, and leaves a journal that replays.
+func TestKillTornUnderConcurrentWalkers(t *testing.T) {
+	j, path := tempJournal(t)
+	var writes atomic.Int32
+	busy := make(chan struct{})
+	wal.WrapFaulty(j.log).Trace = func(op string, _ []byte) {
+		if op == "write" && writes.Add(1) == 100 {
+			close(busy)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 10; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				addr := fmt.Sprintf("aws_vpc.v[%d-%d]", w, i)
+				err := j.Begin(OpRecord{Addr: addr, Type: "aws_vpc"})
+				if err == nil {
+					err = j.Done(OpRecord{Addr: addr, Type: "aws_vpc", ID: "vpc-1"})
+				}
+				if err != nil {
+					if !errors.Is(err, ErrJournalKilled) {
+						t.Errorf("append: %v", err)
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	<-busy
+	j.KillTorn()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if after, _ := os.Stat(path); after.Size() != fi.Size() {
+		t.Errorf("journal grew from %d to %d bytes after KillTorn returned", fi.Size(), after.Size())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	js, err := ReadJournal(path)
+	if err != nil || js == nil || len(js.Ops) == 0 {
+		t.Fatalf("journal after KillTorn = %+v, %v", js, err)
+	}
+	if _, ok := js.Ops["torn"]; ok {
+		t.Error("torn frame surfaced in replay")
+	}
 }

@@ -18,6 +18,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -81,6 +82,9 @@ type tenantLog struct {
 	live   map[string]*StoredJob // folded job state, retention already applied
 	order  []string              // terminal job IDs, oldest first
 	frames int                   // frames in the file since last compaction
+	// compactErr is the failure of the last compaction, nil once one
+	// succeeds; Close reports it.
+	compactErr error
 }
 
 // OpenStore opens (or creates) a job store rooted at dir.
@@ -184,7 +188,13 @@ func (s *Store) Append(j StoredJob) error {
 	}
 	tl.live[j.ID] = &j
 	s.retire(tl)
-	return s.maybeCompact(tl)
+	// The record is durable, so the append has succeeded whatever upkeep
+	// does: a failed compaction is kept for Close and retried by the next
+	// append while the journal keeps growing.
+	if tl.frames > 2*len(tl.live)+64 {
+		tl.compactErr = s.compact(tl)
+	}
+	return nil
 }
 
 // retire drops the oldest terminal jobs past the retention cap from the
@@ -196,12 +206,10 @@ func (s *Store) retire(tl *tenantLog) {
 	}
 }
 
-// maybeCompact rewrites the journal once dead frames dominate: more than
-// twice the live-job count (plus slack so small journals never churn).
-func (s *Store) maybeCompact(tl *tenantLog) error {
-	if tl.frames <= 2*len(tl.live)+64 {
-		return nil
-	}
+// compact rewrites the journal down to its live jobs. Append calls it once
+// dead frames dominate: more than twice the live-job count (plus slack so
+// small journals never churn).
+func (s *Store) compact(tl *tenantLog) error {
 	payloads := make([][]byte, 0, len(tl.live))
 	for _, j := range jobsInOrder(tl.live) {
 		payload, err := json.Marshal(j)
@@ -288,7 +296,8 @@ func (s *Store) Drop(tenant string) error {
 	return nil
 }
 
-// Close releases every open journal. Appends after Close fail.
+// Close releases every open journal and reports a compaction that failed and
+// has not succeeded since. Appends after Close fail.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
@@ -301,7 +310,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	var first error
 	for name, tl := range s.tenants {
-		if err := tl.log.Close(false); err != nil && first == nil {
+		if err := errors.Join(tl.log.Close(false), tl.compactErr); err != nil && first == nil {
 			first = err
 		}
 		delete(s.tenants, name)

@@ -405,21 +405,6 @@ func TestDropTenant(t *testing.T) {
 	}
 }
 
-// shortWrite wraps a journal's file (wal.Log.Wrap) and, while armed, leaves
-// half of each frame in the file and fails the write.
-type shortWrite struct {
-	wal.File
-	armed bool
-}
-
-func (f *shortWrite) Write(p []byte) (int, error) {
-	if f.armed {
-		n, _ := f.File.Write(p[:len(p)/2])
-		return n, errors.New("injected short write")
-	}
-	return f.File.Write(p)
-}
-
 // TestStoreShortWriteHidesNothing: a short write fails its Append and leaves
 // no partial frame in the journal, so a job acknowledged after it is replayed
 // by the next daemon. (The journal used to keep the half frame; replay stopped
@@ -433,12 +418,12 @@ func TestStoreShortWriteHidesNothing(t *testing.T) {
 	if err := s.Append(StoredJob{ID: jobID(1), Tenant: "t", Status: StatusQueued}); err != nil {
 		t.Fatal(err)
 	}
-	sw := &shortWrite{armed: true}
-	s.tenants["t"].log.Wrap(func(f wal.File) wal.File { sw.File = f; return sw })
+	sw := wal.WrapFaulty(s.tenants["t"].log)
+	sw.Set(wal.Faults{ShortWrite: true})
 	if err := s.Append(StoredJob{ID: jobID(2), Tenant: "t", Status: StatusQueued}); err == nil {
 		t.Fatal("Append acknowledged a short write")
 	}
-	sw.armed = false
+	sw.Set(wal.Faults{})
 	if err := s.Append(StoredJob{ID: jobID(3), Tenant: "t", Status: StatusQueued}); err != nil {
 		t.Fatalf("append after the failed one: %v", err)
 	}
@@ -455,6 +440,113 @@ func TestStoreShortWriteHidesNothing(t *testing.T) {
 	}
 	if len(jobs) != 2 || jobs[0].ID != jobID(1) || jobs[1].ID != jobID(3) {
 		t.Fatalf("replay after a short write = %+v, want jobs 1 and 3", jobs)
+	}
+}
+
+// fillToCompaction appends transitions of one job until the next append to
+// the tenant's journal is the one that compacts it.
+func fillToCompaction(t *testing.T, s *Store, tenant string) {
+	t.Helper()
+	for i := 0; i < 2+64; i++ {
+		if err := s.Append(StoredJob{ID: jobID(900000), Tenant: tenant, Status: StatusRunning}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendSurvivesFailedCompaction: the record is durable before the
+// journal is compacted, so a rewrite that loses the file (here: the reopen
+// after the rename fails) must not fail the append that triggered it. The
+// failure shows up where it is true — the next append, which has no file to
+// go to, and Close. (Append used to return the compaction's error.)
+func TestAppendSurvivesFailedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillToCompaction(t, s, "t")
+	path := filepath.Join(dir, "t", storeFile)
+	wal.WrapFaulty(s.tenants["t"].log).Trace = func(op string, _ []byte) {
+		if op == "close" {
+			os.Remove(path)
+			os.Mkdir(path, 0o755)
+		}
+	}
+	if err := s.Append(StoredJob{ID: jobID(900000), Tenant: "t", Status: StatusSucceeded}); err != nil {
+		t.Fatalf("append whose record was durable before the compaction failed: %v", err)
+	}
+	if s.tenants["t"].compactErr == nil {
+		t.Fatal("the compaction did not fail: the test proves nothing")
+	}
+	if err := s.Append(StoredJob{ID: jobID(2), Tenant: "t", Status: StatusQueued}); err == nil {
+		t.Error("append acknowledged into a journal the rewrite lost")
+	}
+	if err := s.Close(); err == nil {
+		t.Error("Close hid a compaction that failed and was never retried successfully")
+	}
+}
+
+// TestSubmitSurvivesFailedCompaction: while compaction keeps failing (its
+// temp file cannot be written) every submit whose queued record reached the
+// journal is accepted under an ID of its own, and a restart replays each of
+// them; once the obstacle is gone the next append compacts and Close is
+// clean. (Submit used to reject such a job and hand its ID to the next one,
+// though a restart would run the rejected job.)
+func TestSubmitSurvivesFailedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillToCompaction(t, st, "ws")
+	blocker := filepath.Join(dir, "ws", storeFile+".tmp")
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	q := New(Options{Workers: 1, FixedAdmission: true, Store: st})
+	for i := 1; i <= 5; i++ {
+		j, err := q.Submit(Request{Tenant: "ws", Kind: "plan",
+			Fn: func(context.Context) (any, error) { return nil, nil }})
+		if err != nil {
+			t.Fatalf("submit %d while compaction fails: %v", i, err)
+		}
+		if j.ID() != jobID(i) {
+			t.Fatalf("submit %d got ID %s", i, j.ID())
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.tenants["ws"].compactErr == nil {
+		t.Fatal("no compaction failed: the test proves nothing")
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Submit(Request{Tenant: "ws", Kind: "plan",
+		Fn: func(context.Context) (any, error) { return nil, nil }}); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Seven live jobs, and the two transitions the last one made since.
+	if st.tenants["ws"].frames > 7+2 {
+		t.Errorf("journal holds %d frames: the compaction was not retried", st.tenants["ws"].frames)
+	}
+	if err := st.Close(); err != nil {
+		t.Errorf("Close after a compaction that was made good: %v", err)
+	}
+
+	st2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	replayed, err := st2.Replay("ws")
+	if err != nil || len(replayed) != 7 {
+		t.Fatalf("replay = %d jobs, %v; want the filler and all six submitted", len(replayed), err)
 	}
 }
 

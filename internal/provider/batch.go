@@ -58,7 +58,7 @@ func (r *Runtime) BatchCreate(ctx context.Context, reqs []cloud.CreateRequest) (
 		types[reqs[i].Type] = true
 	}
 	for typ := range types {
-		r.cache.invalidatePrefix(listPrefix(typ))
+		r.cache.invalidateLists(typ)
 	}
 	return results, nil
 }

@@ -6,14 +6,25 @@ import (
 	"time"
 )
 
-// Cache keys: Gets are keyed by (type, id), Lists by (type, region). The
-// list prefix covers every region variant of a type — a write to any
-// resource of a type invalidates all of its list entries, including the
-// all-regions ("") one.
+// Cache keys: Gets are keyed by (type, id), Lists by (type, region). A write
+// to any resource of a type invalidates all of the type's list entries —
+// every region variant, including the all-regions ("") one, and every page.
 func getKey(typ, id string) string      { return "get/" + typ + "/" + id }
 func healthKey(typ, id string) string   { return "health/" + typ + "/" + id }
-func listKey(typ, region string) string { return "list/" + typ + "/" + region }
-func listPrefix(typ string) string      { return "list/" + typ + "/" }
+func listKey(typ, region string) string { return listPrefix + typ + "/" + region }
+
+const listPrefix = "list/"
+
+// listType returns the resource type of a list key (or of a page key below
+// it), and whether key is one.
+func listType(key string) (string, bool) {
+	rest, ok := strings.CutPrefix(key, listPrefix)
+	if !ok {
+		return "", false
+	}
+	typ, _, _ := strings.Cut(rest, "/")
+	return typ, true
+}
 
 // cacheMaxEntries bounds the cache; on overflow the sweep drops expired
 // entries first and then arbitrary ones (map order) until under the cap.
@@ -32,11 +43,32 @@ type ttlCache struct {
 	mu       sync.Mutex
 	ttl      time.Duration
 	disabled bool
-	m        map[string]cacheEntry
+	// m holds every entry but the lists, which sit in one bucket per
+	// resource type so that a write drops its type's bucket without a scan
+	// of the cache. size counts both.
+	m     map[string]cacheEntry
+	lists map[string]map[string]cacheEntry
+	size  int
 }
 
 func newTTLCache(ttl time.Duration) *ttlCache {
-	return &ttlCache{ttl: ttl, disabled: ttl < 0, m: map[string]cacheEntry{}}
+	return &ttlCache{ttl: ttl, disabled: ttl < 0,
+		m: map[string]cacheEntry{}, lists: map[string]map[string]cacheEntry{}}
+}
+
+// bucketLocked returns the map key lives in: m, or its type's list bucket
+// (nil when the type has none yet; create makes it).
+func (c *ttlCache) bucketLocked(key string, create bool) map[string]cacheEntry {
+	typ, ok := listType(key)
+	if !ok {
+		return c.m
+	}
+	b := c.lists[typ]
+	if b == nil && create {
+		b = map[string]cacheEntry{}
+		c.lists[typ] = b
+	}
+	return b
 }
 
 func (c *ttlCache) get(key string, now time.Time) (any, bool) {
@@ -45,12 +77,14 @@ func (c *ttlCache) get(key string, now time.Time) (any, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
+	b := c.bucketLocked(key, false)
+	e, ok := b[key]
 	if !ok {
 		return nil, false
 	}
 	if now.After(e.expires) {
-		delete(c.m, key)
+		delete(b, key)
+		c.size--
 		return nil, false
 	}
 	return e.val, true
@@ -62,40 +96,56 @@ func (c *ttlCache) put(key string, val any, now time.Time) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.m) >= cacheMaxEntries {
+	if c.size >= cacheMaxEntries {
 		c.sweepLocked(now)
 	}
-	c.m[key] = cacheEntry{val: val, expires: now.Add(c.ttl)}
+	b := c.bucketLocked(key, true)
+	if _, ok := b[key]; !ok {
+		c.size++
+	}
+	b[key] = cacheEntry{val: val, expires: now.Add(c.ttl)}
 }
 
 func (c *ttlCache) invalidate(key string) {
 	c.mu.Lock()
-	delete(c.m, key)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	b := c.bucketLocked(key, false)
+	if _, ok := b[key]; ok {
+		delete(b, key)
+		c.size--
+	}
 }
 
-func (c *ttlCache) invalidatePrefix(prefix string) {
+// invalidateLists drops every list entry of one resource type.
+func (c *ttlCache) invalidateLists(typ string) {
 	c.mu.Lock()
-	for k := range c.m {
-		if strings.HasPrefix(k, prefix) {
-			delete(c.m, k)
-		}
-	}
+	c.size -= len(c.lists[typ])
+	delete(c.lists, typ)
 	c.mu.Unlock()
 }
 
 // sweepLocked evicts expired entries, then arbitrary ones until the cache
 // is at most half full — amortizing the sweep across many puts.
 func (c *ttlCache) sweepLocked(now time.Time) {
-	for k, e := range c.m {
-		if now.After(e.expires) {
-			delete(c.m, k)
+	buckets := []map[string]cacheEntry{c.m}
+	for _, b := range c.lists {
+		buckets = append(buckets, b)
+	}
+	for _, b := range buckets {
+		for k, e := range b {
+			if now.After(e.expires) {
+				delete(b, k)
+				c.size--
+			}
 		}
 	}
-	for k := range c.m {
-		if len(c.m) <= cacheMaxEntries/2 {
-			break
+	for _, b := range buckets {
+		for k := range b {
+			if c.size <= cacheMaxEntries/2 {
+				return
+			}
+			delete(b, k)
+			c.size--
 		}
-		delete(c.m, k)
 	}
 }

@@ -417,7 +417,7 @@ func (r *Runtime) Create(ctx context.Context, req cloud.CreateRequest) (*cloud.R
 	}
 	res := v.(*cloud.Resource)
 	r.cache.put(getKey(req.Type, res.ID), res.Clone(), r.now())
-	r.cache.invalidatePrefix(listPrefix(req.Type))
+	r.cache.invalidateLists(req.Type)
 	r.cache.invalidate(healthKey(req.Type, res.ID))
 	return res, nil
 }
@@ -443,7 +443,7 @@ func (r *Runtime) Update(ctx context.Context, req cloud.UpdateRequest) (*cloud.R
 	}
 	res := v.(*cloud.Resource)
 	r.cache.put(getKey(req.Type, res.ID), res.Clone(), r.now())
-	r.cache.invalidatePrefix(listPrefix(req.Type))
+	r.cache.invalidateLists(req.Type)
 	r.cache.invalidate(healthKey(req.Type, res.ID))
 	return res, nil
 }
@@ -456,7 +456,7 @@ func (r *Runtime) Delete(ctx context.Context, typ, id, principal string) error {
 	// Drop cache entries even on error: a failed delete may have partially
 	// executed server-side, and a 404 means the entry is stale anyway.
 	r.cache.invalidate(getKey(typ, id))
-	r.cache.invalidatePrefix(listPrefix(typ))
+	r.cache.invalidateLists(typ)
 	r.cache.invalidate(healthKey(typ, id))
 	return err
 }
@@ -551,7 +551,7 @@ func (r *Runtime) observeEvents(ctx context.Context, evs []cloud.Event) {
 			continue
 		}
 		r.cache.invalidate(getKey(e.Type, e.ID))
-		r.cache.invalidatePrefix(listPrefix(e.Type))
+		r.cache.invalidateLists(e.Type)
 		r.cache.invalidate(healthKey(e.Type, e.ID))
 		if e.Seq > last {
 			last = e.Seq

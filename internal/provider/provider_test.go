@@ -3,6 +3,7 @@ package provider
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,9 +227,22 @@ func TestWritesInvalidateAndWriteThrough(t *testing.T) {
 	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.List(ctx, "aws_vpc", ""); err != nil {
-		t.Fatal(err)
+	// Lists of the type in every spelling, and one of another type.
+	listAll := func() int {
+		t.Helper()
+		for _, l := range [][2]string{{"aws_vpc", ""}, {"aws_vpc", "us-east-1"}, {"aws_subnet", ""}} {
+			if _, err := rt.List(ctx, l[0], l[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := rt.ListPage(ctx, "aws_vpc", "", 10, ""); err != nil {
+			t.Fatal(err)
+		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.lists
 	}
+	listsBefore := listAll()
 	// The update response write-throughs into the Get cache...
 	upd, err := rt.Update(ctx, cloud.UpdateRequest{Type: "aws_vpc", ID: "vpc-1",
 		Attrs: map[string]eval.Value{"name": eval.String("renamed")}})
@@ -245,18 +259,11 @@ func TestWritesInvalidateAndWriteThrough(t *testing.T) {
 	if f.getCount() != 1 {
 		t.Errorf("upstream gets = %d, want 1 (write-through serves the read)", f.getCount())
 	}
-	// ...and invalidates the type's list entries.
-	f.mu.Lock()
-	listsBefore := f.lists
-	f.mu.Unlock()
-	if _, err := rt.List(ctx, "aws_vpc", ""); err != nil {
-		t.Fatal(err)
-	}
-	f.mu.Lock()
-	listsAfter := f.lists
-	f.mu.Unlock()
-	if listsAfter != listsBefore+1 {
-		t.Errorf("list after update served from cache (lists %d -> %d)", listsBefore, listsAfter)
+	// ...and invalidates the type's list entries — both regions and the
+	// page — while the other type's list stays cached.
+	if listsAfter := listAll(); listsAfter != listsBefore+3 {
+		t.Errorf("upstream lists went %d -> %d after a vpc update, want the 3 vpc listings refetched and the subnet one served from cache",
+			listsBefore, listsAfter)
 	}
 
 	// Delete drops the Get entry.
@@ -265,6 +272,40 @@ func TestWritesInvalidateAndWriteThrough(t *testing.T) {
 	}
 	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); !cloud.IsNotFound(err) {
 		t.Errorf("get after delete = %v, want NotFound", err)
+	}
+}
+
+// TestCacheBoundCountsEveryBucket: list entries sit in per-type buckets but
+// count against the one bound, and the overflow sweep reaches them.
+func TestCacheBoundCountsEveryBucket(t *testing.T) {
+	c := newTTLCache(time.Minute)
+	now := time.Unix(0, 0)
+	held := func() int {
+		n := len(c.m)
+		for _, b := range c.lists {
+			n += len(b)
+		}
+		return n
+	}
+	for i := 0; i < 3*cacheMaxEntries; i++ {
+		c.put(getKey("aws_vpc", fmt.Sprint(i)), i, now)
+		c.put(listKey(fmt.Sprintf("type%d", i%7), fmt.Sprint(i)), i, now)
+		c.put(listKey("aws_vpc", "")+"?limit=10&after="+fmt.Sprint(i), i, now)
+		if held() != c.size || c.size > cacheMaxEntries {
+			t.Fatalf("after %d rounds: %d entries held, %d counted, bound %d", i+1, held(), c.size, cacheMaxEntries)
+		}
+	}
+	if len(c.lists["aws_vpc"]) == 0 || len(c.lists["type3"]) == 0 {
+		t.Fatalf("buckets hold %d and %d entries", len(c.lists["aws_vpc"]), len(c.lists["type3"]))
+	}
+	c.invalidateLists("aws_vpc")
+	if len(c.lists["aws_vpc"]) != 0 || len(c.lists["type3"]) == 0 || held() != c.size {
+		t.Errorf("after dropping one type's lists: %d of its entries left, %d of another's, %d held, %d counted",
+			len(c.lists["aws_vpc"]), len(c.lists["type3"]), held(), c.size)
+	}
+	c.invalidate(getKey("aws_vpc", fmt.Sprint(3*cacheMaxEntries-1)))
+	if _, ok := c.get(listKey("type3", "gone"), now); ok || held() != c.size {
+		t.Errorf("%d held, %d counted after invalidating one entry", held(), c.size)
 	}
 }
 

@@ -61,9 +61,10 @@ func (db *DB) Snapshot() *state.State {
 }
 
 // SnapshotAt returns a deep copy of the state as of a past serial — the
-// time machine. Serials older than the one the engine was opened at, or newer
-// than the head, return ErrNoSuchSerial — as does 0, which no commit carries
-// (the engine reads it as "latest"; that is Snapshot).
+// time machine. Serials below the engine's retained window (it reaches back
+// to the open, or compactEvery commits once trimmed) or newer than the head
+// return ErrNoSuchSerial — as does 0, which no commit carries (the engine
+// reads it as "latest"; that is Snapshot).
 func (db *DB) SnapshotAt(serial int) (*state.State, error) {
 	if serial == 0 {
 		return nil, fmt.Errorf("statedb: snapshot at serial 0: %w", ErrNoSuchSerial)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -57,15 +58,20 @@ type StaleBaseError struct {
 	Committed int
 }
 
-// Error implements error.
+// Error implements error. A base below the retained window names no address:
+// what was committed above it can no longer be told.
 func (e *StaleBaseError) Error() string {
+	if e.Addr == "" {
+		return fmt.Sprintf("statedb: stale base serial %d: history is retained from serial %d; re-plan and retry",
+			e.Base, e.Committed)
+	}
 	return fmt.Sprintf("statedb: stale base serial %d: %q was modified at serial %d; re-plan and retry",
 		e.Base, e.Addr, e.Committed)
 }
 
 // ErrNoSuchSerial is returned by Engine.Snapshot/Get for a serial outside
 // the retained window: newer than the head, or older than the serial the
-// engine was opened at.
+// engine was opened at or last trimmed to (see Engine.trim).
 var ErrNoSuchSerial = errors.New("statedb: no version retained at the requested serial")
 
 // EngineOptions configure NewEngine.
@@ -93,7 +99,9 @@ type outputsVersion struct {
 // appends one copy-on-write version per touched address, so a reader pinned
 // at serial N resolves each lookup to the newest version <= N and needs no
 // coordination with commits landing after it; the time machine costs
-// O(touched addresses) per commit. With a commit log the batch is made
+// O(touched addresses) per commit, and reaches back at least compactEvery
+// commits — older versions are trimmed, so memory is bounded by the window
+// and not by the life of the process. With a commit log the batch is made
 // durable before it becomes visible. Safe for concurrent use; locking and
 // transaction bookkeeping live above the engine in DB/Txn.
 type Engine struct {
@@ -104,8 +112,8 @@ type Engine struct {
 
 	mu     sync.RWMutex
 	serial int
-	// oldest is the serial the engine was opened at, the lower bound of
-	// the readable window.
+	// oldest is the lower bound of the readable window: the serial the
+	// engine was opened at, then the floor of the last trim.
 	oldest  int
 	chains  map[string][]version
 	outputs []outputsVersion
@@ -275,6 +283,9 @@ func (e *Engine) Commit(b *Batch) (int, error) {
 		}
 	}
 	e.apply(serial, writes, b.Deletes, maps.Clone(b.Outputs), b.SetOutputs)
+	if serial%compactEvery == 0 {
+		e.trim(serial - compactEvery)
+	}
 	if e.log != nil && e.log.sinceCompact >= compactEvery {
 		// The commit is already durable: a failed compaction is kept for
 		// Close and retried by the next commit while the log keeps growing.
@@ -284,10 +295,14 @@ func (e *Engine) Commit(b *Batch) (int, error) {
 }
 
 // conflict rejects a batch whose base predates a commit to any address it
-// touches. Caller holds wmu.
+// touches, or the retained window: a trim may have dropped the chain of an
+// address deleted since. Caller holds wmu.
 func (e *Engine) conflict(b *Batch) error {
 	if b.Base < 0 {
 		return nil
+	}
+	if b.Base < e.oldest {
+		return &StaleBaseError{Base: b.Base, Committed: e.oldest}
 	}
 	check := func(addr string) error {
 		if chain := e.chains[addr]; len(chain) > 0 {
@@ -326,6 +341,39 @@ func (e *Engine) apply(serial int, writes map[string]*state.ResourceState, delet
 		e.outputs = append(e.outputs, outputsVersion{serial: serial, outputs: outputs})
 	}
 	e.serial = serial
+}
+
+// trim bounds the time machine: it drops what no read at or above floor can
+// reach — per address, every version older than the newest one at or below
+// floor, and that one too when it is a deletion (an address with no version
+// yet reads the same); likewise the outputs — and moves the window's lower
+// bound up to floor. Caller holds wmu.
+func (e *Engine) trim(floor int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if floor <= e.oldest {
+		return
+	}
+	for addr, chain := range e.chains {
+		keep := sort.Search(len(chain), func(i int) bool { return chain[i].serial > floor }) - 1
+		if keep < 0 {
+			continue
+		}
+		if chain[keep].rs == nil {
+			keep++
+		}
+		switch {
+		case keep == len(chain):
+			delete(e.chains, addr)
+		case keep > 0:
+			// A copy, so the dropped versions leave the backing array too.
+			e.chains[addr] = slices.Clone(chain[keep:])
+		}
+	}
+	if keep := sort.Search(len(e.outputs), func(i int) bool { return e.outputs[i].serial > floor }) - 1; keep > 0 {
+		e.outputs = slices.Clone(e.outputs[keep:])
+	}
+	e.oldest = floor
 }
 
 // Close flushes and releases the commit log; reads keep working. It reports

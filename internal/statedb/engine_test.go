@@ -345,9 +345,13 @@ func TestDBOnEveryBackend(t *testing.T) {
 // chains: a reader pinned at serial N never observes writes from serial N+1
 // (or later), even while those commits land concurrently. 16 concurrent
 // writers commit under -race while pinned readers continuously re-verify
-// their snapshots.
+// their snapshots. The pin sits where the churn carries the engine across a
+// trim and leaves it inside the retained window.
 func TestMVCCPinnedReaderIsolation(t *testing.T) {
 	logOffAndOn(t, func(t *testing.T, e *Engine) {
+		for e.Serial() < 2*compactEvery-32 {
+			mustCommit(t, e, put("aws_vpc.filler", e.Serial()))
+		}
 		// Lay down a known baseline: addr i holds value i at pinSerial.
 		const addrs = 8
 		for i := 0; i < addrs; i++ {
@@ -359,7 +363,7 @@ func TestMVCCPinnedReaderIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		const writers = 16
+		const writers, each = 16, 3
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for w := 0; w < writers; w++ {
@@ -367,7 +371,7 @@ func TestMVCCPinnedReaderIsolation(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				<-start
-				for i := 0; i < 25; i++ {
+				for i := 0; i < each; i++ {
 					addr := fmt.Sprintf("aws_vpc.a%d", (w+i)%addrs)
 					if _, err := e.Commit(put(addr, 1000+w*100+i)); err != nil {
 						t.Errorf("writer %d: %v", w, err)
@@ -421,11 +425,15 @@ func TestMVCCPinnedReaderIsolation(t *testing.T) {
 			}
 		}
 
-		// After all 400 commits: the pinned snapshot still reads as before,
-		// the latest snapshot reflects the churn, and re-materializing at
-		// pinSerial matches the copy taken before the churn started.
-		if e.Serial() != pinSerial+writers*25 {
-			t.Errorf("final serial = %d, want %d", e.Serial(), pinSerial+writers*25)
+		// After all 48 commits, and the trim they crossed: the pinned
+		// snapshot still reads as before, the latest snapshot reflects the
+		// churn, and re-materializing at pinSerial matches the copy taken
+		// before the churn started.
+		if e.Serial() != pinSerial+writers*each {
+			t.Errorf("final serial = %d, want %d", e.Serial(), pinSerial+writers*each)
+		}
+		if _, err := e.Snapshot(compactEvery - 1); !errors.Is(err, ErrNoSuchSerial) {
+			t.Errorf("the churn crossed no trim: read below its floor = %v", err)
 		}
 		again, err := e.Snapshot(pinSerial)
 		if err != nil {
@@ -525,6 +533,122 @@ func TestHistoryGrowsPerCommit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRetentionWindow: the time machine is bounded. Over 1 000 commits to
+// one address the engine never holds more than two windows of versions plus
+// one per address; every serial still inside the window reads exactly as it
+// did when it was the head, one below it is ErrNoSuchSerial, a batch pinned
+// below it is stale, and an address deleted before the floor leaves nothing
+// behind.
+func TestRetentionWindow(t *testing.T) {
+	logOffAndOn(t, func(t *testing.T, e *Engine) {
+		const commits, addrs = 1000, 3
+		mustCommit(t, e, put("aws_vpc.idle", 7))
+		mustCommit(t, e, put("aws_vpc.gone", 8))
+		mustCommit(t, e, &Batch{Base: BaseUnchecked, Deletes: map[string]bool{"aws_vpc.gone": true}})
+		early := e.Serial()
+		atTheTime := map[int]*state.State{}
+		for i := 0; i < commits; i++ {
+			b := put("aws_vpc.hot", i)
+			b.Outputs, b.SetOutputs = map[string]eval.Value{"n": eval.Int(i)}, true
+			serial := mustCommit(t, e, b)
+			snap, err := e.Snapshot(0)
+			if err != nil || snap.Serial != serial {
+				t.Fatalf("head snapshot after commit %d = %v, %v", serial, snap, err)
+			}
+			atTheTime[serial] = snap
+			e.mu.RLock()
+			outputs := len(e.outputs)
+			e.mu.RUnlock()
+			if got := versionCount(e); got > 2*compactEvery+addrs || outputs > 2*compactEvery+1 {
+				t.Fatalf("after commit %d: %d resource and %d output versions retained, want at most %d and %d",
+					serial, got, outputs, 2*compactEvery+addrs, 2*compactEvery+1)
+			}
+		}
+		e.mu.RLock()
+		oldest, goneKept := e.oldest, e.chains["aws_vpc.gone"] != nil
+		e.mu.RUnlock()
+		if head := e.Serial(); oldest < head-2*compactEvery || oldest > head-compactEvery {
+			t.Errorf("window = [%d, %d], want between %d and %d commits deep", oldest, head, compactEvery, 2*compactEvery)
+		}
+		if goneKept {
+			t.Error("an address deleted below the floor still holds a chain")
+		}
+		for serial := oldest; serial <= e.Serial(); serial++ {
+			got, err := e.Snapshot(serial)
+			if err != nil {
+				t.Fatalf("read at %d inside the window: %v", serial, err)
+			}
+			want := atTheTime[serial]
+			if got.Len() != 2 || got.Get("aws_vpc.idle").Attr("n").AsInt() != 7 ||
+				!got.Get("aws_vpc.hot").Attr("n").Equal(want.Get("aws_vpc.hot").Attr("n")) ||
+				!got.Outputs["n"].Equal(want.Outputs["n"]) {
+				t.Fatalf("serial %d reads %v / %v, at the time it read %v / %v", serial,
+					got.Get("aws_vpc.hot").Attr("n"), got.Outputs["n"], want.Get("aws_vpc.hot").Attr("n"), want.Outputs["n"])
+			}
+		}
+		for _, serial := range []int{oldest - 1, early, 1} {
+			if _, err := e.Snapshot(serial); !errors.Is(err, ErrNoSuchSerial) {
+				t.Errorf("Snapshot(%d) below the window = %v, want ErrNoSuchSerial", serial, err)
+			}
+			if _, err := e.Get("aws_vpc.idle", serial); !errors.Is(err, ErrNoSuchSerial) {
+				t.Errorf("Get at %d below the window = %v, want ErrNoSuchSerial", serial, err)
+			}
+		}
+
+		// aws_vpc.gone was deleted after `early-1`; its chain is gone, so
+		// only the window rule can still call that base stale.
+		var stale *StaleBaseError
+		late := put("aws_vpc.gone", 1)
+		late.Base = early - 1
+		if _, err := e.Commit(late); !errors.As(err, &stale) || stale.Base != early-1 || stale.Committed != oldest {
+			t.Errorf("commit pinned below the window = %v, want a stale base naming the window's floor %d", err, oldest)
+		}
+		late.Base = oldest
+		if _, err := e.Commit(late); err != nil {
+			t.Errorf("commit pinned at the window's floor: %v", err)
+		}
+	})
+}
+
+// TestReopenAfterTrim: the snapshot a compaction writes is the head, so a
+// reopened engine lands on the same serial and contents whatever was trimmed.
+func TestReopenAfterTrim(t *testing.T) {
+	dir := t.TempDir()
+	e := openWALDir(t, dir)
+	for i := 0; i < 3*compactEvery+5; i++ {
+		mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", i%4), i))
+	}
+	head, want := e.Serial(), stateJSON(t, e)
+	if _, err := e.Snapshot(2); !errors.Is(err, ErrNoSuchSerial) {
+		t.Fatalf("nothing was trimmed: read at 2 = %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openWALDir(t, dir)
+	if re.Serial() != head || stateJSON(t, re) != want {
+		t.Errorf("reopened at serial %d, want %d with the same contents", re.Serial(), head)
+	}
+	mustCommit(t, re, put("aws_vpc.a0", -1))
+	if re.Serial() != head+1 {
+		t.Errorf("commit after reopen landed at %d, want %d", re.Serial(), head+1)
+	}
+}
+
+// stateJSON renders the head state for comparison.
+func stateJSON(t *testing.T, e *Engine) string {
+	t.Helper()
+	snap, err := e.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 // TestWALReplayOnReopen: a cleanly closed log replays every commit, and the
@@ -812,39 +936,6 @@ func TestCommitSurvivesFailedCompaction(t *testing.T) {
 	}
 }
 
-// faultyLog wraps the commit log's file (wal.Log.Wrap) and fails calls on
-// demand.
-type faultyLog struct {
-	wal.File
-	tornWrite, failSync, failTruncate bool
-}
-
-var errInjected = errors.New("injected I/O error")
-
-// Write with tornWrite set leaves half the frame in the file, as a disk
-// filling up mid-write does.
-func (f *faultyLog) Write(p []byte) (int, error) {
-	if f.tornWrite {
-		n, _ := f.File.Write(p[:len(p)/2])
-		return n, errInjected
-	}
-	return f.File.Write(p)
-}
-
-func (f *faultyLog) Sync() error {
-	if f.failSync {
-		return errInjected
-	}
-	return f.File.Sync()
-}
-
-func (f *faultyLog) Truncate(size int64) error {
-	if f.failTruncate {
-		return errInjected
-	}
-	return f.File.Truncate(size)
-}
-
 // TestFailedAppendLeavesNoTornFrame: a failed write or fsync must not leave
 // a partial frame in front of later records — replay stops at the first bad
 // frame, so every commit acknowledged behind it would vanish on reopen. The
@@ -853,8 +944,7 @@ func (f *faultyLog) Truncate(size int64) error {
 func TestFailedAppendLeavesNoTornFrame(t *testing.T) {
 	dir := t.TempDir()
 	e := openWALDir(t, dir)
-	fl := &faultyLog{}
-	e.log.Wrap(func(f wal.File) wal.File { fl.File = f; return fl })
+	fl := wal.WrapFaulty(e.log.Log)
 	acked := map[string]int{}
 	commit := func(addr string) error {
 		s, err := e.Commit(put(addr, 1))
@@ -866,15 +956,15 @@ func TestFailedAppendLeavesNoTornFrame(t *testing.T) {
 	if err := commit("aws_vpc.before"); err != nil {
 		t.Fatal(err)
 	}
-	fl.tornWrite = true
-	if err := commit("aws_vpc.torn"); !errors.Is(err, errInjected) {
+	fl.Set(wal.Faults{ShortWrite: true})
+	if err := commit("aws_vpc.torn"); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("torn write: commit error = %v", err)
 	}
-	fl.tornWrite, fl.failSync = false, true
-	if err := commit("aws_vpc.unsynced"); !errors.Is(err, errInjected) {
+	fl.Set(wal.Faults{FailSync: true})
+	if err := commit("aws_vpc.unsynced"); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("failed fsync: commit error = %v", err)
 	}
-	fl.failSync = false
+	fl.Set(wal.Faults{})
 	if size := logFileSize(t, dir); size != e.log.Size() {
 		t.Errorf("log holds %d bytes, %d are durable: the failed frames were not cut out", size, e.log.Size())
 	}
@@ -891,11 +981,11 @@ func TestFailedAppendLeavesNoTornFrame(t *testing.T) {
 	}
 
 	// The cut itself fails: the log cannot be trusted again.
-	fl.tornWrite, fl.failTruncate = true, true
-	if err := commit("aws_vpc.stuck"); !errors.Is(err, errInjected) {
+	fl.Set(wal.Faults{ShortWrite: true, FailTruncate: true})
+	if err := commit("aws_vpc.stuck"); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("torn write with failing truncate: commit error = %v", err)
 	}
-	fl.tornWrite, fl.failTruncate = false, false
+	fl.Set(wal.Faults{})
 	if err := commit("aws_vpc.refused"); err == nil {
 		t.Error("commit acknowledged behind a partial frame that could not be removed")
 	}

@@ -21,7 +21,9 @@ import (
 const (
 	walLogName      = "wal.log"
 	walSnapshotName = "snapshot.json"
-	// compactEvery is the commit count between snapshot compactions.
+	// compactEvery is the commit count between snapshot compactions, and
+	// between trims of the version chains (with or without a log); the time
+	// machine reaches back that many commits at least, twice that at most.
 	compactEvery = 64
 )
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // File is what a Log needs of its append-only file (an *os.File opened
@@ -27,12 +28,41 @@ type File interface {
 //   - when the file can no longer be trusted (that cut failed, a rewrite lost
 //     it, it is closed) every later call returns the same error.
 //
-// Callers own the payload encoding, the fold, when to compact, and locking.
+// A Log is safe for concurrent use, and concurrent Append(payload, true)
+// calls share fsyncs (group commit): each returns only after an fsync that
+// started after its own frame was written has finished, so the guarantee is
+// per record whatever the company. One of the waiting appenders runs the
+// fsync, outside the lock, for every frame written so far; there is no timer
+// and no batch size, and an appender with no company pays one write and one
+// fsync. When an fsync fails, every frame above the durable length fails with
+// it and is cut out. Reset, Rewrite, Close and Wrap wait for the appends
+// in flight.
+//
+// Callers own the payload encoding, the fold and when to compact.
 type Log struct {
 	path string
+
+	// gate is held shared by an Append from its write to its return, and
+	// exclusively by the calls that replace, cut or close the file.
+	gate sync.RWMutex
+	mu   sync.Mutex
 	f    File
 	size int64 // durable length: every acknowledged frame lies below it
-	err  error // sticky
+	// end is the file's length. Frames in [size, end) wait for the fsync that
+	// acknowledges them (or rode in behind one without asking for it).
+	end int64
+	// cur is the group whose fsync is running, next the one gathering behind
+	// it; either may be nil.
+	cur, next *syncGroup
+	err       error // sticky
+}
+
+// syncGroup is the appenders one fsync acknowledges: those whose frames were
+// written before it started. The first to join runs the fsync, once the one
+// before it has returned; the rest wait for done.
+type syncGroup struct {
+	done chan struct{} // closed once err is final
+	err  error
 }
 
 var errClosed = errors.New("wal: log is closed")
@@ -78,51 +108,138 @@ func Open(path string, fold func(payload []byte) bool) (*Log, error) {
 			return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
 		}
 	}
-	return &Log{path: path, f: f, size: durable}, nil
+	return &Log{path: path, f: f, size: durable, end: durable}, nil
 }
 
 // Size returns the durable length of the log in bytes.
-func (l *Log) Size() int64 { return l.size }
+func (l *Log) Size() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.size
+}
+
+// lockIdle waits out the appends in flight and keeps new ones out, so the
+// caller may replace, cut or close the file; unlockIdle lets them back in.
+func (l *Log) lockIdle() {
+	l.gate.Lock()
+	l.mu.Lock()
+}
+
+func (l *Log) unlockIdle() {
+	l.mu.Unlock()
+	l.gate.Unlock()
+}
 
 // Wrap replaces the log's file with wrap(file). It is the fault-injection
 // seam: tests substitute a Faulty file, the apply chaos harness tears a
 // frame through it.
-func (l *Log) Wrap(wrap func(File) File) { l.f = wrap(l.f) }
+func (l *Log) Wrap(wrap func(File) File) {
+	l.lockIdle()
+	defer l.unlockIdle()
+	l.f = wrap(l.f)
+}
 
-// Append frames payload and writes it, fsyncing when sync is set. On error
-// nothing was appended: the partial frame is cut back out, or the log goes
-// sticky-failed when even that fails.
+// Append frames payload and writes it; with sync set it returns once the
+// frame is on disk. On error nothing was appended: the frame is cut back
+// out, or the log goes sticky-failed when even that fails. Without sync it
+// never waits for the disk, and the frame has no promise to outlive a crash
+// or a failed fsync of the frames around it.
 func (l *Log) Append(payload []byte, sync bool) error {
+	frame := Encode(payload)
+	l.gate.RLock()
+	defer l.gate.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.err != nil {
 		return l.err
 	}
-	frame := Encode(payload)
-	_, err := l.f.Write(frame)
-	if err == nil && sync {
-		err = l.f.Sync()
+	if _, err := l.f.Write(frame); err != nil {
+		return l.cut(l.end, err)
 	}
-	if err != nil {
-		err = fmt.Errorf("wal: append to %s: %w", l.path, err)
-		if terr := l.f.Truncate(l.size); terr != nil {
-			l.err = fmt.Errorf("%w; log unusable, cannot cut the partial record: %v", err, terr)
-			return l.err
-		}
-		return err
+	l.end += int64(len(frame))
+	if sync {
+		return l.awaitSync()
 	}
-	l.size += int64(len(frame))
+	if l.cur == nil && l.next == nil {
+		l.size = l.end
+	}
 	return nil
+}
+
+// awaitSync returns once an fsync that started after the caller's frame was
+// written has finished, with its outcome. Caller holds mu, which is released
+// around the fsync and the wait.
+func (l *Log) awaitSync() error {
+	g := l.next
+	if g != nil {
+		l.mu.Unlock()
+		<-g.done
+		l.mu.Lock()
+		return g.err
+	}
+	g = &syncGroup{done: make(chan struct{})}
+	l.next = g
+	if prev := l.cur; prev != nil {
+		l.mu.Unlock()
+		<-prev.done
+		l.mu.Lock()
+		if l.next != g {
+			// That fsync failed and took this group with it.
+			return g.err
+		}
+	}
+	l.cur, l.next = g, nil
+	covered := l.end
+	l.mu.Unlock()
+	err := l.f.Sync()
+	l.mu.Lock()
+	l.cur = nil
+	switch {
+	case err == nil && l.next == nil:
+		// Only frames appended without sync were written since.
+		l.size = l.end
+	case err == nil:
+		l.size = covered
+	default:
+		// What the kernel did with the dirty pages is unknown, for the
+		// frames written while the fsync ran as for those before it.
+		err = l.cut(l.size, err)
+		if late := l.next; late != nil {
+			l.next = nil
+			late.err = err
+			close(late.done)
+		}
+	}
+	g.err = err
+	close(g.done)
+	return err
+}
+
+// cut truncates the file to size after a failed write or fsync (cause) and
+// returns the error to report; the log goes sticky-failed when the file
+// cannot be cut. Caller holds mu.
+func (l *Log) cut(size int64, cause error) error {
+	err := fmt.Errorf("wal: append to %s: %w", l.path, cause)
+	if terr := l.f.Truncate(size); terr != nil {
+		l.err = fmt.Errorf("%w; log unusable, cannot cut the partial record: %v", err, terr)
+		return l.err
+	}
+	l.end = size
+	return err
 }
 
 // Reset empties the log, for a caller whose snapshot already covers every
 // record in it — so those left behind by a failed Reset do no harm.
 func (l *Log) Reset() error {
+	l.lockIdle()
+	defer l.unlockIdle()
 	if l.err != nil {
 		return l.err
 	}
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: reset %s: %w", l.path, err)
 	}
-	l.size = 0
+	l.size, l.end = 0, 0
 	return nil
 }
 
@@ -131,6 +248,8 @@ func (l *Log) Reset() error {
 // usable; after it the open file is unlinked, so the log goes sticky-failed
 // rather than acknowledge appends into a file no restart will read.
 func (l *Log) Rewrite(payloads [][]byte) error {
+	l.lockIdle()
+	defer l.unlockIdle()
 	if l.err != nil {
 		return l.err
 	}
@@ -150,7 +269,7 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 		l.err = fmt.Errorf("wal: rewrite %s: log unusable: %w", l.path, err)
 		return l.err
 	}
-	l.size = int64(len(data))
+	l.size, l.end = int64(len(data)), int64(len(data))
 	return nil
 }
 
@@ -158,6 +277,8 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 // keeps the file flushes the appends it made without sync. Closing twice is
 // harmless.
 func (l *Log) Close(sync bool) error {
+	l.lockIdle()
+	defer l.unlockIdle()
 	if errors.Is(l.err, errClosed) {
 		return nil
 	}

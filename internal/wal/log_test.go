@@ -112,52 +112,6 @@ func TestLogFoldRejectionCutsTheLog(t *testing.T) {
 	}
 }
 
-// faultyFile wraps a log's file (Log.Wrap) and fails calls on demand.
-type faultyFile struct {
-	File
-	tornWrite, failSync, failTruncate bool
-	onClose                           func()
-}
-
-var errInjected = errors.New("injected I/O error")
-
-// Write with tornWrite set leaves half the frame in the file, as a disk
-// filling up mid-write does.
-func (f *faultyFile) Write(p []byte) (int, error) {
-	if f.tornWrite {
-		n, _ := f.File.Write(p[:len(p)/2])
-		return n, errInjected
-	}
-	return f.File.Write(p)
-}
-
-func (f *faultyFile) Sync() error {
-	if f.failSync {
-		return errInjected
-	}
-	return f.File.Sync()
-}
-
-func (f *faultyFile) Truncate(size int64) error {
-	if f.failTruncate {
-		return errInjected
-	}
-	return f.File.Truncate(size)
-}
-
-func (f *faultyFile) Close() error {
-	if f.onClose != nil {
-		f.onClose()
-	}
-	return f.File.Close()
-}
-
-func wrapFaulty(l *Log) *faultyFile {
-	ff := &faultyFile{}
-	l.Wrap(func(f File) File { ff.File = f; return ff })
-	return ff
-}
-
 // TestFailedAppendIsCutBackOut: a short write or a failed fsync reports an
 // error and leaves no partial frame in front of later records, so the ones
 // acknowledged afterwards are replayed. When the cut itself fails the log
@@ -165,31 +119,35 @@ func wrapFaulty(l *Log) *faultyFile {
 func TestFailedAppendIsCutBackOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.log")
 	l, _ := openLog(t, path)
-	ff := wrapFaulty(l)
+	ff := WrapFaulty(l)
 	mustAppend(t, l, "before")
 
-	ff.tornWrite = true
-	if err := l.Append([]byte("torn"), true); !errors.Is(err, errInjected) {
+	ff.Set(Faults{ShortWrite: true})
+	if err := l.Append([]byte("torn"), true); !errors.Is(err, ErrInjected) {
 		t.Fatalf("short write: Append = %v", err)
 	}
-	ff.tornWrite, ff.failSync = false, true
-	if err := l.Append([]byte("unsynced"), true); !errors.Is(err, errInjected) {
+	ff.Set(Faults{FailWrite: true})
+	if err := l.Append([]byte("unwritten"), true); !errors.Is(err, ErrInjected) {
+		t.Fatalf("failed write: Append = %v", err)
+	}
+	ff.Set(Faults{FailSync: true})
+	if err := l.Append([]byte("unsynced"), true); !errors.Is(err, ErrInjected) {
 		t.Fatalf("failed fsync: Append = %v", err)
 	}
 	if err := l.Append([]byte("lazy"), false); err != nil {
 		t.Fatalf("append without sync touched the failing fsync: %v", err)
 	}
-	ff.failSync = false
+	ff.Set(Faults{})
 	if fileSize(t, path) != l.Size() {
 		t.Fatalf("file holds %d bytes, %d are durable: the failed frames were not cut out", fileSize(t, path), l.Size())
 	}
 	mustAppend(t, l, "after")
 
-	ff.tornWrite, ff.failTruncate = true, true
-	if err := l.Append([]byte("stuck"), true); !errors.Is(err, errInjected) {
+	ff.Set(Faults{ShortWrite: true, FailTruncate: true})
+	if err := l.Append([]byte("stuck"), true); !errors.Is(err, ErrInjected) {
 		t.Fatalf("short write with failing truncate: Append = %v", err)
 	}
-	ff.tornWrite, ff.failTruncate = false, false
+	ff.Set(Faults{})
 	if err := l.Append([]byte("refused"), true); err == nil {
 		t.Error("append acknowledged behind a partial frame that could not be removed")
 	}
@@ -265,10 +223,11 @@ func TestRewriteFailures(t *testing.T) {
 
 	// Closing the old handle swaps the renamed file for a directory, so the
 	// reopen fails after the rename succeeded.
-	ff := wrapFaulty(l)
-	ff.onClose = func() {
-		os.Remove(path)
-		os.Mkdir(path, 0o755)
+	WrapFaulty(l).Trace = func(op string, _ []byte) {
+		if op == "close" {
+			os.Remove(path)
+			os.Mkdir(path, 0o755)
+		}
 	}
 	if err := l.Rewrite([][]byte{[]byte("two")}); err == nil {
 		t.Fatal("Rewrite whose reopen fails reported success")

@@ -260,3 +260,46 @@ func TestStackLifecycleOnEveryBackend(t *testing.T) {
 		})
 	}
 }
+
+// TestTimeMachineWindow: the time machine reaches back a bounded number of
+// commits. A serial that has left the engine's window fails PlanOfflineAt and
+// PlanRollback with statedb.ErrNoSuchSerial, wrapped; one still inside it
+// plans as before.
+func TestTimeMachineWindow(t *testing.T) {
+	ctx := context.Background()
+	s := openStackOn(t, newSim(), cloudless.BackendMemory, "")
+	p, err := s.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Apply(ctx, p, cloudless.ApplyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	deployed := s.DB().Serial()
+	churn := func(commits int) {
+		t.Helper()
+		for i := 0; i < commits; i++ {
+			if _, err := s.DB().Begin("churn").Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	churn(10)
+	if _, err := s.PlanOfflineAt(ctx, deployed); err != nil {
+		t.Fatalf("plan at a serial 10 commits back: %v", err)
+	}
+	churn(200)
+	if _, err := s.PlanOfflineAt(ctx, deployed); !errors.Is(err, statedb.ErrNoSuchSerial) {
+		t.Errorf("PlanOfflineAt(%d) 210 commits on = %v, want ErrNoSuchSerial", deployed, err)
+	}
+	if _, _, err := s.PlanRollback(deployed); !errors.Is(err, statedb.ErrNoSuchSerial) {
+		t.Errorf("PlanRollback(%d) 210 commits on = %v, want ErrNoSuchSerial", deployed, err)
+	}
+	recent := s.DB().Serial() - 10
+	if cp, err := s.PlanOfflineAt(ctx, recent); err != nil || cp.PendingCount() != 0 {
+		t.Errorf("plan at a serial 10 commits back = %v, %v; want a converged plan", cp, err)
+	}
+	if rp, _, err := s.PlanRollback(recent); err != nil || len(rp.Steps) != 0 {
+		t.Errorf("rollback to a serial 10 commits back = %v, %v; want an empty plan", rp, err)
+	}
+}
