@@ -330,9 +330,9 @@ func BenchmarkE8Rollback(b *testing.B) {
 	target := st.Clone()
 	// 10 reversible changes + 1 irreversible leaf change (a VM image).
 	for i := 0; i < 10; i++ {
-		st.Get(fmt.Sprintf("aws_virtual_machine.web[%d]", i)).Attrs["name"] = eval.String(fmt.Sprintf("tmp-%d", i))
+		setAttr(st, fmt.Sprintf("aws_virtual_machine.web[%d]", i), "name", eval.String(fmt.Sprintf("tmp-%d", i)))
 	}
-	st.Get("aws_virtual_machine.web[11]").Attrs["image"] = eval.String("ami-experimental")
+	setAttr(st, "aws_virtual_machine.web[11]", "image", eval.String("ami-experimental"))
 
 	b.Run("cloudless-minimal", func(b *testing.B) {
 		var redeploys float64

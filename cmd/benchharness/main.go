@@ -459,12 +459,18 @@ func e8() {
 	for _, irreversible := range []int{0, 1, 4, 16} {
 		_, st, _ := deploy(workload.WebTier("web", 4, 30))
 		target := st.Clone()
-		// 10 reversible renames + N irreversible image changes.
+		// 10 reversible renames + N irreversible image changes, each on a
+		// copy of the record: target shares st's records.
+		edit := func(i int, name string, v eval.Value) {
+			rs := st.Get(fmt.Sprintf("aws_virtual_machine.web[%d]", i)).Clone()
+			rs.Attrs[name] = v
+			st.Set(rs)
+		}
 		for i := 0; i < 10; i++ {
-			st.Get(fmt.Sprintf("aws_virtual_machine.web[%d]", i)).Attrs["name"] = eval.String(fmt.Sprintf("x-%d", i))
+			edit(i, "name", eval.String(fmt.Sprintf("x-%d", i)))
 		}
 		for i := 0; i < irreversible; i++ {
-			st.Get(fmt.Sprintf("aws_virtual_machine.web[%d]", 10+i)).Attrs["image"] = eval.String("ami-x")
+			edit(10+i, "image", eval.String("ami-x"))
 		}
 		p := rollback.Compute(st, target)
 		rows = append(rows, []string{

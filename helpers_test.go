@@ -4,6 +4,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"cloudless/internal/eval"
+	"cloudless/internal/state"
 )
 
 // newHTTPServer wires an http.Handler into a test server and returns its URL.
@@ -12,4 +15,12 @@ func newHTTPServer(t *testing.T, h http.Handler) string {
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv.URL
+}
+
+// setAttr edits one attribute the only way the immutable-record rule allows:
+// on a copy of the record, which then replaces it.
+func setAttr(s *state.State, addr, name string, v eval.Value) {
+	rs := s.Get(addr).Clone()
+	rs.Attrs[name] = v
+	s.Set(rs)
 }

@@ -9,6 +9,7 @@ package config
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"cloudless/internal/eval"
 	"cloudless/internal/hcl"
@@ -68,6 +69,11 @@ type Resource struct {
 	DependsOn []hcl.Traversal
 	DeclRange hcl.Range
 	AttrRange map[string]hcl.Range
+
+	// astMemo is the AST's share of the declaration's hash, computed on
+	// first use (see ast in fingerprint.go).
+	astOnce sync.Once
+	astMemo declAST
 }
 
 // Key returns "type.name".

@@ -46,6 +46,9 @@ type Instance struct {
 	// region/location attributes that reference resources stay unresolved
 	// here and are re-derived at apply time.
 	Region string
+
+	// decl is the declaration the instance expands.
+	decl *Resource
 }
 
 // ResourceAddr returns the instance's resource-level address (no index).
@@ -315,6 +318,7 @@ func (ex *Expansion) expandModule(m *Module, scope *eval.Context, modulePath str
 				RefsModule: refs.module,
 				DeclRange:  r.DeclRange,
 				Provider:   provName,
+				decl:       r,
 			}
 			base := prefix + r.Key()
 			if r.Mode == DataMode {

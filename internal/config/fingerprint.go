@@ -1,6 +1,7 @@
 package config
 
 import (
+	"hash"
 	"hash/fnv"
 	"sort"
 
@@ -15,119 +16,123 @@ import (
 // tfvars-style input dirties exactly the decls that read it, not the whole
 // graph. What a decl hash deliberately excludes is source position: moving a
 // block or reformatting a file re-plans nothing.
+//
+// The hash lives for one process (the replan cache is never persisted), so
+// only what it separates matters, not its numeric value.
 
 // DeclHashes fingerprints every resource-level address of the expansion.
 // Two expansions that assign the same hash to an address are guaranteed to
 // plan identically for it given identical prior state and identical planned
 // values of its dependencies (which the dirty-subtree closure accounts for).
 func (ex *Expansion) DeclHashes() map[string]uint64 {
-	insts := map[string][]*Instance{}
-	for _, inst := range ex.Instances {
-		r := inst.ResourceAddr()
-		insts[r] = append(insts[r], inst)
-	}
-	out := make(map[string]uint64, len(insts))
-	for r, list := range insts {
-		out[r] = declHash(list)
+	out := make(map[string]uint64, len(ex.Instances))
+	// Expand appends the instances of one declaration back to back.
+	for i := 0; i < len(ex.Instances); {
+		first := ex.Instances[i]
+		j := i + 1
+		for j < len(ex.Instances) && ex.Instances[j].decl == first.decl && ex.Instances[j].ModulePath == first.ModulePath {
+			j++
+		}
+		out[first.ResourceAddr()] = declHash(ex.Instances[i:j])
+		i = j
 	}
 	return out
 }
 
-// declHash digests one declaration through its (sorted, shared-decl)
-// instances.
-func declHash(insts []*Instance) uint64 {
-	h := fnv.New64a()
-	w := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	first := insts[0]
-	w(first.ModulePath, string(rune(first.Mode)), first.Type, first.Name)
+// declAST is the share of a decl hash that comes from the declaration's AST
+// alone. The AST is immutable after Load, so it is computed once per
+// Resource, however often its module is expanded and replanned.
+type declAST struct {
+	// digest covers mode, type and name, and every expression of the block
+	// (attributes by name, count, for_each) printed canonically.
+	digest uint64
+	// refs are the var.<name> / local.<name> roots those expressions name,
+	// once each, in the order the digest met them.
+	refs []scopeRef
+}
 
-	// Attribute expressions, printed canonically, in name order. The
-	// instances of one decl share the expression map, so this runs once.
-	names := make([]string, 0, len(first.Attrs))
-	for name := range first.Attrs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		w("a:"+name, hcl.FormatExpr(first.Attrs[name]))
-	}
-	w(first.DependsOn...)
+type scopeRef struct{ root, name string }
+
+func (r *Resource) ast() *declAST {
+	r.astOnce.Do(func() {
+		h := fnv.New64a()
+		var refs []scopeRef
+		seen := map[scopeRef]bool{}
+		add := func(label string, e hcl.Expression) {
+			if e == nil {
+				return
+			}
+			writeStrings(h, label, hcl.FormatExpr(e))
+			for _, tr := range e.Variables() {
+				root := tr.RootName()
+				if (root != "var" && root != "local") || len(tr) < 2 {
+					continue
+				}
+				attr, ok := tr[1].(hcl.TraverseAttr)
+				if ref := (scopeRef{root, attr.Name}); ok && !seen[ref] {
+					seen[ref] = true
+					refs = append(refs, ref)
+				}
+			}
+		}
+		writeStrings(h, string(rune(r.Mode)), r.Type, r.Name)
+		names := make([]string, 0, len(r.Attrs))
+		for name := range r.Attrs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			add("a:"+name, r.Attrs[name])
+		}
+		add("count", r.Count)
+		add("for_each", r.ForEach)
+		r.astMemo = declAST{digest: h.Sum64(), refs: refs}
+	})
+	return &r.astMemo
+}
+
+// declHash digests one declaration through its instances: the memoized AST
+// share, plus what an expansion can change.
+func declHash(insts []*Instance) uint64 {
+	first := insts[0]
+	ast := first.decl.ast()
+	h := fnv.New64a()
+	writeStrings(h, first.ModulePath)
+	writeU64(h, ast.digest)
+	writeStrings(h, first.DependsOn...)
 
 	// Referenced variable and local VALUES: a changed input must dirty its
 	// readers even though the printed expressions are unchanged. The values
 	// come from the instance scope, which bound them at expansion; hashing
 	// the referenced root attribute (var.zones, local.tags) is granular
 	// enough that unrelated inputs stay clean.
-	for _, ref := range scopeRefs(first) {
-		w("v:" + ref.name)
-		writeU64(h, ref.hash)
+	for _, ref := range ast.refs {
+		var hv uint64
+		if obj, ok := first.Scope.Lookup(ref.root); ok {
+			if v, err := obj.GetAttr(ref.name); err == nil {
+				hv = v.Hash()
+			}
+		}
+		writeStrings(h, "v", ref.root, ref.name)
+		writeU64(h, hv)
 	}
 
-	// Instance addressing: count/for_each changes surface here (and in the
-	// printed expressions above), as do provider-driven region moves.
-	sort.Slice(insts, func(i, j int) bool { return insts[i].Addr < insts[j].Addr })
+	// Instance addressing: count/for_each changes surface here, as do
+	// provider-driven region moves.
 	for _, inst := range insts {
-		w("i:"+inst.Addr, inst.Region)
+		writeStrings(h, "i", inst.Addr, inst.Region)
 	}
 	return h.Sum64()
 }
 
-type scopeRef struct {
-	name string
-	hash uint64
+func writeStrings(h hash.Hash64, parts ...string) {
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+	}
 }
 
-// scopeRefs collects the var.<name> / local.<name> roots referenced by the
-// declaration's expressions, with the hash of each referenced value.
-func scopeRefs(inst *Instance) []scopeRef {
-	seen := map[string]uint64{}
-	collect := func(e hcl.Expression) {
-		for _, tr := range e.Variables() {
-			root := tr.RootName()
-			if root != "var" && root != "local" {
-				continue
-			}
-			if len(tr) < 2 {
-				continue
-			}
-			attr, ok := tr[1].(hcl.TraverseAttr)
-			if !ok {
-				continue
-			}
-			key := root + "." + attr.Name
-			if _, done := seen[key]; done {
-				continue
-			}
-			var hv uint64
-			if obj, ok := inst.Scope.Lookup(root); ok {
-				if v, err := obj.GetAttr(attr.Name); err == nil {
-					hv = v.Hash()
-				}
-			}
-			seen[key] = hv
-		}
-	}
-	for _, e := range inst.Attrs {
-		collect(e)
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]scopeRef, len(keys))
-	for i, k := range keys {
-		out[i] = scopeRef{name: k, hash: seen[k]}
-	}
-	return out
-}
-
-func writeU64(h interface{ Write([]byte) (int, error) }, v uint64) {
+func writeU64(h hash.Hash64, v uint64) {
 	var b [8]byte
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))

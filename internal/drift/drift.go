@@ -568,10 +568,10 @@ func Reconcile(ctx context.Context, cl cloud.Interface, st *state.State, rep *Re
 			case Deleted:
 				out.State.Remove(item.Addr)
 			case Modified:
-				rs := out.State.Get(item.Addr)
-				if rs != nil && item.CloudAttrs != nil {
-					rs.Attrs = item.CloudAttrs
-					rs.UpdatedAt = time.Now()
+				if rs := out.State.Get(item.Addr); rs != nil && item.CloudAttrs != nil {
+					cp := *rs
+					cp.Attrs, cp.UpdatedAt = item.CloudAttrs, time.Now()
+					out.State.Set(&cp)
 				}
 			case Unmanaged:
 				// Adopting unmanaged resources into configuration is the

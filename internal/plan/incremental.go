@@ -1,7 +1,7 @@
 package plan
 
 import (
-	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,7 +12,7 @@ import (
 
 // ReplanCache makes consecutive plans incremental: it remembers, from the
 // last successful Compute, each declaration's fingerprint and each instance's
-// diff and planned value, keyed by (decl hash, prior-state identity). On the
+// diff and planned value, keyed by (decl hash, prior-state record). On the
 // next plan only the dirty subtree — declarations whose fingerprint moved,
 // instances whose recorded state moved, and their transitive dependents —
 // is re-evaluated; everything else replays its cached diff, producing a plan
@@ -22,10 +22,13 @@ import (
 //
 //   - config: a decl-hash mismatch (edit, variable change, count change)
 //     dirties that declaration and, via the graph closure, its dependents.
-//   - state: a statedb serial advance (apply, drift reconcile, rollback,
-//     concurrent writer) triggers per-address revalidation against each
-//     entry's recorded state fingerprint, so a commit that touched three
-//     addresses dirties three subtrees, not the world.
+//   - state: each entry remembers the prior record it was planned against
+//     and revalidates by identity, then by content. Records are immutable
+//     and snapshots share them, so after a commit that touched three
+//     addresses (apply, drift reconcile, rollback, concurrent writer) all
+//     but three entries match on the pointer alone; a different pointer — a
+//     cloud-refreshed prior, a reopened engine — is compared field by field,
+//     and only a record whose content moved dirties its subtree.
 //   - scope: an explicit -target scope intersects — a clean in-target
 //     resource replays, a dirty out-of-target resource stays unplanned
 //     exactly as it would in an uncached targeted plan.
@@ -35,21 +38,18 @@ import (
 // A ReplanCache is safe for concurrent use, but cached plans build on each
 // other: use one cache per stack.
 type ReplanCache struct {
-	mu     sync.Mutex
-	hashes map[string]uint64 // resource addr -> decl hash
-	serial int               // statedb serial entries were validated at
-	// refreshed records whether the cached plan ran against a cloud-refreshed
-	// prior. If so, stored fingerprints may differ from the statedb content
-	// at the same serial, and the serial fast-path below is not sound.
-	refreshed bool
-	entries   map[string]*cacheEntry
-	stats     CacheStats
+	mu      sync.Mutex
+	hashes  map[string]uint64 // resource addr -> decl hash
+	entries map[string]*cacheEntry
+	stats   CacheStats
 }
 
-// cacheEntry is one instance's memoized plan outcome.
+// cacheEntry is one instance's memoized plan outcome. The change is the
+// plan's own: a Change is not written after Plan.record, so cache and plans
+// share it.
 type cacheEntry struct {
 	declHash uint64
-	stateFP  uint64 // fingerprint of the prior state entry (0 = absent)
+	prior    *state.ResourceState // the record it was planned against (nil = absent)
 	change   *Change
 	value    eval.Value
 	hasValue bool
@@ -58,8 +58,8 @@ type cacheEntry struct {
 // CacheStats describes the last cached Compute for observability and tests.
 type CacheStats struct {
 	// Invalidation is the dominant reason work was redone: "cold" (no prior
-	// plan), "config" (decl edits), "state" (serial moved), "explicit"
-	// (forced), or "clean" (full replay).
+	// plan), "config" (decl edits), "state" (recorded state moved),
+	// "explicit" (forced), or "clean" (full replay).
 	Invalidation string
 	// DirtyConfig / DirtyState count seed resources per invalidation type.
 	DirtyConfig, DirtyState int
@@ -105,18 +105,15 @@ func (c *ReplanCache) InvalidateAddrs(addrs ...string) {
 // refreshed) prior state, returning the seed set of resource-level addresses
 // that must re-plan. cold reports that the cache has no usable prior plan.
 // Drift surfaces here naturally: a refresh that changed recorded attributes
-// changes the state fingerprint, dirtying exactly the drifted addresses.
-func (c *ReplanCache) dirtySeeds(hashes map[string]uint64, instsByResource map[string][]*config.Instance, prior *state.State, refreshed bool) (seeds []string, cold bool) {
+// yields a record that differs in content, dirtying exactly the drifted
+// addresses.
+func (c *ReplanCache) dirtySeeds(hashes map[string]uint64, instsByResource map[string][]*config.Instance, prior *state.State) (seeds []string, cold bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.hashes == nil {
 		c.stats = CacheStats{Invalidation: "cold"}
 		return nil, true
 	}
-	// The serial fast-path (state unmoved, skip per-address fingerprints) is
-	// sound only when neither side's prior was refreshed from the cloud: a
-	// refresh can change recorded attributes without moving the serial.
-	serialMatch := prior.Serial == c.serial && !refreshed && !c.refreshed
 	var cfgDirty, stateDirty int
 	for r, insts := range instsByResource {
 		h := hashes[r]
@@ -135,10 +132,15 @@ func (c *ReplanCache) dirtySeeds(hashes map[string]uint64, instsByResource map[s
 				cfgDirty++
 				break
 			}
-			if !serialMatch && e.stateFP != stateFingerprint(prior.Get(inst.Addr)) {
-				seeds = append(seeds, r)
-				stateDirty++
-				break
+			if cur := prior.Get(inst.Addr); cur != e.prior {
+				if !sameRecord(cur, e.prior) {
+					seeds = append(seeds, r)
+					stateDirty++
+					break
+				}
+				// Equal content under a new pointer: adopt it, so the next
+				// plan over the same records matches on identity.
+				e.prior = cur
 			}
 		}
 	}
@@ -190,7 +192,7 @@ const (
 // commit records a finished Compute: fresh evaluations insert entries,
 // replays are kept, and anything skipped or failed is dropped so the next
 // plan re-derives it.
-func (c *ReplanCache) commit(hashes map[string]uint64, prior *state.State, instsByResource map[string][]*config.Instance, outcomes map[string]replanOutcome, p *Plan, refreshed bool) {
+func (c *ReplanCache) commit(hashes map[string]uint64, prior *state.State, instsByResource map[string][]*config.Instance, outcomes map[string]replanOutcome, p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries == nil {
@@ -215,13 +217,7 @@ func (c *ReplanCache) commit(hashes map[string]uint64, prior *state.State, insts
 			if inst.Mode == config.DataMode {
 				continue
 			}
-			e := &cacheEntry{
-				declHash: h,
-				stateFP:  stateFingerprint(prior.Get(inst.Addr)),
-			}
-			if ch, ok := p.Changes[inst.Addr]; ok {
-				e.change = cloneChange(ch)
-			}
+			e := &cacheEntry{declHash: h, prior: prior.Get(inst.Addr), change: p.Changes[inst.Addr]}
 			if v, ok := p.Values.Get(inst.Addr); ok {
 				e.value, e.hasValue = v, true
 			}
@@ -241,71 +237,25 @@ func (c *ReplanCache) commit(hashes map[string]uint64, prior *state.State, insts
 		}
 	}
 	c.hashes = hashes
-	c.serial = prior.Serial
-	c.refreshed = refreshed
 	c.stats.Replayed = replayed
 	c.stats.Evaluated = evaluated
 }
 
-// stateFingerprint digests one recorded resource: identity plus the full
-// attribute set. Refresh folds out-of-band cloud changes into the prior
-// state, so drifted addresses change fingerprints even at the same serial.
-func stateFingerprint(rs *state.ResourceState) uint64 {
-	if rs == nil {
-		return 0
+// sameRecord reports whether two prior records are the same input to a
+// plan: identity, placement, the full attribute set and the dependencies
+// (not the bookkeeping timestamps, which no diff reads). nil is "absent".
+func sameRecord(a, b *state.ResourceState) bool {
+	if a == nil || b == nil {
+		return a == b
 	}
-	h := fnv.New64a()
-	for _, s := range []string{rs.Addr, rs.Type, rs.ID, rs.Region} {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
+	if a.Addr != b.Addr || a.Type != b.Type || a.ID != b.ID || a.Region != b.Region ||
+		len(a.Attrs) != len(b.Attrs) || !slices.Equal(a.Dependencies, b.Dependencies) {
+		return false
 	}
-	names := make([]string, 0, len(rs.Attrs))
-	for name := range rs.Attrs {
-		names = append(names, name)
+	for name, v := range a.Attrs {
+		if w, ok := b.Attrs[name]; !ok || !v.Equal(w) {
+			return false
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		h.Write([]byte(name))
-		writeU64(h, rs.Attrs[name].Hash())
-	}
-	for _, d := range rs.Dependencies {
-		h.Write([]byte(d))
-		h.Write([]byte{0})
-	}
-	fp := h.Sum64()
-	if fp == 0 {
-		fp = 1 // reserve 0 for "no prior state"
-	}
-	return fp
-}
-
-func writeU64(h interface{ Write([]byte) (int, error) }, v uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	h.Write(b[:])
-}
-
-// cloneChange copies a change deeply enough that cache and plan never share
-// mutable structure (eval.Value is immutable; maps and slices are not).
-func cloneChange(ch *Change) *Change {
-	cp := *ch
-	cp.Before = cloneAttrMap(ch.Before)
-	cp.After = cloneAttrMap(ch.After)
-	cp.ChangedAttrs = append([]string(nil), ch.ChangedAttrs...)
-	cp.ForcedBy = append([]string(nil), ch.ForcedBy...)
-	cp.Deps = append([]string(nil), ch.Deps...)
-	return &cp
-}
-
-func cloneAttrMap(m map[string]eval.Value) map[string]eval.Value {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]eval.Value, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return true
 }

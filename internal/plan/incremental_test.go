@@ -55,7 +55,7 @@ func TestParallelPlanDeterminism(t *testing.T) {
 	ex := expandSrc(t, webConfig)
 	prior := stateFromPlanAssumingIDs(t, ex)
 	// Perturb one resource so the plan is not all-noop.
-	prior.Get("aws_vpc.main").Attrs["name"] = eval.String("drifted")
+	setAttr(prior, "aws_vpc.main", "name", eval.String("drifted"))
 
 	base := encodePlan(computeOK(t, ex, prior, Options{Concurrency: 1}))
 	for _, workers := range []int{2, 4, 16, 64} {
@@ -134,7 +134,7 @@ func TestReplanCacheStateMoveDirtiesOnlySubtree(t *testing.T) {
 	// apply or drift reconcile would): only that subtree re-plans.
 	moved := prior.Clone()
 	moved.Serial++
-	moved.Get("aws_subnet.s[1]").Attrs["cidr_block"] = eval.String("10.9.9.0/24")
+	setAttr(moved, "aws_subnet.s[1]", "cidr_block", eval.String("10.9.9.0/24"))
 
 	cached := computeOK(t, ex, moved, Options{Cache: cache})
 	full := computeOK(t, ex, moved, Options{})
@@ -151,6 +151,98 @@ func TestReplanCacheStateMoveDirtiesOnlySubtree(t *testing.T) {
 	}
 	if cached.EvaluatedInstances >= full.EvaluatedInstances {
 		t.Errorf("cached evaluated %d >= full %d", cached.EvaluatedInstances, full.EvaluatedInstances)
+	}
+}
+
+// TestReplanCacheValidatesByContentUnderNewPointers: a prior that shares no
+// record with the one the cache planned against — a cloud refresh or a
+// reopened engine rebuilds every record — still replays what did not change
+// in content, and dirties exactly what did.
+func TestReplanCacheValidatesByContentUnderNewPointers(t *testing.T) {
+	ex := expandSrc(t, webConfig)
+	prior := stateFromPlanAssumingIDs(t, ex)
+	cache := NewReplanCache()
+	computeOK(t, ex, prior, Options{Cache: cache})
+
+	rebuilt := func() *state.State {
+		s := state.New()
+		s.Serial = prior.Serial
+		for _, addr := range prior.Addrs() {
+			s.Set(prior.Get(addr).Clone())
+		}
+		return s
+	}
+	same := rebuilt()
+	p := computeOK(t, ex, same, Options{Cache: cache})
+	if st := cache.LastStats(); st.Invalidation != "clean" || p.EvaluatedInstances != 0 {
+		t.Fatalf("equal content under new pointers: invalidation %q, %d evaluated; want a clean replay",
+			st.Invalidation, p.EvaluatedInstances)
+	}
+	// The cache adopted the new pointers: the same records again match on
+	// identity, and the old ones still match on content.
+	for _, s := range []*state.State{same, prior} {
+		if p := computeOK(t, ex, s, Options{Cache: cache}); p.EvaluatedInstances != 0 {
+			t.Fatalf("replay after adopting new pointers evaluated %d instances", p.EvaluatedInstances)
+		}
+	}
+
+	drifted := rebuilt()
+	setAttr(drifted, "aws_subnet.s[1]", "cidr_block", eval.String("10.9.9.0/24"))
+	cached := computeOK(t, ex, drifted, Options{Cache: cache})
+	full := computeOK(t, ex, drifted, Options{})
+	if encodePlan(cached) != encodePlan(full) {
+		t.Fatalf("cached plan over a drifted, rebuilt prior differs from full plan:\n--- cached\n%s\n--- full\n%s",
+			encodePlan(cached), encodePlan(full))
+	}
+	if st := cache.LastStats(); st.Invalidation != "state" || st.DirtyState != 1 {
+		t.Errorf("stats = %+v, want one state-dirty seed", st)
+	}
+	// subnet group (2) + its dependents nic and vm.
+	if cached.EvaluatedInstances != 4 {
+		t.Errorf("evaluated %d instances, want 4 (the subnets, nic, vm)", cached.EvaluatedInstances)
+	}
+}
+
+// TestReplanCacheSharesChanges: a replayed plan carries the cached Change's
+// maps and slices, bound to the new expansion's instance.
+func TestReplanCacheSharesChanges(t *testing.T) {
+	prior := stateFromPlanAssumingIDs(t, expandSrc(t, webConfig))
+	setAttr(prior, "aws_vpc.main", "name", eval.String("drifted"))
+	cache := NewReplanCache()
+	ex1, ex2 := expandSrc(t, webConfig), expandSrc(t, webConfig)
+	first := computeOK(t, ex1, prior, Options{Cache: cache}).Changes["aws_vpc.main"]
+	again := computeOK(t, ex2, prior, Options{Cache: cache}).Changes["aws_vpc.main"]
+	if first.Action != ActionUpdate || again.Action != ActionUpdate {
+		t.Fatalf("actions = %s, %s; want update", first.Action, again.Action)
+	}
+	if again.Instance != ex2.ByAddr["aws_vpc.main"] || first.Instance != ex1.ByAddr["aws_vpc.main"] {
+		t.Error("a replayed change must carry its own expansion's instance")
+	}
+	if &again.ChangedAttrs[0] != &first.ChangedAttrs[0] {
+		t.Error("replay copied the cached change's slices")
+	}
+}
+
+// TestReplanCacheForEachValueDirtiesDeclaration: a for_each value reaches
+// the plan through each.value only.
+func TestReplanCacheForEachValueDirtiesDeclaration(t *testing.T) {
+	src := `
+variable "buckets" { default = { a = "x" } }
+resource "aws_storage_bucket" "b" {
+  for_each = var.buckets
+  name     = each.value
+}
+`
+	vars := func(name string) map[string]eval.Value {
+		return map[string]eval.Value{"buckets": eval.Object(map[string]eval.Value{"a": eval.String(name)})}
+	}
+	cache := NewReplanCache()
+	computeOK(t, expandSrcVars(t, src, vars("x")), state.New(), Options{Cache: cache})
+	ex := expandSrcVars(t, src, vars("y"))
+	cached, full := computeOK(t, ex, state.New(), Options{Cache: cache}), computeOK(t, ex, state.New(), Options{})
+	if encodePlan(cached) != encodePlan(full) {
+		t.Fatalf("cached plan after a for_each value change differs from full plan:\n--- cached\n%s\n--- full\n%s",
+			encodePlan(cached), encodePlan(full))
 	}
 }
 

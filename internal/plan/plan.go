@@ -41,7 +41,10 @@ var actionNames = map[Action]string{
 // String names the action.
 func (a Action) String() string { return actionNames[a] }
 
-// Change is one planned operation on one resource instance.
+// Change is one planned operation on one resource instance. Like the state
+// records its Before comes from, a Change is immutable once recorded in a
+// plan: the replan cache and every plan replayed from it share its maps and
+// slices.
 type Change struct {
 	Addr   string
 	Action Action
@@ -246,8 +249,11 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 			case err != nil:
 				diags = diags.Append(hcl.Errorf(hcl.Range{}, "refresh %s: %s", addr, err))
 			default:
-				rs.Attrs = cur.Attrs
-				rs.Region = cur.Region
+				// Records are shared with the caller's state: fold the read
+				// into a copy.
+				cp := *rs
+				cp.Attrs, cp.Region = cur.Attrs, cur.Region
+				prior.Set(&cp)
 			}
 		}
 		if diags.HasErrors() {
@@ -274,7 +280,7 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	var dirtyScope map[string]struct{}
 	if opts.Cache != nil {
 		declHashes = ex.DeclHashes()
-		if seeds, cold := opts.Cache.dirtySeeds(declHashes, instByResource, prior, opts.Refresh); !cold {
+		if seeds, cold := opts.Cache.dirtySeeds(declHashes, instByResource, prior); !cold {
 			dirtyScope = cfgGraph.ImpactScope(seeds...)
 		}
 	}
@@ -322,9 +328,11 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 						p.Values.Set(inst.Addr, e.value)
 					}
 					if e.change != nil {
-						ch := cloneChange(e.change)
+						// Only the instance differs between expansions; the
+						// maps and slices stay shared with the cache.
+						ch := *e.change
 						ch.Instance = inst
-						res.changes = append(res.changes, ch)
+						res.changes = append(res.changes, &ch)
 					}
 				}
 				res.outcome = outcomeReplayed
@@ -401,7 +409,7 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	// Seed the cache from this plan so the next Compute replays what did not
 	// move. An errored plan never commits: its outcomes may be partial.
 	if opts.Cache != nil && !diags.HasErrors() {
-		opts.Cache.commit(declHashes, prior, instByResource, outcomes, p, opts.Refresh)
+		opts.Cache.commit(declHashes, prior, instByResource, outcomes, p)
 		st := opts.Cache.LastStats()
 		span.SetAttr("replan_invalidation", st.Invalidation)
 		span.SetAttr("replan_replayed", st.Replayed)

@@ -178,13 +178,21 @@ func stateFromPlanAssumingIDs(t *testing.T, ex *config.Expansion) *state.State {
 	return st
 }
 
+// setAttr edits one attribute the only way the immutable-record rule allows:
+// on a copy of the record, which then replaces it.
+func setAttr(s *state.State, addr, name string, v eval.Value) {
+	rs := s.Get(addr).Clone()
+	rs.Attrs[name] = v
+	s.Set(rs)
+}
+
 func TestPlanUpdateAndReplace(t *testing.T) {
 	ex := expandSrc(t, webConfig)
 	prior := stateFromPlanAssumingIDs(t, ex)
 	// In-place change: VM name is updatable.
-	prior.Get("aws_virtual_machine.web").Attrs["name"] = eval.String("old-name")
+	setAttr(prior, "aws_virtual_machine.web", "name", eval.String("old-name"))
 	// ForceNew change: VPC cidr_block forces replacement.
-	prior.Get("aws_vpc.main").Attrs["cidr_block"] = eval.String("10.9.0.0/16")
+	setAttr(prior, "aws_vpc.main", "cidr_block", eval.String("10.9.0.0/16"))
 
 	p := computeOK(t, ex, prior, Options{})
 	vm := p.Changes["aws_virtual_machine.web"]
@@ -242,9 +250,9 @@ func TestIncrementalPlanConfinesWork(t *testing.T) {
 	ex := expandSrc(t, webConfig)
 	prior := stateFromPlanAssumingIDs(t, ex)
 	// Out-of-scope drift that a full plan would catch:
-	prior.Get("aws_vpc.main").Attrs["name"] = eval.String("renamed-out-of-band")
+	setAttr(prior, "aws_vpc.main", "name", eval.String("renamed-out-of-band"))
 	// In-scope change:
-	prior.Get("aws_virtual_machine.web").Attrs["name"] = eval.String("old")
+	setAttr(prior, "aws_virtual_machine.web", "name", eval.String("old"))
 
 	p := computeOK(t, ex, prior, Options{
 		ImpactScope: []string{"aws_virtual_machine.web"},
@@ -289,7 +297,7 @@ func TestPlanCosts(t *testing.T) {
 func TestPlanGraphExcludesNoops(t *testing.T) {
 	ex := expandSrc(t, webConfig)
 	prior := stateFromPlanAssumingIDs(t, ex)
-	prior.Get("aws_virtual_machine.web").Attrs["name"] = eval.String("old")
+	setAttr(prior, "aws_virtual_machine.web", "name", eval.String("old"))
 	p := computeOK(t, ex, prior, Options{})
 	if p.Graph.Len() != 1 || !p.Graph.HasNode("aws_virtual_machine.web") {
 		t.Errorf("graph nodes = %v", p.Graph.Nodes())

@@ -28,18 +28,12 @@ func (e *Engine) Policies() []*Policy { return e.policies }
 // EvaluatePlan runs plan-phase policies against a computed plan. Returned
 // deny decisions mean the plan must not be applied.
 func (e *Engine) EvaluatePlan(p *plan.Plan) ([]Decision, hcl.Diagnostics) {
-	scope := eval.NewContext()
-	scope.Variables["plan"] = PlanObservations(p)
-	scope.Variables["var"] = eval.Object(e.Vars)
-	return e.run(PhasePlan, scope)
+	return e.run(PhasePlan, "plan", func() eval.Value { return PlanObservations(p) })
 }
 
 // EvaluateDrift runs drift-phase policies against a drift report.
 func (e *Engine) EvaluateDrift(rep *drift.Report) ([]Decision, hcl.Diagnostics) {
-	scope := eval.NewContext()
-	scope.Variables["drift"] = DriftObservations(rep)
-	scope.Variables["var"] = eval.Object(e.Vars)
-	return e.run(PhaseDrift, scope)
+	return e.run(PhaseDrift, "drift", func() eval.Value { return DriftObservations(rep) })
 }
 
 // Observe runs operate-phase policies against a metric sample set, e.g.
@@ -47,18 +41,25 @@ func (e *Engine) EvaluateDrift(rep *drift.Report) ([]Decision, hcl.Diagnostics) 
 // policies over arbitrary metrics live — including metrics today's cloud
 // autoscalers do not expose.
 func (e *Engine) Observe(metrics map[string]eval.Value) ([]Decision, hcl.Diagnostics) {
-	scope := eval.NewContext()
-	scope.Variables["metric"] = eval.Object(metrics)
-	scope.Variables["var"] = eval.Object(e.Vars)
-	return e.run(PhaseOperate, scope)
+	return e.run(PhaseOperate, "metric", func() eval.Value { return eval.Object(metrics) })
 }
 
-func (e *Engine) run(phase Phase, scope *eval.Context) ([]Decision, hcl.Diagnostics) {
+// run evaluates the policies of one phase. Their scope — the observation
+// object under its name, plus var — is built for the first policy that
+// needs it, so a phase no loaded policy listens to costs no observation
+// (PlanObservations prices every change of the plan).
+func (e *Engine) run(phase Phase, name string, observe func() eval.Value) ([]Decision, hcl.Diagnostics) {
 	var out []Decision
 	var diags hcl.Diagnostics
+	var scope *eval.Context
 	for _, p := range e.policies {
 		if p.Phase != phase || p.When == nil {
 			continue
+		}
+		if scope == nil {
+			scope = eval.NewContext()
+			scope.Variables[name] = observe()
+			scope.Variables["var"] = eval.Object(e.Vars)
 		}
 		cond, d := eval.Evaluate(p.When, scope)
 		if d.HasErrors() {

@@ -8,6 +8,7 @@ import (
 
 	"cloudless/internal/config"
 	"cloudless/internal/eval"
+	"cloudless/internal/hcl"
 	"cloudless/internal/plan"
 	"cloudless/internal/state"
 )
@@ -385,5 +386,96 @@ policy "revert-rogue" {
 	decs, _ = eng.EvaluateDrift(driftReport(1, "platform-team"))
 	if len(decs) != 0 {
 		t.Errorf("decisions = %+v", decs)
+	}
+}
+
+// TestPhasesAreIndependent: what a phase decides and diagnoses depends only
+// on that phase's policies, and a phase nobody listens to never builds its
+// observation (PlanObservations prices every change of the plan).
+func TestPhasesAreIndependent(t *testing.T) {
+	all := parseOK(t, `
+policy "budget" {
+  phase = "plan"
+  when  = plan.creates > 0
+  deny { message = "${plan.creates} creates with ${var.n} allowed" }
+}
+policy "broken-plan" {
+  phase = "plan"
+  when  = plan.no_such_observation > 1
+  deny {}
+}
+policy "revert-rogue" {
+  phase = "drift"
+  when  = drift.modified > 0
+  revert {}
+}
+policy "scale-out" {
+  phase = "operate"
+  when  = metric.load > 0.8
+  scale {
+    variable = "n"
+    delta    = 1
+  }
+}
+policy "broken-operate" {
+  phase = "operate"
+  when  = metric.no_such_metric > 1
+  notify {}
+}
+`)
+	p := planFor(t, `resource "aws_vpc" "v" { cidr_block = "10.0.0.0/16" }`)
+	rep := driftReport(2, "legacy-script")
+	metrics := map[string]eval.Value{"load": eval.Number(0.9)}
+	phases := []Phase{PhasePlan, PhaseDrift, PhaseOperate}
+	// evaluate renders each phase's decisions and diagnostics.
+	evaluate := func(policies []*Policy) map[Phase]string {
+		eng := NewEngine(policies)
+		eng.Vars["n"] = eval.Int(2)
+		out := map[Phase]string{}
+		for _, ph := range phases {
+			var decs []Decision
+			var diags hcl.Diagnostics
+			switch ph {
+			case PhasePlan:
+				decs, diags = eng.EvaluatePlan(p)
+			case PhaseDrift:
+				decs, diags = eng.EvaluateDrift(rep)
+			case PhaseOperate:
+				decs, diags = eng.Observe(metrics)
+			}
+			out[ph] = fmt.Sprintf("%d decisions %+v | %v", len(decs), decs, diags)
+		}
+		return out
+	}
+
+	together := evaluate(all)
+	for _, ph := range phases {
+		var own []*Policy
+		for _, pol := range all {
+			if pol.Phase == ph {
+				own = append(own, pol)
+			}
+		}
+		if alone := evaluate(own)[ph]; alone != together[ph] {
+			t.Errorf("phase %s:\n  alone:    %s\n  together: %s", ph, alone, together[ph])
+		}
+		if !strings.HasPrefix(together[ph], "1 decisions") {
+			t.Errorf("phase %s: %s, want its one decision", ph, together[ph])
+		}
+		// With only this phase's policies loaded, the others decide nothing.
+		for other, got := range evaluate(own) {
+			if other != ph && got != "0 decisions [] | no errors" {
+				t.Errorf("phase %s with only %s policies loaded: %s", other, ph, got)
+			}
+		}
+	}
+
+	eng := NewEngine(all[2:]) // drift and operate only
+	decs, diags := eng.run(PhasePlan, "plan", func() eval.Value {
+		t.Error("observation built for a phase with no policy")
+		return eval.Null
+	})
+	if len(decs) != 0 || len(diags) != 0 {
+		t.Errorf("phase with no policy produced %+v, %v", decs, diags)
 	}
 }

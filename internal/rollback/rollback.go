@@ -467,7 +467,9 @@ func ExecuteJournaled(ctx context.Context, cl cloud.Interface, current, target *
 					return out, err
 				}
 			}
-			rs.Attrs = updated.Attrs
+			cp := *rs
+			cp.Attrs = updated.Attrs
+			out.Set(&cp)
 		}
 	}
 	return out, nil

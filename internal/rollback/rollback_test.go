@@ -38,6 +38,14 @@ func mkState(mut func(*state.State)) *state.State {
 	return s
 }
 
+// setAttr edits one attribute the only way the immutable-record rule allows:
+// on a copy of the record, which then replaces it.
+func setAttr(s *state.State, addr, name string, v eval.Value) {
+	rs := s.Get(addr).Clone()
+	rs.Attrs[name] = v
+	s.Set(rs)
+}
+
 func TestComputeNoDiff(t *testing.T) {
 	cur, tgt := mkState(nil), mkState(nil)
 	p := Compute(cur, tgt)
@@ -49,7 +57,7 @@ func TestComputeNoDiff(t *testing.T) {
 func TestComputeInPlaceRevert(t *testing.T) {
 	cur := mkState(func(s *state.State) {
 		// A mutable attribute changed since the target snapshot.
-		s.Get("aws_storage_bucket.b").Attrs["versioning"] = eval.True
+		setAttr(s, "aws_storage_bucket.b", "versioning", eval.True)
 	})
 	tgt := mkState(nil)
 	p := Compute(cur, tgt)
@@ -64,7 +72,7 @@ func TestComputeInPlaceRevert(t *testing.T) {
 func TestComputeIrreversibleForcesRecreate(t *testing.T) {
 	cur := mkState(func(s *state.State) {
 		// cidr_block is ForceNew: reverting requires recreation.
-		s.Get("aws_vpc.main").Attrs["cidr_block"] = eval.String("10.99.0.0/16")
+		setAttr(s, "aws_vpc.main", "cidr_block", eval.String("10.99.0.0/16"))
 	})
 	tgt := mkState(nil)
 	p := Compute(cur, tgt)
@@ -102,8 +110,8 @@ func TestComputeMinimizesRedeployment(t *testing.T) {
 	// Versus the naive "destroy everything and re-apply" baseline, only
 	// the genuinely irreversible part is redeployed.
 	cur := mkState(func(s *state.State) {
-		s.Get("aws_storage_bucket.b").Attrs["versioning"] = eval.True // reversible
-		s.Get("aws_vpc.main").Attrs["enable_dns"] = eval.False        // reversible
+		setAttr(s, "aws_storage_bucket.b", "versioning", eval.True) // reversible
+		setAttr(s, "aws_vpc.main", "enable_dns", eval.False)        // reversible
 	})
 	tgt := mkState(nil)
 	p := Compute(cur, tgt)
@@ -163,7 +171,7 @@ func TestExecuteAgainstSim(t *testing.T) {
 	// "Bad update": someone replaced the VPC (new cidr) and repointed the
 	// subnet; now roll back to v1.
 	cur := v1.Clone()
-	cur.Get("aws_vpc.main").Attrs["cidr_block"] = eval.String("10.99.0.0/16")
+	setAttr(cur, "aws_vpc.main", "cidr_block", eval.String("10.99.0.0/16"))
 
 	p := Compute(cur, v1)
 	if p.Redeployments == 0 {
@@ -225,7 +233,7 @@ func TestExecuteInPlaceOnly(t *testing.T) {
 	cur.Set(&state.ResourceState{Addr: "aws_storage_bucket.b", Type: "aws_storage_bucket",
 		ID: b.ID, Region: "us-east-1", Attrs: b.Attrs})
 	tgt := cur.Clone()
-	tgt.Get("aws_storage_bucket.b").Attrs["versioning"] = eval.False
+	setAttr(tgt, "aws_storage_bucket.b", "versioning", eval.False)
 
 	p := Compute(cur, tgt)
 	if p.Reverts != 1 || p.Redeployments != 0 {

@@ -379,8 +379,7 @@ func (s *Server) handleCreateWorkspace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) info(name string, ws *workspace.Workspace, verbose bool) WorkspaceInfo {
-	snap := ws.DB().Snapshot()
-	inf := WorkspaceInfo{Name: name, Serial: snap.Serial, Resources: len(snap.Addrs())}
+	inf := WorkspaceInfo{Name: name, Serial: ws.DB().Serial(), Resources: ws.DB().Len()}
 	if verbose {
 		inf.Instances = ws.Instances()
 		inf.Outputs = ws.DisplayOutputs()
@@ -508,11 +507,11 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 			if res == nil {
 				return nil, err
 			}
-			sum := summarizeApply(res, ws.DB().Snapshot().Serial, ws.DisplayOutputs())
+			sum := summarizeApply(res, ws.DB().Serial(), ws.DisplayOutputs())
 			return sum, err
 		}, cost, nil
 	case "destroy":
-		cost := float64(len(ws.DB().Snapshot().Addrs()))
+		cost := float64(ws.DB().Len())
 		if cost < 1 {
 			cost = 1
 		}
@@ -521,7 +520,7 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 			if res == nil {
 				return nil, err
 			}
-			return summarizeApply(res, ws.DB().Snapshot().Serial, nil), err
+			return summarizeApply(res, ws.DB().Serial(), nil), err
 		}, cost, nil
 	case "drift":
 		return func(ctx context.Context) (any, error) {

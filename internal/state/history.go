@@ -38,10 +38,11 @@ func NewHistory(limit int) *History {
 	return &History{limit: limit}
 }
 
-// Commit stores a deep copy of the state as a new version and returns its
-// serial number. When the state carries a serial greater than the last
-// snapshot's, that serial is kept, so a state store's serial numbers and its
-// history line up; otherwise the next sequential serial is assigned.
+// Commit stores a Clone of the state — its own index over the same
+// immutable records — as a new version and returns its serial number. When
+// the state carries a serial greater than the last snapshot's, that serial
+// is kept, so a state store's serial numbers and its history line up;
+// otherwise the next sequential serial is assigned.
 func (h *History) Commit(s *State, description, configFingerprint string) int {
 	cp := s.Clone()
 	h.mu.Lock()

@@ -14,7 +14,7 @@ func TestHistoryPersistenceRoundTrip(t *testing.T) {
 	s.Set(&ResourceState{Addr: "aws_vpc.a", Type: "aws_vpc", ID: "vpc-1",
 		Attrs: map[string]eval.Value{"cidr_block": eval.String("10.0.0.0/16")}})
 	h.Commit(s, "deploy v1", "cfg-1")
-	s.Get("aws_vpc.a").Attrs["cidr_block"] = eval.String("10.1.0.0/16")
+	setAttr(s, "aws_vpc.a", "cidr_block", eval.String("10.1.0.0/16"))
 	h.Commit(s, "retarget", "cfg-2")
 
 	if err := h.SaveDir(dir); err != nil {

@@ -1,6 +1,7 @@
 // Package state models the recorded state of a deployed infrastructure: the
 // mapping from configuration addresses to real cloud resources. It provides
-// JSON serialization, deep cloning, fingerprinting, and a versioned history
+// JSON serialization, cloning over shared immutable records, fingerprinting,
+// and a versioned history
 // — the §3.4 "time machine" that tracks the mapping between past
 // configurations and their corresponding states.
 package state
@@ -8,6 +9,7 @@ package state
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"strconv"
@@ -17,7 +19,11 @@ import (
 	"cloudless/internal/wal"
 )
 
-// ResourceState records one deployed resource instance.
+// ResourceState records one deployed resource instance. A record is
+// immutable once published — Set into a State, staged in a transaction,
+// attached to a plan.Change: snapshots, clones, plans and the engine's
+// version chains all share the same pointer. To change one, Clone it, edit
+// the copy and Set that.
 type ResourceState struct {
 	// Addr is the instance address, e.g. "aws_subnet.s[0]".
 	Addr string
@@ -37,7 +43,8 @@ type ResourceState struct {
 	UpdatedAt time.Time
 }
 
-// Clone deep-copies the resource state.
+// Clone returns a private, editable copy of the record (its Attrs map and
+// Dependencies slice included; the eval.Values are immutable).
 func (rs *ResourceState) Clone() *ResourceState {
 	cp := *rs
 	cp.Attrs = make(map[string]eval.Value, len(rs.Attrs))
@@ -71,15 +78,17 @@ func New() *State {
 	return &State{Resources: map[string]*ResourceState{}, Outputs: map[string]eval.Value{}}
 }
 
-// Clone deep-copies the state.
+// Clone copies the address index and the outputs map, not the records: the
+// clone shares every *ResourceState with s, which is safe because records
+// are immutable (see ResourceState). Set and Remove on either side never
+// reach the other.
 func (s *State) Clone() *State {
-	c := New()
-	c.Serial = s.Serial
-	for addr, rs := range s.Resources {
-		c.Resources[addr] = rs.Clone()
+	c := &State{Serial: s.Serial, Resources: maps.Clone(s.Resources), Outputs: maps.Clone(s.Outputs)}
+	if c.Resources == nil {
+		c.Resources = map[string]*ResourceState{}
 	}
-	for k, v := range s.Outputs {
-		c.Outputs[k] = v
+	if c.Outputs == nil {
+		c.Outputs = map[string]eval.Value{}
 	}
 	return c
 }

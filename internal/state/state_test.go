@@ -32,6 +32,14 @@ func sampleState() *State {
 	return s
 }
 
+// setAttr edits one attribute the only way the immutable-record rule allows:
+// on a copy of the record, which then replaces it.
+func setAttr(s *State, addr, name string, v eval.Value) {
+	rs := s.Get(addr).Clone()
+	rs.Attrs[name] = v
+	s.Set(rs)
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := sampleState()
 	data, err := s.Encode()
@@ -93,13 +101,21 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestCloneIsolation(t *testing.T) {
 	s := sampleState()
 	c := s.Clone()
-	c.Get("aws_vpc.main").Attrs["cidr_block"] = eval.String("192.168.0.0/16")
+	// The clone copies the index, not the records.
+	if c.Get("aws_vpc.main") != s.Get("aws_vpc.main") {
+		t.Error("clone does not share the original's records")
+	}
+	setAttr(c, "aws_vpc.main", "cidr_block", eval.String("192.168.0.0/16"))
 	c.Remove("aws_subnet.s[0]")
+	c.Outputs["vpc_id"] = eval.String("vpc-2")
 	if !s.Get("aws_vpc.main").Attr("cidr_block").Equal(eval.String("10.0.0.0/16")) {
 		t.Error("clone attr mutation leaked")
 	}
 	if s.Get("aws_subnet.s[0]") == nil {
 		t.Error("clone removal leaked")
+	}
+	if !s.Outputs["vpc_id"].Equal(eval.String("vpc-00000001")) {
+		t.Error("clone output mutation leaked")
 	}
 }
 
@@ -118,7 +134,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("identical states fingerprint differently")
 	}
-	b.Get("aws_vpc.main").Attrs["enable_dns"] = eval.False
+	setAttr(b, "aws_vpc.main", "enable_dns", eval.False)
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("changed state has same fingerprint")
 	}
@@ -131,7 +147,7 @@ func TestHistoryTimeMachine(t *testing.T) {
 		Attrs: map[string]eval.Value{"cidr_block": eval.String("10.0.0.0/16")}})
 	v1 := h.Commit(s, "create vpc", "cfg-aaa")
 
-	s.Get("aws_vpc.a").Attrs["cidr_block"] = eval.String("10.1.0.0/16")
+	setAttr(s, "aws_vpc.a", "cidr_block", eval.String("10.1.0.0/16"))
 	v2 := h.Commit(s, "retarget cidr", "cfg-bbb")
 
 	if v2 != v1+1 {
@@ -179,7 +195,7 @@ func TestDiffAddrs(t *testing.T) {
 	a := sampleState()
 	b := a.Clone()
 	b.Remove("aws_subnet.s[0]")
-	b.Get("aws_vpc.main").Attrs["enable_dns"] = eval.False
+	setAttr(b, "aws_vpc.main", "enable_dns", eval.False)
 	b.Set(&ResourceState{Addr: "aws_vpc.extra", Type: "aws_vpc", ID: "vpc-2",
 		Attrs: map[string]eval.Value{}})
 	added, removed, changed := DiffAddrs(a, b)

@@ -50,7 +50,10 @@ func (db *DB) Close() error { return db.engine.Close() }
 // holds locks across the physical apply).
 func (db *DB) Locks() *LockManager { return db.locks }
 
-// Snapshot returns a deep copy of the current golden state.
+// Snapshot returns the current golden state: an address index and outputs
+// map the caller owns (Set/Remove stay private) over records shared with the
+// engine and every other snapshot. Records are immutable — edit a Clone and
+// Set it. For one field of the head use Serial, Len or Outputs.
 func (db *DB) Snapshot() *state.State {
 	s, err := db.engine.Snapshot(0)
 	if err != nil {
@@ -60,11 +63,11 @@ func (db *DB) Snapshot() *state.State {
 	return s
 }
 
-// SnapshotAt returns a deep copy of the state as of a past serial — the
-// time machine. Serials below the engine's retained window (it reaches back
-// to the open, or compactEvery commits once trimmed) or newer than the head
-// return ErrNoSuchSerial — as does 0, which no commit carries (the engine
-// reads it as "latest"; that is Snapshot).
+// SnapshotAt returns the state as of a past serial — the time machine —
+// under Snapshot's sharing contract. Serials below the engine's retained
+// window (it reaches back to the open, or compactEvery commits once trimmed)
+// or newer than the head return ErrNoSuchSerial — as does 0, which no commit
+// carries (the engine reads it as "latest"; that is Snapshot).
 func (db *DB) SnapshotAt(serial int) (*state.State, error) {
 	if serial == 0 {
 		return nil, fmt.Errorf("statedb: snapshot at serial 0: %w", ErrNoSuchSerial)
@@ -74,6 +77,12 @@ func (db *DB) SnapshotAt(serial int) (*state.State, error) {
 
 // Serial returns the current state serial.
 func (db *DB) Serial() int { return db.engine.Serial() }
+
+// Len returns the number of resources in the current golden state.
+func (db *DB) Len() int { return db.engine.Len() }
+
+// Outputs returns a copy of the current root outputs.
+func (db *DB) Outputs() map[string]eval.Value { return db.engine.Outputs() }
 
 // CommitCount and AbortCount expose transaction outcome counters.
 func (db *DB) CommitCount() int64 { return db.commits.Load() }

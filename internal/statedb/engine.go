@@ -127,7 +127,12 @@ func NewEngine(backend string, initial *state.State, opts EngineOptions) (*Engin
 	if initial == nil {
 		initial = state.New()
 	}
+	// The caller keeps its InitialState and may edit it: the seed is the one
+	// whole-state deep copy the engine makes.
 	seed := initial.Clone()
+	for addr, rs := range seed.Resources {
+		seed.Resources[addr] = rs.Clone()
+	}
 	seed.Serial++
 	switch backend {
 	case "", BackendMemory, backendMVCC:
@@ -202,8 +207,9 @@ func versionAt(chain []version, serial int) *state.ResourceState {
 }
 
 // Get reads one resource at the given serial (0 = latest). The returned
-// state is a private copy. A missing address yields (nil, nil); a serial
-// outside the retained window yields ErrNoSuchSerial.
+// record is a private copy — Get is the read half of read-modify-write, so
+// callers edit what it returns. A missing address yields (nil, nil); a
+// serial outside the retained window yields ErrNoSuchSerial.
 func (e *Engine) Get(addr string, serial int) (*state.ResourceState, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -217,43 +223,60 @@ func (e *Engine) Get(addr string, serial int) (*state.ResourceState, error) {
 	return nil, nil
 }
 
-// Snapshot materializes a consistent deep-copy state at the given serial
-// (0 = latest). The caller owns the result.
+// Snapshot materializes a consistent state at the given serial (0 = latest):
+// a fresh address index and outputs map, which the caller owns (Set and
+// Remove never reach the engine), over the engine's own retained records,
+// which nobody writes (see state.ResourceState) — so the result is read
+// without the lock, and costs the index, not a copy of the state.
 func (e *Engine) Snapshot(serial int) (*state.State, error) {
-	return e.stateAt(serial, true)
-}
-
-// stateAt assembles the state at the given serial. With own false it is
-// built from the retained versions themselves: they are never mutated, so
-// the result may be read without the lock, but not modified or handed out.
-func (e *Engine) stateAt(serial int, own bool) (*state.State, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	at, err := e.resolveLocked(serial)
 	if err != nil {
 		return nil, err
 	}
-	s := state.New()
-	s.Serial = at
+	s := &state.State{Serial: at, Resources: make(map[string]*state.ResourceState, len(e.chains))}
 	for addr, chain := range e.chains {
 		if rs := versionAt(chain, at); rs != nil {
-			if own {
-				rs = rs.Clone()
-			}
 			s.Resources[addr] = rs
 		}
 	}
-	for i := len(e.outputs) - 1; i >= 0; i-- {
-		if v := e.outputs[i]; v.serial <= at {
-			if own {
-				maps.Copy(s.Outputs, v.outputs)
-			} else {
-				s.Outputs = v.outputs
-			}
-			break
-		}
+	s.Outputs = maps.Clone(e.outputsAtLocked(at))
+	if s.Outputs == nil {
+		s.Outputs = map[string]eval.Value{}
 	}
 	return s, nil
+}
+
+// Outputs returns a copy of the root outputs at the head.
+func (e *Engine) Outputs() map[string]eval.Value {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return maps.Clone(e.outputsAtLocked(e.serial))
+}
+
+// Len counts the resources recorded at the head.
+func (e *Engine) Len() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	n := 0
+	for _, chain := range e.chains {
+		if chain[len(chain)-1].rs != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// outputsAtLocked resolves the retained outputs version at or before
+// serial. Caller holds e.mu and must not write the result.
+func (e *Engine) outputsAtLocked(serial int) map[string]eval.Value {
+	for i := len(e.outputs) - 1; i >= 0; i-- {
+		if v := e.outputs[i]; v.serial <= serial {
+			return v.outputs
+		}
+	}
+	return nil
 }
 
 // Commit atomically applies a batch at the next serial and returns it. A

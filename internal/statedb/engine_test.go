@@ -155,12 +155,26 @@ func TestEngineConformance(t *testing.T) {
 				t.Errorf("snapshot serial=%d len=%d, want %d and 2", snap.Serial, snap.Len(), s2)
 			}
 
-			// The materialized snapshot is the caller's: mutating it must
-			// not leak back into the engine.
-			snap.Get("aws_vpc.a").Attrs["n"] = eval.Int(999)
+			// The snapshot's index is the caller's — Set and Remove must not
+			// leak back into the engine — over records that are the engine's
+			// own: every snapshot shares them, nobody writes them.
+			again, _ := e.Snapshot(0)
+			if snap.Get("aws_vpc.a") != again.Get("aws_vpc.a") {
+				t.Error("two snapshots do not share the record of an untouched address")
+			}
+			edited := snap.Get("aws_vpc.a").Clone()
+			edited.Attrs["n"] = eval.Int(999)
+			snap.Set(edited)
 			snap.Remove("aws_vpc.b")
 			if got, _ := e.Get("aws_vpc.a", 0); got.Attr("n").AsInt() != 1 {
 				t.Error("snapshot mutation leaked into engine")
+			}
+			if got, _ := e.Get("aws_vpc.b", 0); got == nil {
+				t.Error("snapshot removal leaked into engine")
+			}
+			// Get is the read half of read-modify-write: a private copy.
+			if got, _ := e.Get("aws_vpc.a", 0); got == again.Get("aws_vpc.a") {
+				t.Error("Get handed out the engine's own record")
 			}
 
 			// Outputs replacement.
@@ -1084,5 +1098,85 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 		if !bytes.Equal(raw, want) {
 			t.Errorf("%s differs from the PR 11 format:\n got %q\nwant %q", name, raw, want)
 		}
+	}
+}
+
+// TestSnapshotsShareRecords pins the read contract: a snapshot is a private
+// index over the engine's own immutable records. Untouched addresses keep
+// their pointer across commits and across the time machine; what a caller
+// does to its index stays with the caller.
+func TestSnapshotsShareRecords(t *testing.T) {
+	logOffAndOn(t, func(t *testing.T, e *Engine) {
+		db := OpenEngine(e, ResourceLock)
+		mustCommit(t, e, put("aws_vpc.a", 1))
+		s1 := mustCommit(t, e, put("aws_vpc.b", 2))
+		before := db.Snapshot()
+		mustCommit(t, e, put("aws_vpc.b", 3))
+		mustCommit(t, e, &Batch{Base: BaseUnchecked, SetOutputs: true,
+			Outputs: map[string]eval.Value{"url": eval.String("https://x")}})
+		after := db.Snapshot()
+		past, err := db.SnapshotAt(s1)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if before.Get("aws_vpc.a") != after.Get("aws_vpc.a") || past.Get("aws_vpc.a") != after.Get("aws_vpc.a") {
+			t.Error("an untouched address changed its record across a commit to another address")
+		}
+		if before.Get("aws_vpc.b") == after.Get("aws_vpc.b") || past.Get("aws_vpc.b") != before.Get("aws_vpc.b") {
+			t.Error("a rewritten address must get a new record, and the time machine the old one")
+		}
+		if before.Get("aws_vpc.b").Attr("n").AsInt() != 2 || after.Get("aws_vpc.b").Attr("n").AsInt() != 3 {
+			t.Error("a commit wrote through a retained record")
+		}
+
+		// Index and outputs are the caller's.
+		after.Set(rs("aws_vpc.a", 99))
+		after.Remove("aws_vpc.b")
+		after.Set(rs("aws_vpc.extra", 1))
+		after.Outputs["url"] = eval.String("https://y")
+		again := db.Snapshot()
+		if again.Len() != 2 || db.Len() != 2 ||
+			again.Get("aws_vpc.a").Attr("n").AsInt() != 1 || again.Get("aws_vpc.b").Attr("n").AsInt() != 3 {
+			t.Errorf("Set/Remove on a snapshot reached the engine: %v", again.Addrs())
+		}
+		if again.Outputs["url"].AsString() != "https://x" {
+			t.Error("a snapshot's outputs map is shared with the engine")
+		}
+
+		// One field of the head, without materializing it.
+		outs := db.Outputs()
+		outs["url"] = eval.String("https://z")
+		if db.Outputs()["url"].AsString() != "https://x" || db.Serial() != again.Serial {
+			t.Errorf("Outputs/Serial = %v, %d; want a private copy of the head's", db.Outputs(), db.Serial())
+		}
+		mustCommit(t, e, &Batch{Base: BaseUnchecked, Deletes: map[string]bool{"aws_vpc.a": true}})
+		if db.Len() != 1 || db.Snapshot().Len() != 1 {
+			t.Errorf("Len = %d after a delete, snapshot has %d", db.Len(), db.Snapshot().Len())
+		}
+	})
+}
+
+// TestSnapshotCostIsTheIndex: materializing a snapshot allocates for the
+// address index, not per record or per attribute.
+func TestSnapshotCostIsTheIndex(t *testing.T) {
+	allocs := func(attrs int) float64 {
+		seed := state.New()
+		for i := 0; i < 1002; i++ {
+			r := rs(fmt.Sprintf("aws_vpc.r%d", i), i)
+			for a := 0; a < attrs; a++ {
+				r.Attrs[fmt.Sprintf("attr%d", a)] = eval.Int(a)
+			}
+			seed.Set(r)
+		}
+		db := Open(seed, ResourceLock)
+		return testing.AllocsPerRun(10, func() { db.Snapshot() })
+	}
+	thin, wide := allocs(1), allocs(32)
+	if wide > thin {
+		t.Errorf("Snapshot made %.0f allocations at 32 attributes per resource, %.0f at 1", wide, thin)
+	}
+	if thin > 100 {
+		t.Errorf("Snapshot of 1002 resources made %.0f allocations: it is copying records", thin)
 	}
 }

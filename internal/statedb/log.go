@@ -151,7 +151,7 @@ func (l *commitLog) append(serial int, b *Batch, writes map[string]*state.Resour
 // on disk (file and directory fsynced) before the log is cut; records left
 // behind by a failed cut are at or below its serial and skipped by replay.
 func (l *commitLog) compact(e *Engine) error {
-	snap, err := e.stateAt(0, false)
+	snap, err := e.Snapshot(0)
 	if err != nil {
 		return err
 	}

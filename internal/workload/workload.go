@@ -178,6 +178,28 @@ resource "aws_virtual_machine" "r%[1]d" {
 	return map[string]string{"rand.ccl": b.String()}
 }
 
+// EditableDAG is RandomDAG(n, seed) with one input variable per VM spliced
+// into that VM's name (rev_<i>, default "0", declared in vars.ccl), so
+// setting one variable edits exactly one declaration and nothing else about
+// the graph changes — the shape of an edit loop over a large estate. It
+// returns the sources and the number of editable VMs.
+func EditableDAG(n int, seed int64) (map[string]string, int) {
+	files := RandomDAG(n, seed)
+	src := files["rand.ccl"]
+	vms := strings.Count(src, `resource "aws_virtual_machine"`)
+	pairs := make([]string, 0, 2*vms)
+	var vars strings.Builder
+	for i := 0; i < vms; i++ {
+		pairs = append(pairs,
+			fmt.Sprintf(`"r-vm-%d"`, i),
+			fmt.Sprintf(`"r-vm-%d-${var.rev_%d}"`, i, i))
+		fmt.Fprintf(&vars, "\nvariable \"rev_%d\" {\n  type    = string\n  default = \"0\"\n}\n", i)
+	}
+	files["rand.ccl"] = strings.NewReplacer(pairs...).Replace(src)
+	files["vars.ccl"] = vars.String()
+	return files, vms
+}
+
 // TeamUpdate describes one team's concurrent update: the addresses it
 // touches and the attribute value it writes.
 type TeamUpdate struct {

@@ -317,11 +317,36 @@ func (w *Workspace) reexpand() error {
 }
 
 // SetVar changes an input variable (e.g. applying a policy decision) and
-// re-expands the configuration.
+// re-expands the configuration. A value the expansion rejects changes
+// nothing.
 func (w *Workspace) SetVar(name string, value any) error {
-	w.vars[name] = eval.FromGo(value)
-	w.engine.Vars[name] = w.vars[name]
-	return w.reexpand()
+	return w.bind(map[string]eval.Value{name: eval.FromGo(value)})
+}
+
+// bind sets variables in the workspace and in the policy engine's view, then
+// re-expands. When expansion rejects the new values the previous bindings (or
+// their absence) come back on both sides, so a bad value cannot fail every
+// later call with its own diagnostic.
+func (w *Workspace) bind(vals map[string]eval.Value) error {
+	prev := make(map[string]eval.Value, len(vals))
+	for name, v := range vals {
+		if old, ok := w.vars[name]; ok {
+			prev[name] = old
+		}
+		w.vars[name], w.engine.Vars[name] = v, v
+	}
+	err := w.reexpand()
+	if err != nil {
+		for name := range vals {
+			if old, ok := prev[name]; ok {
+				w.vars[name], w.engine.Vars[name] = old, old
+			} else {
+				delete(w.vars, name)
+				delete(w.engine.Vars, name)
+			}
+		}
+	}
+	return err
 }
 
 // Var reads a managed variable's current value.
@@ -812,10 +837,13 @@ func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) 
 		span.SetAttr("fuse_tripped", len(res.FuseTripped))
 		span.SetAttr("reverted", res.Reverted)
 	}
-	// Record outputs on the lifecycle span with the same redaction the
-	// display path applies: sensitive values never reach a trace file.
-	for name, v := range w.DisplayOutputs() {
-		span.SetAttr("output."+name, fmt.Sprint(v))
+	// Record outputs on the lifecycle span, when there is one to read them
+	// for, with the same redaction the display path applies: sensitive
+	// values never reach a trace file.
+	if span != nil {
+		for name, v := range w.DisplayOutputs() {
+			span.SetAttr("output."+name, fmt.Sprint(v))
+		}
 	}
 
 	// Advance the drift watcher past our own activity so it doesn't chew
@@ -1039,15 +1067,14 @@ func (w *Workspace) Observe(metrics map[string]any) ([]policy.Decision, error) {
 	if diags.HasErrors() {
 		return decs, diags
 	}
-	changed := false
+	vals := map[string]eval.Value{}
 	for _, d := range decs {
 		if d.Kind == policy.ActionScale || d.Kind == policy.ActionSetVariable {
-			w.vars[d.Variable] = d.NewValue
-			changed = true
+			vals[d.Variable] = d.NewValue
 		}
 	}
-	if changed {
-		if err := w.reexpand(); err != nil {
+	if len(vals) > 0 {
+		if err := w.bind(vals); err != nil {
 			return decs, err
 		}
 	}
@@ -1126,7 +1153,7 @@ func (w *Workspace) ExecuteRollback(ctx context.Context, p *rollback.Plan, targe
 // Outputs returns the last-applied root outputs as plain Go values.
 func (w *Workspace) Outputs() map[string]any {
 	out := map[string]any{}
-	for k, v := range w.db.Snapshot().Outputs {
+	for k, v := range w.db.Outputs() {
 		out[k] = eval.ToGo(v)
 	}
 	return out

@@ -2,16 +2,21 @@ package cloudless_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
+	"cloudless"
 	"cloudless/internal/apply"
 	"cloudless/internal/cloud"
 	"cloudless/internal/config"
+	"cloudless/internal/drift"
+	"cloudless/internal/eval"
 	"cloudless/internal/plan"
 	"cloudless/internal/rollback"
 	"cloudless/internal/schema"
 	"cloudless/internal/state"
+	"cloudless/internal/statedb"
 	"cloudless/internal/validate"
 	"cloudless/internal/workload"
 )
@@ -278,4 +283,129 @@ func TestCloudStateConsistencyUnderConcurrentApplies(t *testing.T) {
 		t.Errorf("VMs = %d, want 8", got)
 	}
 	_ = cloud.DefaultOptions()
+}
+
+// TestTimeMachineImmutabilityProperty guards the read contract of the golden
+// state (DESIGN S21): snapshots, plans, applies and the version chains share
+// one set of records, so no verb may write through one. It drives every verb
+// that produces state — deploy, cached edits, a refreshing replan over
+// foreign drift, drift adopt and revert, rollback, destroy — capturing the
+// time machine's bytes right after each commit; at the end every serial
+// still in the window re-reads to the same bytes, and so does every snapshot
+// held since.
+func TestTimeMachineImmutabilityProperty(t *testing.T) {
+	ctx := context.Background()
+	sim := newSim()
+	files, _ := workload.EditableDAG(20, 11)
+	s, err := cloudless.Open(cloudless.Options{Sources: files, Cloud: sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	type capture struct {
+		after string
+		snap  *state.State
+		bytes string
+	}
+	var history []capture
+	encode := func(st *state.State) string {
+		t.Helper()
+		raw, err := st.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	record := func(after string) {
+		t.Helper()
+		snap, err := s.DB().SnapshotAt(s.DB().Serial())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(history); n > 0 && history[n-1].snap.Serial == snap.Serial {
+			t.Fatalf("%s did not commit (serial %d)", after, snap.Serial)
+		}
+		history = append(history, capture{after, snap, encode(snap)})
+	}
+	applyPlan := func(step string, p *cloudless.Plan, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: plan: %v", step, err)
+		}
+		if _, _, err := s.Apply(ctx, p, cloudless.ApplyOptions{}); err != nil {
+			t.Fatalf("%s: apply: %v", step, err)
+		}
+		record(step)
+	}
+	foreignRename := func(addr, name string) {
+		t.Helper()
+		rs := s.DB().Snapshot().Get(addr)
+		if _, err := sim.Update(ctx, cloud.UpdateRequest{Type: rs.Type, ID: rs.ID,
+			Attrs: map[string]eval.Value{"name": eval.String(name)}, Principal: "legacy-script"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reconcile := func(step string, action drift.Action) {
+		t.Helper()
+		rep, err := s.WatchDrift(ctx)
+		if err != nil || len(rep.Items) == 0 {
+			t.Fatalf("%s: drift report = %+v, %v", step, rep, err)
+		}
+		if _, err := s.ReconcileDrift(ctx, rep, action); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		record(step)
+	}
+
+	p, err := s.Plan(ctx)
+	applyPlan("deploy", p, err)
+	deployed := s.DB().Serial()
+	for i := 0; i < 4; i++ {
+		if err := s.SetVar(fmt.Sprintf("rev_%d", i), "1"); err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.ReplanOffline(ctx)
+		applyPlan(fmt.Sprintf("edit %d", i), p, err)
+	}
+	// The refresh fold reads the foreign rename into the plan's prior.
+	foreignRename("aws_network_interface.r0", "rogue-0")
+	p, err = s.Replan(ctx)
+	applyPlan("refreshing replan", p, err)
+	foreignRename("aws_network_interface.r1", "rogue-1")
+	reconcile("adopt drift", drift.Adopt)
+	foreignRename("aws_network_interface.r2", "rogue-2")
+	reconcile("revert drift", drift.Revert)
+
+	rp, target, err := s.PlanRollback(deployed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.Reverts == 0 {
+		t.Fatalf("rollback plan reverts nothing in place: %s", rp.Summary())
+	}
+	if err := s.ExecuteRollback(ctx, rp, target); err != nil {
+		t.Fatal(err)
+	}
+	record("rollback")
+	if _, err := s.Destroy(ctx); err != nil {
+		t.Fatal(err)
+	}
+	record("destroy")
+
+	for _, c := range history {
+		if got := encode(c.snap); got != c.bytes {
+			t.Errorf("the snapshot held since %q (serial %d) changed under its holder", c.after, c.snap.Serial)
+		}
+		again, err := s.DB().SnapshotAt(c.snap.Serial)
+		if errors.Is(err, statedb.ErrNoSuchSerial) {
+			continue // trimmed out of the window
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encode(again); got != c.bytes {
+			t.Errorf("serial %d (after %q) re-reads differently than right after its commit", c.snap.Serial, c.after)
+		}
+	}
 }

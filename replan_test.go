@@ -263,7 +263,7 @@ func TestReplanCacheEquivalenceProperty(t *testing.T) {
 			moved.Serial++
 			addrs := moved.Addrs()
 			perturbed := addrs[int(seed)%len(addrs)]
-			moved.Get(perturbed).Attrs["name"] = eval.String("perturbed-" + perturbed)
+			setAttr(moved, perturbed, "name", eval.String("perturbed-"+perturbed))
 			cp3 := computeCached(ex2, moved)
 			fp3 := computeFull(ex2, moved)
 			if encodeFacadePlan(cp3) != encodeFacadePlan(fp3) {

@@ -2,10 +2,14 @@ package cloudless_test
 
 import (
 	"context"
+	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 
+	"cloudless"
 	"cloudless/internal/apply"
 	"cloudless/internal/plan"
 	"cloudless/internal/state"
@@ -102,5 +106,80 @@ func TestFullPlanAllocationIsLinear(t *testing.T) {
 	if large > 6*small {
 		t.Errorf("no-op plan allocated %d B at 1002 instances, %d B at 252: %.1fx for 4x the size",
 			large, small, float64(large)/float64(small))
+	}
+}
+
+// newEditLoop deploys the 1002-instance workload.EditableDAG on an
+// in-process sim, durably (commit log and apply journal, as edit_loop does),
+// and returns edit: one SetVar + ReplanOffline + Apply that renames VM i.
+func newEditLoop(tb testing.TB) (edit func(i int)) {
+	tb.Helper()
+	ctx := context.Background()
+	files, vms := workload.EditableDAG(667, 7)
+	dir := tb.TempDir()
+	st, err := cloudless.Open(cloudless.Options{
+		Sources:      files,
+		Cloud:        newSim(),
+		StateBackend: cloudless.BackendWAL,
+		StateDir:     filepath.Join(dir, "state.wal"),
+		JournalPath:  filepath.Join(dir, "run.journal"),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = st.Close() })
+	p, err := st.Replan(ctx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := st.Apply(ctx, p, cloudless.ApplyOptions{}); err != nil {
+		tb.Fatal(err)
+	}
+	rev := 0
+	return func(i int) {
+		rev++
+		if err := st.SetVar(fmt.Sprintf("rev_%d", i%vms), strconv.Itoa(rev)); err != nil {
+			tb.Fatal(err)
+		}
+		p, err := st.ReplanOffline(ctx)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if p.Updates != 1 || p.PendingCount() != 1 {
+			tb.Fatalf("edit planned %s, want one update", p.Summary())
+		}
+		if _, _, err := st.Apply(ctx, p, cloudless.ApplyOptions{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEditLoop is the repository benchmark's edit_loop in-process: one
+// VM of a warm 1002-instance estate renamed, replanned through the cache and
+// applied durably, per iteration.
+func BenchmarkEditLoop(b *testing.B) {
+	edit := newEditLoop(b)
+	edit(0) // warm the replan cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edit(i + 1)
+	}
+}
+
+// TestEditAllocationIsBounded pins what one warm edit of a 1002-instance
+// estate may allocate. Snapshots, plans and applies share the state's
+// records instead of copying them (DESIGN S21); one whole-state deep copy
+// anywhere on the path is ~2.5 MB and four of them were 10 MB.
+func TestEditAllocationIsBounded(t *testing.T) {
+	edit := newEditLoop(t)
+	edit(0)
+	edit(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	edit(2)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 6<<20 {
+		t.Errorf("one warm edit at 1002 instances allocated %.1f MB, want at most 6", float64(got)/(1<<20))
 	}
 }
