@@ -109,3 +109,76 @@ func TestStackCloseContextHonorsDeadline(t *testing.T) {
 		t.Fatalf("final Close: %v", err)
 	}
 }
+
+// TestSetVarConcurrentWithPlans: bindings and the expansion they produce
+// change under one lock, so SetVar and Observe may run while other goroutines
+// plan, validate and read — each reader sees one whole expansion (under -race
+// this is the regression test for the unguarded w.expansion) — and both are
+// lifecycle calls: refused with *ErrStackClosed once Close has begun.
+func TestSetVarConcurrentWithPlans(t *testing.T) {
+	s := openStack(t, newSim(), `
+policy "grow" {
+  phase = "operate"
+  when  = metric.load > 0.8
+  scale {
+    variable = "vm_count"
+    delta    = 1
+    max      = 6
+  }
+}`)
+	ctx := context.Background()
+	const rounds = 50
+	var wg sync.WaitGroup
+	run := func(fn func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := fn(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	run(func(i int) error { return s.SetVar("vm_count", 1+i%4) })
+	run(func(int) error {
+		_, err := s.Observe(map[string]any{"load": 0.9})
+		return err
+	})
+	run(func(int) error {
+		p, err := s.PlanOffline(ctx)
+		if err != nil {
+			return err
+		}
+		// vpc + subnet + one nic and one vm per vm_count, from one expansion.
+		if n := p.Creates - 2; n < 2 || n > 12 || n%2 != 0 {
+			t.Errorf("plan creates %d resources: not one expansion's worth", p.Creates)
+		}
+		return nil
+	})
+	run(func(int) error {
+		if res := s.Validate(); res.HasErrors() {
+			t.Errorf("validate: %v", res.Findings)
+		}
+		if n := len(s.Instances()) - 2; n < 2 || n > 12 || n%2 != 0 {
+			t.Errorf("%d instances: not one expansion's worth", n+2)
+		}
+		if _, ok := s.Var("vm_count"); !ok {
+			t.Error("vm_count unbound")
+		}
+		return nil
+	})
+	wg.Wait()
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var closed *cloudless.ErrStackClosed
+	if err := s.SetVar("vm_count", 3); !errors.As(err, &closed) {
+		t.Errorf("SetVar after Close: got %v, want *ErrStackClosed", err)
+	}
+	if _, err := s.Observe(map[string]any{"load": 0.9}); !errors.As(err, &closed) {
+		t.Errorf("Observe after Close: got %v, want *ErrStackClosed", err)
+	}
+}

@@ -24,11 +24,9 @@ package cloudless
 
 import (
 	"context"
-	"time"
 
 	"cloudless/internal/apply"
 	"cloudless/internal/cloud"
-	"cloudless/internal/config"
 	"cloudless/internal/diagnose"
 	"cloudless/internal/drift"
 	"cloudless/internal/events"
@@ -73,6 +71,10 @@ type (
 	// was computed against a state serial that other commits have passed.
 	StaleBaseError = statedb.StaleBaseError
 
+	// Options configure Open: the workspace core's Config, spelled once (see
+	// its field docs). Name is optional and only labels the stack in
+	// journals and events.
+	Options = workspace.Config
 	// ApplyOptions tune Apply.
 	ApplyOptions = workspace.ApplyOptions
 	// ErrPolicyDenied is returned when a plan-phase policy denies the apply.
@@ -99,126 +101,6 @@ const (
 	SchedulerCriticalPath = apply.CriticalPathScheduler
 )
 
-// Options configure Open.
-type Options struct {
-	// Sources maps filename to CCL source. Exactly one of Sources or Dir
-	// must be set.
-	Sources map[string]string
-	// Dir loads all .ccl files from a directory.
-	Dir string
-	// Vars supplies input variable values (plain Go values).
-	Vars map[string]any
-	// Cloud is the control plane to deploy onto. Required.
-	Cloud cloud.Interface
-	// Modules resolves module sources; defaults to directory resolution
-	// relative to Dir when Dir is set.
-	Modules config.ModuleResolver
-	// InitialState seeds the golden-state database (e.g. loaded from a
-	// state file); defaults to empty.
-	InitialState *state.State
-	// GlobalLock switches the lock manager to whole-infrastructure
-	// locking (the baseline behaviour). Default: per-resource locks.
-	GlobalLock bool
-	// StateBackend selects the golden-state engine's durability: "memory"
-	// (default; in-memory version chains only) or "wal" (the same engine
-	// over an fsynced commit log in StateDir, with snapshot compaction and
-	// crash recovery). Either way every commit keeps copy-on-write versions
-	// per serial, so reads pinned at a serial stay consistent during
-	// concurrent applies. "mvcc", a retired name, is read as "memory".
-	StateBackend string
-	// StateDir is the durable directory for the wal backend (required for
-	// it; ignored otherwise). Existing durable contents win over
-	// InitialState on reopen.
-	StateDir string
-	// JournalPath, when set, makes mutating operations crash-safe: every
-	// apply, destroy, and rollback runs under a durable write-ahead journal
-	// at this path (intents and per-op begin/done records, fsynced before
-	// each cloud call). The journal is discarded after a fully successful
-	// commit; if it survives — the process crashed or an op failed — the
-	// next Plan or Apply recovers it first (see Stack.Recover).
-	JournalPath string
-	// Policies is CCL policy source enforced across the lifecycle.
-	Policies string
-	// Principal identifies this stack's changes in cloud activity logs.
-	Principal string
-	// Telemetry, when set, records a lifecycle span for every facade
-	// operation plus the per-layer spans and metrics the internals emit
-	// (apply ops, lock waits, cloud API calls, plan scope). Nil disables
-	// instrumentation at near-zero cost.
-	Telemetry *telemetry.Recorder
-
-	// Provider runtime knobs (DESIGN.md S22). Every cloud call the stack
-	// makes — apply ops, drift scans, plan refresh, activity tailing — goes
-	// through one shared internal/provider.Runtime that owns read caching,
-	// in-flight dedup, AIMD adaptive concurrency, and retry. Zero values
-	// mean the runtime defaults.
-
-	// ProviderCacheTTL bounds read-cache entry lifetime (default 30s;
-	// negative disables caching).
-	ProviderCacheTTL time.Duration
-	// ProviderMaxRetries bounds attempts per cloud call (default 4).
-	ProviderMaxRetries int
-	// ProviderRetryBase seeds full-jitter exponential backoff (default 50ms).
-	ProviderRetryBase time.Duration
-	// ProviderMaxInFlight is the AIMD concurrency-window ceiling per cloud
-	// provider (default 64).
-	ProviderMaxInFlight int
-
-	// Guarded-apply knobs (DESIGN.md S24). When GuardApplies is set, every
-	// Apply runs health-gated: each create/update is probed until the
-	// resource turns ready before dependents unblock, a per-run/per-region
-	// failure fuse stops admitting ops into domains that fail too much, and
-	// when resources never turn ready (or a fuse trips) the touched blast
-	// radius is automatically reverted under the journal.
-
-	// GuardApplies turns guarded execution on.
-	GuardApplies bool
-	// GuardCanary in (0, 1) applies a dependency-closed canary fraction of
-	// each changeset first and releases the rest only if the canary
-	// converges healthy. Zero disables the canary split.
-	GuardCanary float64
-	// GuardMaxFailures trips a failure domain's fuse at this many failures
-	// (default 3).
-	GuardMaxFailures int
-	// GuardMaxFailureFraction trips a domain when failed/planned reaches
-	// this fraction of the domain's planned ops (default 0.5).
-	GuardMaxFailureFraction float64
-	// HealthProbeTimeout bounds the per-resource readiness wait (default 30s).
-	HealthProbeTimeout time.Duration
-	// HealthProbeInterval is the first probe poll gap; polls back off
-	// exponentially from it (default 10ms).
-	HealthProbeInterval time.Duration
-}
-
-// config converts public options into the workspace core's config.
-func (o Options) config() workspace.Config {
-	return workspace.Config{
-		Sources:                 o.Sources,
-		Dir:                     o.Dir,
-		Vars:                    o.Vars,
-		Cloud:                   o.Cloud,
-		Modules:                 o.Modules,
-		InitialState:            o.InitialState,
-		GlobalLock:              o.GlobalLock,
-		StateBackend:            o.StateBackend,
-		StateDir:                o.StateDir,
-		JournalPath:             o.JournalPath,
-		Policies:                o.Policies,
-		Principal:               o.Principal,
-		Telemetry:               o.Telemetry,
-		ProviderCacheTTL:        o.ProviderCacheTTL,
-		ProviderMaxRetries:      o.ProviderMaxRetries,
-		ProviderRetryBase:       o.ProviderRetryBase,
-		ProviderMaxInFlight:     o.ProviderMaxInFlight,
-		GuardApplies:            o.GuardApplies,
-		GuardCanary:             o.GuardCanary,
-		GuardMaxFailures:        o.GuardMaxFailures,
-		GuardMaxFailureFraction: o.GuardMaxFailureFraction,
-		HealthProbeTimeout:      o.HealthProbeTimeout,
-		HealthProbeInterval:     o.HealthProbeInterval,
-	}
-}
-
 // Stack is an infrastructure under cloudless management: a thin
 // single-workspace client of the internal/workspace core. The zero value
 // is not usable; construct with Open.
@@ -235,7 +117,7 @@ type Stack struct {
 
 // Open loads, expands, and binds a configuration.
 func Open(opts Options) (*Stack, error) {
-	ws, err := workspace.New(opts.config())
+	ws, err := workspace.New(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +125,8 @@ func Open(opts Options) (*Stack, error) {
 }
 
 // SetVar changes an input variable (e.g. applying a policy decision) and
-// re-expands the configuration.
+// re-expands the configuration. Safe to call while other goroutines plan;
+// fails with *ErrStackClosed once Close has begun.
 func (s *Stack) SetVar(name string, value any) error { return s.ws.SetVar(name, value) }
 
 // Var reads a managed variable's current value.
@@ -353,9 +236,6 @@ func (s *Stack) ReplanOffline(ctx context.Context) (*Plan, error) { return s.ws.
 // invalidation type ("cold", "config", "state", "clean"), dirty-seed counts,
 // and how many resources replayed from cache vs re-evaluated.
 func (s *Stack) ReplanStats() plan.CacheStats { return s.ws.ReplanStats() }
-
-// InvalidateReplanCache forces the next Replan to be a full replan.
-func (s *Stack) InvalidateReplanCache() { s.ws.InvalidateReplanCache() }
 
 // PlanOffline plans without refreshing from the cloud (fast, trusts state).
 func (s *Stack) PlanOffline(ctx context.Context) (*Plan, error) { return s.ws.PlanOffline(ctx) }

@@ -70,7 +70,7 @@ func main() {
 		{"CR", "crash recovery: randomized kill/restart/recover convergence (§3.5, §3.6)", cr},
 		{"HG", "health-gated progressive applies: guarded vs unguarded under readiness faults (§24)", hg},
 		{"EV", "live ops plane: event-bus throughput, subscriber tax on apply, drop accounting (§25)", ev},
-		{"SC", "scale-out planning core: incremental replan, parallel evaluation, bulk ops (§26)", sc},
+		{"SC", "scale-out planning core: incremental replan, bulk ops (§26)", sc},
 		{"SV", "workspace server: multi-tenant job latency and fairness under 2x overload (§27)", sv},
 		{"DR", "daemon disaster recovery: SIGKILL/restart chaos, zero lost jobs, replay cost (§28)", dr},
 		{"RC", "continuous reconciliation: event-driven converge loop vs periodic FullScan, never-worse repair, breaker (§29)", rc},

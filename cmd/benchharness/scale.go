@@ -1,14 +1,12 @@
 package main
 
-// SC: the scale-out planning core (§3.3 at 100k-resource ambitions). Three
+// SC: the scale-out planning core (§3.3 at 100k-resource ambitions). Two
 // claims, measured on randomized DAG topologies:
 //
 //  1. Incremental replan: after a one-resource edit, a cached replan
 //     re-evaluates only the dirty subtree — orders of magnitude fewer
 //     instance evaluations than a full replan, byte-identical output.
-//  2. Partitioned parallel evaluation: the work-stealing plan walk scales
-//     with workers while producing byte-identical plans.
-//  3. Bulk cloud ops: a batched apply spends a small fraction of the
+//  2. Bulk cloud ops: a batched apply spends a small fraction of the
 //     admitted control-plane calls an unbatched walker needs, and a drift
 //     poll verifies hundreds of foreign events in a handful of batched
 //     reads.
@@ -24,7 +22,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -45,22 +42,20 @@ var (
 )
 
 type scSizeResult struct {
-	Instances      int     `json:"instances"`
-	FullPlanMs     float64 `json:"full_plan_ms"`
-	FullEvaluated  int     `json:"full_evaluated"`
-	IncrPlanMs     float64 `json:"incr_plan_ms"`
-	IncrEvaluated  int     `json:"incr_evaluated"`
-	ReplayPlanMs   float64 `json:"replay_plan_ms"`
-	ReplayEvals    int     `json:"replay_evaluated"`
-	EvalReduction  float64 `json:"eval_reduction_x"`
-	PlanSpeedup    float64 `json:"plan_speedup_x"`
-	ByteIdentical  bool    `json:"byte_identical"`
-	ParallelSpeedX float64 `json:"parallel_speedup_x,omitempty"`
+	Instances     int     `json:"instances"`
+	FullPlanMs    float64 `json:"full_plan_ms"`
+	FullEvaluated int     `json:"full_evaluated"`
+	IncrPlanMs    float64 `json:"incr_plan_ms"`
+	IncrEvaluated int     `json:"incr_evaluated"`
+	ReplayPlanMs  float64 `json:"replay_plan_ms"`
+	ReplayEvals   int     `json:"replay_evaluated"`
+	EvalReduction float64 `json:"eval_reduction_x"`
+	PlanSpeedup   float64 `json:"plan_speedup_x"`
+	ByteIdentical bool    `json:"byte_identical"`
 }
 
 type scResult struct {
 	Experiment string         `json:"experiment"`
-	Workers    int            `json:"workers"`
 	Sizes      []scSizeResult `json:"sizes"`
 	// Watched guard metric: incremental evaluations after a one-resource
 	// edit on the 2k-instance graph. Deterministic; >5% regression fails.
@@ -132,8 +127,7 @@ func medianMs(samples []time.Duration) float64 {
 
 func sc() {
 	ctx := context.Background()
-	workers := runtime.NumCPU()
-	out := scResult{Experiment: "SC", Workers: workers}
+	out := scResult{Experiment: "SC"}
 	rows := [][]string{}
 
 	for _, decls := range scGraphSizes {
@@ -166,18 +160,18 @@ func sc() {
 		var full, incr, replay *plan.Plan
 		for i := 0; i < reps; i++ {
 			t0 := time.Now()
-			full = mustPlan(ex2, prior, plan.Options{Concurrency: workers})
+			full = mustPlan(ex2, prior, plan.Options{})
 			fullT = append(fullT, time.Since(t0))
 		}
 		// First cached plan after the edit: config invalidation, dirty
 		// subtree re-evaluated. Subsequent ones: clean replay, zero
 		// evaluation — measured separately so neither hides the other.
 		t0 := time.Now()
-		incr = mustPlan(ex2, prior, plan.Options{Concurrency: workers, Cache: cache})
+		incr = mustPlan(ex2, prior, plan.Options{Cache: cache})
 		incrT := time.Since(t0)
 		for i := 0; i < reps; i++ {
 			t0 := time.Now()
-			replay = mustPlan(ex2, prior, plan.Options{Concurrency: workers, Cache: cache})
+			replay = mustPlan(ex2, prior, plan.Options{Cache: cache})
 			replayT = append(replayT, time.Since(t0))
 		}
 		identical := planDigest(full) == planDigest(incr) && planDigest(full) == planDigest(replay)
@@ -202,21 +196,6 @@ func sc() {
 			r.PlanSpeedup = r.FullPlanMs / r.IncrPlanMs
 		}
 
-		// Parallel evaluation scaling on the largest graph only (the small
-		// ones are dominated by fixed costs).
-		if decls == scGraphSizes[len(scGraphSizes)-1] {
-			t0 := time.Now()
-			seq := mustPlan(ex2, prior, plan.Options{Concurrency: 1})
-			seqMs := float64(time.Since(t0).Microseconds()) / 1000
-			if planDigest(seq) != planDigest(full) {
-				panic("SC: parallel plan diverged from sequential plan")
-			}
-			if r.FullPlanMs > 0 {
-				r.ParallelSpeedX = seqMs / r.FullPlanMs
-			}
-			fmt.Printf("parallel evaluation on %d instances: %d workers = %.2fx vs 1 worker (byte-identical)\n",
-				r.Instances, workers, r.ParallelSpeedX)
-		}
 		if decls == scWatchedSize {
 			out.WatchedIncrEvaluated = r.IncrEvaluated
 		}

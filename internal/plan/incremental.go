@@ -32,8 +32,6 @@ import (
 //   - scope: an explicit -target scope intersects — a clean in-target
 //     resource replays, a dirty out-of-target resource stays unplanned
 //     exactly as it would in an uncached targeted plan.
-//   - explicit: InvalidateAll / InvalidateAddrs for callers that know
-//     something the fingerprints cannot see.
 //
 // A ReplanCache is safe for concurrent use, but cached plans build on each
 // other: use one cache per stack.
@@ -58,8 +56,8 @@ type cacheEntry struct {
 // CacheStats describes the last cached Compute for observability and tests.
 type CacheStats struct {
 	// Invalidation is the dominant reason work was redone: "cold" (no prior
-	// plan), "config" (decl edits), "state" (recorded state moved),
-	// "explicit" (forced), or "clean" (full replay).
+	// plan), "config" (decl edits), "state" (recorded state moved), or
+	// "clean" (full replay).
 	Invalidation string
 	// DirtyConfig / DirtyState count seed resources per invalidation type.
 	DirtyConfig, DirtyState int
@@ -77,28 +75,6 @@ func (c *ReplanCache) LastStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// InvalidateAll drops everything; the next plan is a full replan.
-func (c *ReplanCache) InvalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hashes = nil
-	c.entries = nil
-	c.stats = CacheStats{Invalidation: "explicit"}
-}
-
-// InvalidateAddrs drops the entries of specific resource-level addresses
-// (e.g. from a drift watcher's findings) so they re-evaluate next plan.
-func (c *ReplanCache) InvalidateAddrs(addrs ...string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.hashes == nil {
-		return
-	}
-	for _, r := range addrs {
-		delete(c.hashes, r)
-	}
 }
 
 // dirtySeeds compares the cache against the current expansion and (already

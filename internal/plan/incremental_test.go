@@ -14,7 +14,7 @@ import (
 // encodePlan serializes everything plan consumers can observe — changes with
 // full attribute sets, the execution graph, and the summary — so tests can
 // assert byte-identity between plans produced by different strategies
-// (sequential vs parallel, full vs cached).
+// (full vs cached).
 func encodePlan(p *Plan) string {
 	var b strings.Builder
 	addrs := make([]string, 0, len(p.Changes))
@@ -47,24 +47,6 @@ func encodePlan(p *Plan) string {
 	}
 	b.WriteString(p.Summary())
 	return b.String()
-}
-
-// TestParallelPlanDeterminism: the partitioned parallel evaluator must
-// produce byte-identical plans for every worker count.
-func TestParallelPlanDeterminism(t *testing.T) {
-	ex := expandSrc(t, webConfig)
-	prior := stateFromPlanAssumingIDs(t, ex)
-	// Perturb one resource so the plan is not all-noop.
-	setAttr(prior, "aws_vpc.main", "name", eval.String("drifted"))
-
-	base := encodePlan(computeOK(t, ex, prior, Options{Concurrency: 1}))
-	for _, workers := range []int{2, 4, 16, 64} {
-		got := encodePlan(computeOK(t, ex, prior, Options{Concurrency: workers}))
-		if got != base {
-			t.Fatalf("concurrency %d produced a different plan:\n--- c=1\n%s\n--- c=%d\n%s",
-				workers, base, workers, got)
-		}
-	}
 }
 
 func TestReplanCacheCleanReplay(t *testing.T) {
@@ -310,29 +292,6 @@ resource "aws_virtual_machine" "web" {
 	// Only the decl reading the variable re-evaluates.
 	if cached.EvaluatedInstances != 1 {
 		t.Errorf("evaluated %d instances, want 1 (vm only)", cached.EvaluatedInstances)
-	}
-}
-
-func TestReplanCacheExplicitInvalidation(t *testing.T) {
-	ex := expandSrc(t, webConfig)
-	prior := stateFromPlanAssumingIDs(t, ex)
-	cache := NewReplanCache()
-	computeOK(t, ex, prior, Options{Cache: cache})
-
-	cache.InvalidateAddrs("aws_subnet.s")
-	p := computeOK(t, ex, prior, Options{Cache: cache})
-	// subnet + dependents (nic, vm) re-evaluate: 2 subnet insts + nic + vm.
-	if p.EvaluatedInstances != 4 {
-		t.Errorf("evaluated %d instances after addr invalidation, want 4", p.EvaluatedInstances)
-	}
-
-	cache.InvalidateAll()
-	p2 := computeOK(t, ex, prior, Options{Cache: cache})
-	if st := cache.LastStats(); st.Invalidation != "cold" {
-		t.Errorf("invalidation after InvalidateAll = %q, want cold", st.Invalidation)
-	}
-	if p2.EvaluatedInstances != 5 {
-		t.Errorf("evaluated %d instances after full invalidation, want 5", p2.EvaluatedInstances)
 	}
 }
 

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -103,11 +102,6 @@ type Options struct {
 	// resource-level addresses plus their transitive dependents; everything
 	// else is assumed unchanged (the §3.3 incremental optimization).
 	ImpactScope []string
-	// Concurrency is the worker count for partitioned parallel evaluation
-	// (0 means GOMAXPROCS). The plan is byte-identical for every value:
-	// workers only race on dependency-independent instances, and results
-	// merge in address order.
-	Concurrency int
 	// Cache, when non-nil, makes the plan an incremental replan: only
 	// declarations whose fingerprint changed, addresses whose recorded state
 	// moved, and their transitive dependents are re-evaluated; everything
@@ -149,8 +143,8 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 		}
 	}()
 
-	// Resource-level dependency graph over configuration, used for
-	// topological evaluation order and impact scoping.
+	// Resource-level dependency graph over configuration: its topological
+	// order is the evaluation order, its closure the impact scope.
 	cfgGraph := graph.New()
 	for _, inst := range ex.Instances {
 		cfgGraph.AddNode(inst.ResourceAddr())
@@ -164,7 +158,8 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 			}
 		}
 	}
-	if err := cfgGraph.Validate(); err != nil {
+	order, err := cfgGraph.TopoSort()
+	if err != nil {
 		return p, diags.Append(hcl.Errorf(hcl.Range{}, "configuration has a dependency cycle: %s", err))
 	}
 
@@ -262,11 +257,6 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	}
 	p.PriorState = prior
 
-	// Evaluate instances in dependency order, partitioned across the
-	// work-stealing pool. Workers touch only their own per-resource result
-	// slot (plus the concurrency-safe ValueStore), and the fold below merges
-	// everything in address order — so the plan (changes, counters,
-	// diagnostics) is byte-identical for any worker count, including 1.
 	instByResource := map[string][]*config.Instance{}
 	for _, inst := range ex.Instances {
 		r := inst.ResourceAddr()
@@ -292,30 +282,20 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 		return ok
 	}
 
-	type resourceResult struct {
-		changes   []*Change
-		diags     hcl.Diagnostics
-		evaluated int
-		noops     int
-		outcome   replanOutcome
-	}
-	resourceAddrs := cfgGraph.Nodes()
-	results := make(map[string]*resourceResult, len(resourceAddrs))
-	for _, addr := range resourceAddrs {
-		results[addr] = &resourceResult{}
-	}
-	workers := opts.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	walkErr := cfgGraph.StealWalk(workers, func(resourceAddr string) {
-		res := results[resourceAddr]
+	// Evaluate resource addresses in dependency order, on the calling
+	// goroutine: a node is microseconds of CPU, so a pool costs every plan
+	// more than it returns (DESIGN S26). Evaluation diagnostics are kept per
+	// resource and reported in address order, so what a caller reads does not
+	// depend on where in the order a bad resource falls.
+	outcomes := make(map[string]replanOutcome, len(order))
+	evalDiags := map[string]hcl.Diagnostics{}
+	for _, resourceAddr := range order {
 		insts := instByResource[resourceAddr]
 
 		// Clean resource under a warm cache: replay the memoized diffs and
 		// planned values instead of re-evaluating. The replayed records are
 		// exactly what evaluation would produce, so dirty dependents read
-		// identical upstream values and the merged plan is byte-identical.
+		// identical upstream values and the plan is byte-identical.
 		if opts.Cache != nil && inScope(resourceAddr) && !inDirty(resourceAddr) {
 			if entries, ok := opts.Cache.replay(insts); ok {
 				for i, inst := range insts {
@@ -332,15 +312,15 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 						// maps and slices stay shared with the cache.
 						ch := *e.change
 						ch.Instance = inst
-						res.changes = append(res.changes, &ch)
+						p.record(&ch)
 					}
 				}
-				res.outcome = outcomeReplayed
-				return
+				outcomes[resourceAddr] = outcomeReplayed
+				continue
 			}
 		}
 
-		res.outcome = outcomeEvaluated
+		outcome := outcomeEvaluated
 		for _, inst := range insts {
 			if inst.Mode == config.DataMode {
 				// Data sources are read locally at plan time.
@@ -351,36 +331,33 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 			if !inScope(resourceAddr) {
 				// Outside the impact scope: assume unchanged; expose the
 				// recorded state value.
-				res.outcome = outcomeSkipped
+				outcome = outcomeSkipped
 				if prior_ != nil {
 					p.Values.Set(inst.Addr, eval.Object(prior_.Attrs))
-					res.noops++
+					p.Noops++
 				}
 				continue
 			}
 			change, d := p.diffInstance(inst, prior_)
-			res.diags = res.diags.Extend(d)
+			if len(d) > 0 {
+				evalDiags[resourceAddr] = evalDiags[resourceAddr].Extend(d)
+			}
 			if d.HasErrors() {
-				res.outcome = outcomeFailed
+				outcome = outcomeFailed
 				continue
 			}
-			res.evaluated++
-			res.changes = append(res.changes, change)
+			p.EvaluatedInstances++
+			p.record(change)
 		}
-	})
-	if walkErr != nil {
-		return p, diags.Append(hcl.Errorf(hcl.Range{}, "cycle: %s", walkErr))
+		outcomes[resourceAddr] = outcome
 	}
-	outcomes := make(map[string]replanOutcome, len(resourceAddrs))
-	for _, resourceAddr := range resourceAddrs {
-		res := results[resourceAddr]
-		diags = diags.Extend(res.diags)
-		p.EvaluatedInstances += res.evaluated
-		p.Noops += res.noops
-		outcomes[resourceAddr] = res.outcome
-		for _, ch := range res.changes {
-			p.record(ch)
-		}
+	bad := make([]string, 0, len(evalDiags))
+	for resourceAddr := range evalDiags {
+		bad = append(bad, resourceAddr)
+	}
+	sort.Strings(bad)
+	for _, resourceAddr := range bad {
+		diags = diags.Extend(evalDiags[resourceAddr])
 	}
 
 	// Deletions: state entries with no configuration instance.

@@ -303,3 +303,68 @@ func TestPlanGraphExcludesNoops(t *testing.T) {
 		t.Errorf("graph nodes = %v", p.Graph.Nodes())
 	}
 }
+
+// A reference cycle between two resources is the walk's own error: the
+// diagnostic names both ends and nothing is evaluated.
+func TestPlanReportsDependencyCycle(t *testing.T) {
+	ex := expandSrc(t, `
+resource "aws_vpc" "a" {
+  name       = aws_vpc.b.name
+  cidr_block = "10.0.0.0/16"
+}
+
+resource "aws_vpc" "b" {
+  name       = aws_vpc.a.name
+  cidr_block = "10.1.0.0/16"
+}
+`)
+	p, diags := Compute(context.Background(), ex, nil, Options{})
+	if !diags.HasErrors() {
+		t.Fatal("cyclic configuration planned without error")
+	}
+	msg := diags.Error()
+	for _, want := range []string{"configuration has a dependency cycle", "aws_vpc.a", "aws_vpc.b"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("diagnostic %q does not mention %q", msg, want)
+		}
+	}
+	if p.EvaluatedInstances != 0 || len(p.Changes) != 0 {
+		t.Errorf("cyclic plan evaluated %d instances, recorded %d changes; want none",
+			p.EvaluatedInstances, len(p.Changes))
+	}
+}
+
+// Evaluation errors in unrelated resources come out in resource-address
+// order, wherever the resources sit in the source and in the walk: z_first
+// has no dependencies and is evaluated before a_last, which waits for the vpc.
+func TestPlanDiagnosticsInAddressOrder(t *testing.T) {
+	const (
+		aLast = `
+resource "aws_virtual_machine" "a_last" {
+  name = nosuch_a(aws_vpc.main.name)
+}
+`
+		vpc = `
+resource "aws_vpc" "main" {
+  name       = "main"
+  cidr_block = "10.0.0.0/16"
+}
+`
+		zFirst = `
+resource "aws_virtual_machine" "z_first" {
+  name = nosuch_z("x")
+}
+`
+	)
+	for _, src := range []string{aLast + vpc + zFirst, zFirst + vpc + aLast} {
+		p, diags := Compute(context.Background(), expandSrc(t, src), nil, Options{})
+		if len(diags) != 2 ||
+			!strings.Contains(diags[0].Error(), "nosuch_a") ||
+			!strings.Contains(diags[1].Error(), "nosuch_z") {
+			t.Errorf("diagnostics not in address order (a_last, z_first): %v\nsource:%s", diags, src)
+		}
+		if p.Creates != 1 {
+			t.Errorf("%d creates, want the vpc alone", p.Creates)
+		}
+	}
+}

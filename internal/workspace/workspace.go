@@ -37,11 +37,13 @@ import (
 	"cloudless/internal/validate"
 )
 
-// Config configures New. It mirrors the public cloudless.Options field for
-// field (the facade converts one into the other) plus the workspace name.
+// Config configures New. It is the one spelling of the workspace options:
+// the facade's cloudless.Options is an alias of it, and cloudlessd's Manager
+// fills one per tenant.
 type Config struct {
 	// Name identifies the workspace (tenant) in journals, events, and the
-	// server API. Empty is allowed for single-workspace (facade) use.
+	// server API. Optional: single-workspace (facade) use leaves it empty;
+	// the Manager sets it.
 	Name string
 	// Sources maps filename to CCL source. Exactly one of Sources or Dir
 	// must be set.
@@ -58,37 +60,81 @@ type Config struct {
 	// Modules resolves module sources; defaults to directory resolution
 	// relative to Dir when Dir is set.
 	Modules config.ModuleResolver
-	// InitialState seeds the golden-state database.
+	// InitialState seeds the golden-state database (e.g. loaded from a
+	// state file); defaults to empty.
 	InitialState *state.State
-	// GlobalLock switches the lock manager to whole-infrastructure locking.
+	// GlobalLock switches the lock manager to whole-infrastructure
+	// locking (the baseline behaviour). Default: per-resource locks.
 	GlobalLock bool
 	// StateBackend selects the golden-state engine's durability: "memory"
-	// (no commit log) or "wal" (commit log in StateDir).
+	// (default; in-memory version chains only) or "wal" (the same engine
+	// over an fsynced commit log in StateDir, with snapshot compaction and
+	// crash recovery). Either way every commit keeps copy-on-write versions
+	// per serial, so reads pinned at a serial stay consistent during
+	// concurrent applies. "mvcc", a retired name, is read as "memory".
 	StateBackend string
-	// StateDir is the durable directory for the wal backend.
+	// StateDir is the durable directory for the wal backend (required for
+	// it; ignored otherwise). Existing durable contents win over
+	// InitialState on reopen.
 	StateDir string
-	// JournalPath makes mutating operations crash-safe (see cloudless.Options).
+	// JournalPath, when set, makes mutating operations crash-safe: every
+	// apply, destroy, and rollback runs under a durable write-ahead journal
+	// at this path (intents and per-op begin/done records, fsynced before
+	// each cloud call). The journal is discarded after a fully successful
+	// commit; if it survives — the process crashed or an op failed — the
+	// next Plan or Apply recovers it first (see Recover).
 	JournalPath string
 	// Policies is CCL policy source enforced across the lifecycle.
 	Policies string
 	// Principal identifies this workspace's changes in cloud activity logs.
 	Principal string
-	// Telemetry records lifecycle spans and metrics (nil disables).
+	// Telemetry, when set, records a lifecycle span for every operation
+	// plus the per-layer spans and metrics the internals emit (apply ops,
+	// lock waits, cloud API calls, plan scope). Nil disables
+	// instrumentation at near-zero cost.
 	Telemetry *telemetry.Recorder
 
-	// Provider runtime knobs (DESIGN.md S22).
-	ProviderCacheTTL    time.Duration
-	ProviderMaxRetries  int
-	ProviderRetryBase   time.Duration
+	// Provider runtime knobs (DESIGN.md S22). Every cloud call the
+	// workspace makes — apply ops, drift scans, plan refresh, activity
+	// tailing — goes through one internal/provider.Runtime that owns read
+	// caching, in-flight dedup, AIMD adaptive concurrency, and retry. Zero
+	// values mean the runtime defaults.
+
+	// ProviderCacheTTL bounds read-cache entry lifetime (default 30s;
+	// negative disables caching).
+	ProviderCacheTTL time.Duration
+	// ProviderMaxRetries bounds attempts per cloud call (default 4).
+	ProviderMaxRetries int
+	// ProviderRetryBase seeds full-jitter exponential backoff (default 50ms).
+	ProviderRetryBase time.Duration
+	// ProviderMaxInFlight is the AIMD concurrency-window ceiling per cloud
+	// provider (default 64).
 	ProviderMaxInFlight int
 
-	// Guarded-apply knobs (DESIGN.md S24).
-	GuardApplies            bool
-	GuardCanary             float64
-	GuardMaxFailures        int
+	// Guarded-apply knobs (DESIGN.md S24). When GuardApplies is set, every
+	// Apply runs health-gated: each create/update is probed until the
+	// resource turns ready before dependents unblock, a per-run/per-region
+	// failure fuse stops admitting ops into domains that fail too much, and
+	// when resources never turn ready (or a fuse trips) the touched blast
+	// radius is automatically reverted under the journal.
+
+	// GuardApplies turns guarded execution on.
+	GuardApplies bool
+	// GuardCanary in (0, 1) applies a dependency-closed canary fraction of
+	// each changeset first and releases the rest only if the canary
+	// converges healthy. Zero disables the canary split.
+	GuardCanary float64
+	// GuardMaxFailures trips a failure domain's fuse at this many failures
+	// (default 3).
+	GuardMaxFailures int
+	// GuardMaxFailureFraction trips a domain when failed/planned reaches
+	// this fraction of the domain's planned ops (default 0.5).
 	GuardMaxFailureFraction float64
-	HealthProbeTimeout      time.Duration
-	HealthProbeInterval     time.Duration
+	// HealthProbeTimeout bounds the per-resource readiness wait (default 30s).
+	HealthProbeTimeout time.Duration
+	// HealthProbeInterval is the first probe poll gap; polls back off
+	// exponentially from it (default 10ms).
+	HealthProbeInterval time.Duration
 }
 
 // ErrClosed is returned for lifecycle calls on a workspace that is closing
@@ -142,11 +188,17 @@ type ApplyOptions struct {
 // are safe for concurrent use; lifecycle methods fail with *ErrClosed once
 // Close has begun.
 type Workspace struct {
-	name      string
-	module    *config.Module
-	expansion *config.Expansion
+	name     string
+	module   *config.Module
+	resolver config.ModuleResolver
+
+	// bindMu guards the variable bindings — vars and the policy engine's
+	// view of them — and the expansion derived from them. bind is the only
+	// writer and installs a fresh Expansion; an Expansion is never written
+	// after that, so readers take the pointer once (ex) and use it unlocked.
+	bindMu    sync.RWMutex
 	vars      map[string]eval.Value
-	resolver  config.ModuleResolver
+	expansion *config.Expansion
 
 	cloudAPI    cloud.Interface
 	db          *statedb.DB
@@ -306,7 +358,8 @@ func New(cfg Config) (*Workspace, error) {
 // Name returns the workspace's name ("" for facade-opened workspaces).
 func (w *Workspace) Name() string { return w.name }
 
-// reexpand recomputes the expansion from the module and current vars.
+// reexpand recomputes the expansion from the module and current vars. The
+// caller holds bindMu (New, which nothing else can see yet, does not).
 func (w *Workspace) reexpand() error {
 	ex, diags := config.Expand(w.module, w.vars, w.resolver)
 	if diags.HasErrors() {
@@ -316,17 +369,30 @@ func (w *Workspace) reexpand() error {
 	return nil
 }
 
+// ex returns the current expansion.
+func (w *Workspace) ex() *config.Expansion {
+	w.bindMu.RLock()
+	defer w.bindMu.RUnlock()
+	return w.expansion
+}
+
 // SetVar changes an input variable (e.g. applying a policy decision) and
 // re-expands the configuration. A value the expansion rejects changes
 // nothing.
 func (w *Workspace) SetVar(name string, value any) error {
+	if err := w.begin(); err != nil {
+		return err
+	}
+	defer w.end()
+	w.bindMu.Lock()
+	defer w.bindMu.Unlock()
 	return w.bind(map[string]eval.Value{name: eval.FromGo(value)})
 }
 
 // bind sets variables in the workspace and in the policy engine's view, then
 // re-expands. When expansion rejects the new values the previous bindings (or
 // their absence) come back on both sides, so a bad value cannot fail every
-// later call with its own diagnostic.
+// later call with its own diagnostic. The caller holds bindMu.
 func (w *Workspace) bind(vals map[string]eval.Value) error {
 	prev := make(map[string]eval.Value, len(vals))
 	for name, v := range vals {
@@ -351,7 +417,9 @@ func (w *Workspace) bind(vals map[string]eval.Value) error {
 
 // Var reads a managed variable's current value.
 func (w *Workspace) Var(name string) (any, bool) {
+	w.bindMu.RLock()
 	v, ok := w.vars[name]
+	w.bindMu.RUnlock()
 	if !ok {
 		return nil, false
 	}
@@ -442,8 +510,9 @@ func (w *Workspace) Provider() *provider.Runtime {
 
 // Instances lists the expanded instance addresses.
 func (w *Workspace) Instances() []string {
-	out := make([]string, 0, len(w.expansion.Instances))
-	for _, inst := range w.expansion.Instances {
+	ex := w.ex()
+	out := make([]string, 0, len(ex.Instances))
+	for _, inst := range ex.Instances {
 		out = append(out, inst.Addr)
 	}
 	sort.Strings(out)
@@ -454,7 +523,7 @@ func (w *Workspace) Instances() []string {
 // and the cloud-level knowledge base (§3.2).
 func (w *Workspace) Validate() *validate.Result {
 	_, span := w.lifecycle(context.Background(), "lifecycle.validate")
-	res := validate.Validate(w.expansion, nil)
+	res := validate.Validate(w.ex(), nil)
 	span.SetAttr("findings", len(res.Findings))
 	span.End()
 	return res
@@ -561,49 +630,56 @@ func (w *Workspace) recoverStale(ctx context.Context) (*apply.RecoverReport, err
 	return w.recover(ctx)
 }
 
-// Plan computes a full plan against the golden state, refreshing every
-// recorded resource from the cloud first. A stale journal from a crashed
-// run is recovered (and committed) before planning.
-func (w *Workspace) Plan(ctx context.Context) (*plan.Plan, error) {
+// compute is every plan verb: admit the operation, reconcile a crashed run's
+// journal first when the plan refreshes from the cloud (opts.Cloud is filled
+// in here), open the lifecycle span, snapshot the golden state (the latest,
+// or as of *at), and plan the current expansion against it. It is the only
+// caller of plan.Compute.
+func (w *Workspace) compute(ctx context.Context, spanName string, opts plan.Options, at *int) (*plan.Plan, error) {
 	if err := w.begin(); err != nil {
 		return nil, err
 	}
 	defer w.end()
-	if _, err := w.recoverStale(ctx); err != nil {
-		return nil, err
+	if opts.Refresh {
+		if _, err := w.recoverStale(ctx); err != nil {
+			return nil, err
+		}
+		opts.Cloud = w.cloudAPI
 	}
-	ctx, span := w.lifecycle(ctx, "lifecycle.plan")
+	ctx, span := w.lifecycle(ctx, spanName)
 	defer span.End()
-	p, diags := plan.Compute(ctx, w.expansion, w.db.Snapshot(), plan.Options{
-		Refresh: true, Cloud: w.cloudAPI,
-	})
+	if opts.ImpactScope != nil {
+		span.SetAttr("changed", len(opts.ImpactScope))
+	}
+	var prior *state.State
+	if at == nil {
+		prior = w.db.Snapshot()
+	} else {
+		span.SetAttr("pinned_serial", *at)
+		var err error
+		if prior, err = w.db.SnapshotAt(*at); err != nil {
+			return nil, err
+		}
+	}
+	p, diags := plan.Compute(ctx, w.ex(), prior, opts)
 	if diags.HasErrors() {
 		return p, diags
 	}
 	return p, nil
 }
 
+// Plan computes a full plan against the golden state, refreshing every
+// recorded resource from the cloud first. A stale journal from a crashed
+// run is recovered (and committed) before planning.
+func (w *Workspace) Plan(ctx context.Context) (*plan.Plan, error) {
+	return w.compute(ctx, "lifecycle.plan", plan.Options{Refresh: true}, nil)
+}
+
 // PlanIncremental computes an incremental plan confined to the impact scope
 // of the given resource-level addresses (§3.3), skipping refresh and
 // evaluation outside the scope.
 func (w *Workspace) PlanIncremental(ctx context.Context, changed ...string) (*plan.Plan, error) {
-	if err := w.begin(); err != nil {
-		return nil, err
-	}
-	defer w.end()
-	if _, err := w.recoverStale(ctx); err != nil {
-		return nil, err
-	}
-	ctx, span := w.lifecycle(ctx, "lifecycle.plan_incremental")
-	span.SetAttr("changed", len(changed))
-	defer span.End()
-	p, diags := plan.Compute(ctx, w.expansion, w.db.Snapshot(), plan.Options{
-		Refresh: true, Cloud: w.cloudAPI, ImpactScope: changed,
-	})
-	if diags.HasErrors() {
-		return p, diags
-	}
-	return p, nil
+	return w.compute(ctx, "lifecycle.plan_incremental", plan.Options{Refresh: true, ImpactScope: changed}, nil)
 }
 
 // Replan computes a plan through the workspace's replan cache: declarations
@@ -611,84 +687,29 @@ func (w *Workspace) PlanIncremental(ctx context.Context, changed ...string) (*pl
 // state has not moved replay their memoized diffs, and only the dirty
 // subtree is re-evaluated. The result is byte-identical to Plan.
 func (w *Workspace) Replan(ctx context.Context) (*plan.Plan, error) {
-	if err := w.begin(); err != nil {
-		return nil, err
-	}
-	defer w.end()
-	if _, err := w.recoverStale(ctx); err != nil {
-		return nil, err
-	}
-	ctx, span := w.lifecycle(ctx, "lifecycle.replan")
-	defer span.End()
-	p, diags := plan.Compute(ctx, w.expansion, w.db.Snapshot(), plan.Options{
-		Refresh: true, Cloud: w.cloudAPI, Cache: w.replanCache,
-	})
-	if diags.HasErrors() {
-		return p, diags
-	}
-	return p, nil
+	return w.compute(ctx, "lifecycle.replan", plan.Options{Refresh: true, Cache: w.replanCache}, nil)
 }
 
 // ReplanOffline is Replan without the cloud refresh: it trusts recorded
 // state (like PlanOffline) and re-evaluates only the subtree dirtied by
 // configuration edits or state commits since the previous cached plan.
 func (w *Workspace) ReplanOffline(ctx context.Context) (*plan.Plan, error) {
-	if err := w.begin(); err != nil {
-		return nil, err
-	}
-	defer w.end()
-	ctx, span := w.lifecycle(ctx, "lifecycle.replan_offline")
-	defer span.End()
-	p, diags := plan.Compute(ctx, w.expansion, w.db.Snapshot(), plan.Options{
-		Cache: w.replanCache,
-	})
-	if diags.HasErrors() {
-		return p, diags
-	}
-	return p, nil
+	return w.compute(ctx, "lifecycle.replan_offline", plan.Options{Cache: w.replanCache}, nil)
 }
 
 // ReplanStats reports what the last Replan/ReplanOffline did.
 func (w *Workspace) ReplanStats() plan.CacheStats { return w.replanCache.LastStats() }
 
-// InvalidateReplanCache forces the next Replan to be a full replan.
-func (w *Workspace) InvalidateReplanCache() { w.replanCache.InvalidateAll() }
-
 // PlanOffline plans without refreshing from the cloud (fast, trusts state).
 func (w *Workspace) PlanOffline(ctx context.Context) (*plan.Plan, error) {
-	if err := w.begin(); err != nil {
-		return nil, err
-	}
-	defer w.end()
-	ctx, span := w.lifecycle(ctx, "lifecycle.plan_offline")
-	defer span.End()
-	p, diags := plan.Compute(ctx, w.expansion, w.db.Snapshot(), plan.Options{})
-	if diags.HasErrors() {
-		return p, diags
-	}
-	return p, nil
+	return w.compute(ctx, "lifecycle.plan_offline", plan.Options{}, nil)
 }
 
 // PlanOfflineAt plans against the golden state as of a past serial instead
 // of the latest; serials outside the engine's retained window fail with
 // statedb.ErrNoSuchSerial.
 func (w *Workspace) PlanOfflineAt(ctx context.Context, serial int) (*plan.Plan, error) {
-	if err := w.begin(); err != nil {
-		return nil, err
-	}
-	defer w.end()
-	ctx, span := w.lifecycle(ctx, "lifecycle.plan_offline_at")
-	span.SetAttr("pinned_serial", serial)
-	defer span.End()
-	snap, err := w.db.SnapshotAt(serial)
-	if err != nil {
-		return nil, err
-	}
-	p, diags := plan.Compute(ctx, w.expansion, snap, plan.Options{})
-	if diags.HasErrors() {
-		return p, diags
-	}
-	return p, nil
+	return w.compute(ctx, "lifecycle.plan_offline_at", plan.Options{}, &serial)
 }
 
 // Apply executes a plan transactionally: plan-phase policies run first,
@@ -731,7 +752,9 @@ func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) 
 		}()
 	}
 	if !opts.SkipPolicyCheck {
+		w.bindMu.RLock()
 		decisions, diags := w.engine.EvaluatePlan(p)
+		w.bindMu.RUnlock()
 		if diags.HasErrors() {
 			return nil, nil, diags
 		}
@@ -853,9 +876,9 @@ func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) 
 	}
 
 	var diagnoses []*diagnose.Diagnosis
+	ex := w.ex()
 	for addr, applyErr := range res.Errors {
-		inst := w.expansion.ByAddr[addr]
-		diagnoses = append(diagnoses, diagnose.Explain(applyErr, inst, w.expansion))
+		diagnoses = append(diagnoses, diagnose.Explain(applyErr, ex.ByAddr[addr], ex))
 	}
 	sort.Slice(diagnoses, func(i, j int) bool { return diagnoses[i].Addr < diagnoses[j].Addr })
 	return res, diagnoses, res.Err()
@@ -1048,7 +1071,9 @@ func (w *Workspace) ReconcileDrift(ctx context.Context, rep *drift.Report, actio
 
 // PolicyDecisionsForDrift evaluates drift-phase policies over a report.
 func (w *Workspace) PolicyDecisionsForDrift(rep *drift.Report) ([]policy.Decision, error) {
+	w.bindMu.RLock()
 	decs, diags := w.engine.EvaluateDrift(rep)
+	w.bindMu.RUnlock()
 	if diags.HasErrors() {
 		return decs, diags
 	}
@@ -1059,10 +1084,18 @@ func (w *Workspace) PolicyDecisionsForDrift(rep *drift.Report) ([]policy.Decisio
 // Returned set_variable/scale decisions are already applied to the
 // workspace's variables; call Plan+Apply afterwards to enact them.
 func (w *Workspace) Observe(metrics map[string]any) ([]policy.Decision, error) {
+	if err := w.begin(); err != nil {
+		return nil, err
+	}
+	defer w.end()
 	m := make(map[string]eval.Value, len(metrics))
 	for k, v := range metrics {
 		m[k] = eval.FromGo(v)
 	}
+	// Scale and set_variable decisions write the engine's bindings as they
+	// are made, so the evaluation is a writer too.
+	w.bindMu.Lock()
+	defer w.bindMu.Unlock()
 	decs, diags := w.engine.Observe(m)
 	if diags.HasErrors() {
 		return decs, diags
@@ -1162,7 +1195,7 @@ func (w *Workspace) Outputs() map[string]any {
 // OutputIsSensitive reports whether an output is declared sensitive;
 // display layers substitute a redaction marker for such values.
 func (w *Workspace) OutputIsSensitive(name string) bool {
-	if spec, ok := w.expansion.Outputs[name]; ok {
+	if spec, ok := w.ex().Outputs[name]; ok {
 		return spec.Sensitive
 	}
 	return false

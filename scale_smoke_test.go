@@ -95,7 +95,7 @@ func TestFullPlanAllocationIsLinear(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		noop, diags := plan.Compute(ctx, ex, res.State, plan.Options{Concurrency: 1})
+		noop, diags := plan.Compute(ctx, ex, res.State, plan.Options{})
 		runtime.ReadMemStats(&after)
 		if diags.HasErrors() || noop.PendingCount() != 0 || noop.Noops != len(ex.Instances) {
 			t.Fatalf("plan over converged state: %s; %v", noop.Summary(), diags)
