@@ -79,9 +79,10 @@ type (
 	ApplyOptions = workspace.ApplyOptions
 	// ErrPolicyDenied is returned when a plan-phase policy denies the apply.
 	ErrPolicyDenied = workspace.ErrPolicyDenied
-	// ErrJournalRecovered is returned by Apply when a crashed run's journal
-	// was found and recovered before the apply could start: the recovery
-	// moved the golden state, so re-plan and apply again.
+	// ErrJournalRecovered is returned by Apply, ExecuteRollback and
+	// ReconcileDrift when a crashed run's journal was found and recovered
+	// before the run could start: the recovery moved the golden state, so
+	// re-plan (or re-scan) and try again.
 	ErrJournalRecovered = workspace.ErrJournalRecovered
 	// ErrStackClosed is the typed error lifecycle calls return once Close
 	// has begun: the stack drains in-flight operations but admits no new
@@ -93,12 +94,6 @@ type (
 const (
 	BackendMemory = statedb.BackendMemory
 	BackendWAL    = statedb.BackendWAL
-)
-
-// Scheduler choices for Apply.
-const (
-	SchedulerFIFO         = apply.FIFOScheduler
-	SchedulerCriticalPath = apply.CriticalPathScheduler
 )
 
 // Stack is an infrastructure under cloudless management: a thin
@@ -260,7 +255,7 @@ func (s *Stack) Apply(ctx context.Context, p *Plan, opts ApplyOptions) (*ApplyRe
 // stats snapshot; retained as a Stack method so package-internal seams can
 // drive it on a bare Stack (nil bus and non-runtime clouds are safe).
 func (s *Stack) publishRunFinish(runID string, res *ApplyResult) {
-	workspace.PublishRunFinish(s.bus, s.Provider(), runID, res)
+	workspace.PublishRunFinish(s.bus, s.Provider(), runID, res, res.Err())
 }
 
 // Destroy deletes everything in the golden state, in reverse dependency

@@ -356,7 +356,6 @@ func cmdPlanApply(args []string, doApply bool) error {
 	var targets multiFlag
 	c.fs.Var(&targets, "target", "confine planning to the impact scope of this resource address (repeatable)")
 	concurrency := c.fs.Int("concurrency", 10, "parallel cloud operations")
-	fifo := c.fs.Bool("fifo", false, "use the baseline FIFO scheduler instead of critical-path-first")
 	watch := c.fs.Bool("watch", false,
 		"stream live progress while applying: per-op results, wave boundaries, health-gate outcomes, fuse trips, rollbacks")
 	c.guard = c.fs.Bool("guard", false,
@@ -409,11 +408,7 @@ func cmdPlanApply(args []string, doApply bool) error {
 		fmt.Println("nothing to do")
 		return c.saveState(stack)
 	}
-	sched := cloudless.SchedulerCriticalPath
-	if *fifo {
-		sched = cloudless.SchedulerFIFO
-	}
-	applyOpts := cloudless.ApplyOptions{Concurrency: *concurrency, Scheduler: sched}
+	applyOpts := cloudless.ApplyOptions{Concurrency: *concurrency}
 	if *watch {
 		applyOpts.OnEvent = func(e cloudless.Event) {
 			if line := watchLine(e); line != "" {

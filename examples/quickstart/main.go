@@ -88,10 +88,8 @@ func main() {
 	}
 	fmt.Printf("✓ plan: %s\n", p.Summary())
 
-	// 3. Apply with the critical-path scheduler.
-	res, diagnoses, err := stack.Apply(ctx, p, cloudless.ApplyOptions{
-		Scheduler: cloudless.SchedulerCriticalPath,
-	})
+	// 3. Apply (critical-path-first, the only order the engine runs).
+	res, diagnoses, err := stack.Apply(ctx, p, cloudless.ApplyOptions{})
 	for _, d := range diagnoses {
 		fmt.Print(d.String())
 	}

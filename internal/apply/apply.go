@@ -85,9 +85,6 @@ type Options struct {
 	// records, idempotency keys, health gating — are untouched; only the
 	// wire dispatch is shared.
 	BatchOps bool
-	// BatchLinger overrides how long the first op of a batching window
-	// waits for company (default 2ms).
-	BatchLinger time.Duration
 
 	// idemPrefix seeds per-op idempotency keys; set by Apply from the
 	// journal's run ID, or generated fresh so even journal-less applies get
@@ -198,7 +195,7 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 	// graph node, but concurrent calls share wire batches (which the
 	// runtime admits through its gate as single requests).
 	if o.BatchOps {
-		cl = cloud.NewCoalescer(cl, cloud.CoalescerOptions{Linger: o.BatchLinger})
+		cl = cloud.NewCoalescer(cl, cloud.CoalescerOptions{})
 	}
 
 	newState := p.PriorState.Clone()

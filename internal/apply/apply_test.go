@@ -382,7 +382,7 @@ resource "aws_vpc" "v" {
 	// Batched walker: same plan shape, coalesced dispatch.
 	simB := newSim()
 	_, resB := planAndApply(t, simB, wideConfig, state.New(), Options{
-		Concurrency: 64, BatchOps: true, BatchLinger: 30 * time.Millisecond,
+		Concurrency: 64, BatchOps: true,
 	})
 	if err := resB.Err(); err != nil {
 		t.Fatal(err)

@@ -41,9 +41,6 @@ type CoalescerOptions struct {
 	// one linger per graph level; with cloud round-trips in the tens of
 	// milliseconds the trade is strongly positive.
 	Linger time.Duration
-	// MaxItems dispatches a window early once this many calls have joined
-	// (default MaxBatchItems).
-	MaxItems int
 }
 
 // pendingOp is one caller waiting inside a window. Exactly one of the
@@ -60,9 +57,6 @@ type pendingOp struct {
 func NewCoalescer(cl Interface, opts CoalescerOptions) *Coalescer {
 	if opts.Linger <= 0 {
 		opts.Linger = 2 * time.Millisecond
-	}
-	if opts.MaxItems <= 0 || opts.MaxItems > MaxBatchItems {
-		opts.MaxItems = MaxBatchItems
 	}
 	return &Coalescer{Interface: cl, opts: opts}
 }
@@ -89,7 +83,7 @@ func (c *Coalescer) enqueue(ctx context.Context, queue *[]pendingOp, op pendingO
 	c.mu.Lock()
 	*queue = append(*queue, op)
 	first := len(*queue) == 1
-	full := len(*queue) >= c.opts.MaxItems
+	full := len(*queue) >= MaxBatchItems
 	c.mu.Unlock()
 	switch {
 	case full:

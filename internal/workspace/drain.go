@@ -91,3 +91,43 @@ func (g *drainGate) finish(err error) {
 	g.mu.Unlock()
 	close(g.done)
 }
+
+// journalOwner is exclusive ownership of a workspace's journal file (DESIGN.md
+// S23): a one-slot semaphore held by whoever may read, recover, write or
+// remove the file. While a run holds it the file is that run's live journal,
+// not a stale one, and the next journaled run waits its turn. Nil — a
+// workspace without a journal — is never contended.
+type journalOwner chan struct{}
+
+// acquire waits for the journal, or for ctx to end.
+func (o journalOwner) acquire(ctx context.Context) error {
+	if o == nil {
+		return nil
+	}
+	select {
+	case o <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// try takes the journal only when nobody holds it.
+func (o journalOwner) try() bool {
+	if o == nil {
+		return true
+	}
+	select {
+	case o <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// release hands the journal to the next waiter.
+func (o journalOwner) release() {
+	if o != nil {
+		<-o
+	}
+}

@@ -204,12 +204,7 @@ func (w *Workspace) RepairDrift(ctx context.Context, rep *drift.Report) (*reconc
 		if len(restore) > 0 {
 			sort.Strings(restore)
 			txn := w.db.Begin("repair-restore")
-			if err := txn.Lock(ctx, restore...); err == nil {
-				for _, addr := range restore {
-					_ = txn.Put(preSnap.Get(addr))
-				}
-				_, _ = txn.Commit()
-			}
+			_ = publish(ctx, txn, restore, preSnap)
 			txn.Abort()
 		}
 	}

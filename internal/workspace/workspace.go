@@ -155,9 +155,10 @@ type ErrPolicyDenied struct{ Message string }
 // Error implements error.
 func (e *ErrPolicyDenied) Error() string { return "cloudless: policy denied: " + e.Message }
 
-// ErrJournalRecovered is returned by Apply when a crashed run's journal was
-// found and recovered before the apply could start. The recovery moved the
-// golden state, so the plan in hand predates it — re-plan and apply again.
+// ErrJournalRecovered is returned by Apply, ExecuteRollback and ReconcileDrift
+// when a crashed run's journal was found and recovered before the run could
+// start. The recovery moved the golden state, so the plan, rollback plan or
+// drift report in hand predates it — compute it again and retry.
 type ErrJournalRecovered struct{ Report *apply.RecoverReport }
 
 // Error implements error.
@@ -168,7 +169,6 @@ func (e *ErrJournalRecovered) Error() string {
 // ApplyOptions tune Apply.
 type ApplyOptions struct {
 	Concurrency int
-	Scheduler   apply.Scheduler
 	// SkipPolicyCheck bypasses plan-phase policies.
 	SkipPolicyCheck bool
 	// BatchOps coalesces concurrent creates and reads into bulk cloud calls.
@@ -207,6 +207,7 @@ type Workspace struct {
 	principal   string
 	telemetry   *telemetry.Recorder
 	journalPath string
+	owner       journalOwner
 	guardOpts   *guard.Options
 	bus         *events.Bus
 	flight      *events.FlightRecorder
@@ -310,6 +311,7 @@ func New(cfg Config) (*Workspace, error) {
 	}
 	w.drain.init()
 	if cfg.JournalPath != "" {
+		w.owner = make(journalOwner, 1)
 		// Flight recorder: the journal's sibling artifact. A run that dies
 		// with no live subscriber still leaves its event tail for
 		// post-mortem reconstruction.
@@ -530,11 +532,14 @@ func (w *Workspace) Validate() *validate.Result {
 }
 
 // HasStaleJournal reports whether a crashed run's journal is waiting at
-// Config.JournalPath.
+// Config.JournalPath: one found on open, or one a run of this process left
+// behind when it failed or was interrupted. A journal a live run is writing
+// is not stale.
 func (w *Workspace) HasStaleJournal() bool {
-	if w.journalPath == "" {
+	if w.journalPath == "" || !w.owner.try() {
 		return false
 	}
+	defer w.owner.release()
 	js, err := apply.ReadJournal(w.journalPath)
 	return err == nil && js != nil
 }
@@ -545,17 +550,22 @@ func (w *Workspace) HasStaleJournal() bool {
 // original idempotency keys, and orphaned resources are adopted or deleted
 // via the activity log. Returns (nil, nil) when there is nothing to recover.
 // The journal is removed only after a fully clean recovery, so a crash
-// during recovery itself is handled by calling Recover again.
+// during recovery itself is handled by calling Recover again. It waits its
+// turn behind a live journaled run instead of recovering that run's journal.
 func (w *Workspace) Recover(ctx context.Context) (*apply.RecoverReport, error) {
 	if err := w.begin(); err != nil {
 		return nil, err
 	}
 	defer w.end()
+	if err := w.owner.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer w.owner.release()
 	return w.recover(ctx)
 }
 
-// recover is Recover without the drain gate, for reuse under an already-
-// admitted operation (the auto-recovery at the head of Plan and Apply).
+// recover is Recover for a caller that is already admitted and owns the
+// journal: the head of every mutating run and of every refreshing plan.
 func (w *Workspace) recover(ctx context.Context) (*apply.RecoverReport, error) {
 	if w.journalPath == "" {
 		return nil, nil
@@ -580,33 +590,16 @@ func (w *Workspace) recover(ctx context.Context) (*apply.RecoverReport, error) {
 	span.SetAttr("orphans_deleted", len(rep.OrphansDeleted))
 
 	// Commit everything the reconciled state and the base disagree on.
-	seen := map[string]bool{}
-	var addrs []string
-	for _, a := range base.Addrs() {
-		seen[a] = true
-		addrs = append(addrs, a)
-	}
+	addrs := base.Addrs()
 	for _, a := range st.Addrs() {
-		if !seen[a] {
+		if base.Get(a) == nil {
 			addrs = append(addrs, a)
 		}
 	}
 	sort.Strings(addrs)
 	txn := w.db.Begin("recover")
-	if err := txn.Lock(ctx, addrs...); err != nil {
-		return rep, fmt.Errorf("cloudless: recover: acquire locks: %w", err)
-	}
 	defer txn.Abort()
-	for _, addr := range addrs {
-		if rs := st.Get(addr); rs != nil {
-			if err := txn.Put(rs); err != nil {
-				return rep, err
-			}
-		} else if err := txn.Delete(addr); err != nil {
-			return rep, err
-		}
-	}
-	if _, err := txn.Commit(); err != nil {
+	if err := publish(ctx, txn, addrs, st); err != nil {
 		return rep, err
 	}
 	if err := rep.Err(); err != nil {
@@ -620,14 +613,26 @@ func (w *Workspace) recover(ctx context.Context) (*apply.RecoverReport, error) {
 	return rep, nil
 }
 
-// recoverStale runs recovery when a crashed run's journal is present; it is
-// invoked automatically at the head of Plan and Apply so no run ever builds
-// on a state the cloud has silently moved past.
-func (w *Workspace) recoverStale(ctx context.Context) (*apply.RecoverReport, error) {
-	if !w.HasStaleJournal() {
-		return nil, nil
+// publish is the tail of every write to the golden state: take the locks txn
+// does not hold yet, stage each address's record in st — or its absence —
+// and commit. The caller aborts txn when this fails.
+func publish(ctx context.Context, txn *statedb.Txn, addrs []string, st *state.State) error {
+	if err := txn.Lock(ctx, addrs...); err != nil {
+		return fmt.Errorf("cloudless: acquire locks: %w", err)
 	}
-	return w.recover(ctx)
+	for _, addr := range addrs {
+		var err error
+		if rs := st.Get(addr); rs != nil {
+			err = txn.Put(rs)
+		} else {
+			err = txn.Delete(addr)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	_, err := txn.Commit()
+	return err
 }
 
 // compute is every plan verb: admit the operation, reconcile a crashed run's
@@ -641,8 +646,14 @@ func (w *Workspace) compute(ctx context.Context, spanName string, opts plan.Opti
 	}
 	defer w.end()
 	if opts.Refresh {
-		if _, err := w.recoverStale(ctx); err != nil {
-			return nil, err
+		// No plan builds on a state the cloud has silently moved past. A
+		// journal a live run owns is that run's business, not a stale one.
+		if w.owner.try() {
+			_, err := w.recover(ctx)
+			w.owner.release()
+			if err != nil {
+				return nil, err
+			}
 		}
 		opts.Cloud = w.cloudAPI
 	}
@@ -712,120 +723,79 @@ func (w *Workspace) PlanOfflineAt(ctx context.Context, serial int) (*plan.Plan, 
 	return w.compute(ctx, "lifecycle.plan_offline_at", plan.Options{}, &serial)
 }
 
-// Apply executes a plan transactionally: plan-phase policies run first,
-// per-resource (or global) locks are held for every pending address across
-// the physical apply, and the golden state and time machine are updated
-// atomically on completion. Failed operations yield IaC-level diagnoses.
-func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) (*apply.Result, []*diagnose.Diagnosis, error) {
+// mutation describes one mutating run to Workspace.run.
+type mutation struct {
+	// kind labels the transaction, the run_start event and, for a journaled
+	// run, its journal.
+	kind      string
+	journaled bool
+	// base, when positive, is the golden-state serial the run's input was
+	// computed at: the journal records it, and the commit fails with
+	// *statedb.StaleBaseError if a locked address has moved past it.
+	base int
+	// addrs are locked before exec makes its first cloud call and published
+	// from exec's resulting state at commit.
+	addrs []string
+	// exec is the one call that differs between the verbs. The result's
+	// State holds the records to publish; minted names addresses the run
+	// added to it that addrs could not list beforehand (drift adoption's
+	// import records — no cloud call backs them). A non-nil error abandons
+	// the run: nothing is committed and the journal stays for Recover.
+	exec func(ctx context.Context, j *apply.Journal) (res *apply.Result, minted []string, err error)
+}
+
+// run is every mutating verb — the write-path twin of compute — and its order
+// is the crash-safety contract (DESIGN.md S23): admit the operation; take the
+// workspace journal, waiting out a live journaled run; recover a stale
+// journal (inputStale: what the caller computed predates that recovery, so
+// fail with *ErrJournalRecovered rather than proceed); open the lifecycle
+// span; let describe size the run against the settled state; lock its
+// addresses before the first cloud call; open the journal; publish
+// run_start; execute; publish run_finish; stage the locked addresses and
+// commit; discard the journal only when the cloud matches what was committed
+// (no failed op, or a guarded run that fully reverted itself) and otherwise
+// leave it for Recover. The returned error covers everything but per-op
+// failures, which the caller reads from the result.
+func (w *Workspace) run(ctx context.Context, spanName string, inputStale bool,
+	describe func(*telemetry.Span) (*mutation, error)) (*apply.Result, error) {
 	if err := w.begin(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer w.end()
-	if w.HasStaleJournal() {
-		rep, err := w.recover(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, &ErrJournalRecovered{Report: rep}
+	if err := w.owner.acquire(ctx); err != nil {
+		return nil, err
 	}
-	ctx, span := w.lifecycle(ctx, "lifecycle.apply")
-	span.SetAttr("pending", p.Creates+p.Updates+p.Replaces+p.Deletes)
-	span.SetAttr("base_serial", p.BaseSerial)
-	span.SetAttr("scheduler", opts.Scheduler.String())
+	defer w.owner.release()
+	if rep, err := w.recover(ctx); err != nil {
+		return nil, err
+	} else if rep != nil && inputStale {
+		return nil, &ErrJournalRecovered{Report: rep}
+	}
+	ctx, span := w.lifecycle(ctx, spanName)
 	defer span.End()
-
-	// OnEvent: a private subscription pumped to the callback. Registered
-	// before run_start is published and drained after run_finish, so the
-	// callback observes the complete run.
-	if opts.OnEvent != nil {
-		sub := w.bus.Subscribe(events.Filter{}, 4*events.DefaultBuffer)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for e := range sub.C() {
-				opts.OnEvent(e)
-			}
-		}()
-		defer func() {
-			sub.Close()
-			<-done
-		}()
-	}
-	if !opts.SkipPolicyCheck {
-		w.bindMu.RLock()
-		decisions, diags := w.engine.EvaluatePlan(p)
-		w.bindMu.RUnlock()
-		if diags.HasErrors() {
-			return nil, nil, diags
-		}
-		if denied, msg := policy.Denied(decisions); denied {
-			return nil, nil, &ErrPolicyDenied{Message: msg}
-		}
+	m, err := describe(span)
+	if err != nil {
+		return nil, err
 	}
 
-	// The commit carries the plan's pinned serial: if other transactions
-	// advanced any of these addresses past the plan's base, Commit aborts
-	// with *StaleBaseError instead of clobbering their work.
-	txn := w.db.Begin("apply")
-	if p.BaseSerial > 0 {
-		txn.SetBase(p.BaseSerial)
-	}
-	addrs := make([]string, 0, len(p.Changes))
-	for addr, ch := range p.Changes {
-		if ch.Action != plan.ActionNoop {
-			addrs = append(addrs, addr)
-		}
-	}
-	sort.Strings(addrs)
-	if err := txn.Lock(ctx, addrs...); err != nil {
-		return nil, nil, fmt.Errorf("cloudless: acquire locks: %w", err)
+	txn := w.db.Begin(m.kind)
+	if m.base > 0 {
+		txn.SetBase(m.base)
 	}
 	defer txn.Abort()
-
+	if err := txn.Lock(ctx, m.addrs...); err != nil {
+		return nil, fmt.Errorf("cloudless: acquire locks: %w", err)
+	}
 	var j *apply.Journal
-	if w.journalPath != "" {
-		nj, err := apply.NewJournal(w.journalPath, apply.Meta{
-			Kind: "apply", BaseSerial: p.BaseSerial, Principal: w.principal,
+	runID, keepJournal := "", true
+	if m.journaled && w.journalPath != "" {
+		j, err = apply.NewJournal(w.journalPath, apply.Meta{
+			Kind: m.kind, BaseSerial: m.base, Principal: w.principal,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		j = nj
-	}
-	applyOpts := apply.Options{
-		Concurrency:     opts.Concurrency,
-		Scheduler:       opts.Scheduler,
-		Principal:       w.principal,
-		ContinueOnError: true,
-		Journal:         j,
-		BatchOps:        opts.BatchOps,
-	}
-	runID := ""
-	if j != nil {
 		runID = j.Meta().ID
-	}
-	w.bus.Publish(events.Event{Kind: "apply.run_start", Run: runID,
-		Principal: w.principal,
-		N:         int64(p.Creates + p.Updates + p.Replaces + p.Deletes)})
-
-	guardOpts := w.guardOpts
-	if opts.Guard != nil {
-		guardOpts = opts.Guard
-	}
-	var res *apply.Result
-	if guardOpts != nil {
-		span.SetAttr("guarded", true)
-		res = guard.Run(ctx, w.cloudAPI, p, applyOpts, *guardOpts)
-	} else {
-		res = apply.Apply(ctx, w.cloudAPI, p, applyOpts)
-	}
-	PublishRunFinish(w.bus, w.Provider(), runID, res)
-	keepJournal := true
-	if j != nil {
-		// The journal is discarded after a zero-error apply whose state
-		// committed, or after a guarded apply whose auto-rollback fully
-		// reverted the blast radius (the cloud matches what state records
-		// either way); anything less leaves it for Recover to reconcile.
 		defer func() {
 			if keepJournal {
 				_ = j.Close()
@@ -835,31 +805,32 @@ func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) 
 		}()
 	}
 
-	// Publish results for the locked addresses.
-	for _, addr := range addrs {
-		if rs := res.State.Get(addr); rs != nil {
-			if err := txn.Put(rs); err != nil {
-				return res, nil, err
-			}
-		} else if err := txn.Delete(addr); err != nil {
-			return res, nil, err
-		}
+	w.bus.Publish(events.Event{Kind: "apply.run_start", Run: runID,
+		Principal: w.principal, Action: m.kind, N: int64(len(m.addrs))})
+	start := time.Now()
+	res, minted, err := m.exec(ctx, j)
+	if res.Elapsed == 0 {
+		res.Elapsed = time.Since(start) // a verb that does not time itself
 	}
-	txn.SetOutputs(res.State.Outputs)
-	if _, err := txn.Commit(); err != nil {
-		return res, nil, err
+	failed := err
+	if failed == nil {
+		failed = res.Err()
 	}
-	if res.Err() == nil || res.Reverted {
-		keepJournal = false
+	PublishRunFinish(w.bus, w.Provider(), runID, res, failed)
+	if err != nil {
+		return res, err
 	}
+
+	if res.Outputs != nil { // an apply or destroy: its state carries the root outputs
+		txn.SetOutputs(res.State.Outputs)
+	}
+	if err := publish(ctx, txn, append(m.addrs, minted...), res.State); err != nil {
+		return res, err
+	}
+	keepJournal = failed != nil && !res.Reverted
 	span.SetAttr("applied", res.Applied)
 	span.SetAttr("failed", len(res.Errors))
 	span.SetAttr("retries", res.Retries)
-	if guardOpts != nil {
-		span.SetAttr("gate_failures", res.GateFailures)
-		span.SetAttr("fuse_tripped", len(res.FuseTripped))
-		span.SetAttr("reverted", res.Reverted)
-	}
 	// Record outputs on the lifecycle span, when there is one to read them
 	// for, with the same redaction the display path applies: sensitive
 	// values never reach a trace file.
@@ -868,13 +839,92 @@ func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) 
 			span.SetAttr("output."+name, fmt.Sprint(v))
 		}
 	}
+	return res, nil
+}
 
-	// Advance the drift watcher past our own activity so it doesn't chew
-	// through events we caused (it filters by principal anyway).
-	if w.watcher == nil {
-		w.resetWatcher(ctx)
+// Apply executes a plan transactionally: plan-phase policies run first,
+// per-resource (or global) locks are held for every pending address across
+// the physical apply, and the golden state and time machine are updated
+// atomically on completion. The commit carries the plan's pinned serial: if
+// other transactions advanced any of these addresses past the plan's base it
+// aborts with *StaleBaseError instead of clobbering their work. Failed
+// operations yield IaC-level diagnoses.
+func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) (*apply.Result, []*diagnose.Diagnosis, error) {
+	stopEvents := func() {}
+	defer func() { stopEvents() }()
+	res, err := w.run(ctx, "lifecycle.apply", true, func(span *telemetry.Span) (*mutation, error) {
+		span.SetAttr("pending", p.Creates+p.Updates+p.Replaces+p.Deletes)
+		span.SetAttr("base_serial", p.BaseSerial)
+		// OnEvent: a private subscription pumped to the callback. Registered
+		// before run_start is published and drained after Apply's run has
+		// committed, so the callback observes the complete run.
+		if opts.OnEvent != nil {
+			sub := w.bus.Subscribe(events.Filter{}, 4*events.DefaultBuffer)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for e := range sub.C() {
+					opts.OnEvent(e)
+				}
+			}()
+			stopEvents = func() {
+				sub.Close()
+				<-done
+			}
+		}
+		if !opts.SkipPolicyCheck {
+			w.bindMu.RLock()
+			decisions, diags := w.engine.EvaluatePlan(p)
+			w.bindMu.RUnlock()
+			if diags.HasErrors() {
+				return nil, diags
+			}
+			if denied, msg := policy.Denied(decisions); denied {
+				return nil, &ErrPolicyDenied{Message: msg}
+			}
+		}
+		addrs := make([]string, 0, len(p.Changes))
+		for addr, ch := range p.Changes {
+			if ch.Action != plan.ActionNoop {
+				addrs = append(addrs, addr)
+			}
+		}
+		sort.Strings(addrs)
+		guardOpts := w.guardOpts
+		if opts.Guard != nil {
+			guardOpts = opts.Guard
+		}
+		return &mutation{kind: "apply", journaled: true, base: p.BaseSerial, addrs: addrs,
+			exec: func(ctx context.Context, j *apply.Journal) (*apply.Result, []string, error) {
+				applyOpts := apply.Options{
+					Concurrency:     opts.Concurrency,
+					Scheduler:       apply.CriticalPathScheduler,
+					Principal:       w.principal,
+					ContinueOnError: true,
+					Journal:         j,
+					BatchOps:        opts.BatchOps,
+				}
+				var res *apply.Result
+				if guardOpts != nil {
+					res = guard.Run(ctx, w.cloudAPI, p, applyOpts, *guardOpts)
+					span.SetAttr("guarded", true)
+					span.SetAttr("gate_failures", res.GateFailures)
+					span.SetAttr("fuse_tripped", len(res.FuseTripped))
+					span.SetAttr("reverted", res.Reverted)
+				} else {
+					res = apply.Apply(ctx, w.cloudAPI, p, applyOpts)
+				}
+				// Advance the drift watcher past our own activity so it doesn't
+				// chew through events we caused (it filters by principal anyway).
+				if w.watcher == nil {
+					w.resetWatcher(ctx)
+				}
+				return res, nil, nil
+			}}, nil
+	})
+	if err != nil {
+		return res, nil, err
 	}
-
 	var diagnoses []*diagnose.Diagnosis
 	ex := w.ex()
 	for addr, applyErr := range res.Errors {
@@ -887,13 +937,14 @@ func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) 
 // PublishRunFinish emits the run-terminating event plus a provider-runtime
 // stats snapshot (cache hit / coalesce / throttle counters), so a watcher
 // sees how the dispatch layer behaved without polling Stats itself. It is
-// exported for the facade's white-box seams; bus and rt may be nil.
-func PublishRunFinish(bus *events.Bus, rt *provider.Runtime, runID string, res *apply.Result) {
+// exported for the facade's white-box seams; bus, rt and failed (what went
+// wrong with the run, if anything) may be nil.
+func PublishRunFinish(bus *events.Bus, rt *provider.Runtime, runID string, res *apply.Result, failed error) {
 	fin := events.Event{Kind: "apply.run_finish", Run: runID,
 		N: int64(res.Applied), Retries: int64(res.Retries),
 		Ms: float64(res.Elapsed) / float64(time.Millisecond)}
-	if err := res.Err(); err != nil {
-		fin.Err = err.Error()
+	if failed != nil {
+		fin.Err = failed.Error()
 	}
 	bus.Publish(fin)
 	if rt != nil {
@@ -913,68 +964,21 @@ func PublishRunFinish(bus *events.Bus, rt *provider.Runtime, runID string, res *
 }
 
 // Destroy deletes everything in the golden state, in reverse dependency
-// order, and commits the emptied state.
+// order, and commits the emptied state. A crashed run's journal is recovered
+// first and the destroy proceeds over the reconciled state.
 func (w *Workspace) Destroy(ctx context.Context) (*apply.Result, error) {
-	if err := w.begin(); err != nil {
-		return nil, err
-	}
-	defer w.end()
-	if w.HasStaleJournal() {
-		if _, err := w.recover(ctx); err != nil {
-			return nil, err
-		}
-	}
-	ctx, span := w.lifecycle(ctx, "lifecycle.destroy")
-	defer span.End()
-	snapshot := w.db.Snapshot()
-	txn := w.db.BeginAt("destroy", snapshot.Serial)
-	if err := txn.Lock(ctx, snapshot.Addrs()...); err != nil {
-		return nil, err
-	}
-	defer txn.Abort()
-	var j *apply.Journal
-	if w.journalPath != "" {
-		nj, err := apply.NewJournal(w.journalPath, apply.Meta{
-			Kind: "destroy", BaseSerial: snapshot.Serial, Principal: w.principal,
-		})
-		if err != nil {
-			return nil, err
-		}
-		j = nj
-	}
-	runID := ""
-	if j != nil {
-		runID = j.Meta().ID
-	}
-	w.bus.Publish(events.Event{Kind: "apply.run_start", Run: runID,
-		Principal: w.principal, Action: "destroy",
-		N: int64(len(snapshot.Addrs()))})
-	res := apply.Destroy(ctx, w.cloudAPI, snapshot, apply.Options{
-		Principal: w.principal, ContinueOnError: true, Journal: j,
+	res, err := w.run(ctx, "lifecycle.destroy", false, func(*telemetry.Span) (*mutation, error) {
+		snapshot := w.db.Snapshot()
+		return &mutation{kind: "destroy", journaled: true, base: snapshot.Serial, addrs: snapshot.Addrs(),
+			exec: func(ctx context.Context, j *apply.Journal) (*apply.Result, []string, error) {
+				return apply.Destroy(ctx, w.cloudAPI, snapshot, apply.Options{
+					Scheduler: apply.CriticalPathScheduler,
+					Principal: w.principal, ContinueOnError: true, Journal: j,
+				}), nil, nil
+			}}, nil
 	})
-	PublishRunFinish(w.bus, w.Provider(), runID, res)
-	keepJournal := true
-	if j != nil {
-		defer func() {
-			if keepJournal {
-				_ = j.Close()
-			} else {
-				_ = j.Discard()
-			}
-		}()
-	}
-	for _, addr := range snapshot.Addrs() {
-		if res.State.Get(addr) == nil {
-			if err := txn.Delete(addr); err != nil {
-				return res, err
-			}
-		}
-	}
-	if _, err := txn.Commit(); err != nil {
+	if err != nil {
 		return res, err
-	}
-	if res.Err() == nil {
-		keepJournal = false
 	}
 	return res, res.Err()
 }
@@ -1020,53 +1024,40 @@ func (w *Workspace) ScanDrift(ctx context.Context) (*drift.Report, error) {
 }
 
 // ReconcileDrift applies drift-phase policies (or the explicit choice) to a
-// report and commits the updated state.
+// report and commits the updated state. The drifted addresses are locked
+// before the first revert reaches the cloud.
 func (w *Workspace) ReconcileDrift(ctx context.Context, rep *drift.Report, action drift.Action) (*drift.ReconcileResult, error) {
-	if err := w.begin(); err != nil {
-		return nil, err
-	}
-	defer w.end()
-	ctx, span := w.lifecycle(ctx, "lifecycle.reconcile_drift")
-	defer span.End()
-	snapshot := w.db.Snapshot()
-	// A report computed against an older state serial describes drift
-	// relative to a baseline that no longer exists; reverting it now could
-	// undo a legitimate apply that landed in between. Mirror the apply
-	// path's *StaleBaseError: fail typed, re-detect, retry.
-	if rep.BaseSerial > 0 && snapshot.Serial != rep.BaseSerial {
-		return nil, &drift.ErrStaleReport{ReportSerial: rep.BaseSerial, CurrentSerial: snapshot.Serial}
-	}
-	res := drift.Reconcile(ctx, w.cloudAPI, snapshot, rep, func(drift.Item) drift.Action { return action }, w.principal)
-	txn := w.db.BeginAt("reconcile drift", snapshot.Serial)
-	var addrs []string
-	for _, it := range rep.Items {
-		if it.Addr != "" {
-			addrs = append(addrs, it.Addr)
+	var out *drift.ReconcileResult
+	_, err := w.run(ctx, "lifecycle.reconcile_drift", true, func(*telemetry.Span) (*mutation, error) {
+		snapshot := w.db.Snapshot()
+		// A report computed against an older state serial describes drift
+		// relative to a baseline that no longer exists; reverting it now could
+		// undo a legitimate apply that landed in between. Mirror the apply
+		// path's *StaleBaseError: fail typed, re-detect, retry.
+		if rep.BaseSerial > 0 && snapshot.Serial != rep.BaseSerial {
+			return nil, &drift.ErrStaleReport{ReportSerial: rep.BaseSerial, CurrentSerial: snapshot.Serial}
 		}
-	}
-	// Imported unmanaged resources get new addresses too.
-	for _, a := range res.State.Addrs() {
-		if snapshot.Get(a) == nil {
-			addrs = append(addrs, a)
-		}
-	}
-	if err := txn.Lock(ctx, addrs...); err != nil {
-		return res, err
-	}
-	defer txn.Abort()
-	for _, addr := range addrs {
-		if rs := res.State.Get(addr); rs != nil {
-			if err := txn.Put(rs); err != nil {
-				return res, err
+		var addrs []string
+		for _, it := range rep.Items {
+			if it.Addr != "" {
+				addrs = append(addrs, it.Addr)
 			}
-		} else if err := txn.Delete(addr); err != nil {
-			return res, err
 		}
-	}
-	if _, err := txn.Commit(); err != nil {
-		return res, err
-	}
-	return res, nil
+		return &mutation{kind: "reconcile drift", base: snapshot.Serial, addrs: addrs,
+			exec: func(ctx context.Context, _ *apply.Journal) (*apply.Result, []string, error) {
+				out = drift.Reconcile(ctx, w.cloudAPI, snapshot, rep, func(drift.Item) drift.Action { return action }, w.principal)
+				// Imported unmanaged resources get new addresses.
+				var imported []string
+				for _, a := range out.State.Addrs() {
+					if snapshot.Get(a) == nil {
+						imported = append(imported, a)
+					}
+				}
+				return &apply.Result{State: out.State, Errors: out.Errors,
+					Applied: len(out.Adopted) + len(out.Reverted)}, imported, nil
+			}}, nil
+	})
+	return out, err
 }
 
 // PolicyDecisionsForDrift evaluates drift-phase policies over a report.
@@ -1123,64 +1114,29 @@ func (w *Workspace) PlanRollback(serial int) (*rollback.Plan, *state.State, erro
 	return rollback.Compute(w.db.Snapshot(), target), target, nil
 }
 
-// ExecuteRollback runs a rollback plan and commits the resulting state.
+// ExecuteRollback runs a rollback plan and commits the resulting state. A
+// failed step commits nothing; on a journaled workspace the journal is left
+// for Recover.
 func (w *Workspace) ExecuteRollback(ctx context.Context, p *rollback.Plan, target *state.State) error {
-	if err := w.begin(); err != nil {
-		return err
-	}
-	defer w.end()
-	ctx, span := w.lifecycle(ctx, "lifecycle.rollback")
-	span.SetAttr("steps", len(p.Steps))
-	defer span.End()
-	current := w.db.Snapshot()
-	txn := w.db.BeginAt("rollback", current.Serial)
-	var addrs []string
-	for _, step := range p.Steps {
-		addrs = append(addrs, step.Addr)
-	}
-	if err := txn.Lock(ctx, addrs...); err != nil {
-		return err
-	}
-	defer txn.Abort()
-	var j *apply.Journal
-	if w.journalPath != "" {
-		nj, jerr := apply.NewJournal(w.journalPath, apply.Meta{
-			Kind: "rollback", BaseSerial: current.Serial, Principal: w.principal,
-		})
-		if jerr != nil {
-			return jerr
+	_, err := w.run(ctx, "lifecycle.rollback", true, func(span *telemetry.Span) (*mutation, error) {
+		span.SetAttr("steps", len(p.Steps))
+		current := w.db.Snapshot()
+		addrs := make([]string, len(p.Steps))
+		for i, step := range p.Steps {
+			addrs[i] = step.Addr
 		}
-		j = nj
-	}
-	after, err := rollback.ExecuteJournaled(ctx, w.cloudAPI, current, target, p,
-		rollback.ExecOptions{Principal: w.principal, Journal: j})
-	keepJournal := true
-	if j != nil {
-		defer func() {
-			if keepJournal {
-				_ = j.Close() // left for Recover
-			} else {
-				_ = j.Discard()
-			}
-		}()
-	}
-	if err != nil {
-		return err
-	}
-	for _, addr := range addrs {
-		if rs := after.Get(addr); rs != nil {
-			if perr := txn.Put(rs); perr != nil {
-				return perr
-			}
-		} else if derr := txn.Delete(addr); derr != nil {
-			return derr
-		}
-	}
-	if _, err = txn.Commit(); err != nil {
-		return err
-	}
-	keepJournal = false
-	return nil
+		return &mutation{kind: "rollback", journaled: true, base: current.Serial, addrs: addrs,
+			exec: func(ctx context.Context, j *apply.Journal) (*apply.Result, []string, error) {
+				after, err := rollback.ExecuteJournaled(ctx, w.cloudAPI, current, target, p,
+					rollback.ExecOptions{Principal: w.principal, Journal: j})
+				res := &apply.Result{State: after}
+				if err == nil {
+					res.Applied = len(p.Steps)
+				}
+				return res, nil, err
+			}}, nil
+	})
+	return err
 }
 
 // Outputs returns the last-applied root outputs as plain Go values.

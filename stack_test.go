@@ -99,7 +99,7 @@ policy "scale-on-load" {
 	if p.Creates != 6 {
 		t.Fatalf("plan: %s", p.Summary())
 	}
-	res, diagnoses, err := s.Apply(ctx, p, cloudless.ApplyOptions{Scheduler: cloudless.SchedulerCriticalPath})
+	res, diagnoses, err := s.Apply(ctx, p, cloudless.ApplyOptions{})
 	if err != nil {
 		t.Fatalf("apply: %s (diagnoses: %v)", err, diagnoses)
 	}
