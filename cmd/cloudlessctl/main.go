@@ -9,6 +9,8 @@
 //	cloudlessctl tail      -cloud http://host:8080 [-since 42]
 //	cloudlessctl destroy   -state cloudless.state.json
 //	cloudlessctl drift     -state cloudless.state.json [-scan]
+//	cloudlessctl history   -dir ./infra -state cloudless.state.json -state-backend wal
+//	cloudlessctl rollback  -dir ./infra -state cloudless.state.json -state-backend wal -to 7 [-dry-run]
 //	cloudlessctl import    -out ./imported [-modules]
 //	cloudlessctl synth     -template web-service -name shop -out ./generated
 //
@@ -30,14 +32,13 @@ import (
 	"time"
 
 	cloudless "cloudless"
-	"cloudless/internal/apply"
 	"cloudless/internal/cloud"
 	"cloudless/internal/drift"
 	"cloudless/internal/plan"
 	"cloudless/internal/port"
 	"cloudless/internal/provider"
-	"cloudless/internal/rollback"
 	"cloudless/internal/state"
+	"cloudless/internal/statedb"
 	"cloudless/internal/telemetry"
 )
 
@@ -104,9 +105,13 @@ Commands:
   tail       follow a cloud endpoint's activity log live (long-poll; -since resumes)
   import     port existing cloud resources to a CCL program + state
   synth      generate a CCL program from a template
-  history    list state snapshots in the time machine (-history dir)
-  rollback   roll back to a snapshot with minimal redeployment (-to serial)
+  history    list the serials the time machine can still read: the golden state's
+             last 64-127 commits, numbered as plan's "base serial" is (needs
+             -state-backend wal: a memory engine's history dies with the command)
+  rollback   roll back to one of them with minimal redeployment (-to serial, -dry-run;
+             needs -state-backend wal)
   recover    reconcile a crashed run's journal (<state>.journal) with the cloud
+             (needs the configuration in -dir, like every local command)
   metrics    summarize a trace file written with -trace-out (-prom for Prometheus text)
   workspaces list/create/delete workspaces on a cloudlessd server (-server URL)
   reconcile  manage a hosted workspace's self-healing converge loop
@@ -115,7 +120,7 @@ Commands:
 Lifecycle commands accept -trace-out <file> to record a Chrome/Perfetto
 trace of the run (open at https://ui.perfetto.dev or chrome://tracing).
 
-Remote mode: plan, apply, drift, recover, and tail accept
+Remote mode: plan, apply, drift, history, rollback, recover, and tail accept
 -server <url> -workspace <name> [-token <tok>] to run against a workspace
 hosted by cloudlessd instead of a local state file.
 `)
@@ -128,7 +133,6 @@ type commonFlags struct {
 	statePath    *string
 	cloudURL     *string
 	timeScale    *float64
-	historyDir   *string
 	policies     *string
 	traceOut     *string
 	stateBackend *string
@@ -157,14 +161,13 @@ type commonFlags struct {
 func newCommon(name string) *commonFlags {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	return &commonFlags{
-		fs:         fs,
-		dir:        fs.String("dir", ".", "configuration directory (*.ccl)"),
-		statePath:  fs.String("state", "cloudless.state.json", "state file path"),
-		cloudURL:   fs.String("cloud", "", "cloud API base URL (empty = in-process simulator)"),
-		timeScale:  fs.Float64("time-scale", 0.0005, "in-process simulator latency scale"),
-		historyDir: fs.String("history", "", "time-machine directory for state snapshots (empty = disabled)"),
-		policies:   fs.String("policies", "", "CCL policy file enforced across the lifecycle"),
-		traceOut:   fs.String("trace-out", "", "write a Chrome/Perfetto trace of this run to the given file"),
+		fs:        fs,
+		dir:       fs.String("dir", ".", "configuration directory (*.ccl)"),
+		statePath: fs.String("state", "cloudless.state.json", "state file path"),
+		cloudURL:  fs.String("cloud", "", "cloud API base URL (empty = in-process simulator)"),
+		timeScale: fs.Float64("time-scale", 0.0005, "in-process simulator latency scale"),
+		policies:  fs.String("policies", "", "CCL policy file enforced across the lifecycle"),
+		traceOut:  fs.String("trace-out", "", "write a Chrome/Perfetto trace of this run to the given file"),
 		stateBackend: fs.String("state-backend", "memory",
 			"golden-state durability: memory (no log) or wal (durable commit log at <state>.wal/); mvcc is an alias of memory"),
 		providerTTL: fs.Duration("provider-cache-ttl", 0,
@@ -244,22 +247,6 @@ func (c *commonFlags) writeTrace() {
 		c.recorder.SpanCount(), *c.traceOut)
 }
 
-// snapshot appends the current state to the time-machine directory with the
-// next free serial.
-func (c *commonFlags) snapshot(s *cloudless.Stack, description string) error {
-	if *c.historyDir == "" {
-		return nil
-	}
-	h, err := state.LoadHistoryDir(*c.historyDir)
-	if err != nil {
-		return err
-	}
-	snap := s.DB().Snapshot()
-	snap.Serial = 0 // let the history assign the next serial
-	h.Commit(snap, description, "")
-	return state.SaveSnapshot(*c.historyDir, h.Latest())
-}
-
 func (c *commonFlags) cloud() cloud.Interface {
 	if *c.cloudURL != "" {
 		return cloud.NewClient(*c.cloudURL, nil)
@@ -269,9 +256,9 @@ func (c *commonFlags) cloud() cloud.Interface {
 	return cloud.NewSim(opts)
 }
 
-// runtime wraps the raw cloud endpoint in a provider runtime for the
-// commands that talk to the cloud without opening a stack (import,
-// rollback); stack-based commands get theirs from cloudless.Open.
+// runtime wraps the raw cloud endpoint in a provider runtime for import,
+// the one command that talks to the cloud without opening a stack;
+// stack-based commands get theirs from cloudless.Open.
 func (c *commonFlags) runtime() cloud.Interface {
 	return provider.New(c.cloud(), provider.Options{
 		CacheTTL:    *c.providerTTL,
@@ -320,8 +307,19 @@ func (c *commonFlags) open() (*cloudless.Stack, error) {
 	return cloudless.Open(opts)
 }
 
+// saveState mirrors the engine's head into the state file: the tail of every
+// local command that may have committed, whether or not it succeeded.
 func (c *commonFlags) saveState(s *cloudless.Stack) error {
 	return s.DB().Snapshot().SaveFile(*c.statePath)
+}
+
+// openTimeMachine opens the stack for a verb that reads past serials.
+func (c *commonFlags) openTimeMachine(verb string) (*cloudless.Stack, error) {
+	if *c.stateBackend != cloudless.BackendWAL {
+		return nil, fmt.Errorf("%s requires -state-backend wal: the time machine is the golden state's commit log "+
+			"(<state>.wal/), and a memory engine's history dies with the command that made it", verb)
+	}
+	return c.open()
 }
 
 func cmdValidate(args []string) error {
@@ -448,9 +446,6 @@ func cmdPlanApply(args []string, doApply bool) error {
 		return err
 	}
 	fmt.Printf("applied %d change(s) in %s (%d retries)\n", res.Applied, res.Elapsed.Round(1e6), res.Retries)
-	if err := c.snapshot(stack, "apply"); err != nil {
-		return err
-	}
 	outs := stack.DisplayOutputs()
 	if len(outs) > 0 {
 		keys := make([]string, 0, len(outs))
@@ -512,103 +507,81 @@ func cmdDestroy(args []string) error {
 		return err
 	}
 	fmt.Printf("destroyed %d resource(s)\n", res.Applied)
-	if err := c.snapshot(stack, "destroy"); err != nil {
-		return err
-	}
 	return c.saveState(stack)
 }
 
 func cmdHistory(args []string) error {
 	c := newCommon("history")
 	_ = c.fs.Parse(args)
-	if *c.historyDir == "" {
-		return fmt.Errorf("history requires -history <dir>")
+	if c.remote() {
+		return c.remoteHistory()
 	}
-	h, err := state.LoadHistoryDir(*c.historyDir)
+	stack, err := c.openTimeMachine("history")
 	if err != nil {
 		return err
 	}
-	if h.Len() == 0 {
-		fmt.Println("no snapshots")
-		return nil
-	}
-	for _, serial := range h.Serials() {
-		snap, err := h.At(serial)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %4d  %s  %-12s %d resource(s)\n",
-			snap.Serial, snap.Time.Format("2006-01-02 15:04:05"),
-			snap.Description, snap.State.Len())
-	}
+	defer stack.Close()
+	printHistory(stack.DB().History())
 	return nil
+}
+
+// printHistory lists the time machine's window, oldest serial first.
+func printHistory(commits []statedb.CommitInfo) {
+	for _, ci := range commits {
+		desc := ci.Desc
+		if desc == "" {
+			desc = "(oldest retained)"
+		}
+		fmt.Printf("  %4d  %-18s %d resource(s)\n", ci.Serial, desc, ci.Resources)
+	}
 }
 
 func cmdRollback(args []string) error {
 	c := newCommon("rollback")
-	to := c.fs.Int("to", 0, "snapshot serial to roll back to (see history)")
+	to := c.fs.Int("to", 0, "serial to roll back to (see history)")
 	dryRun := c.fs.Bool("dry-run", false, "print the rollback plan without executing")
 	_ = c.fs.Parse(args)
+	if *to <= 0 {
+		return fmt.Errorf("rollback requires -to <serial> (see `cloudlessctl history`)")
+	}
+	if c.remote() {
+		return c.remoteRollback(*to, *dryRun)
+	}
 	c.initTelemetry("rollback")
 	defer c.writeTrace()
-	if *c.historyDir == "" || *to == 0 {
-		return fmt.Errorf("rollback requires -history <dir> and -to <serial>")
-	}
-	h, err := state.LoadHistoryDir(*c.historyDir)
+	stack, err := c.openTimeMachine("rollback")
 	if err != nil {
 		return err
 	}
-	snap, err := h.At(*to)
+	defer stack.Close()
+	p, target, err := stack.PlanRollback(*to)
 	if err != nil {
 		return err
 	}
-	current, err := state.LoadFile(*c.statePath)
-	if err != nil {
-		return err
-	}
-	p := rollback.Compute(current, snap.State)
-	fmt.Printf("rollback to #%d (%s): %s\n", snap.Serial, snap.Description, p.Summary())
+	fmt.Printf("rollback to serial %d: %s\n", *to, p.Summary())
 	for _, step := range p.Steps {
 		fmt.Printf("  %-16s %-40s %s\n", step.Kind, step.Addr, step.Reason)
 	}
 	if *dryRun || len(p.Steps) == 0 {
 		return nil
 	}
-	journalPath := *c.statePath + ".journal"
-	if js, err := apply.ReadJournal(journalPath); err != nil {
-		return err
-	} else if js != nil {
-		return fmt.Errorf("a crashed run's journal exists at %s; run `cloudlessctl recover` first", journalPath)
-	}
-	j, err := apply.NewJournal(journalPath, apply.Meta{Kind: "rollback", Principal: "cloudless"})
-	if err != nil {
-		return err
-	}
 	ctx, stop := withSignals(c.ctx())
-	after, err := rollback.ExecuteJournaled(ctx, c.runtime(), current, snap.State, p,
-		rollback.ExecOptions{Principal: "cloudless", Journal: j})
+	err = stack.ExecuteRollback(ctx, p, target)
 	stop()
-	if err != nil {
-		_ = j.Close() // keep for `cloudlessctl recover`
-		if after != nil {
-			if serr := after.SaveFile(*c.statePath); serr != nil {
-				return errors.Join(err, serr)
-			}
-		}
-		return err
+	// A failed rollback commits nothing, but the recovery of a crashed run's
+	// journal in front of it does.
+	if serr := c.saveState(stack); err != nil || serr != nil {
+		return errors.Join(err, serr)
 	}
-	_ = j.Discard()
-	if err := after.SaveFile(*c.statePath); err != nil {
-		return err
-	}
-	fmt.Printf("rolled back: %d in-place revert(s), %d redeployment(s)\n", p.Reverts, p.Redeployments)
+	fmt.Printf("rolled back: %d in-place revert(s), %d redeployment(s) — serial %d\n",
+		p.Reverts, p.Redeployments, stack.DB().Serial())
 	return nil
 }
 
-// cmdRecover reconciles a crashed run's journal with the cloud without
-// needing the configuration: completed ops are folded in from their done
-// records, in-doubt ops re-driven under their original idempotency keys,
-// and orphans adopted or deleted via the activity log.
+// cmdRecover reconciles a crashed run's journal with the cloud and commits
+// the result to the golden state: completed ops are folded in from their done
+// records, in-doubt ops re-driven under their original idempotency keys, and
+// orphans adopted or deleted via the activity log.
 func cmdRecover(args []string) error {
 	c := newCommon("recover")
 	_ = c.fs.Parse(args)
@@ -617,35 +590,27 @@ func cmdRecover(args []string) error {
 	}
 	c.initTelemetry("recover")
 	defer c.writeTrace()
-	journalPath := *c.statePath + ".journal"
-	js, err := apply.ReadJournal(journalPath)
+	stack, err := c.open()
 	if err != nil {
 		return err
 	}
-	if js == nil {
-		fmt.Printf("no journal at %s; nothing to recover\n", journalPath)
-		return nil
-	}
-	st, err := state.LoadFile(*c.statePath)
-	if err != nil {
-		return err
-	}
+	defer stack.Close()
 	ctx, stop := withSignals(c.ctx())
-	reconciled, rep, err := apply.Recover(ctx, c.runtime(), js, st, apply.Options{Principal: js.Meta.Principal})
+	rep, err := stack.Recover(ctx)
 	stop()
-	if err != nil {
-		return err
-	}
-	if err := reconciled.SaveFile(*c.statePath); err != nil {
+	if rep == nil {
+		if err == nil {
+			fmt.Printf("no journal at %s; nothing to recover\n", *c.statePath+".journal")
+		}
 		return err
 	}
 	fmt.Printf("recovered %s journal %s: %d confirmed, %d resumed, %d orphan(s) adopted, %d orphan(s) deleted (%s)\n",
-		js.Meta.Kind, js.Meta.ID, rep.Confirmed, rep.Resumed,
+		rep.Kind, rep.JournalID, rep.Confirmed, rep.Resumed,
 		len(rep.OrphansAdopted), len(rep.OrphansDeleted), rep.Elapsed.Round(time.Millisecond))
-	if err := rep.Err(); err != nil {
-		return fmt.Errorf("recovery incomplete (journal kept for retry): %w", err)
+	if err != nil {
+		err = fmt.Errorf("recovery incomplete (journal kept for retry): %w", err)
 	}
-	return os.Remove(journalPath)
+	return errors.Join(err, c.saveState(stack))
 }
 
 func cmdDrift(args []string) error {

@@ -3,8 +3,8 @@ package main
 // Remote mode: with -server, lifecycle commands route through a cloudlessd
 // workspace API instead of opening a local stack. The server owns the golden
 // state, journal, and event history; the CLI submits jobs and renders their
-// wire summaries, so `plan`/`apply -watch`/`drift`/`recover` read the same
-// on-screen as their local counterparts.
+// wire summaries, so `plan`/`apply -watch`/`drift`/`history`/`rollback`/
+// `recover` read the same on-screen as their local counterparts.
 
 import (
 	"context"
@@ -217,6 +217,49 @@ func (c *commonFlags) remoteDrift(scan bool, reconcile string) error {
 		return err
 	}
 	fmt.Printf("reconciled (%s)\n", reconcile)
+	return nil
+}
+
+// remoteHistory is the -server path of `history`.
+func (c *commonFlags) remoteHistory() error {
+	cl, ws, ctx, cancel, err := c.remoteTarget()
+	if err != nil {
+		return err
+	}
+	defer cancel()
+	commits, err := cl.History(ctx, ws)
+	if err != nil {
+		return err
+	}
+	printHistory(commits)
+	return nil
+}
+
+// remoteRollback is the -server path of `rollback`: one job plans and, unless
+// dry, executes; a serial outside the workspace's window is refused at submit.
+func (c *commonFlags) remoteRollback(to int, dryRun bool) error {
+	cl, ws, ctx, cancel, err := c.remoteTarget()
+	if err != nil {
+		return err
+	}
+	defer cancel()
+	st, err := runJob(ctx, cl, ws, server.JobRequest{Kind: "rollback", ToSerial: to, DryRun: dryRun})
+	if err != nil {
+		return err
+	}
+	res, err := server.ResultAs[server.RollbackSummary](st)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("rollback to serial %d: %d steps: %d in-place reverts, %d redeployments\n",
+		res.ToSerial, len(res.Steps), res.Reverts, res.Redeployments)
+	for _, step := range res.Steps {
+		fmt.Printf("  %-16s %-40s %s\n", step.Kind, step.Addr, step.Reason)
+	}
+	if !dryRun && len(res.Steps) > 0 {
+		fmt.Printf("rolled back: %d in-place revert(s), %d redeployment(s) — serial %d\n",
+			res.Reverts, res.Redeployments, res.Serial)
+	}
 	return nil
 }
 

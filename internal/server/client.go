@@ -15,6 +15,7 @@ import (
 
 	"cloudless/internal/jobs"
 	"cloudless/internal/state"
+	"cloudless/internal/statedb"
 )
 
 // Client retry defaults: enough cumulative backoff (~10s) to ride through
@@ -277,6 +278,16 @@ func (c *Client) Events(ctx context.Context, ws string, since int64, wait time.D
 	var out EventsPage
 	err := c.do(ctx, http.MethodGet, path, nil, &out)
 	return out, err
+}
+
+// History lists the serials the workspace's time machine can read, oldest
+// first: the targets a rollback job's ToSerial accepts.
+func (c *Client) History(ctx context.Context, ws string) ([]statedb.CommitInfo, error) {
+	var out struct {
+		Commits []statedb.CommitInfo `json:"commits"`
+	}
+	err := c.do(ctx, http.MethodGet, "/v1/workspaces/"+url.PathEscape(ws)+"/history", nil, &out)
+	return out.Commits, err
 }
 
 // Metrics fetches the aggregated Prometheus scrape. Like every other

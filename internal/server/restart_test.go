@@ -3,14 +3,18 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"cloudless/internal/cloud"
 	"cloudless/internal/jobs"
 	"cloudless/internal/server"
+	"cloudless/internal/statedb"
 	"cloudless/internal/workspace"
 )
 
@@ -258,5 +262,96 @@ func TestDeleteWorkspaceBusy(t *testing.T) {
 	}
 	if _, err := d.client.GetJob(ctx, "busy", j.ID(), 0); !errors.As(err, &apiErr) || apiErr.Code != 404 {
 		t.Fatalf("job of deleted workspace: %v, want 404", err)
+	}
+}
+
+// TestRollbackJobAcrossRestart: the daemon reaches the time machine. History
+// lists the engine's serials, a rollback job plans (dry_run) or plans and
+// executes through the workspace's one write path, a serial outside the
+// window is refused at submit with the window in the message — and because
+// the engine's window survives a reopen, all of it still holds after a
+// restart.
+func TestRollbackJobAcrossRestart(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	sim := newDurableSim()
+	d := newDurableStack(t, dir, sim)
+	if _, err := d.client.CreateWorkspace(ctx, server.CreateWorkspaceRequest{
+		Name: "rb", Sources: tenantSource("rb"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	applied, err := server.ResultAs[server.ApplySummary](mustJob(t, d.client, "rb", server.JobRequest{Kind: "apply"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	destroyed, err := server.ResultAs[server.ApplySummary](mustJob(t, d.client, "rb", server.JobRequest{Kind: "destroy"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.TotalResources() != 0 || destroyed.Serial <= applied.Serial {
+		t.Fatalf("after apply+destroy: %d resources, serials %d then %d", sim.TotalResources(), applied.Serial, destroyed.Serial)
+	}
+
+	before, err := d.client.History(ctx, "rb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[int]statedb.CommitInfo{}
+	for _, c := range before {
+		listed[c.Serial] = c
+	}
+	if a, x := listed[applied.Serial], listed[destroyed.Serial]; a.Desc != "apply" || a.Resources != 4 || x.Desc != "destroy" || x.Resources != 0 {
+		t.Fatalf("history = %+v, want the apply at %d with 4 resources and the destroy at %d with none", before, applied.Serial, destroyed.Serial)
+	}
+
+	dry, err := server.ResultAs[server.RollbackSummary](mustJob(t, d.client, "rb",
+		server.JobRequest{Kind: "rollback", ToSerial: applied.Serial, DryRun: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dry.DryRun || len(dry.Steps) != 4 || dry.Serial != destroyed.Serial || sim.TotalResources() != 0 {
+		t.Errorf("dry run = %+v with %d resources in the cloud, want a 4-step plan and nothing touched", dry, sim.TotalResources())
+	}
+
+	var apiErr *server.APIError
+	wantWindow := fmt.Sprintf("window [%d, %d]", before[0].Serial, destroyed.Serial)
+	for _, serial := range []int{0, 9999} {
+		_, err := d.client.SubmitJob(ctx, "rb", server.JobRequest{Kind: "rollback", ToSerial: serial})
+		if !errors.As(err, &apiErr) || apiErr.Code != 400 {
+			t.Errorf("rollback to serial %d: %v, want a 400", serial, err)
+		} else if serial != 0 && !strings.Contains(apiErr.Message, wantWindow) {
+			t.Errorf("rollback to serial %d refused with %q, want it to name the %s", serial, apiErr.Message, wantWindow)
+		}
+	}
+
+	d.stop(t)
+	d2 := newDurableStack(t, dir, sim)
+	defer d2.stop(t)
+	d2.recover(t)
+	after, err := d2.client.History(ctx, "rb")
+	if err != nil || !slices.Equal(after, before) {
+		t.Fatalf("history after the restart = %+v, %v\nwant %+v", after, err, before)
+	}
+	done, err := server.ResultAs[server.RollbackSummary](mustJob(t, d2.client, "rb",
+		server.JobRequest{Kind: "rollback", ToSerial: applied.Serial}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := d2.client.State(ctx, "rb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Serial != destroyed.Serial+1 || st.Serial != done.Serial || st.Len() != 4 || sim.TotalResources() != 4 {
+		t.Errorf("rollback = %+v; state at serial %d holds %d resources, the cloud %d; want 4 and 4 at serial %d",
+			done, st.Serial, st.Len(), sim.TotalResources(), destroyed.Serial+1)
+	}
+	p, err := server.ResultAs[server.PlanSummary](mustJob(t, d2.client, "rb", server.JobRequest{Kind: "plan"}))
+	if err != nil || p.Pending() != 0 {
+		t.Errorf("plan after the rollback = %+v, %v; want a no-op", p, err)
+	}
+	scan, err := server.ResultAs[server.DriftSummary](mustJob(t, d2.client, "rb", server.JobRequest{Kind: "scan"}))
+	if err != nil || len(scan.Items) != 0 {
+		t.Errorf("scan after the rollback = %+v, %v; want no drift", scan, err)
 	}
 }

@@ -171,6 +171,7 @@ func New(opts Options) *Server {
 	mux.HandleFunc("GET /v1/workspaces/{name}/jobs/{id}/plan", s.auth(s.workspaceHandler(s.handlePlanArtifact)))
 	mux.HandleFunc("GET /v1/workspaces/{name}/events", s.auth(s.workspaceHandler(s.handleEvents)))
 	mux.HandleFunc("GET /v1/workspaces/{name}/state", s.auth(s.workspaceHandler(s.handleState)))
+	mux.HandleFunc("GET /v1/workspaces/{name}/history", s.auth(s.workspaceHandler(s.handleHistory)))
 	mux.HandleFunc("POST /v1/workspaces/{name}/reconciler", s.auth(s.workspaceHandler(s.handleSetReconciler)))
 	mux.HandleFunc("GET /v1/workspaces/{name}/reconciler", s.auth(s.workspaceHandler(s.handleReconcilerStatus)))
 	s.mux = mux
@@ -569,6 +570,35 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 			}
 			return sum, nil
 		}, 1, nil
+	case "rollback":
+		// Planned here as well as in the job: a serial outside the time
+		// machine's window is the submitter's error (the message names the
+		// window), and the steps are the job's cost.
+		if req.ToSerial <= 0 {
+			return nil, 0, errors.New("rollback requires to_serial (a serial the workspace's history lists)")
+		}
+		p, _, err := ws.PlanRollback(req.ToSerial)
+		if err != nil {
+			return nil, 0, err
+		}
+		return func(ctx context.Context) (any, error) {
+			p, target, err := ws.PlanRollback(req.ToSerial)
+			if err != nil {
+				return nil, err
+			}
+			sum := summarizeRollback(req.ToSerial, p)
+			sum.DryRun = req.DryRun
+			if !req.DryRun && len(p.Steps) > 0 {
+				// A crashed run's journal is recovered first and fails this
+				// job with *ErrJournalRecovered: the plan above predates the
+				// recovery, and the client submits again.
+				if err := ws.ExecuteRollback(ctx, p, target); err != nil {
+					return nil, err
+				}
+			}
+			sum.Serial = ws.DB().Serial()
+			return sum, nil
+		}, max(1, float64(len(p.Steps))), nil
 	case "recover":
 		return func(ctx context.Context) (any, error) {
 			rep, err := ws.Recover(ctx)
@@ -578,7 +608,7 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 			return summarizeRecover(rep), nil
 		}, 1, nil
 	default:
-		return nil, 0, fmt.Errorf("unknown job kind %q (plan|apply|destroy|drift|scan|reconcile|recover)", req.Kind)
+		return nil, 0, fmt.Errorf("unknown job kind %q (plan|apply|destroy|drift|scan|reconcile|rollback|recover)", req.Kind)
 	}
 }
 
@@ -717,6 +747,12 @@ func (s *Server) handleState(w http.ResponseWriter, _ *http.Request, name string
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(raw)
+}
+
+// handleHistory lists the serials the workspace's time machine can read —
+// the targets a rollback job accepts.
+func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request, _ string, ws *workspace.Workspace) {
+	writeJSON(w, http.StatusOK, map[string]any{"commits": ws.DB().History()})
 }
 
 // ---- helpers ----

@@ -8,6 +8,7 @@ import (
 	"cloudless/internal/eval"
 	"cloudless/internal/jobs"
 	"cloudless/internal/plan"
+	"cloudless/internal/rollback"
 )
 
 // Wire types shared by the server and its Go client. Lifecycle results
@@ -42,7 +43,7 @@ type WorkspaceInfo struct {
 // JobRequest submits one lifecycle job.
 type JobRequest struct {
 	// Kind is one of "plan", "apply", "destroy", "drift", "scan",
-	// "reconcile", "recover".
+	// "reconcile", "rollback", "recover".
 	Kind string `json:"kind"`
 	// PlanJob applies the stored plan artifact from an earlier plan job
 	// instead of replanning inside the apply ("" replans).
@@ -56,6 +57,10 @@ type JobRequest struct {
 	Action string `json:"action,omitempty"`
 	// DriftJob names the drift/scan job whose report a reconcile consumes.
 	DriftJob string `json:"drift_job,omitempty"`
+	// ToSerial is the serial a "rollback" returns the infrastructure to: one
+	// the workspace's history lists. DryRun plans it without executing.
+	ToSerial int  `json:"to_serial,omitempty"`
+	DryRun   bool `json:"dry_run,omitempty"`
 	// IdemKey is a client-chosen idempotency key: resubmitting with the
 	// same key (e.g. retrying after a timeout or a daemon restart) returns
 	// the original job instead of creating a new one. The Go client fills
@@ -67,8 +72,9 @@ type JobRequest struct {
 type JobStatus struct {
 	jobs.View
 	// Result holds the kind-specific summary (PlanSummary, ApplySummary,
-	// DriftSummary, RecoverSummary) once the job succeeded. It decodes as
-	// map[string]any on the client; use the typed helpers on Client.
+	// DriftSummary, RollbackSummary, RecoverSummary) once the job succeeded.
+	// It decodes as map[string]any on the client; use the typed helpers on
+	// Client.
 	Result any `json:"result,omitempty"`
 }
 
@@ -132,6 +138,24 @@ type ReconcileSummary struct {
 	Reverted []string          `json:"reverted,omitempty"`
 	Notified []string          `json:"notified,omitempty"`
 	Errors   map[string]string `json:"errors,omitempty"`
+}
+
+// RollbackStep is one planned rollback operation.
+type RollbackStep struct {
+	Kind   string `json:"kind"`
+	Addr   string `json:"addr"`
+	Reason string `json:"reason,omitempty"`
+}
+
+// RollbackSummary is the wire form of a rollback job: the plan, and the
+// golden-state serial once it ran (or was found to have nothing to do).
+type RollbackSummary struct {
+	ToSerial      int            `json:"to_serial"`
+	Steps         []RollbackStep `json:"steps,omitempty"`
+	Reverts       int            `json:"reverts"`
+	Redeployments int            `json:"redeployments"`
+	DryRun        bool           `json:"dry_run,omitempty"`
+	Serial        int            `json:"serial"`
 }
 
 // RecoverSummary is the wire form of a journal recovery.
@@ -249,6 +273,15 @@ func summarizeDrift(rep *drift.Report) DriftSummary {
 			Kind: it.Kind.String(), Addr: it.Addr, Type: it.Type, ID: it.ID,
 			Actor: it.Actor, ChangedAttrs: it.ChangedAttrs,
 		})
+	}
+	return s
+}
+
+// summarizeRollback renders a rollback plan.
+func summarizeRollback(to int, p *rollback.Plan) RollbackSummary {
+	s := RollbackSummary{ToSerial: to, Reverts: p.Reverts, Redeployments: p.Redeployments}
+	for _, step := range p.Steps {
+		s.Steps = append(s.Steps, RollbackStep{Kind: step.Kind.String(), Addr: step.Addr, Reason: step.Reason})
 	}
 	return s
 }

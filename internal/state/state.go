@@ -1,9 +1,8 @@
 // Package state models the recorded state of a deployed infrastructure: the
 // mapping from configuration addresses to real cloud resources. It provides
-// JSON serialization, cloning over shared immutable records, fingerprinting,
-// and a versioned history
-// — the §3.4 "time machine" that tracks the mapping between past
-// configurations and their corresponding states.
+// JSON serialization, cloning over shared immutable records and
+// fingerprinting. The §3.4 "time machine" over these states is the statedb
+// engine's.
 package state
 
 import (

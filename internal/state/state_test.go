@@ -139,73 +139,3 @@ func TestFingerprintSensitivity(t *testing.T) {
 		t.Error("changed state has same fingerprint")
 	}
 }
-
-func TestHistoryTimeMachine(t *testing.T) {
-	h := NewHistory(0)
-	s := New()
-	s.Set(&ResourceState{Addr: "aws_vpc.a", Type: "aws_vpc", ID: "vpc-1",
-		Attrs: map[string]eval.Value{"cidr_block": eval.String("10.0.0.0/16")}})
-	v1 := h.Commit(s, "create vpc", "cfg-aaa")
-
-	setAttr(s, "aws_vpc.a", "cidr_block", eval.String("10.1.0.0/16"))
-	v2 := h.Commit(s, "retarget cidr", "cfg-bbb")
-
-	if v2 != v1+1 {
-		t.Errorf("serials = %d, %d", v1, v2)
-	}
-	snap1, err := h.At(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The snapshot is isolated from later mutation.
-	if !snap1.State.Get("aws_vpc.a").Attr("cidr_block").Equal(eval.String("10.0.0.0/16")) {
-		t.Error("history snapshot was mutated by later changes")
-	}
-	if h.Latest().Serial != v2 {
-		t.Errorf("latest = %d", h.Latest().Serial)
-	}
-	if _, err := h.At(99); err == nil {
-		t.Error("missing serial accepted")
-	}
-	// Config fingerprint lookup ("roll back to what cfg-aaa produced").
-	if snap := h.FindByConfig("cfg-aaa"); snap == nil || snap.Serial != v1 {
-		t.Errorf("FindByConfig = %+v", snap)
-	}
-	if h.FindByConfig("cfg-zzz") != nil {
-		t.Error("unknown config fingerprint matched")
-	}
-}
-
-func TestHistoryLimit(t *testing.T) {
-	h := NewHistory(3)
-	s := New()
-	for i := 0; i < 10; i++ {
-		h.Commit(s, "c", "")
-	}
-	if h.Len() != 3 {
-		t.Errorf("len = %d", h.Len())
-	}
-	serials := h.Serials()
-	if serials[0] != 8 || serials[2] != 10 {
-		t.Errorf("serials = %v", serials)
-	}
-}
-
-func TestDiffAddrs(t *testing.T) {
-	a := sampleState()
-	b := a.Clone()
-	b.Remove("aws_subnet.s[0]")
-	setAttr(b, "aws_vpc.main", "enable_dns", eval.False)
-	b.Set(&ResourceState{Addr: "aws_vpc.extra", Type: "aws_vpc", ID: "vpc-2",
-		Attrs: map[string]eval.Value{}})
-	added, removed, changed := DiffAddrs(a, b)
-	if len(added) != 1 || added[0] != "aws_vpc.extra" {
-		t.Errorf("added = %v", added)
-	}
-	if len(removed) != 1 || removed[0] != "aws_subnet.s[0]" {
-		t.Errorf("removed = %v", removed)
-	}
-	if len(changed) != 1 || changed[0] != "aws_vpc.main" {
-		t.Errorf("changed = %v", changed)
-	}
-}

@@ -65,15 +65,20 @@ func (db *DB) Snapshot() *state.State {
 
 // SnapshotAt returns the state as of a past serial — the time machine —
 // under Snapshot's sharing contract. Serials below the engine's retained
-// window (it reaches back to the open, or compactEvery commits once trimmed)
-// or newer than the head return ErrNoSuchSerial — as does 0, which no commit
-// carries (the engine reads it as "latest"; that is Snapshot).
+// window (see History) or newer than the head return ErrNoSuchSerial — as
+// does 0, which no commit carries (the engine reads it as "latest"; that is
+// Snapshot).
 func (db *DB) SnapshotAt(serial int) (*state.State, error) {
 	if serial == 0 {
 		return nil, fmt.Errorf("statedb: snapshot at serial 0: %w", ErrNoSuchSerial)
 	}
 	return db.engine.Snapshot(serial)
 }
+
+// History lists the serials SnapshotAt can read, oldest first, each with its
+// commit description and resource count. The window is the engine's: the
+// last 64–127 commits, the same after a reopen of a durable directory.
+func (db *DB) History() []CommitInfo { return db.engine.History() }
 
 // Serial returns the current state serial.
 func (db *DB) Serial() int { return db.engine.Serial() }

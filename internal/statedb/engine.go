@@ -94,6 +94,16 @@ type outputsVersion struct {
 	outputs map[string]eval.Value
 }
 
+// CommitInfo describes one readable serial of the time machine.
+type CommitInfo struct {
+	Serial int `json:"serial"`
+	// Desc is the commit's description; empty for the base of the window,
+	// whose commit record is no longer kept.
+	Desc string `json:"desc,omitempty"`
+	// Resources counts the resources recorded at Serial.
+	Resources int `json:"resources"`
+}
+
 // Engine is the golden-state store: resource states keyed by address,
 // committed atomically at monotonically increasing serials. Every commit
 // appends one copy-on-write version per touched address, so a reader pinned
@@ -102,8 +112,10 @@ type outputsVersion struct {
 // O(touched addresses) per commit, and reaches back at least compactEvery
 // commits — older versions are trimmed, so memory is bounded by the window
 // and not by the life of the process. With a commit log the batch is made
-// durable before it becomes visible. Safe for concurrent use; locking and
-// transaction bookkeeping live above the engine in DB/Txn.
+// durable before it becomes visible, and the log keeps the same window: a
+// reopened engine reads exactly the serials the closed one did. Safe for
+// concurrent use; locking and transaction bookkeeping live above the engine
+// in DB/Txn.
 type Engine struct {
 	// wmu serializes commits and owns the log. mu is taken exclusively only
 	// for the in-memory apply, so readers never wait on an fsync.
@@ -112,11 +124,13 @@ type Engine struct {
 
 	mu     sync.RWMutex
 	serial int
-	// oldest is the lower bound of the readable window: the serial the
-	// engine was opened at, then the floor of the last trim.
+	// oldest is the lower bound of the readable window: the serial of the
+	// seed or of snapshot.json at open, then the floor of the last trim.
 	oldest  int
 	chains  map[string][]version
 	outputs []outputsVersion
+	// history holds one entry per readable serial, ascending from oldest.
+	history []CommitInfo
 }
 
 // NewEngine builds the engine, seeded with the initial state. For a fresh
@@ -158,6 +172,7 @@ func newEngine(base *state.State) *Engine {
 		oldest:  base.Serial,
 		chains:  make(map[string][]version, len(base.Resources)),
 		outputs: []outputsVersion{{serial: base.Serial, outputs: base.Outputs}},
+		history: []CommitInfo{{Serial: base.Serial, Resources: len(base.Resources)}},
 	}
 	for addr, rs := range base.Resources {
 		e.chains[addr] = []version{{serial: base.Serial, rs: rs}}
@@ -259,13 +274,15 @@ func (e *Engine) Outputs() map[string]eval.Value {
 func (e *Engine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	n := 0
-	for _, chain := range e.chains {
-		if chain[len(chain)-1].rs != nil {
-			n++
-		}
-	}
-	return n
+	return e.history[len(e.history)-1].Resources
+}
+
+// History lists every readable serial, oldest first: the base of the window,
+// then one entry per commit since.
+func (e *Engine) History() []CommitInfo {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return slices.Clone(e.history)
 }
 
 // outputsAtLocked resolves the retained outputs version at or before
@@ -305,11 +322,11 @@ func (e *Engine) Commit(b *Batch) (int, error) {
 			return 0, err
 		}
 	}
-	e.apply(serial, writes, b.Deletes, maps.Clone(b.Outputs), b.SetOutputs)
-	if serial%compactEvery == 0 {
-		e.trim(serial - compactEvery)
-	}
-	if e.log != nil && e.log.sinceCompact >= compactEvery {
+	e.apply(serial, b.Desc, writes, b.Deletes, maps.Clone(b.Outputs), b.SetOutputs)
+	// One schedule for the window, in memory and on disk: every compactEvery
+	// commits the chains are trimmed and the log's files follow them.
+	due := serial%compactEvery == 0 && e.trim(serial-compactEvery)
+	if e.log != nil && (due || e.log.compactErr != nil) {
 		// The commit is already durable: a failed compaction is kept for
 		// Close and retried by the next commit while the log keeps growing.
 		e.log.compactErr = e.log.compact(e)
@@ -348,34 +365,49 @@ func (e *Engine) conflict(b *Batch) error {
 	return nil
 }
 
-// apply appends one version per touched address at the given serial, and one
-// of the outputs when setOutputs. The engine takes ownership of writes and
-// outputs. Caller holds wmu (or is the only user, during replay).
-func (e *Engine) apply(serial int, writes map[string]*state.ResourceState, deletes map[string]bool, outputs map[string]eval.Value, setOutputs bool) {
+// apply appends one version per touched address at the given serial, one of
+// the outputs when setOutputs, and the commit's history entry. The engine
+// takes ownership of writes and outputs. Caller holds wmu (or is the only
+// user, during replay).
+func (e *Engine) apply(serial int, desc string, writes map[string]*state.ResourceState, deletes map[string]bool, outputs map[string]eval.Value, setOutputs bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	n := e.history[len(e.history)-1].Resources
+	put := func(addr string, rs *state.ResourceState) {
+		chain := e.chains[addr]
+		was := len(chain) > 0 && chain[len(chain)-1].rs != nil
+		switch {
+		case rs != nil && !was:
+			n++
+		case rs == nil && was:
+			n--
+		}
+		e.chains[addr] = append(chain, version{serial: serial, rs: rs})
+	}
 	for addr, rs := range writes {
-		e.chains[addr] = append(e.chains[addr], version{serial: serial, rs: rs})
+		put(addr, rs)
 	}
 	for addr := range deletes {
-		e.chains[addr] = append(e.chains[addr], version{serial: serial})
+		put(addr, nil)
 	}
 	if setOutputs {
 		e.outputs = append(e.outputs, outputsVersion{serial: serial, outputs: outputs})
 	}
+	e.history = append(e.history, CommitInfo{Serial: serial, Desc: desc, Resources: n})
 	e.serial = serial
 }
 
 // trim bounds the time machine: it drops what no read at or above floor can
 // reach — per address, every version older than the newest one at or below
 // floor, and that one too when it is a deletion (an address with no version
-// yet reads the same); likewise the outputs — and moves the window's lower
-// bound up to floor. Caller holds wmu.
-func (e *Engine) trim(floor int) {
+// yet reads the same); likewise the outputs and the history, whose entry at
+// floor loses its description as the new base — and moves the window's lower
+// bound up to floor. It reports whether the window moved. Caller holds wmu.
+func (e *Engine) trim(floor int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if floor <= e.oldest {
-		return
+		return false
 	}
 	for addr, chain := range e.chains {
 		keep := sort.Search(len(chain), func(i int) bool { return chain[i].serial > floor }) - 1
@@ -396,7 +428,11 @@ func (e *Engine) trim(floor int) {
 	if keep := sort.Search(len(e.outputs), func(i int) bool { return e.outputs[i].serial > floor }) - 1; keep > 0 {
 		e.outputs = slices.Clone(e.outputs[keep:])
 	}
+	keep := sort.Search(len(e.history), func(i int) bool { return e.history[i].Serial > floor }) - 1
+	e.history = slices.Clone(e.history[keep:])
+	e.history[0].Serial, e.history[0].Desc = floor, ""
 	e.oldest = floor
+	return true
 }
 
 // Close flushes and releases the commit log; reads keep working. It reports

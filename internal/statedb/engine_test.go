@@ -3,10 +3,12 @@ package statedb
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -626,8 +628,8 @@ func TestRetentionWindow(t *testing.T) {
 	})
 }
 
-// TestReopenAfterTrim: the snapshot a compaction writes is the head, so a
-// reopened engine lands on the same serial and contents whatever was trimmed.
+// TestReopenAfterTrim: a reopened engine lands on the same serial and
+// contents whatever was trimmed, and keeps committing from there.
 func TestReopenAfterTrim(t *testing.T) {
 	dir := t.TempDir()
 	e := openWALDir(t, dir)
@@ -817,135 +819,325 @@ func logFileSize(t *testing.T, dir string) int64 {
 	return st.Size()
 }
 
-// TestWALCompaction: every compactEvery commits the log is folded into
-// snapshot.json and reset, the compacted state round-trips a reopen, and
-// serials from before the compaction stay pinned in memory meanwhile.
+// loggedSerials decodes the serial of every frame in the directory's log.
+func loggedSerials(t *testing.T, dir string) []int {
+	t.Helper()
+	var serials []int
+	if _, _, err := wal.Replay(filepath.Join(dir, walLogName), func(payload []byte) bool {
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatalf("undecodable frame in the log: %v", err)
+		}
+		serials = append(serials, rec.Serial)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return serials
+}
+
+// serialRange lists from..to inclusive.
+func serialRange(from, to int) []int {
+	var out []int
+	for s := from; s <= to; s++ {
+		out = append(out, s)
+	}
+	return out
+}
+
+// window captures everything the time machine serves: the encoded state at
+// every readable serial, and the history listing.
+func window(t *testing.T, e *Engine) (states map[int]string, history []CommitInfo) {
+	t.Helper()
+	states = map[int]string{}
+	history = e.History()
+	for _, c := range history {
+		snap, err := e.Snapshot(c.Serial)
+		if err != nil {
+			t.Fatalf("serial %d is listed but unreadable: %v", c.Serial, err)
+		}
+		if snap.Len() != c.Resources {
+			t.Errorf("history counts %d resources at serial %d, the snapshot holds %d", c.Resources, c.Serial, snap.Len())
+		}
+		raw, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[c.Serial] = string(raw)
+	}
+	return states, history
+}
+
+// TestReopenKeepsTheWindow: a reopened engine is the engine that was closed.
+// Whatever the commit count — short of a window, on a compaction boundary,
+// just past one, many windows in — the reopen reaches back to the same oldest
+// serial, reads the same bytes at every serial in between and lists the same
+// history, so a process-per-command front end or a restarted daemon can name
+// a rollback target exactly as a long-lived one can.
+func TestReopenKeepsTheWindow(t *testing.T) {
+	for _, commits := range []int{30, 70, 127, 128, 130, 190, 300, 1000} {
+		commits := commits
+		t.Run(fmt.Sprint(commits), func(t *testing.T) {
+			dir := t.TempDir()
+			e := openWALDir(t, dir)
+			for i := 0; i < commits; i++ {
+				b := put(fmt.Sprintf("aws_vpc.a%d", i%7), i)
+				b.Desc = fmt.Sprintf("commit %d", i)
+				switch {
+				case i%5 == 4:
+					b.Deletes = map[string]bool{fmt.Sprintf("aws_vpc.a%d", (i+3)%7): true}
+				case i%11 == 0:
+					b.Outputs, b.SetOutputs = map[string]eval.Value{"n": eval.Int(i)}, true
+				}
+				mustCommit(t, e, b)
+			}
+			states, history := window(t, e)
+			oldest, head := history[0].Serial, e.Serial()
+			if len(history) != head-oldest+1 || history[len(history)-1].Serial != head || history[0].Desc != "" {
+				t.Fatalf("history spans %d entries from %+v, want every serial of [%d, %d] and a base with no description",
+					len(history), history[0], oldest, head)
+			}
+			if reach := head - oldest; commits >= 2*compactEvery && (reach < compactEvery || reach >= 2*compactEvery) {
+				t.Errorf("live reach after %d commits = %d, want %d..%d", commits, reach, compactEvery, 2*compactEvery-1)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			re := openWALDir(t, dir)
+			reStates, reHistory := window(t, re)
+			if !slices.Equal(reHistory, history) {
+				t.Errorf("reopened history = %+v\nwant %+v", reHistory, history)
+			}
+			for serial, want := range states {
+				if reStates[serial] != want {
+					t.Errorf("serial %d reads differently after the reopen:\n got %s\nwant %s", serial, reStates[serial], want)
+				}
+			}
+			// (0 is not a serial: the engine reads it as "latest".)
+			if _, err := re.Snapshot(oldest - 1); oldest > 1 && !errors.Is(err, ErrNoSuchSerial) {
+				t.Errorf("read below the window after the reopen = %v, want ErrNoSuchSerial", err)
+			}
+		})
+	}
+}
+
+// TestWALCompaction: the files follow the window. Until the floor first moves
+// snapshot.json is the seed and the log holds every commit; when it moves the
+// snapshot is rewritten at the floor and the log holds exactly the frames
+// above it, so a serial is readable after a reopen iff it was before the close.
 func TestWALCompaction(t *testing.T) {
 	dir := t.TempDir()
 	e := openWALDir(t, dir)
 	first := e.Serial()
-	for i := 1; i < compactEvery; i++ {
-		mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", i%5), i))
+	snapshotOnDisk := func() *state.State {
+		t.Helper()
+		snap, err := state.LoadFile(filepath.Join(dir, walSnapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	for e.Serial() < 2*compactEvery-1 {
+		mustCommit(t, e, put(fmt.Sprintf("aws_vpc.a%d", e.Serial()%5), e.Serial()))
 	}
 	if size := logFileSize(t, dir); size == 0 || size != e.log.Size() {
 		t.Fatalf("log size before compaction = %d on disk, %d tracked", size, e.log.Size())
 	}
-	serial := mustCommit(t, e, put("aws_vpc.boundary", 0))
-	if size := logFileSize(t, dir); size != 0 || e.log.Size() != 0 {
-		t.Errorf("log size after compaction = %d on disk, %d tracked; want 0", size, e.log.Size())
+	if got := loggedSerials(t, dir); snapshotOnDisk().Serial != first || !slices.Equal(got, serialRange(first+1, e.Serial())) {
+		t.Fatalf("before the floor moves: snapshot at %d, log holds %v; want the seed at %d and every commit",
+			snapshotOnDisk().Serial, got, first)
 	}
-	snap, err := state.LoadFile(filepath.Join(dir, walSnapshotName))
+
+	serial := mustCommit(t, e, put("aws_vpc.boundary", 0))
+	floor := serial - compactEvery
+	atFloor, err := e.Snapshot(floor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Serial != serial || snap.Len() != 6 {
-		t.Errorf("snapshot.json serial=%d len=%d, want %d and 6", snap.Serial, snap.Len(), serial)
+	want, _ := atFloor.Encode()
+	got, _ := snapshotOnDisk().Encode()
+	if !bytes.Equal(got, want) {
+		t.Errorf("snapshot.json after compaction is not the state at the floor %d:\n got %s\nwant %s", floor, got, want)
 	}
-	if old, err := e.Snapshot(first + 1); err != nil || old.Len() != 1 {
-		t.Errorf("pre-compaction serial after compaction = %+v, %v", old, err)
+	if got := loggedSerials(t, dir); !slices.Equal(got, serialRange(floor+1, serial)) {
+		t.Errorf("log after compaction holds %v, want exactly (%d, %d]", got, floor, serial)
 	}
-	// The log keeps taking records after the reset.
+	if size := logFileSize(t, dir); size != e.log.Size() {
+		t.Errorf("log size after compaction = %d on disk, %d tracked", size, e.log.Size())
+	}
+	if _, err := e.Snapshot(floor - 1); !errors.Is(err, ErrNoSuchSerial) {
+		t.Errorf("read below the floor = %v, want ErrNoSuchSerial", err)
+	}
+
+	// The rewritten log keeps taking records.
 	after := mustCommit(t, e, put("aws_vpc.after", 1))
-	if logFileSize(t, dir) == 0 {
-		t.Error("commit after compaction did not reach the log")
+	if got := loggedSerials(t, dir); !slices.Equal(got, serialRange(floor+1, after)) {
+		t.Errorf("log after one more commit holds %v, want (%d, %d]", got, floor, after)
 	}
+	readable := map[int]bool{}
+	for s := 1; s <= after+1; s++ {
+		_, err := e.Snapshot(s)
+		readable[s] = err == nil
+	}
+	wantState := stateJSON(t, e)
 	e.Close()
 	re := openWALDir(t, dir)
-	if re.Serial() != after {
-		t.Errorf("reopen after compaction: serial = %d, want %d", re.Serial(), after)
+	if re.Serial() != after || stateJSON(t, re) != wantState {
+		t.Errorf("reopen after compaction: serial = %d, want %d with the same contents", re.Serial(), after)
 	}
-	if got, _ := re.Get("aws_vpc.after", 0); got == nil || stateLen(t, re) != 7 {
-		t.Errorf("reopen after compaction lost state: after=%v len=%d", got, stateLen(t, re))
-	}
-	// A reopened engine's window starts at the compacted snapshot.
-	if _, err := re.Snapshot(first + 1); !errors.Is(err, ErrNoSuchSerial) {
-		t.Errorf("pre-snapshot serial after reopen: error = %v, want ErrNoSuchSerial", err)
+	for s := 1; s <= after+1; s++ {
+		if _, err := re.Snapshot(s); (err == nil) != readable[s] {
+			t.Errorf("serial %d: readable before the close = %v, after the reopen: %v", s, readable[s], err)
+		}
 	}
 }
 
 // TestCommitSurvivesFailedCompaction: a commit that is durable in the log
-// has landed even when the compaction it triggers fails. It returns its
-// serial (so Txn.Commit finishes the transaction), the log keeps growing,
-// compaction is retried by the next commit, and Close reports a failure
-// that was never made good.
+// has landed even when the compaction it triggers fails, whichever of the two
+// files the fault hits. It returns its serial (so Txn.Commit finishes the
+// transaction), compaction is retried by the next commit, everything
+// acknowledged is on disk meanwhile, and Close reports a failure that was
+// never made good.
 func TestCommitSurvivesFailedCompaction(t *testing.T) {
-	dir := t.TempDir()
-	db := OpenEngine(openWALDir(t, dir), ResourceLock)
-	e := db.engine
-	// SaveFile writes snapshot.json through this temp name; a non-empty
-	// directory in its place makes every compaction fail.
-	blocker := filepath.Join(dir, walSnapshotName+".tmp")
-	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var last int
-	for i := 0; i < compactEvery+3; i++ {
-		txn := db.Begin("c")
-		if err := txn.Lock(ctxb(), "aws_vpc.a"); err != nil {
-			t.Fatal(err)
+	// commitPast drives transactions until the floor has moved at least once.
+	commitPast := func(t *testing.T, db *DB) (last int) {
+		t.Helper()
+		for i := 0; db.Serial() < 2*compactEvery+3; i++ {
+			txn := db.Begin("c")
+			if err := txn.Lock(ctxb(), "aws_vpc.a"); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Put(rs("aws_vpc.a", i)); err != nil {
+				t.Fatal(err)
+			}
+			serial, err := txn.Commit()
+			if err != nil {
+				t.Fatalf("commit %d reported failure though it is durable: %v", i, err)
+			}
+			if serial != db.Serial() || serial <= last {
+				t.Fatalf("commit %d: serial %d, db at %d, previous %d", i, serial, db.Serial(), last)
+			}
+			last = serial
 		}
-		if err := txn.Put(rs("aws_vpc.a", i)); err != nil {
-			t.Fatal(err)
+		if db.Locks().Holder("aws_vpc.a") != 0 {
+			t.Error("a transaction is still pending over state that moved")
 		}
-		serial, err := txn.Commit()
-		if err != nil {
-			t.Fatalf("commit %d reported failure though it is durable: %v", i, err)
+		return last
+	}
+	// reopensTo checks a copy of the directory as it stands holds every
+	// acknowledged commit.
+	reopensTo := func(t *testing.T, dir string, last int) {
+		t.Helper()
+		cp := t.TempDir()
+		for _, name := range []string{walLogName, walSnapshotName} {
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cp, name), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if serial != db.Serial() || serial <= last {
-			t.Fatalf("commit %d: serial %d, db at %d, previous %d", i, serial, db.Serial(), last)
+		re := openWALDir(t, cp)
+		if re.Serial() != last {
+			t.Errorf("reopen of the directory as the fault left it: serial = %d, want %d", re.Serial(), last)
 		}
-		last = serial
-	}
-	if db.Locks().Holder("aws_vpc.a") != 0 {
-		t.Error("a transaction is still pending over state that moved")
-	}
-	if e.log.compactErr == nil {
-		t.Fatal("compaction did not fail; the test's blocker is ineffective")
-	}
-	if size := logFileSize(t, dir); size == 0 || size != e.log.Size() {
-		t.Errorf("log after failed compactions = %d on disk, %d tracked; want it still growing", size, e.log.Size())
+		for s := last - compactEvery; s <= last; s++ {
+			if _, err := re.Snapshot(s); err != nil {
+				t.Errorf("acknowledged serial %d unreadable after the reopen: %v", s, err)
+			}
+		}
 	}
 
-	// Everything acknowledged is on disk without the compaction.
-	cp := t.TempDir()
-	for _, name := range []string{walLogName, walSnapshotName} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(cp, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := openWALDir(t, cp).Serial(); got != last {
-		t.Errorf("reopen of the uncompacted directory: serial = %d, want %d", got, last)
+	// SaveFile and Rewrite write through <name>.tmp; a non-empty directory in
+	// its place fails that file's half of every compaction, and leaves the
+	// log usable.
+	for _, blocked := range []string{walSnapshotName, walLogName} {
+		blocked := blocked
+		t.Run(blocked, func(t *testing.T) {
+			dir := t.TempDir()
+			db := OpenEngine(openWALDir(t, dir), ResourceLock)
+			e := db.engine
+			blocker := filepath.Join(dir, blocked+".tmp")
+			if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			last := commitPast(t, db)
+			if e.log.compactErr == nil {
+				t.Fatal("compaction did not fail; the test's blocker is ineffective")
+			}
+			if got := loggedSerials(t, dir); got[len(got)-1] != last || logFileSize(t, dir) != e.log.Size() {
+				t.Errorf("log after failed compactions ends at %d (%d bytes on disk, %d tracked); want it still growing to %d",
+					got[len(got)-1], logFileSize(t, dir), e.log.Size(), last)
+			}
+			reopensTo(t, dir, last)
+
+			// Unblock: the next commit retries the compaction and clears the error.
+			if err := os.RemoveAll(blocker); err != nil {
+				t.Fatal(err)
+			}
+			last = mustCommit(t, e, put("aws_vpc.b", 1))
+			floor := compactEvery
+			if got := loggedSerials(t, dir); e.log.compactErr != nil || !slices.Equal(got, serialRange(floor+1, last)) {
+				t.Errorf("retry after unblocking: compactErr = %v, log holds %v, want (%d, %d]", e.log.compactErr, got, floor, last)
+			}
+			if err := e.Close(); err != nil {
+				t.Errorf("Close after a made-good compaction = %v", err)
+			}
+			if got := openWALDir(t, dir).Serial(); got != last {
+				t.Errorf("reopen after retry: serial = %d, want %d", got, last)
+			}
+		})
 	}
 
-	// Unblock: the next commit retries the compaction and clears the error.
-	if err := os.RemoveAll(blocker); err != nil {
-		t.Fatal(err)
-	}
-	last = mustCommit(t, e, put("aws_vpc.b", 1))
-	if e.log.compactErr != nil || logFileSize(t, dir) != 0 {
-		t.Errorf("retry after unblocking: compactErr = %v, log size = %d", e.log.compactErr, logFileSize(t, dir))
-	}
-	if err := e.Close(); err != nil {
-		t.Errorf("Close after a made-good compaction = %v", err)
-	}
-	if got := openWALDir(t, dir).Serial(); got != last {
-		t.Errorf("reopen after retry: serial = %d, want %d", got, last)
-	}
+	// The rewrite loses the file after its rename (injected through the log's
+	// Faulty file: closing the old handle moves the new log aside): the commit
+	// that triggered it is acknowledged all the same, the log refuses every
+	// later one rather than write where no restart reads, Close says so, and
+	// the files hold every acknowledged commit.
+	t.Run("rewrite loses the log", func(t *testing.T) {
+		dir := t.TempDir()
+		e := openWALDir(t, dir)
+		logPath := filepath.Join(dir, walLogName)
+		wal.WrapFaulty(e.log.Log).Trace = func(op string, _ []byte) {
+			if op == "close" {
+				os.Rename(logPath, logPath+".moved")
+				os.Mkdir(logPath, 0o755)
+			}
+		}
+		var last int
+		for e.Serial() < 2*compactEvery {
+			last = mustCommit(t, e, put("aws_vpc.a", e.Serial()))
+		}
+		if e.log.compactErr == nil {
+			t.Fatal("compaction did not fail; the test's fault is ineffective")
+		}
+		if _, err := e.Commit(put("aws_vpc.refused", 1)); err == nil {
+			t.Error("commit acknowledged into a log no restart will read")
+		}
+		if err := e.Close(); err == nil {
+			t.Error("Close hid a compaction that lost the log")
+		}
+		if err := os.Remove(logPath); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(logPath+".moved", logPath); err != nil {
+			t.Fatal(err)
+		}
+		reopensTo(t, dir, last)
+	})
 
 	// A failure never made good surfaces from Close.
-	dir2 := t.TempDir()
-	e2 := openWALDir(t, dir2)
-	if err := os.MkdirAll(filepath.Join(dir2, walSnapshotName+".tmp", "x"), 0o755); err != nil {
+	dir := t.TempDir()
+	e := openWALDir(t, dir)
+	if err := os.MkdirAll(filepath.Join(dir, walSnapshotName+".tmp", "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < compactEvery; i++ {
-		mustCommit(t, e2, put("aws_vpc.a", i))
+	for e.Serial() < 2*compactEvery {
+		mustCommit(t, e, put("aws_vpc.a", e.Serial()))
 	}
-	if err := e2.Close(); err == nil {
+	if err := e.Close(); err == nil {
 		t.Error("Close hid a compaction that failed and was never retried successfully")
 	}
 }

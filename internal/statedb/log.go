@@ -13,17 +13,22 @@ import (
 
 // Commit-log layout inside the engine directory:
 //
-//	snapshot.json — full state at the last compaction (state JSON format)
+//	snapshot.json — full state at the floor of the time machine's window
+//	                (state JSON format)
 //	wal.log       — commits since, one JSON walRecord per wal.Log frame
 //
-// Open applies the records above the snapshot's serial; wal.Log drops the
-// torn tail of a crash mid-commit.
+// Open applies the records above the snapshot's serial — skipping any at or
+// below it, which a compaction that failed between its two files leaves
+// behind — and so rebuilds the window the engine held when it closed;
+// wal.Log drops the torn tail of a crash mid-commit.
 const (
 	walLogName      = "wal.log"
 	walSnapshotName = "snapshot.json"
-	// compactEvery is the commit count between snapshot compactions, and
-	// between trims of the version chains (with or without a log); the time
-	// machine reaches back that many commits at least, twice that at most.
+	// compactEvery is the commit count between moves of the window's floor:
+	// the version chains are trimmed (with or without a log) and the two
+	// files follow. The time machine reaches back that many commits at least,
+	// twice that at most; there is no deeper archive, because one more file
+	// pair would be a second store with its own retention to get right.
 	compactEvery = 64
 )
 
@@ -39,12 +44,11 @@ type walRecord struct {
 }
 
 // commitLog is the engine's optional durability: an fsynced wal.Log append
-// per commit, folded into snapshot.json every compactEvery commits. The
-// engine's wmu guards it.
+// per commit, with snapshot.json moved up to the window's floor whenever the
+// chains are trimmed. The engine's wmu guards it.
 type commitLog struct {
 	*wal.Log
-	dir          string
-	sinceCompact int
+	dir string
 	// compactErr is the failure of the last compaction, nil once one
 	// succeeds; Engine.Close reports it.
 	compactErr error
@@ -111,7 +115,7 @@ func (e *Engine) replay(payload []byte) bool {
 	for _, addr := range rec.Deletes {
 		deletes[addr] = true
 	}
-	e.apply(rec.Serial, ws.Resources, deletes, ws.Outputs, rec.SetOutputs)
+	e.apply(rec.Serial, rec.Desc, ws.Resources, deletes, ws.Outputs, rec.SetOutputs)
 	return true
 }
 
@@ -143,24 +147,41 @@ func (l *commitLog) append(serial int, b *Batch, writes map[string]*state.Resour
 	if err := l.Append(payload, true); err != nil {
 		return fmt.Errorf("statedb: %w", err)
 	}
-	l.sinceCompact++
 	return nil
 }
 
-// compact folds the log into snapshot.json and resets it. The snapshot is
-// on disk (file and directory fsynced) before the log is cut; records left
-// behind by a failed cut are at or below its serial and skipped by replay.
+// compact moves the files up to the engine's floor: snapshot.json becomes the
+// state at e.oldest, then the log is rewritten to the frames above it, byte
+// for byte. The snapshot is on disk (file and directory fsynced) before the
+// log is replaced; the records a failed rewrite leaves behind are at or below
+// its serial and skipped by replay.
 func (l *commitLog) compact(e *Engine) error {
-	snap, err := e.Snapshot(0)
+	floor := e.oldest // moved only under wmu, which the caller holds
+	snap, err := e.Snapshot(floor)
 	if err != nil {
 		return err
 	}
 	if err := snap.SaveFile(filepath.Join(l.dir, walSnapshotName)); err != nil {
 		return fmt.Errorf("statedb: compact wal: %w", err)
 	}
-	if err := l.Reset(); err != nil {
-		return fmt.Errorf("statedb: %w", err)
+	var keep [][]byte
+	_, _, err = wal.Replay(filepath.Join(l.dir, walLogName), func(payload []byte) bool {
+		var rec struct {
+			Serial int `json:"serial"`
+		}
+		if json.Unmarshal(payload, &rec) != nil {
+			return false
+		}
+		if rec.Serial > floor {
+			keep = append(keep, payload)
+		}
+		return true
+	})
+	if err == nil {
+		err = l.Rewrite(keep)
 	}
-	l.sinceCompact = 0
+	if err != nil {
+		return fmt.Errorf("statedb: compact wal: %w", err)
+	}
 	return nil
 }

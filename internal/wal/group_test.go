@@ -150,7 +150,7 @@ func TestAckedFramesSurviveCuts(t *testing.T) {
 	}
 }
 
-// TestAppendRacesExclusiveOps: Reset, Rewrite, Wrap and Close wait for the
+// TestAppendRacesExclusiveOps: Rewrite, Wrap and Close wait for the
 // appends in flight instead of pulling the file from under them. Run with
 // -race; the assertions are that nothing hangs and that Close ends it.
 func TestAppendRacesExclusiveOps(t *testing.T) {
@@ -172,9 +172,6 @@ func TestAppendRacesExclusiveOps(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 20; i++ {
-		if err := l.Reset(); err != nil {
-			t.Fatal(err)
-		}
 		if err := l.Rewrite([][]byte{[]byte("kept")}); err != nil {
 			t.Fatal(err)
 		}

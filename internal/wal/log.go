@@ -35,7 +35,7 @@ type File interface {
 // fsync, outside the lock, for every frame written so far; there is no timer
 // and no batch size, and an appender with no company pays one write and one
 // fsync. When an fsync fails, every frame above the durable length fails with
-// it and is cut out. Reset, Rewrite, Close and Wrap wait for the appends
+// it and is cut out. Rewrite, Close and Wrap wait for the appends
 // in flight.
 //
 // Callers own the payload encoding, the fold and when to compact.
@@ -228,21 +228,6 @@ func (l *Log) cut(size int64, cause error) error {
 	return err
 }
 
-// Reset empties the log, for a caller whose snapshot already covers every
-// record in it — so those left behind by a failed Reset do no harm.
-func (l *Log) Reset() error {
-	l.lockIdle()
-	defer l.unlockIdle()
-	if l.err != nil {
-		return l.err
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: reset %s: %w", l.path, err)
-	}
-	l.size, l.end = 0, 0
-	return nil
-}
-
 // Rewrite atomically replaces the log's contents with one frame per payload
 // and reopens it. An error before the rename leaves the old log in place and
 // usable; after it the open file is unlinked, so the log goes sticky-failed
@@ -253,9 +238,13 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 	if l.err != nil {
 		return l.err
 	}
-	var data []byte
+	size := 0
 	for _, p := range payloads {
-		data = append(data, Encode(p)...)
+		size += HeaderSize + len(p)
+	}
+	data := make([]byte, 0, size)
+	for _, p := range payloads {
+		data = AppendFrame(data, p)
 	}
 	if err := replaceFile(l.path, data, 0o644); err != nil {
 		return err

@@ -151,9 +151,6 @@ func TestFailedAppendIsCutBackOut(t *testing.T) {
 	if err := l.Append([]byte("refused"), true); err == nil {
 		t.Error("append acknowledged behind a partial frame that could not be removed")
 	}
-	if err := l.Reset(); err == nil {
-		t.Error("Reset on a failed log succeeded")
-	}
 	if err := l.Rewrite(nil); err == nil {
 		t.Error("Rewrite on a failed log succeeded")
 	}
@@ -184,17 +181,6 @@ func TestRewriteReplacesTheLog(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
 		t.Errorf("directory after Rewrite holds %v", entries)
-	}
-
-	// Reset empties it in place.
-	l, _ = openLog(t, path)
-	if err := l.Reset(); err != nil || l.Size() != 0 || fileSize(t, path) != 0 {
-		t.Fatalf("Reset = %v, size %d tracked, %d on disk", err, l.Size(), fileSize(t, path))
-	}
-	mustAppend(t, l, "d1")
-	l.Close(false)
-	if _, got := openLog(t, path); fmt.Sprint(got) != "[d1]" {
-		t.Errorf("reopen after Reset replayed %v", got)
 	}
 }
 

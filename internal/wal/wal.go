@@ -28,11 +28,14 @@ const MaxFrameSize = 64 << 20
 
 // Encode frames one payload for appending to a log.
 func Encode(payload []byte) []byte {
-	frame := make([]byte, HeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[HeaderSize:], payload)
-	return frame
+	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), payload)
+}
+
+// AppendFrame appends payload's frame to dst.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // Next decodes the frame starting at off in data. It returns the payload and

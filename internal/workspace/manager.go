@@ -149,9 +149,6 @@ func (m *Manager) build(name string, cfg Config) (*Workspace, error) {
 	if cfg.ProviderMaxRetries == 0 {
 		cfg.ProviderMaxRetries = d.ProviderMaxRetries
 	}
-	if cfg.ProviderRetryBase == 0 {
-		cfg.ProviderRetryBase = d.ProviderRetryBase
-	}
 	if cfg.ProviderMaxInFlight == 0 {
 		cfg.ProviderMaxInFlight = d.ProviderMaxInFlight
 	}
@@ -161,7 +158,6 @@ func (m *Manager) build(name string, cfg Config) (*Workspace, error) {
 		cfg.GuardMaxFailures = d.GuardMaxFailures
 		cfg.GuardMaxFailureFraction = d.GuardMaxFailureFraction
 		cfg.HealthProbeTimeout = d.HealthProbeTimeout
-		cfg.HealthProbeInterval = d.HealthProbeInterval
 	}
 	if m.opts.Root != "" {
 		dir := filepath.Join(m.opts.Root, name)

@@ -34,7 +34,6 @@ type manifest struct {
 
 	ProviderCacheTTL    time.Duration `json:"provider_cache_ttl,omitempty"`
 	ProviderMaxRetries  int           `json:"provider_max_retries,omitempty"`
-	ProviderRetryBase   time.Duration `json:"provider_retry_base,omitempty"`
 	ProviderMaxInFlight int           `json:"provider_max_in_flight,omitempty"`
 
 	GuardApplies            bool    `json:"guard_applies,omitempty"`
@@ -42,7 +41,6 @@ type manifest struct {
 	GuardMaxFailures        int     `json:"guard_max_failures,omitempty"`
 	GuardMaxFailureFraction float64 `json:"guard_max_failure_fraction,omitempty"`
 	HealthProbeTimeoutMS    int64   `json:"health_probe_timeout_ms,omitempty"`
-	HealthProbeIntervalMS   int64   `json:"health_probe_interval_ms,omitempty"`
 }
 
 // persist writes the workspace manifest atomically, so a crash mid-write
@@ -56,12 +54,10 @@ func (m *Manager) persist(name string, cfg Config) error {
 		GlobalLock: cfg.GlobalLock, StateBackend: cfg.StateBackend,
 		Policies: cfg.Policies, Principal: cfg.Principal,
 		ProviderCacheTTL: cfg.ProviderCacheTTL, ProviderMaxRetries: cfg.ProviderMaxRetries,
-		ProviderRetryBase: cfg.ProviderRetryBase, ProviderMaxInFlight: cfg.ProviderMaxInFlight,
-		GuardApplies: cfg.GuardApplies, GuardCanary: cfg.GuardCanary,
+		ProviderMaxInFlight: cfg.ProviderMaxInFlight, GuardApplies: cfg.GuardApplies, GuardCanary: cfg.GuardCanary,
 		GuardMaxFailures:        cfg.GuardMaxFailures,
 		GuardMaxFailureFraction: cfg.GuardMaxFailureFraction,
 		HealthProbeTimeoutMS:    cfg.HealthProbeTimeout.Milliseconds(),
-		HealthProbeIntervalMS:   cfg.HealthProbeInterval.Milliseconds(),
 	}
 	raw, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
@@ -93,12 +89,10 @@ func (m *Manager) loadManifest(name string) (Config, error) {
 		GlobalLock: man.GlobalLock, StateBackend: man.StateBackend,
 		Policies: man.Policies, Principal: man.Principal,
 		ProviderCacheTTL: man.ProviderCacheTTL, ProviderMaxRetries: man.ProviderMaxRetries,
-		ProviderRetryBase: man.ProviderRetryBase, ProviderMaxInFlight: man.ProviderMaxInFlight,
-		GuardApplies: man.GuardApplies, GuardCanary: man.GuardCanary,
+		ProviderMaxInFlight: man.ProviderMaxInFlight, GuardApplies: man.GuardApplies, GuardCanary: man.GuardCanary,
 		GuardMaxFailures:        man.GuardMaxFailures,
 		GuardMaxFailureFraction: man.GuardMaxFailureFraction,
 		HealthProbeTimeout:      time.Duration(man.HealthProbeTimeoutMS) * time.Millisecond,
-		HealthProbeInterval:     time.Duration(man.HealthProbeIntervalMS) * time.Millisecond,
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package workspace_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,6 +40,25 @@ func TestManagerRecoverRebuildsWorkspaces(t *testing.T) {
 	}
 	// Clean shutdown path: Close keeps the data dir (only Delete purges).
 	if err := mgr.CloseAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// A manifest written before Config lost ProviderRetryBase and
+	// HealthProbeInterval still carries their keys; it must load all the same.
+	manifestPath := filepath.Join(root, "ws-0", "workspace.json")
+	raw, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["provider_retry_base"], old["health_probe_interval_ms"] = 50_000_000, 10
+	if raw, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

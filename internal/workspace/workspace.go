@@ -105,8 +105,6 @@ type Config struct {
 	ProviderCacheTTL time.Duration
 	// ProviderMaxRetries bounds attempts per cloud call (default 4).
 	ProviderMaxRetries int
-	// ProviderRetryBase seeds full-jitter exponential backoff (default 50ms).
-	ProviderRetryBase time.Duration
 	// ProviderMaxInFlight is the AIMD concurrency-window ceiling per cloud
 	// provider (default 64).
 	ProviderMaxInFlight int
@@ -132,9 +130,6 @@ type Config struct {
 	GuardMaxFailureFraction float64
 	// HealthProbeTimeout bounds the per-resource readiness wait (default 30s).
 	HealthProbeTimeout time.Duration
-	// HealthProbeInterval is the first probe poll gap; polls back off
-	// exponentially from it (default 10ms).
-	HealthProbeInterval time.Duration
 }
 
 // ErrClosed is returned for lifecycle calls on a workspace that is closing
@@ -287,7 +282,6 @@ func New(cfg Config) (*Workspace, error) {
 	popts := provider.Options{
 		CacheTTL:    cfg.ProviderCacheTTL,
 		MaxRetries:  cfg.ProviderMaxRetries,
-		RetryBase:   cfg.ProviderRetryBase,
 		MaxInFlight: cfg.ProviderMaxInFlight,
 		Bus:         bus,
 	}
@@ -326,10 +320,7 @@ func New(cfg Config) (*Workspace, error) {
 			Canary:             cfg.GuardCanary,
 			MaxFailures:        cfg.GuardMaxFailures,
 			MaxFailureFraction: cfg.GuardMaxFailureFraction,
-			Probe: health.ProbeOptions{
-				Timeout:  cfg.HealthProbeTimeout,
-				Interval: cfg.HealthProbeInterval,
-			},
+			Probe:              health.ProbeOptions{Timeout: cfg.HealthProbeTimeout},
 		}
 	}
 	if sim, ok := provider.Unwrap(cfg.Cloud).(*cloud.Sim); ok && cfg.Telemetry != nil {
