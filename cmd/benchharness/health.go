@@ -32,18 +32,18 @@ import (
 var jsonOutHG string
 
 type hgResult struct {
-	Experiment        string  `json:"experiment"`
-	Trials            int     `json:"trials"`
-	UnguardedBroken   int     `json:"unguarded_broken_left_behind"`
-	UnguardedTrialsBad int    `json:"unguarded_trials_with_breakage"`
-	GuardedBroken     int     `json:"guarded_broken_left_behind"`
-	GuardedConverged  int     `json:"guarded_converged"`
-	GuardedReverted   int     `json:"guarded_reverted"`
-	GateFailures      int     `json:"gate_failures"`
-	FuseTrips         int     `json:"fuse_trips"`
-	AutoRollbacks     int     `json:"auto_rollbacks"`
-	HealthWaitP50Ms   float64 `json:"health_wait_p50_ms"`
-	HealthWaitMaxMs   float64 `json:"health_wait_max_ms"`
+	Experiment         string  `json:"experiment"`
+	Trials             int     `json:"trials"`
+	UnguardedBroken    int     `json:"unguarded_broken_left_behind"`
+	UnguardedTrialsBad int     `json:"unguarded_trials_with_breakage"`
+	GuardedBroken      int     `json:"guarded_broken_left_behind"`
+	GuardedConverged   int     `json:"guarded_converged"`
+	GuardedReverted    int     `json:"guarded_reverted"`
+	GateFailures       int     `json:"gate_failures"`
+	FuseTrips          int     `json:"fuse_trips"`
+	AutoRollbacks      int     `json:"auto_rollbacks"`
+	HealthWaitP50Ms    float64 `json:"health_wait_p50_ms"`
+	HealthWaitMaxMs    float64 `json:"health_wait_max_ms"`
 }
 
 const hgSrc = `

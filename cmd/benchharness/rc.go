@@ -43,23 +43,23 @@ type rcResult struct {
 	Experiment string `json:"experiment"`
 
 	// Part 1: event-driven vs periodic FullScan under foreign churn.
-	Drifts              int     `json:"drifts_per_arm"`
-	EventTTRp50Ms       float64 `json:"event_ttr_p50_ms"`
-	EventTTRMaxMs       float64 `json:"event_ttr_max_ms"`
-	PeriodicTTRp50Ms    float64 `json:"periodic_ttr_p50_ms"`
-	PeriodicTTRMaxMs    float64 `json:"periodic_ttr_max_ms"`
-	EventCallsPerDrift  float64 `json:"event_api_calls_per_drift"`
+	Drifts                int     `json:"drifts_per_arm"`
+	EventTTRp50Ms         float64 `json:"event_ttr_p50_ms"`
+	EventTTRMaxMs         float64 `json:"event_ttr_max_ms"`
+	PeriodicTTRp50Ms      float64 `json:"periodic_ttr_p50_ms"`
+	PeriodicTTRMaxMs      float64 `json:"periodic_ttr_max_ms"`
+	EventCallsPerDrift    float64 `json:"event_api_calls_per_drift"`
 	PeriodicCallsPerDrift float64 `json:"periodic_api_calls_per_drift"`
 
 	// Part 2: repair vs detect-only under fault storms.
-	StormTrials      int `json:"storm_trials"`
-	BrokenDetectOnly int `json:"broken_detect_only_total"`
-	BrokenRepair     int `json:"broken_repair_total"`
+	StormTrials       int `json:"storm_trials"`
+	BrokenDetectOnly  int `json:"broken_detect_only_total"`
+	BrokenRepair      int `json:"broken_repair_total"`
 	RepairWorseTrials int `json:"repair_worse_trials"` // must be 0
 
 	// Part 3: breaker under a persistent fault.
-	BreakerTrips    int64 `json:"breaker_trips"`    // must be >= 1
-	BreakerRecovered bool `json:"breaker_recovered"` // repair succeeded after fault cleared
+	BreakerTrips     int64 `json:"breaker_trips"`     // must be >= 1
+	BreakerRecovered bool  `json:"breaker_recovered"` // repair succeeded after fault cleared
 }
 
 // rcPeriod is the baseline's FullScan period: a generous-to-the-baseline

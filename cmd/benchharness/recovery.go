@@ -36,23 +36,23 @@ import (
 var jsonOutCR string
 
 type crResult struct {
-	Experiment      string         `json:"experiment"`
-	Trials          int            `json:"trials"`
-	Converged       int            `json:"converged"`
-	CrashesFired    int            `json:"crashes_fired"`
-	RecoveryCrashes int            `json:"recovery_crashes"`
-	ByMode          map[string]int `json:"crashes_by_mode"`
-	OpsConfirmed    int            `json:"ops_confirmed_from_journal"`
-	OpsResumed      int            `json:"ops_resumed_in_doubt"`
-	IdemReplays     int64          `json:"idempotent_create_replays"`
-	OrphansAdopted  int            `json:"orphans_adopted"`
-	OrphansDeleted  int            `json:"orphans_deleted"`
-	Orphans         int            `json:"orphans_remaining"`
-	DuplicateCreates int           `json:"duplicate_creates"`
-	LostOps         int            `json:"lost_ops"`
-	RecoveryP50Ms   float64        `json:"recovery_latency_p50_ms"`
-	RecoveryP95Ms   float64        `json:"recovery_latency_p95_ms"`
-	RecoveryMaxMs   float64        `json:"recovery_latency_max_ms"`
+	Experiment       string         `json:"experiment"`
+	Trials           int            `json:"trials"`
+	Converged        int            `json:"converged"`
+	CrashesFired     int            `json:"crashes_fired"`
+	RecoveryCrashes  int            `json:"recovery_crashes"`
+	ByMode           map[string]int `json:"crashes_by_mode"`
+	OpsConfirmed     int            `json:"ops_confirmed_from_journal"`
+	OpsResumed       int            `json:"ops_resumed_in_doubt"`
+	IdemReplays      int64          `json:"idempotent_create_replays"`
+	OrphansAdopted   int            `json:"orphans_adopted"`
+	OrphansDeleted   int            `json:"orphans_deleted"`
+	Orphans          int            `json:"orphans_remaining"`
+	DuplicateCreates int            `json:"duplicate_creates"`
+	LostOps          int            `json:"lost_ops"`
+	RecoveryP50Ms    float64        `json:"recovery_latency_p50_ms"`
+	RecoveryP95Ms    float64        `json:"recovery_latency_p95_ms"`
+	RecoveryMaxMs    float64        `json:"recovery_latency_max_ms"`
 }
 
 var crModeNames = [...]string{"crash-before-op", "crash-after-op", "torn-journal-frame"}

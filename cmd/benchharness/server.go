@@ -22,8 +22,8 @@ import (
 	"cloudless/internal/cloud"
 	"cloudless/internal/jobs"
 	"cloudless/internal/server"
-	"cloudless/internal/workspace"
 	"cloudless/internal/workload"
+	"cloudless/internal/workspace"
 )
 
 var jsonOutSV string

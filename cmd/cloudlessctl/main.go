@@ -368,7 +368,7 @@ func cmdPlanApply(args []string, doApply bool) error {
 		"with -guard: per-resource readiness wait bound (0 = default 30s)")
 	_ = c.fs.Parse(args)
 	if c.remote() {
-		return c.remotePlanApply(doApply, *watch, false, *concurrency)
+		return c.remotePlanApply(doApply, *watch, *concurrency)
 	}
 	name := "plan"
 	if doApply {
@@ -745,7 +745,7 @@ func cmdTail(args []string) error {
 	defer cancel()
 	watermark := *since
 	for {
-		evs, err := cloud.WaitActivity(ctx, cl, watermark, *wait)
+		evs, err := cl.WaitActivity(ctx, watermark, *wait)
 		if ctx.Err() != nil {
 			return nil
 		}

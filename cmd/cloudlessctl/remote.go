@@ -76,7 +76,7 @@ func printRemotePlan(p server.PlanSummary) {
 // remotePlanApply is the -server path of `plan` and `apply`: plan as a job,
 // print the diff artifact, then (for apply) apply that exact artifact by
 // reference while streaming the workspace event feed when -watch is on.
-func (c *commonFlags) remotePlanApply(doApply, watch, batch bool, concurrency int) error {
+func (c *commonFlags) remotePlanApply(doApply, watch bool, concurrency int) error {
 	cl, ws, ctx, cancel, err := c.remoteTarget()
 	if err != nil {
 		return err
@@ -109,8 +109,7 @@ func (c *commonFlags) remotePlanApply(doApply, watch, batch bool, concurrency in
 		}
 	}
 	st, err := cl.SubmitJob(ctx, ws, server.JobRequest{
-		Kind: "apply", PlanJob: planSt.ID,
-		Concurrency: concurrency, BatchOps: batch,
+		Kind: "apply", PlanJob: planSt.ID, Concurrency: concurrency,
 	})
 	if err != nil {
 		return err

@@ -57,11 +57,11 @@ type Options struct {
 // Result is the harness outcome. Any non-zero invariant counter means the
 // crash-safety contract broke; Err summarizes the first violation.
 type Result struct {
-	Trials        int `json:"trials"`
-	Kills         int `json:"kills"`
+	Trials         int `json:"trials"`
+	Kills          int `json:"kills"`
 	MidFlightKills int `json:"mid_flight_kills"` // a submitted job was queued/running at SIGKILL
-	JobsSubmitted int `json:"jobs_submitted"`
-	JobsRecovered int `json:"jobs_recovered"` // pre-kill job IDs that resolved after restart
+	JobsSubmitted  int `json:"jobs_submitted"`
+	JobsRecovered  int `json:"jobs_recovered"` // pre-kill job IDs that resolved after restart
 
 	LostJobs         int `json:"lost_jobs"`         // pre-kill IDs that 404ed after restart
 	StuckJobs        int `json:"stuck_jobs"`        // in-flight jobs that never reached terminal

@@ -1,10 +1,6 @@
 package cloud
 
-import (
-	"context"
-	"sort"
-	"sync"
-)
+import "context"
 
 // This file defines the bulk control-plane surface: batched creates and
 // reads, and paginated listing. Real clouds amortize per-call overhead with
@@ -12,12 +8,6 @@ import (
 // with InstanceIds, paginated Describe* APIs); the scale-out planner and
 // applier depend on them so that throughput at 100k resources is bounded by
 // provisioning latency, not HTTP round-trips.
-//
-// Like ActivityWaiter, the batch operations are optional extensions of
-// Interface: Sim, Client, and the provider runtime implement them natively,
-// while the package-level helpers (BatchCreate, BatchGet, ListPaged,
-// ListAll) degrade to per-item calls for any plain Interface, so fakes and
-// wrappers keep working unchanged.
 
 // MaxBatchItems bounds one batch request, mirroring real bulk APIs (e.g.
 // DescribeInstances' 1000-filter cap). Oversized batches fail wholesale with
@@ -47,158 +37,23 @@ type ListPageResult struct {
 	NextPageToken string
 }
 
-// BatchCreator is the optional bulk-create extension of Interface. The
-// result slice is index-aligned with reqs.
+// BatchCreator is the bulk-create part of Interface. The result slice is
+// index-aligned with reqs; the returned error is reserved for whole-call
+// failures (throttling, cancellation, transport loss, an oversized batch).
 type BatchCreator interface {
 	BatchCreate(ctx context.Context, reqs []CreateRequest) ([]BatchResult, error)
 }
 
-// BatchGetter is the optional bulk-read extension of Interface. The result
-// slice is index-aligned with keys; missing resources surface as per-item
-// 404s, not a whole-call error.
+// BatchGetter is the bulk-read part of Interface. The result slice is
+// index-aligned with keys; missing resources surface as per-item 404s, not a
+// whole-call error.
 type BatchGetter interface {
 	BatchGet(ctx context.Context, keys []ResourceKey) ([]BatchResult, error)
 }
 
-// PageLister is the optional paginated-list extension of Interface. limit 0
-// means server-chosen; pageToken "" starts from the beginning.
+// PageLister is the paginated-list part of Interface. limit 0 means no
+// limit (the whole listing in one page); pageToken "" starts from the
+// beginning.
 type PageLister interface {
 	ListPage(ctx context.Context, typ, region string, limit int, pageToken string) (*ListPageResult, error)
-}
-
-// fallbackFanOut bounds the per-item concurrency of the degraded batch
-// helpers, mirroring the refresh fan-out used by the planner.
-const fallbackFanOut = 16
-
-// BatchCreate dispatches reqs through cl.BatchCreate when available and
-// falls back to bounded-concurrency single creates otherwise. Results are
-// index-aligned with reqs. The returned error is reserved for whole-call
-// failures (context cancellation, transport loss); per-item failures land in
-// the results.
-func BatchCreate(ctx context.Context, cl Interface, reqs []CreateRequest) ([]BatchResult, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	if bc, ok := cl.(BatchCreator); ok {
-		return bc.BatchCreate(ctx, reqs)
-	}
-	results := make([]BatchResult, len(reqs))
-	runBounded(ctx, len(reqs), func(i int) {
-		res, err := cl.Create(ctx, reqs[i])
-		results[i] = BatchResult{Resource: res, Err: err}
-	})
-	fillCanceled(results, ctx)
-	return results, ctx.Err()
-}
-
-// BatchGet fetches keys through cl.BatchGet when available and falls back to
-// bounded-concurrency single gets otherwise. Results are index-aligned with
-// keys; a missing resource is a per-item 404 in the results.
-func BatchGet(ctx context.Context, cl Interface, keys []ResourceKey) ([]BatchResult, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	if bg, ok := cl.(BatchGetter); ok {
-		return bg.BatchGet(ctx, keys)
-	}
-	results := make([]BatchResult, len(keys))
-	runBounded(ctx, len(keys), func(i int) {
-		res, err := cl.Get(ctx, keys[i].Type, keys[i].ID)
-		results[i] = BatchResult{Resource: res, Err: err}
-	})
-	fillCanceled(results, ctx)
-	return results, ctx.Err()
-}
-
-// ListPaged returns one page through cl.ListPage when available, and
-// otherwise emulates pagination client-side over a full List (sorted by ID),
-// so page-oriented callers work against any Interface.
-func ListPaged(ctx context.Context, cl Interface, typ, region string, limit int, pageToken string) (*ListPageResult, error) {
-	if pl, ok := cl.(PageLister); ok {
-		return pl.ListPage(ctx, typ, region, limit, pageToken)
-	}
-	all, err := cl.List(ctx, typ, region)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	return slicePage(all, limit, pageToken), nil
-}
-
-// ListAll drains every page of a paginated listing. pageSize 0 lets the
-// server choose. It is the standard way for scanners to walk large types
-// with bounded per-response payloads.
-func ListAll(ctx context.Context, cl Interface, typ, region string, pageSize int) ([]*Resource, error) {
-	var out []*Resource
-	token := ""
-	for {
-		page, err := ListPaged(ctx, cl, typ, region, pageSize, token)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, page.Resources...)
-		if page.NextPageToken == "" {
-			return out, nil
-		}
-		token = page.NextPageToken
-	}
-}
-
-// slicePage cuts one page out of an ID-sorted slice using "strictly after
-// token" semantics: the token is the last ID of the previous page, so pages
-// stay stable when resources are created or deleted between calls.
-func slicePage(sorted []*Resource, limit int, pageToken string) *ListPageResult {
-	start := 0
-	if pageToken != "" {
-		start = sort.Search(len(sorted), func(i int) bool { return sorted[i].ID > pageToken })
-	}
-	rest := sorted[start:]
-	if limit <= 0 || limit >= len(rest) {
-		return &ListPageResult{Resources: rest}
-	}
-	page := rest[:limit]
-	return &ListPageResult{Resources: page, NextPageToken: page[len(page)-1].ID}
-}
-
-// fillCanceled marks items never dispatched (cancellation hit mid-batch) with
-// the context error, so no result is silently empty.
-func fillCanceled(results []BatchResult, ctx context.Context) {
-	if ctx.Err() == nil {
-		return
-	}
-	for i := range results {
-		if results[i].Resource == nil && results[i].Err == nil {
-			results[i].Err = ctx.Err()
-		}
-	}
-}
-
-// runBounded runs fn(0..n-1) with at most fallbackFanOut concurrent workers.
-func runBounded(ctx context.Context, n int, fn func(i int)) {
-	workers := fallbackFanOut
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			close(next)
-			wg.Wait()
-			return
-		}
-	}
-	close(next)
-	wg.Wait()
 }

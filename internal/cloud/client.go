@@ -169,21 +169,13 @@ func (c *Client) Delete(ctx context.Context, typ, id, principal string) error {
 	return c.do(ctx, http.MethodDelete, path, nil, nil)
 }
 
-// List implements Interface.
+// List implements Interface: the unbounded page.
 func (c *Client) List(ctx context.Context, typ, region string) ([]*Resource, error) {
-	path := "/v1/resources/" + url.PathEscape(typ)
-	if region != "" {
-		path += "?region=" + url.QueryEscape(region)
-	}
-	var ws []wireResource
-	if err := c.do(ctx, http.MethodGet, path, nil, &ws); err != nil {
+	page, err := c.ListPage(ctx, typ, region, 0, "")
+	if err != nil {
 		return nil, err
 	}
-	out := make([]*Resource, len(ws))
-	for i, w := range ws {
-		out[i] = fromWire(w)
-	}
-	return out, nil
+	return page.Resources, nil
 }
 
 // Health implements Interface.

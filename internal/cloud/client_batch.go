@@ -1,41 +1,15 @@
 package cloud
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 )
 
-// Bulk operations on the HTTP client. Each method degrades gracefully
-// against servers that predate the bulk API: a missing batch route falls
-// back to per-item calls, and a server that ignores pagination params is
-// detected by its legacy array response shape.
+// Bulk operations on the HTTP client.
 
-var (
-	_ BatchCreator = (*Client)(nil)
-	_ BatchGetter  = (*Client)(nil)
-	_ PageLister   = (*Client)(nil)
-)
-
-// routeMissing reports whether err is the mux-level 404/405 of a server
-// without the batch routes — distinct from a resource-level 404, whose Op is
-// a cloud operation name, not an HTTP method.
-func routeMissing(err error) bool {
-	var ae *APIError
-	if !errors.As(err, &ae) {
-		return false
-	}
-	return (ae.Code == http.StatusNotFound || ae.Code == http.StatusMethodNotAllowed) &&
-		ae.Op == http.MethodPost
-}
-
-// BatchCreate posts one bulk request; against an old server it falls back to
-// bounded-concurrency single creates.
+// BatchCreate posts one bulk request.
 func (c *Client) BatchCreate(ctx context.Context, reqs []CreateRequest) ([]BatchResult, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -51,80 +25,43 @@ func (c *Client) BatchCreate(ctx context.Context, reqs []CreateRequest) ([]Batch
 		}
 	}
 	var out wireBatchResults
-	err := c.do(ctx, http.MethodPost, "/v1/batch/create", body, &out)
-	if err != nil {
-		if !routeMissing(err) {
-			return nil, err
-		}
-		results := make([]BatchResult, len(reqs))
-		runBounded(ctx, len(reqs), func(i int) {
-			res, err := c.Create(ctx, reqs[i])
-			results[i] = BatchResult{Resource: res, Err: err}
-		})
-		fillCanceled(results, ctx)
-		return results, ctx.Err()
+	if err := c.do(ctx, http.MethodPost, "/v1/batch/create", body, &out); err != nil {
+		return nil, err
 	}
 	return fromWireBatchResults(out), nil
 }
 
-// BatchGet posts one bulk read; against an old server it falls back to
-// bounded-concurrency single gets.
+// BatchGet posts one bulk read.
 func (c *Client) BatchGet(ctx context.Context, keys []ResourceKey) ([]BatchResult, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
 	var out wireBatchResults
-	err := c.do(ctx, http.MethodPost, "/v1/batch/get", wireBatchGet{Keys: keys}, &out)
-	if err != nil {
-		if !routeMissing(err) {
-			return nil, err
-		}
-		results := make([]BatchResult, len(keys))
-		runBounded(ctx, len(keys), func(i int) {
-			res, err := c.Get(ctx, keys[i].Type, keys[i].ID)
-			results[i] = BatchResult{Resource: res, Err: err}
-		})
-		fillCanceled(results, ctx)
-		return results, ctx.Err()
+	if err := c.do(ctx, http.MethodPost, "/v1/batch/get", wireBatchGet{Keys: keys}, &out); err != nil {
+		return nil, err
 	}
 	return fromWireBatchResults(out), nil
 }
 
-// ListPage requests one page. A server that ignores the pagination params
-// answers with the legacy bare array; the client detects that shape and
-// paginates locally, so new clients work against old servers.
+// ListPage requests one page; limit 0 asks for the whole listing.
 func (c *Client) ListPage(ctx context.Context, typ, region string, limit int, pageToken string) (*ListPageResult, error) {
 	q := url.Values{}
 	if region != "" {
 		q.Set("region", region)
 	}
-	q.Set("limit", strconv.Itoa(limit))
+	if limit > 0 {
+		q.Set("limit", strconv.Itoa(limit))
+	}
 	if pageToken != "" {
 		q.Set("page_token", pageToken)
 	}
-	path := "/v1/resources/" + url.PathEscape(typ) + "?" + q.Encode()
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, path, nil, &raw); err != nil {
-		return nil, err
-	}
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var ws []wireResource
-		if err := json.Unmarshal(trimmed, &ws); err != nil {
-			return nil, &APIError{Code: CodeInternal, Op: "list", Type: typ,
-				Message: "MalformedResponse: " + err.Error()}
-		}
-		all := make([]*Resource, len(ws))
-		for i, w := range ws {
-			all[i] = fromWire(w)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-		return slicePage(all, limit, pageToken), nil
+	path := "/v1/resources/" + url.PathEscape(typ)
+	if len(q) > 0 {
+		path += "?" + q.Encode()
 	}
 	var page wireListPage
-	if err := json.Unmarshal(trimmed, &page); err != nil {
-		return nil, &APIError{Code: CodeInternal, Op: "list", Type: typ,
-			Message: "MalformedResponse: " + err.Error()}
+	if err := c.do(ctx, http.MethodGet, path, nil, &page); err != nil {
+		return nil, err
 	}
 	out := &ListPageResult{
 		Resources:     make([]*Resource, len(page.Resources)),

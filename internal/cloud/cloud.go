@@ -19,15 +19,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"cloudless/internal/eval"
 )
-
-// waitPollBase is the mean pause of WaitActivity's sleep-and-poll fallback;
-// the actual pause is jittered across [base/2, 3*base/2).
-const waitPollBase = 200 * time.Millisecond
 
 // Resource is one deployed cloud resource.
 type Resource struct {
@@ -172,61 +167,33 @@ type Event struct {
 	Changed []string `json:"changed,omitempty"`
 }
 
-// Interface is the cloud control-plane surface consumed by the applier, the
-// drift detector, and the porter. Both the in-memory simulator and the HTTP
-// client satisfy it.
+// Interface is the whole cloud control-plane contract: the seven single-item
+// verbs below plus the bulk and long-poll verbs of its named parts. The
+// in-memory simulator, the HTTP client, the provider runtime and every
+// wrapper implement all of it, so a decorator that forgets a verb fails to
+// compile instead of quietly running a different program.
 type Interface interface {
 	Create(ctx context.Context, req CreateRequest) (*Resource, error)
 	Get(ctx context.Context, typ, id string) (*Resource, error)
 	Update(ctx context.Context, req UpdateRequest) (*Resource, error)
 	Delete(ctx context.Context, typ, id, principal string) error
-	// List returns resources of a type; empty region means all regions.
+	// List returns every resource of a type, ordered by ID; empty region
+	// means all regions. It is ListPage with no limit.
 	List(ctx context.Context, typ, region string) ([]*Resource, error)
 	// Activity returns log events with Seq > afterSeq, in order.
 	Activity(ctx context.Context, afterSeq int64) ([]Event, error)
 	// Health reports a resource's readiness (provisioning/ready/degraded/
 	// failed). Guarded applies probe it before declaring an op done.
 	Health(ctx context.Context, typ, id string) (*HealthReport, error)
+
+	BatchCreator
+	BatchGetter
+	PageLister
+	ActivityWaiter
 }
 
-// ActivityWaiter is the optional long-poll extension of Interface: block up
-// to wait for events past afterSeq, returning (nil, nil) on a quiet timeout.
-// Sim and Client implement it natively; WaitActivity degrades gracefully for
-// implementations that don't.
+// ActivityWaiter is the long-poll part of Interface: block up to wait for
+// events past afterSeq, returning (nil, nil) on a quiet timeout.
 type ActivityWaiter interface {
 	WaitActivity(ctx context.Context, afterSeq int64, wait time.Duration) ([]Event, error)
-}
-
-// WaitActivity long-polls cl when it implements ActivityWaiter and falls
-// back to sleep-and-poll otherwise, so event tails work against any
-// Interface (including fakes and wrappers that don't forward the extension).
-func WaitActivity(ctx context.Context, cl Interface, afterSeq int64, wait time.Duration) ([]Event, error) {
-	if aw, ok := cl.(ActivityWaiter); ok {
-		return aw.WaitActivity(ctx, afterSeq, wait)
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		events, err := cl.Activity(ctx, afterSeq)
-		if err != nil || len(events) > 0 {
-			return events, err
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, nil
-		}
-		// Jittered pause (100-300ms, mean 200ms): many pollers against one
-		// non-long-poll backend would otherwise lock into the same fixed
-		// cadence and hit the Activity endpoint in synchronized herds.
-		pause := waitPollBase/2 + time.Duration(rand.Int63n(int64(waitPollBase)))
-		if pause > remaining {
-			pause = remaining
-		}
-		timer := time.NewTimer(pause)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		case <-timer.C:
-		}
-	}
 }

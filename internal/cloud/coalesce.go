@@ -18,21 +18,23 @@ import (
 // Single-call semantics are preserved exactly: each caller gets its own
 // resource or error (batches fail item-by-item), idempotency keys travel
 // per item, and an isolated call just rides a batch of one after the
-// linger expires. Update, Delete, List, Activity, and Health pass through
-// unbatched.
+// linger expires. Every other verb, the bulk ones included, passes straight
+// through to the wrapped Interface.
 //
 // The batch is dispatched with the context of the call that opened the
 // window. Coalescing only helps callers that share a lifecycle (one apply
 // run); callers with independent cancellation should use separate
 // Coalescers.
 type Coalescer struct {
-	Interface // pass-through for the unbatched surface
+	Interface // pass-through for every verb but Create and Get
 	opts      CoalescerOptions
 
 	mu      sync.Mutex
 	creates []pendingOp
 	gets    []pendingOp
 }
+
+var _ Interface = (*Coalescer)(nil)
 
 // CoalescerOptions tunes the batching window.
 type CoalescerOptions struct {
@@ -51,9 +53,7 @@ type pendingOp struct {
 	done   chan BatchResult
 }
 
-// NewCoalescer wraps cl. The upstream's own batch implementation is used
-// when present (Sim, Client, provider runtime); otherwise dispatch degrades
-// to bounded per-item calls and the Coalescer is overhead-neutral.
+// NewCoalescer wraps cl.
 func NewCoalescer(cl Interface, opts CoalescerOptions) *Coalescer {
 	if opts.Linger <= 0 {
 		opts.Linger = 2 * time.Millisecond
@@ -118,7 +118,7 @@ func (c *Coalescer) flushCreates(ctx context.Context) {
 	for i, op := range batch {
 		reqs[i] = op.create
 	}
-	results, err := BatchCreate(ctx, c.Interface, reqs)
+	results, err := c.Interface.BatchCreate(ctx, reqs)
 	deliver(batch, results, err)
 }
 
@@ -135,7 +135,7 @@ func (c *Coalescer) flushGets(ctx context.Context) {
 	for i, op := range batch {
 		keys[i] = op.key
 	}
-	results, err := BatchGet(ctx, c.Interface, keys)
+	results, err := c.Interface.BatchGet(ctx, keys)
 	deliver(batch, results, err)
 }
 

@@ -144,3 +144,33 @@ func TestCoalescerSingleCallStillWorks(t *testing.T) {
 		t.Fatalf("get after create: %v %v", got, err)
 	}
 }
+
+// TestCoalescerForwardsBulkVerbs: a caller that already has a batch in hand
+// reaches the wrapped cloud's BatchGet in one call — the Coalescer batches
+// single Creates and Gets, it does not take a batch apart and rebuild it.
+func TestCoalescerForwardsBulkVerbs(t *testing.T) {
+	sim := newTestSim()
+	keys := make([]ResourceKey, 200)
+	for i := range keys {
+		keys[i] = ResourceKey{Type: "aws_vpc", ID: mustCreate(t, sim, "aws_vpc", "us-east-1", vpcAttrs(fmt.Sprintf("v-%d", i))).ID}
+	}
+	base := sim.Metrics()
+
+	co := NewCoalescer(sim, CoalescerOptions{})
+	results, err := co.BatchGet(context.Background(), keys)
+	if err != nil || len(results) != len(keys) {
+		t.Fatalf("batch get => %d results, %v", len(results), err)
+	}
+	for i, r := range results {
+		if r.Err != nil || r.Resource.ID != keys[i].ID {
+			t.Fatalf("item %d => %v, %v; want %s", i, r.Resource, r.Err, keys[i].ID)
+		}
+	}
+	m := sim.Metrics()
+	if calls := m.BatchCalls - base.BatchCalls; calls != 1 {
+		t.Errorf("batch calls = %d for one BatchGet of %d keys, want 1", calls, len(keys))
+	}
+	if reads := m.Reads - base.Reads; reads != int64(len(keys)) {
+		t.Errorf("reads = %d, want %d", reads, len(keys))
+	}
+}

@@ -15,11 +15,13 @@ import (
 // Server exposes a Sim over HTTP with a small JSON API:
 //
 //	POST   /v1/resources/{type}        create
-//	GET    /v1/resources/{type}        list (?region=)
+//	GET    /v1/resources/{type}        list page (?region=&limit=&page_token=)
 //	GET    /v1/resources/{type}/{id}   get
 //	PATCH  /v1/resources/{type}/{id}   update
 //	DELETE /v1/resources/{type}/{id}   delete (?principal=)
 //	GET    /v1/resources/{type}/{id}/health   readiness probe
+//	POST   /v1/batch/create            bulk create
+//	POST   /v1/batch/get               bulk get
 //	GET    /v1/activity                activity log (?after=seq)
 //	GET    /v1/events                  long-poll event stream (?since=seq&wait_ms=)
 //	GET    /v1/metrics                 traffic counters
@@ -134,39 +136,24 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	typ := r.PathValue("type")
 	q := r.URL.Query()
-	// Pagination params switch the response shape from the legacy bare
-	// array to the page object; clients that never send them never see it.
-	if q.Has("limit") || q.Has("page_token") {
-		limit := 0
-		if v := q.Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				s.writeError(w, &APIError{Code: CodeInvalid, Op: "list", Type: typ,
-					Message: "MalformedRequest: invalid limit parameter"})
-				return
-			}
-			limit = n
-		}
-		page, err := s.sim.ListPage(r.Context(), typ, q.Get("region"), limit, q.Get("page_token"))
-		if err != nil {
-			s.writeError(w, err)
+	limit := 0
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			s.writeError(w, &APIError{Code: CodeInvalid, Op: "list", Type: typ,
+				Message: "MalformedRequest: invalid limit parameter"})
 			return
 		}
-		out := wireListPage{Resources: make([]wireResource, len(page.Resources)), NextPageToken: page.NextPageToken}
-		for i, res := range page.Resources {
-			out.Resources[i] = toWire(res)
-		}
-		s.writeJSON(w, http.StatusOK, out)
-		return
+		limit = n
 	}
-	list, err := s.sim.List(r.Context(), typ, q.Get("region"))
+	page, err := s.sim.ListPage(r.Context(), typ, q.Get("region"), limit, q.Get("page_token"))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	out := make([]wireResource, len(list))
-	for i, res := range list {
-		out[i] = toWire(res)
+	out := wireListPage{Resources: make([]wireResource, len(page.Resources)), NextPageToken: page.NextPageToken}
+	for i, res := range page.Resources {
+		out.Resources[i] = toWire(res)
 	}
 	s.writeJSON(w, http.StatusOK, out)
 }

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,8 +58,21 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 
 	list, err := client.List(ctx, "aws_vpc", "us-east-1")
-	if err != nil || len(list) != 1 {
+	if err != nil || len(list) != 1 || list[0].ID != vpc.ID {
 		t.Fatalf("list = %v, %v", list, err)
+	}
+	// On the wire a list is always the page object, limit or no limit.
+	for _, query := range []string{"", "?region=us-east-1", "?limit=1"} {
+		var page struct {
+			Resources []wireResource `json:"resources"`
+			Next      *string        `json:"next_page_token"`
+		}
+		if err := client.do(ctx, http.MethodGet, "/v1/resources/aws_vpc"+query, nil, &page); err != nil {
+			t.Fatalf("GET list%s: %v", query, err)
+		}
+		if len(page.Resources) != 1 || page.Resources[0].ID != vpc.ID || page.Next != nil {
+			t.Errorf("GET list%s = %+v, want one page holding %s and no next token", query, page, vpc.ID)
+		}
 	}
 
 	events, err := client.Activity(ctx, 0)
@@ -78,6 +92,32 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Errorf("metrics = %+v, %v", m, err)
 	}
 	_ = sim
+}
+
+// TestClientReportsMissingBatchRoute: a server without the batch routes is an
+// error to the caller, not a cue to retry item by item behind its back.
+func TestClientReportsMissingBatchRoute(t *testing.T) {
+	var paths []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		paths = append(paths, r.Method+" "+r.URL.Path)
+		http.NotFound(w, r)
+	}))
+	defer srv.Close()
+	client := NewClient(srv.URL, srv.Client())
+	ctx := context.Background()
+
+	_, getErr := client.BatchGet(ctx, []ResourceKey{{Type: "aws_vpc", ID: "vpc-1"}, {Type: "aws_vpc", ID: "vpc-2"}})
+	_, createErr := client.BatchCreate(ctx, []CreateRequest{{Type: "aws_vpc", Attrs: vpcAttrs("a")}})
+	for verb, err := range map[string]error{"get": getErr, "create": createErr} {
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Code != http.StatusNotFound {
+			t.Errorf("batch %s against a 404 => %v, want that 404", verb, err)
+		}
+	}
+	srv.Close() // every handler has returned: paths is ours to read
+	if want := []string{"POST /v1/batch/get", "POST /v1/batch/create"}; !reflect.DeepEqual(paths, want) {
+		t.Errorf("requests = %v, want %v and nothing per item", paths, want)
+	}
 }
 
 func TestHTTPErrorFidelity(t *testing.T) {

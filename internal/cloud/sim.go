@@ -892,25 +892,13 @@ func (s *Sim) referencedByLocked(id string) *Resource {
 }
 
 // List returns resources of a type, optionally filtered by region, sorted
-// by ID for determinism.
+// by ID for determinism: the unbounded page.
 func (s *Sim) List(ctx context.Context, typ, region string) ([]*Resource, error) {
-	if err := s.admit(ctx, "list", typ, false); err != nil {
+	page, err := s.ListPage(ctx, typ, region, 0, "")
+	if err != nil {
 		return nil, err
 	}
-	if err := s.sleepScaled(ctx, s.opts.ReadLatency); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.metrics.Lists++
-	var out []*Resource
-	for _, r := range s.store[typ] {
-		if region == "" || r.Region == region {
-			out = append(out, r.Clone())
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	return page.Resources, nil
 }
 
 // Activity returns events after the given sequence number. Activity-log

@@ -15,12 +15,6 @@ import (
 // batch, while per-item work (validation, provisioning latency) is paid per
 // item, concurrently, the way a real control plane fans provisioning out.
 
-var (
-	_ BatchCreator = (*Sim)(nil)
-	_ BatchGetter  = (*Sim)(nil)
-	_ PageLister   = (*Sim)(nil)
-)
-
 // admitType picks the type a batch is admitted (rate-limited, metered)
 // under: the first item whose provider is known. Items of unknown types must
 // fail item-by-item, not poison the admission of their batch-mates.
@@ -137,4 +131,20 @@ func (s *Sim) ListPage(ctx context.Context, typ, region string, limit int, pageT
 	s.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	return slicePage(all, limit, pageToken), nil
+}
+
+// slicePage cuts one page out of an ID-sorted slice using "strictly after
+// token" semantics: the token is the last ID of the previous page, so pages
+// stay stable when resources are created or deleted between calls.
+func slicePage(sorted []*Resource, limit int, pageToken string) *ListPageResult {
+	start := 0
+	if pageToken != "" {
+		start = sort.Search(len(sorted), func(i int) bool { return sorted[i].ID > pageToken })
+	}
+	rest := sorted[start:]
+	if limit <= 0 || limit >= len(rest) {
+		return &ListPageResult{Resources: rest}
+	}
+	page := rest[:limit]
+	return &ListPageResult{Resources: page, NextPageToken: page[len(page)-1].ID}
 }

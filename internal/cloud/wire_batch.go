@@ -7,11 +7,6 @@ import "errors"
 //	POST /v1/batch/create  {"items":[{type, region, attrs, ...}]}  -> {"results":[...]}
 //	POST /v1/batch/get     {"keys":[{"type","id"}]}                -> {"results":[...]}
 //	GET  /v1/resources/{type}?limit=&page_token=                   -> {"resources":[...], "next_page_token":""}
-//
-// The paginated list response is an object, not the legacy bare array; the
-// server only switches shapes when the client sends a pagination parameter,
-// so old clients keep getting arrays and new clients detect old servers by
-// the array shape.
 
 // wireBatchCreateItem is one create in a batch body. Unlike the single-create
 // POST, the type travels in the body (the batch URL has no {type} segment).
@@ -41,7 +36,7 @@ type wireBatchResults struct {
 	Results []wireBatchResult `json:"results"`
 }
 
-// wireListPage is the object-shaped response of a paginated list.
+// wireListPage is the response of a list: one page and the token of the next.
 type wireListPage struct {
 	Resources     []wireResource `json:"resources"`
 	NextPageToken string         `json:"next_page_token,omitempty"`

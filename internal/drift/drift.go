@@ -153,9 +153,9 @@ func diffAttrs(typ string, recorded, current map[string]eval.Value) []string {
 const scanFanOut = 16
 
 // scanPageSize bounds one listing response during a full scan. Large fleets
-// are walked page by page (cloud.ListPaged, "strictly after" tokens) so no
+// are walked page by page (ListPage, "strictly after" tokens) so no
 // single response has to carry 100k resources; small fleets still cost one
-// call per (type, region), exactly as before pagination.
+// call per (type, region).
 const scanPageSize = 1000
 
 // listJob drains one (type, region) listing page by page, counting every
@@ -165,7 +165,7 @@ func listJob(ctx context.Context, cl cloud.Interface, typ, region string, calls 
 	token := ""
 	for {
 		calls.Add(1)
-		page, err := cloud.ListPaged(ctx, cl, typ, region, scanPageSize, token)
+		page, err := cl.ListPage(ctx, typ, region, scanPageSize, token)
 		if err != nil {
 			return nil, err
 		}
@@ -370,19 +370,14 @@ func (w *Watcher) Poll(ctx context.Context, st *state.State) (*Report, error) {
 		}
 	}
 	verified := make(map[string]cloud.BatchResult, len(keys))
-	_, batched := w.cl.(cloud.BatchGetter)
 	for start := 0; start < len(keys); start += cloud.MaxBatchItems {
 		end := start + cloud.MaxBatchItems
 		if end > len(keys) {
 			end = len(keys)
 		}
 		chunk := keys[start:end]
-		results, err := cloud.BatchGet(ctx, w.cl, chunk)
-		if batched {
-			rep.APICalls++
-		} else {
-			rep.APICalls += len(chunk)
-		}
+		results, err := w.cl.BatchGet(ctx, chunk)
+		rep.APICalls++
 		if err != nil {
 			return rep, fmt.Errorf("drift watch: %w", err)
 		}
@@ -473,19 +468,14 @@ func ScanAddrs(ctx context.Context, cl cloud.Interface, st *state.State, addrs [
 		records = append(records, rs)
 	}
 	fctx := provider.WithFresh(ctx)
-	_, batched := cl.(cloud.BatchGetter)
 	for i := 0; i < len(keys); i += cloud.MaxBatchItems {
 		end := i + cloud.MaxBatchItems
 		if end > len(keys) {
 			end = len(keys)
 		}
 		chunk := keys[i:end]
-		results, err := cloud.BatchGet(fctx, cl, chunk)
-		if batched {
-			rep.APICalls++
-		} else {
-			rep.APICalls += len(chunk)
-		}
+		results, err := cl.BatchGet(fctx, chunk)
+		rep.APICalls++
 		if err != nil {
 			return rep, fmt.Errorf("drift scoped scan: %w", err)
 		}

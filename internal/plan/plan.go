@@ -228,7 +228,7 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 			if end > len(keys) {
 				end = len(keys)
 			}
-			batch, err := cloud.BatchGet(fctx, opts.Cloud, keys[start:end])
+			batch, err := opts.Cloud.BatchGet(fctx, keys[start:end])
 			if err != nil {
 				return p, diags.Append(hcl.Errorf(hcl.Range{}, "refresh: %s", err))
 			}

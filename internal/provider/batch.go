@@ -21,12 +21,6 @@ import (
 // succeeded; callers that need stragglers redriven fall back to the single
 // call path, which carries the full retry policy.
 
-var (
-	_ cloud.BatchCreator = (*Runtime)(nil)
-	_ cloud.BatchGetter  = (*Runtime)(nil)
-	_ cloud.PageLister   = (*Runtime)(nil)
-)
-
 // BatchCreate dispatches creates in MaxBatchItems chunks through the gate
 // and write-throughs every created resource into the read cache.
 func (r *Runtime) BatchCreate(ctx context.Context, reqs []cloud.CreateRequest) ([]cloud.BatchResult, error) {
@@ -41,7 +35,7 @@ func (r *Runtime) BatchCreate(ctx context.Context, reqs []cloud.CreateRequest) (
 		}
 		chunk := reqs[start:end]
 		v, err := r.call(ctx, "batch_create", chunk[0].Type, func(cctx context.Context) (any, error) {
-			return cloud.BatchCreate(cctx, r.upstream, chunk)
+			return r.upstream.BatchCreate(cctx, chunk)
 		})
 		if err != nil {
 			return nil, err
@@ -104,7 +98,7 @@ func (r *Runtime) BatchGet(ctx context.Context, keys []cloud.ResourceKey) ([]clo
 			missKeys[j] = keys[i]
 		}
 		v, err := r.call(ctx, "batch_get", missKeys[0].Type, func(cctx context.Context) (any, error) {
-			return cloud.BatchGet(cctx, r.upstream, missKeys)
+			return r.upstream.BatchGet(cctx, missKeys)
 		})
 		if err != nil {
 			return nil, err
@@ -120,13 +114,13 @@ func (r *Runtime) BatchGet(ctx context.Context, keys []cloud.ResourceKey) ([]clo
 	return results, nil
 }
 
-// ListPage reads one page through the gate. Pages are cached under a
-// per-page key below the type's list prefix, so the same write-driven
-// invalidation that drops full-list entries drops stale pages too.
+// ListPage reads one page through the gate: the runtime's only list read
+// path (List is the unbounded page). Pages are cached under a per-page key
+// below the type's list prefix, which write-driven invalidation drops whole.
 func (r *Runtime) ListPage(ctx context.Context, typ, region string, limit int, pageToken string) (*cloud.ListPageResult, error) {
 	key := listKey(typ, region) + "?limit=" + strconv.Itoa(limit) + "&after=" + pageToken
 	v, err := r.read(ctx, "list", typ, key, true, func(cctx context.Context) (any, error) {
-		return cloud.ListPaged(cctx, r.upstream, typ, region, limit, pageToken)
+		return r.upstream.ListPage(cctx, typ, region, limit, pageToken)
 	})
 	if err != nil {
 		return nil, err

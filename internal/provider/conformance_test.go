@@ -3,9 +3,12 @@ package provider
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -217,5 +220,228 @@ func TestConformanceHealthLifecycle(t *testing.T) {
 				t.Fatalf("%s: fresh report = %+v, want degraded/conformance", ep.name, rep)
 			}
 		})
+	}
+}
+
+// describe renders one batch item outcome without anything an endpoint may
+// legitimately vary (timestamps): what the two transcripts are compared on.
+func describe(r cloud.BatchResult) string {
+	if r.Err != nil {
+		var ae *cloud.APIError
+		if errors.As(r.Err, &ae) {
+			return fmt.Sprintf("err %d %s %s %q %s", ae.Code, ae.Op, ae.Type, ae.ID, ae.Message)
+		}
+		return "err " + r.Err.Error()
+	}
+	return fmt.Sprintf("ok %s %s %s name=%s gen=%d", r.Resource.Type, r.Resource.ID, r.Resource.Region,
+		r.Resource.Attr("name").AsString(), r.Resource.Generation)
+}
+
+func resourceIDs(rs []*cloud.Resource) []string {
+	ids := make([]string, len(rs))
+	for i, r := range rs {
+		ids[i] = r.ID
+	}
+	return ids
+}
+
+// TestConformanceBulkVerbs drives the bulk half of cloud.Interface —
+// BatchCreate, BatchGet, ListPage (and List as its unbounded page),
+// WaitActivity — through a Runtime over the simulator and over HTTP. Each
+// endpoint must meet the per-verb contract, and the two transcripts must be
+// identical: per-item outcomes, their order and their error text do not
+// depend on whether the cloud is a goroutine or a network away.
+func TestConformanceBulkVerbs(t *testing.T) {
+	transcripts := map[string][]string{}
+	for _, ep := range endpoints() {
+		t.Run(ep.name, func(t *testing.T) {
+			opts := cloud.DefaultOptions()
+			opts.DisableRateLimit = true
+			opts.TimeScale = 0.0001
+			rt, sim := ep.make(t, opts, Options{})
+			ctx := WithFresh(context.Background())
+			var log []string
+			note := func(step string, v any) { log = append(log, fmt.Sprintf("%s: %v", step, v)) }
+			vpcReq := func(name, key string) cloud.CreateRequest {
+				return cloud.CreateRequest{Type: "aws_vpc", Region: "us-east-1", Principal: "conf", IdempotencyKey: key,
+					Attrs: map[string]eval.Value{"name": eval.String(name), "cidr_block": eval.String("10.0.0.0/16")}}
+			}
+
+			// BatchCreate: per-item errors, index-aligned, neighbours unaffected.
+			created, err := rt.BatchCreate(ctx, []cloud.CreateRequest{
+				{Type: "aws_nope", Region: "us-east-1", Principal: "conf"},
+				vpcReq("bulk-a", "key-a"),
+				{Type: "aws_region", Principal: "conf"},
+			})
+			if err != nil || len(created) != 3 {
+				t.Fatalf("batch create => %d results, %v; want 3 index-aligned results", len(created), err)
+			}
+			for i, r := range created {
+				note(fmt.Sprintf("create[%d]", i), describe(r))
+			}
+			if created[1].Err != nil || created[1].Resource.Attr("name").AsString() != "bulk-a" {
+				t.Fatalf("valid item between two bad ones => %s", describe(created[1]))
+			}
+			for _, i := range []int{0, 2} {
+				var ae *cloud.APIError
+				if !errors.As(created[i].Err, &ae) || ae.Code != cloud.CodeInvalid || created[i].Resource != nil {
+					t.Errorf("item %d => %s, want a per-item 400", i, describe(created[i]))
+				}
+			}
+			idA := created[1].Resource.ID
+
+			// Idempotency keys replay per item: the keyed create comes back as
+			// the same resource, its batch-mate is provisioned fresh.
+			replayed, err := rt.BatchCreate(ctx, []cloud.CreateRequest{vpcReq("bulk-a", "key-a"), vpcReq("bulk-b", "key-b")})
+			if err != nil || len(replayed) != 2 || replayed[0].Err != nil || replayed[1].Err != nil {
+				t.Fatalf("replay batch => %v, %v", replayed, err)
+			}
+			note("replay[0]", describe(replayed[0]))
+			note("replay[1]", describe(replayed[1]))
+			idB := replayed[1].Resource.ID
+			if replayed[0].Resource.ID != idA || idB == idA {
+				t.Errorf("replay => %s and %s, want %s again and a new resource", replayed[0].Resource.ID, idB, idA)
+			}
+			if m := sim.Metrics(); m.IdemReplays != 1 || m.Creates != 2 {
+				t.Errorf("sim saw %d replays and %d creates, want 1 and 2", m.IdemReplays, m.Creates)
+			}
+
+			// BatchGet: a missing ID is its item's 404, not the call's.
+			got, err := rt.BatchGet(ctx, []cloud.ResourceKey{
+				{Type: "aws_vpc", ID: idA}, {Type: "aws_vpc", ID: "vpc-missing"}, {Type: "aws_vpc", ID: idB}})
+			if err != nil || len(got) != 3 {
+				t.Fatalf("batch get => %d results, %v", len(got), err)
+			}
+			for i, r := range got {
+				note(fmt.Sprintf("get[%d]", i), describe(r))
+			}
+			if got[0].Err != nil || got[0].Resource.ID != idA || got[2].Err != nil || got[2].Resource.ID != idB ||
+				!cloud.IsNotFound(got[1].Err) {
+				t.Errorf("batch get => %s | %s | %s; want hit, 404, hit", describe(got[0]), describe(got[1]), describe(got[2]))
+			}
+
+			// An oversized batch fails whole, with a 400, at the upstream (the
+			// runtime itself chunks, so it is asked directly).
+			keys := make([]cloud.ResourceKey, cloud.MaxBatchItems+1)
+			reqs := make([]cloud.CreateRequest, cloud.MaxBatchItems+1)
+			for i := range keys {
+				keys[i] = cloud.ResourceKey{Type: "aws_vpc", ID: idA}
+				reqs[i] = vpcReq(fmt.Sprintf("big-%d", i), "")
+			}
+			_, getErr := rt.upstream.BatchGet(ctx, keys)
+			_, createErr := rt.upstream.BatchCreate(ctx, reqs)
+			for verb, err := range map[string]error{"get": getErr, "create": createErr} {
+				var ae *cloud.APIError
+				if !errors.As(err, &ae) || ae.Code != cloud.CodeInvalid || !strings.Contains(ae.Message, "BatchTooLarge") {
+					t.Errorf("oversized batch %s => %v, want a whole-call 400 BatchTooLarge", verb, err)
+				}
+			}
+			note("too large", []string{getErr.Error(), createErr.Error()})
+			if n := sim.Metrics().Creates; n != 2 {
+				t.Errorf("oversized batch create provisioned: %d creates, want 2", n)
+			}
+
+			// ListPage at limit 2 over five VPCs, with one resource already
+			// seen deleted, one not yet seen deleted and one created between
+			// pages: every survivor appears exactly once.
+			for _, name := range []string{"bulk-c", "bulk-d", "bulk-e"} {
+				if _, err := rt.Create(ctx, vpcReq(name, "")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := rt.List(ctx, "aws_vpc", "us-east-1")
+			if err != nil || len(before) != 5 {
+				t.Fatalf("list => %v, %v; want five", resourceIDs(before), err)
+			}
+			seen := map[string]int{}
+			page, err := rt.ListPage(ctx, "aws_vpc", "us-east-1", 2, "")
+			if err != nil || len(page.Resources) != 2 || page.NextPageToken == "" {
+				t.Fatalf("first page => %+v, %v", page, err)
+			}
+			note("page", resourceIDs(page.Resources))
+			for _, r := range page.Resources {
+				seen[r.ID]++
+			}
+			for _, gone := range []string{before[0].ID, before[3].ID} {
+				if err := rt.Delete(ctx, "aws_vpc", gone, "conf"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := rt.Create(ctx, vpcReq("bulk-f", "")); err != nil {
+				t.Fatal(err)
+			}
+			for page.NextPageToken != "" {
+				if page, err = rt.ListPage(ctx, "aws_vpc", "us-east-1", 2, page.NextPageToken); err != nil {
+					t.Fatal(err)
+				}
+				if len(page.Resources) > 2 {
+					t.Errorf("page of %d at limit 2", len(page.Resources))
+				}
+				note("page", resourceIDs(page.Resources))
+				for _, r := range page.Resources {
+					seen[r.ID]++
+				}
+			}
+			for _, survivor := range []string{before[1].ID, before[2].ID, before[4].ID} {
+				if seen[survivor] != 1 {
+					t.Errorf("survivor %s seen %d times across the pages, want once", survivor, seen[survivor])
+				}
+			}
+			if seen[before[3].ID] != 0 {
+				t.Errorf("%s was deleted before its page and listed anyway", before[3].ID)
+			}
+
+			// List is the concatenated pages, whatever the page size.
+			all, err := rt.List(ctx, "aws_vpc", "")
+			if err != nil || len(all) != 4 {
+				t.Fatalf("list => %v, %v; want four", resourceIDs(all), err)
+			}
+			note("list", resourceIDs(all))
+			for _, limit := range []int{1, 3, 4, 100} {
+				var walked []string
+				for token := ""; ; {
+					p, err := rt.ListPage(ctx, "aws_vpc", "", limit, token)
+					if err != nil {
+						t.Fatal(err)
+					}
+					walked = append(walked, resourceIDs(p.Resources)...)
+					if token = p.NextPageToken; token == "" {
+						break
+					}
+				}
+				if !reflect.DeepEqual(walked, resourceIDs(all)) {
+					t.Errorf("pages at limit %d = %v, list = %v", limit, walked, resourceIDs(all))
+				}
+			}
+			if other, err := rt.List(ctx, "aws_vpc", "us-west-2"); err != nil || len(other) != 0 {
+				t.Errorf("list of an empty region => %v, %v", resourceIDs(other), err)
+			}
+
+			// WaitActivity: no events and no error on a quiet timeout, the new
+			// events as soon as one is appended.
+			last := sim.LastSeq()
+			if evs, err := rt.WaitActivity(ctx, last, 30*time.Millisecond); len(evs) != 0 || err != nil {
+				t.Errorf("quiet wait => %v, %v; want no events, no error", evs, err)
+			}
+			go func() {
+				time.Sleep(20 * time.Millisecond)
+				_, _ = sim.Create(context.Background(), vpcReq("bulk-g", ""))
+			}()
+			start := time.Now()
+			evs, err := rt.WaitActivity(ctx, last, 10*time.Second)
+			if err != nil || len(evs) == 0 || evs[0].Seq != last+1 || evs[0].Op != cloud.OpCreate {
+				t.Fatalf("wait across an append => %v, %v; want the create at seq %d", evs, err, last+1)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Errorf("wait returned after %v: it rode out the timeout instead of waking on the append", elapsed)
+			}
+			note("woke", fmt.Sprintf("%d %s %s %s", evs[0].Seq, evs[0].Op, evs[0].Type, evs[0].ID))
+
+			transcripts[ep.name] = log
+		})
+	}
+	// (Both are present unless -run picked one endpoint or one already failed.)
+	if sim, http := transcripts["sim"], transcripts["http"]; len(transcripts) == 2 && !reflect.DeepEqual(sim, http) {
+		t.Errorf("endpoints disagree:\n sim:  %q\n http: %q", sim, http)
 	}
 }

@@ -461,24 +461,13 @@ func (r *Runtime) Delete(ctx context.Context, typ, id, principal string) error {
 	return err
 }
 
-// List implements cloud.Interface.
+// List implements cloud.Interface: the unbounded page.
 func (r *Runtime) List(ctx context.Context, typ, region string) ([]*cloud.Resource, error) {
-	v, err := r.read(ctx, "list", typ, listKey(typ, region), true, func(cctx context.Context) (any, error) {
-		rs, err := r.upstream.List(cctx, typ, region)
-		if err != nil {
-			return nil, err
-		}
-		return rs, nil
-	})
+	page, err := r.ListPage(ctx, typ, region, 0, "")
 	if err != nil {
 		return nil, err
 	}
-	cached := v.([]*cloud.Resource)
-	out := make([]*cloud.Resource, len(cached))
-	for i, res := range cached {
-		out[i] = res.Clone()
-	}
-	return out, nil
+	return page.Resources, nil
 }
 
 // Health implements cloud.Interface. Probes are cacheable reads: concurrent
@@ -518,13 +507,13 @@ func (r *Runtime) Activity(ctx context.Context, afterSeq int64) ([]cloud.Event, 
 	return out, nil
 }
 
-// WaitActivity implements cloud.ActivityWaiter: it long-polls the upstream
-// (natively when the upstream supports it, by polling otherwise), bypassing
-// the runtime's gates and cache — activity reads are deliberately cheap and
-// a parked poll must not hold an AIMD slot. Events still flow through
-// observeEvents, so a tail keeps the cache coherent exactly like Activity.
+// WaitActivity implements cloud.Interface: it long-polls the upstream,
+// bypassing the runtime's gates and cache — activity reads are deliberately
+// cheap and a parked poll must not hold an AIMD slot. Events still flow
+// through observeEvents, so a tail keeps the cache coherent exactly like
+// Activity.
 func (r *Runtime) WaitActivity(ctx context.Context, afterSeq int64, wait time.Duration) ([]cloud.Event, error) {
-	evs, err := cloud.WaitActivity(ctx, r.upstream, afterSeq, wait)
+	evs, err := r.upstream.WaitActivity(ctx, afterSeq, wait)
 	if err != nil {
 		return nil, err
 	}

@@ -162,6 +162,37 @@ func (f *fakeCloud) Activity(ctx context.Context, afterSeq int64) ([]cloud.Event
 	return nil, nil
 }
 
+// The bulk verbs of the fake are its single verbs item by item: the runtime's
+// accounting (gets, lists, acts) reads the same either way.
+
+func (f *fakeCloud) BatchCreate(ctx context.Context, reqs []cloud.CreateRequest) ([]cloud.BatchResult, error) {
+	out := make([]cloud.BatchResult, len(reqs))
+	for i, req := range reqs {
+		out[i].Resource, out[i].Err = f.Create(ctx, req)
+	}
+	return out, nil
+}
+
+func (f *fakeCloud) BatchGet(ctx context.Context, keys []cloud.ResourceKey) ([]cloud.BatchResult, error) {
+	out := make([]cloud.BatchResult, len(keys))
+	for i, k := range keys {
+		out[i].Resource, out[i].Err = f.Get(ctx, k.Type, k.ID)
+	}
+	return out, nil
+}
+
+func (f *fakeCloud) ListPage(ctx context.Context, typ, region string, limit int, pageToken string) (*cloud.ListPageResult, error) {
+	all, err := f.List(ctx, typ, region)
+	if err != nil {
+		return nil, err
+	}
+	return &cloud.ListPageResult{Resources: all}, nil
+}
+
+func (f *fakeCloud) WaitActivity(ctx context.Context, afterSeq int64, wait time.Duration) ([]cloud.Event, error) {
+	return f.Activity(ctx, afterSeq)
+}
+
 func (f *fakeCloud) getCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

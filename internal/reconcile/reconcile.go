@@ -388,7 +388,7 @@ func (c *Controller) activityLoop(start int64) {
 	defer c.wg.Done()
 	cursor := start
 	for c.ctx.Err() == nil {
-		evs, err := cloud.WaitActivity(c.ctx, c.cfg.Cloud, cursor, c.tun.PollWait)
+		evs, err := c.cfg.Cloud.WaitActivity(c.ctx, cursor, c.tun.PollWait)
 		if err != nil {
 			if c.ctx.Err() != nil {
 				return

@@ -2,7 +2,6 @@ package reconcile
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -15,10 +14,11 @@ import (
 	"cloudless/internal/telemetry"
 )
 
-// fakeCloud is an in-memory activity log implementing the long-poll
-// extension, so tests wake the controller instantly instead of riding the
-// jittered poll fallback.
+// fakeCloud is an in-memory activity log whose long poll wakes on emit, so
+// tests wake the controller instantly.
 type fakeCloud struct {
+	cloud.Interface // nil: the controller calls nothing else
+
 	mu   sync.Mutex
 	evs  []cloud.Event
 	wake chan struct{}
@@ -68,25 +68,6 @@ func (f *fakeCloud) WaitActivity(ctx context.Context, afterSeq int64, wait time.
 		case <-f.wake:
 		}
 	}
-}
-
-func (f *fakeCloud) Create(context.Context, cloud.CreateRequest) (*cloud.Resource, error) {
-	return nil, errors.New("not implemented")
-}
-func (f *fakeCloud) Get(context.Context, string, string) (*cloud.Resource, error) {
-	return nil, errors.New("not implemented")
-}
-func (f *fakeCloud) Update(context.Context, cloud.UpdateRequest) (*cloud.Resource, error) {
-	return nil, errors.New("not implemented")
-}
-func (f *fakeCloud) Delete(context.Context, string, string, string) error {
-	return errors.New("not implemented")
-}
-func (f *fakeCloud) List(context.Context, string, string) ([]*cloud.Resource, error) {
-	return nil, errors.New("not implemented")
-}
-func (f *fakeCloud) Health(context.Context, string, string) (*cloud.HealthReport, error) {
-	return nil, errors.New("not implemented")
 }
 
 // harness fakes the workspace side: a golden state, a mutable drifted set,

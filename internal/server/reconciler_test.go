@@ -51,7 +51,7 @@ func foreignRename(t *testing.T, sim *cloud.Sim, tenant, newName string) string 
 	for _, v := range vpcs {
 		if strings.Contains(v.Attrs["name"].AsString(), tenant) {
 			if _, err := sim.Update(ctx, cloud.UpdateRequest{Type: "aws_vpc", ID: v.ID,
-				Attrs: map[string]eval.Value{"name": eval.String(newName)},
+				Attrs:     map[string]eval.Value{"name": eval.String(newName)},
 				Principal: "rogue"}); err != nil {
 				t.Fatal(err)
 			}

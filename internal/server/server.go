@@ -502,9 +502,7 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 					return nil, err
 				}
 			}
-			res, _, err := ws.Apply(ctx, p, workspace.ApplyOptions{
-				Concurrency: req.Concurrency, BatchOps: req.BatchOps,
-			})
+			res, _, err := ws.Apply(ctx, p, workspace.ApplyOptions{Concurrency: req.Concurrency})
 			if res == nil {
 				return nil, err
 			}

@@ -50,8 +50,6 @@ type JobRequest struct {
 	PlanJob string `json:"plan_job,omitempty"`
 	// Concurrency bounds apply parallelism (0 = default).
 	Concurrency int `json:"concurrency,omitempty"`
-	// BatchOps coalesces apply cloud calls into bulk operations.
-	BatchOps bool `json:"batch_ops,omitempty"`
 	// Action picks the reconcile action ("adopt", "revert", "notify") for
 	// kind "reconcile"; the drift report is the result of DriftJob.
 	Action string `json:"action,omitempty"`

@@ -27,7 +27,6 @@ type manifest struct {
 	Sources      map[string]string `json:"sources,omitempty"`
 	Dir          string            `json:"dir,omitempty"`
 	Vars         map[string]any    `json:"vars,omitempty"`
-	GlobalLock   bool              `json:"global_lock,omitempty"`
 	StateBackend string            `json:"state_backend,omitempty"`
 	Policies     string            `json:"policies,omitempty"`
 	Principal    string            `json:"principal,omitempty"`
@@ -51,8 +50,7 @@ func (m *Manager) persist(name string, cfg Config) error {
 	}
 	man := manifest{
 		Sources: cfg.Sources, Dir: cfg.Dir, Vars: cfg.Vars,
-		GlobalLock: cfg.GlobalLock, StateBackend: cfg.StateBackend,
-		Policies: cfg.Policies, Principal: cfg.Principal,
+		StateBackend: cfg.StateBackend, Policies: cfg.Policies, Principal: cfg.Principal,
 		ProviderCacheTTL: cfg.ProviderCacheTTL, ProviderMaxRetries: cfg.ProviderMaxRetries,
 		ProviderMaxInFlight: cfg.ProviderMaxInFlight, GuardApplies: cfg.GuardApplies, GuardCanary: cfg.GuardCanary,
 		GuardMaxFailures:        cfg.GuardMaxFailures,
@@ -86,8 +84,7 @@ func (m *Manager) loadManifest(name string) (Config, error) {
 	}
 	return Config{
 		Sources: man.Sources, Dir: man.Dir, Vars: man.Vars,
-		GlobalLock: man.GlobalLock, StateBackend: man.StateBackend,
-		Policies: man.Policies, Principal: man.Principal,
+		StateBackend: man.StateBackend, Policies: man.Policies, Principal: man.Principal,
 		ProviderCacheTTL: man.ProviderCacheTTL, ProviderMaxRetries: man.ProviderMaxRetries,
 		ProviderMaxInFlight: man.ProviderMaxInFlight, GuardApplies: man.GuardApplies, GuardCanary: man.GuardCanary,
 		GuardMaxFailures:        man.GuardMaxFailures,

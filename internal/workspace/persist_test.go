@@ -43,8 +43,9 @@ func TestManagerRecoverRebuildsWorkspaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A manifest written before Config lost ProviderRetryBase and
-	// HealthProbeInterval still carries their keys; it must load all the same.
+	// A manifest written before Config lost ProviderRetryBase,
+	// HealthProbeInterval and GlobalLock still carries their keys; it must
+	// load all the same.
 	manifestPath := filepath.Join(root, "ws-0", "workspace.json")
 	raw, err := os.ReadFile(manifestPath)
 	if err != nil {
@@ -55,6 +56,7 @@ func TestManagerRecoverRebuildsWorkspaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	old["provider_retry_base"], old["health_probe_interval_ms"] = 50_000_000, 10
+	old["global_lock"] = true
 	if raw, err = json.Marshal(old); err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,6 @@ type Config struct {
 	// InitialState seeds the golden-state database (e.g. loaded from a
 	// state file); defaults to empty.
 	InitialState *state.State
-	// GlobalLock switches the lock manager to whole-infrastructure
-	// locking (the baseline behaviour). Default: per-resource locks.
-	GlobalLock bool
 	// StateBackend selects the golden-state engine's durability: "memory"
 	// (default; in-memory version chains only) or "wal" (the same engine
 	// over an fsynced commit log in StateDir, with snapshot compaction and
@@ -260,10 +257,6 @@ func New(cfg Config) (*Workspace, error) {
 		}
 	}
 
-	mode := statedb.ResourceLock
-	if cfg.GlobalLock {
-		mode = statedb.GlobalLock
-	}
 	engine, err := statedb.NewEngine(cfg.StateBackend, cfg.InitialState, statedb.EngineOptions{
 		Dir: cfg.StateDir,
 	})
@@ -296,7 +289,7 @@ func New(cfg Config) (*Workspace, error) {
 		vars:        vars,
 		resolver:    cfg.Modules,
 		cloudAPI:    runtime,
-		db:          statedb.OpenEngine(engine, mode),
+		db:          statedb.OpenEngine(engine, statedb.ResourceLock),
 		principal:   principal,
 		telemetry:   cfg.Telemetry,
 		journalPath: cfg.JournalPath,
