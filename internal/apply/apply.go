@@ -5,6 +5,8 @@
 // to real IDs. Retry, backoff, and adaptive cloud concurrency live in the
 // provider runtime (internal/provider), which every operation routes
 // through — the walk's Concurrency only governs graph-ordering parallelism.
+// It is the only code that writes a plan to the cloud: applies, destroys,
+// rollbacks and drift reverts are all plans it runs.
 package apply
 
 import (
@@ -75,8 +77,8 @@ type Options struct {
 	// done and dependents unblock, and a per-run/per-region failure fuse
 	// stops admitting new ops in a domain that has failed too much.
 	Guard *GuardConfig
-	// Wave labels this execution's events on the bus ("canary", "main");
-	// empty means the whole changeset runs as one wave ("all").
+	// Wave labels this execution's events on the bus ("canary", "main",
+	// "rollback"); empty means the whole changeset runs as one wave ("all").
 	Wave string
 	// BatchOps coalesces concurrent creates and reads into bulk cloud
 	// calls (cloud.BatchCreate / cloud.BatchGet): a wave of independent
@@ -131,12 +133,14 @@ func (o *Options) withDefaults() Options {
 
 // Result summarizes an apply.
 type Result struct {
-	State   *state.State
-	Report  *graph.WalkReport
+	State  *state.State
+	Report *graph.WalkReport
+	// Applied counts the changes that completed; a replace is one.
 	Applied int
 	Retries int
 	Elapsed time.Duration
-	// Outputs holds evaluated root outputs.
+	// Outputs holds evaluated root outputs; nil for a plan without a value
+	// store (destroy, rollback, drift revert), which leaves them alone.
 	Outputs map[string]eval.Value
 	// Errors by address.
 	Errors map[string]error
@@ -178,9 +182,24 @@ func (r *Result) Err() error {
 	return fmt.Errorf("%d operations failed (first: %s: %s)", len(addrs), addrs[0], first)
 }
 
+// run is what one Apply's operations share, guarded by mu: the state it
+// builds, and ids, which maps each old cloud ID this run created a
+// successor for — a replaced resource's, or the former ID a literal create
+// carries — to the new one.
+type run struct {
+	cl    cloud.Interface
+	p     *plan.Plan
+	o     Options
+	mu    sync.Mutex
+	state *state.State
+	ids   map[string]string
+}
+
 // Apply executes the plan and returns the new state. The returned state
 // reflects every operation that completed, even when some failed — exactly
-// like real IaC engines, partial progress is recorded.
+// like real IaC engines, partial progress is recorded. A plan that replaces
+// anything walks twice: its destroy wave (destroyWave) first, then the
+// forward walk, where a replace is the create of its second half.
 func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) *Result {
 	o := (&opts).withDefaults()
 	start := time.Now()
@@ -199,10 +218,9 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 	}
 
 	newState := p.PriorState.Clone()
-	var stateMu sync.Mutex
 	var retries int64
 
-	res := &Result{State: newState, Errors: map[string]error{}, Outputs: map[string]eval.Value{}}
+	res := &Result{State: newState, Errors: map[string]error{}}
 
 	// Idempotency keys: the journal's run ID when journaling (stable across
 	// crash and recovery), a fresh run ID otherwise.
@@ -252,14 +270,7 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 			SeedFuse(fuse, p)
 		}
 	}
-
-	var priority func(string) float64
-	if o.Scheduler == CriticalPathScheduler {
-		levels, _, err := p.Graph.CriticalPath(p.Costs())
-		if err == nil {
-			priority = func(addr string) float64 { return float64(levels[addr]) }
-		}
-	}
+	r := &run{cl: cl, p: p, o: o, state: newState, ids: map[string]string{}}
 
 	// Telemetry: one span for the whole execution, one per resource
 	// operation, with the scheduler queue-wait vs execute split recorded as
@@ -272,31 +283,36 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 	var readyMu sync.Mutex
 	readyAt := map[string]time.Time{}
 	spanByAddr := map[string]*telemetry.Span{}
-	walkOpts := graph.WalkOptions{
-		Concurrency:     o.Concurrency,
-		Priority:        priority,
-		ContinueOnError: o.ContinueOnError,
-	}
-	if fuse != nil {
-		walkOpts.Admit = func(addr string) bool {
-			ch := p.Changes[addr]
-			if ch == nil || ch.Action == plan.ActionNoop {
-				return true
+	walkOptions := func(q *plan.Plan) graph.WalkOptions {
+		wo := graph.WalkOptions{Concurrency: o.Concurrency, ContinueOnError: o.ContinueOnError}
+		if o.Scheduler == CriticalPathScheduler {
+			if levels, _, err := q.Graph.CriticalPath(q.Costs()); err == nil {
+				wo.Priority = func(addr string) float64 { return float64(levels[addr]) }
 			}
-			return fuse.Allow(changeDomains(ch)...)
 		}
-	}
-	if rec != nil {
-		walkOpts.OnReady = func(node string) {
-			now := rec.Now()
-			readyMu.Lock()
-			readyAt[node] = now
-			readyMu.Unlock()
+		if fuse != nil {
+			wo.Admit = func(addr string) bool {
+				ch := q.Changes[addr]
+				if ch == nil || ch.Action == plan.ActionNoop {
+					return true
+				}
+				return fuse.Allow(changeDomains(ch)...)
+			}
 		}
+		if rec != nil {
+			wo.OnReady = func(node string) {
+				now := rec.Now()
+				readyMu.Lock()
+				readyAt[node] = now
+				readyMu.Unlock()
+			}
+		}
+		return wo
 	}
 
-	report := p.Graph.Walk(ctx, walkOpts, func(addr string) error {
-		ch := p.Changes[addr]
+	// runOp is one node of either walk: span, events, the cloud op, fuse
+	// accounting.
+	runOp := func(addr string, ch *plan.Change) error {
 		if ch == nil {
 			return fmt.Errorf("apply: no change for %s", addr)
 		}
@@ -319,7 +335,7 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 				sp.SetAttr("queue_wait_ms", durMillis(sp.StartTime().Sub(ready)))
 			}
 		}
-		err := applyChange(opCtx, cl, p, ch, o, newState, &stateMu)
+		err := r.applyChange(opCtx, ch)
 		atomic.AddInt64(&retries, opRetries.Load())
 		if ch.Action != plan.ActionNoop {
 			ev := events.Event{Kind: "apply.op_done", Run: o.idemPrefix,
@@ -338,9 +354,9 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 			}
 		}
 		if err != nil {
-			stateMu.Lock()
+			r.mu.Lock()
 			res.Errors[addr] = err
-			stateMu.Unlock()
+			r.mu.Unlock()
 		}
 		if sp != nil {
 			sp.SetAttr("retries", opRetries.Load())
@@ -351,7 +367,39 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 			readyMu.Unlock()
 		}
 		return err
+	}
+
+	waveRep := &graph.WalkReport{} // the destroy wave's outcome; empty without one
+	fwdOpts := walkOptions(p)
+	if dw := destroyWave(p); dw != nil {
+		waveRep = dw.Graph.Walk(ctx, walkOptions(dw), func(addr string) error {
+			return runOp(addr, dw.Changes[addr])
+		})
+		admit := fwdOpts.Admit
+		fwdOpts.Admit = func(addr string) bool {
+			// A replace whose delete did not run must not create a twin.
+			st, waved := waveRep.Status[addr]
+			return (!waved || st == graph.StatusDone) && (admit == nil || admit(addr))
+		}
+	}
+	report := p.Graph.Walk(ctx, fwdOpts, func(addr string) error {
+		ch := p.Changes[addr]
+		if _, waved := waveRep.Status[addr]; waved {
+			if ch.Action == plan.ActionDelete {
+				return nil // the destroy wave did it
+			}
+			// The wave ran the replace's delete; its create runs here.
+			half := *ch
+			half.Action = plan.ActionCreate
+			ch = &half
+		}
+		return runOp(addr, ch)
 	})
+	for addr, err := range waveRep.Errors { // a change whose delete failed failed
+		if _, ok := report.Status[addr]; ok {
+			report.Status[addr], report.Errors[addr] = graph.StatusFailed, err
+		}
+	}
 
 	res.Report = report
 	done, _, _ := report.Counts()
@@ -382,14 +430,63 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 	}
 
 	// Evaluate root outputs against final values.
-	for name, spec := range p.Values.RootOutputs() {
-		res.Outputs[name] = p.Values.OutputValue(spec)
-		newState.Outputs[name] = res.Outputs[name]
+	if p.Values != nil {
+		res.Outputs = map[string]eval.Value{}
+		for name, spec := range p.Values.RootOutputs() {
+			res.Outputs[name] = p.Values.OutputValue(spec)
+			newState.Outputs[name] = res.Outputs[name]
+		}
 	}
 	bus.Publish(events.Event{Kind: "apply.wave_finish", Run: o.idemPrefix,
 		Wave: wave, N: int64(res.Applied), Retries: int64(res.Retries),
 		Ms: durMillis(res.Elapsed)})
 	return res
+}
+
+// destroyWave returns the deletes a plan with replaces runs before its
+// forward walk, because a resource cannot go while something still
+// references it: every replaced address, plus each pure delete that depends
+// on one of them, directly or through another such delete. It is a
+// delete-only plan from the planner's builder, so it runs dependents first.
+// Nil when the plan replaces nothing.
+func destroyWave(p *plan.Plan) *plan.Plan {
+	if p.Replaces == 0 {
+		return nil
+	}
+	users := map[string][]*plan.Change{} // resource address -> pure deletes naming it
+	var queue []*plan.Change
+	for _, ch := range p.Changes {
+		switch ch.Action {
+		case plan.ActionReplace:
+			queue = append(queue, ch)
+		case plan.ActionDelete:
+			for _, dep := range ch.Deps {
+				users[dep] = append(users[dep], ch)
+			}
+		}
+	}
+	var wave []*plan.Change
+	seen := map[string]bool{}
+	for len(queue) > 0 {
+		ch := queue[0]
+		queue = queue[1:]
+		if seen[ch.Addr] {
+			continue
+		}
+		seen[ch.Addr] = true
+		// The delete of what exists, ordered by its recorded dependencies.
+		del := &plan.Change{Addr: ch.Addr, Action: plan.ActionDelete, Type: ch.Type,
+			Region: ch.Region, ID: ch.ID, Before: ch.Before, Deps: ch.Deps}
+		if rs := p.PriorState.Get(ch.Addr); rs != nil {
+			del.Region, del.Deps = rs.Region, rs.Dependencies
+		}
+		wave = append(wave, del)
+		r := plan.ResourceAddrOf(ch.Addr)
+		queue = append(queue, users[r]...)
+		delete(users, r)
+	}
+	dw, _ := plan.New(p.PriorState, wave) // a cycle fails the wave's walk, which reports it
+	return dw
 }
 
 // durMillis renders a duration as float milliseconds for span attributes.
@@ -485,12 +582,10 @@ func DefinitiveFailure(err error) bool {
 	return ae.Code >= 400 && ae.Code < 500 && ae.Code != cloud.CodeThrottled && !ae.Retryable
 }
 
-// applyChange performs one operation; the provider runtime behind cl owns
-// retries and backoff.
-func applyChange(ctx context.Context, cl cloud.Interface, p *plan.Plan, ch *plan.Change,
-	o Options, newState *state.State, stateMu *sync.Mutex) error {
-
-	j := o.Journal
+// applyChange performs one delete, create or update — a replace arrives as
+// its two halves; the provider runtime behind cl owns retries and backoff.
+func (r *run) applyChange(ctx context.Context, ch *plan.Change) error {
+	cl, o, j := r.cl, r.o, r.o.Journal
 	switch ch.Action {
 	case plan.ActionDelete:
 		if j != nil {
@@ -506,9 +601,9 @@ func applyChange(ctx context.Context, cl cloud.Interface, p *plan.Plan, ch *plan
 			return err
 		}
 		// A 404 means already gone: deletion is idempotent.
-		stateMu.Lock()
-		newState.Remove(ch.Addr)
-		stateMu.Unlock()
+		r.mu.Lock()
+		r.state.Remove(ch.Addr)
+		r.mu.Unlock()
 		if j != nil {
 			if err := j.Done(OpRecord{Addr: ch.Addr, Action: ch.Action.String(),
 				Type: ch.Type, Region: ch.Region, ID: ch.ID}); err != nil {
@@ -517,26 +612,12 @@ func applyChange(ctx context.Context, cl cloud.Interface, p *plan.Plan, ch *plan
 		}
 		return nil
 
-	case plan.ActionCreate, plan.ActionUpdate, plan.ActionReplace:
-		// Re-evaluate attributes now that dependencies hold concrete values.
-		attrs, diags := p.Values.EvaluateAttrs(ch.Instance)
-		if diags.HasErrors() {
-			return fmt.Errorf("evaluate %s: %w", ch.Addr, diags.Err())
+	case plan.ActionCreate, plan.ActionUpdate:
+		attrs, err := r.attrsOf(ch)
+		if err != nil {
+			return err
 		}
 		rs, _ := schema.LookupResource(ch.Type)
-		for name, a := range rs.Attrs {
-			if _, set := attrs[name]; !set && a.HasDefault {
-				attrs[name] = a.Default
-			}
-		}
-		for name, v := range attrs {
-			if !v.IsKnown() {
-				return fmt.Errorf("apply %s: attribute %q is still unknown after dependencies resolved", ch.Addr, name)
-			}
-			if v.IsNull() {
-				delete(attrs, name)
-			}
-		}
 		region := regionOf(ch, attrs)
 
 		// Record the attribute values this operation sends on its span,
@@ -582,13 +663,11 @@ func applyChange(ctx context.Context, cl cloud.Interface, p *plan.Plan, ch *plan
 
 		if j != nil {
 			rec := OpRecord{Addr: ch.Addr, Action: ch.Action.String(), Type: ch.Type,
-				Region: region, ID: ch.ID, Deps: ch.Deps}
-			switch ch.Action {
-			case plan.ActionCreate, plan.ActionReplace:
-				rec.IdemKey = idemKey
-				rec.Attrs = AttrsOut(attrs)
-			case plan.ActionUpdate:
-				rec.Attrs = AttrsOut(delta)
+				Region: region, Deps: ch.Deps}
+			if ch.Action == plan.ActionCreate {
+				rec.IdemKey, rec.Attrs = idemKey, AttrsOut(attrs)
+			} else {
+				rec.ID, rec.Attrs = ch.ID, AttrsOut(delta)
 			}
 			if err := j.Begin(rec); err != nil {
 				return err
@@ -596,34 +675,20 @@ func applyChange(ctx context.Context, cl cloud.Interface, p *plan.Plan, ch *plan
 		}
 
 		var created *cloud.Resource
-		op := func() error {
-			var err error
-			switch ch.Action {
-			case plan.ActionCreate:
-				created, err = cl.Create(ctx, cloud.CreateRequest{
-					Type: ch.Type, Region: region, Attrs: attrs, Principal: o.Principal,
-					IdempotencyKey: idemKey,
-				})
-			case plan.ActionUpdate:
-				if len(delta) == 0 {
-					created, err = cl.Get(ctx, ch.Type, ch.ID)
-					return err
-				}
-				created, err = cl.Update(ctx, cloud.UpdateRequest{
-					Type: ch.Type, ID: ch.ID, Attrs: delta, Principal: o.Principal,
-				})
-			case plan.ActionReplace:
-				if derr := cl.Delete(ctx, ch.Type, ch.ID, o.Principal); derr != nil && !cloud.IsNotFound(derr) {
-					return derr
-				}
-				created, err = cl.Create(ctx, cloud.CreateRequest{
-					Type: ch.Type, Region: region, Attrs: attrs, Principal: o.Principal,
-					IdempotencyKey: idemKey,
-				})
-			}
-			return err
+		switch {
+		case ch.Action == plan.ActionCreate:
+			created, err = cl.Create(ctx, cloud.CreateRequest{
+				Type: ch.Type, Region: region, Attrs: attrs, Principal: o.Principal,
+				IdempotencyKey: idemKey,
+			})
+		case len(delta) == 0:
+			created, err = cl.Get(ctx, ch.Type, ch.ID)
+		default:
+			created, err = cl.Update(ctx, cloud.UpdateRequest{
+				Type: ch.Type, ID: ch.ID, Attrs: delta, Principal: o.Principal,
+			})
 		}
-		if err := op(); err != nil {
+		if err != nil {
 			if j != nil && DefinitiveFailure(err) {
 				_ = j.Fail(ch.Addr, ch.Action.String(), err)
 			}
@@ -662,8 +727,8 @@ func applyChange(ctx context.Context, cl cloud.Interface, p *plan.Plan, ch *plan
 			events.FromContext(ctx).Publish(gateEv)
 		}
 
-		stateMu.Lock()
-		prev := newState.Get(ch.Addr)
+		r.mu.Lock()
+		prev := r.state.Get(ch.Addr)
 		rsState := &state.ResourceState{
 			Addr: ch.Addr, Type: ch.Type, ID: created.ID, Region: created.Region,
 			Attrs: created.Attrs, Dependencies: ch.Deps,
@@ -674,8 +739,11 @@ func applyChange(ctx context.Context, cl cloud.Interface, p *plan.Plan, ch *plan
 		} else {
 			rsState.CreatedAt = time.Now()
 		}
-		newState.Set(rsState)
-		stateMu.Unlock()
+		r.state.Set(rsState)
+		if ch.Action == plan.ActionCreate && ch.ID != "" {
+			r.ids[ch.ID] = created.ID
+		}
+		r.mu.Unlock()
 
 		if j != nil {
 			if err := j.Done(OpRecord{Addr: ch.Addr, Action: ch.Action.String(),
@@ -688,12 +756,76 @@ func applyChange(ctx context.Context, cl cloud.Interface, p *plan.Plan, ch *plan
 			// State and journal know the resource; dependents must not run.
 			return gateErr
 		}
-		p.Values.Set(ch.Addr, eval.Object(created.Attrs))
+		if r.p.Values != nil {
+			r.p.Values.Set(ch.Addr, eval.Object(created.Attrs))
+		}
 		return nil
 
 	default:
 		return nil
 	}
+}
+
+// attrsOf resolves what a create or update sends. A configuration change
+// evaluates its instance now that dependencies hold concrete values, with
+// schema defaults filled in. A literal change sends its After attributes,
+// with every old cloud ID this run has created a successor for swapped for
+// the new one.
+func (r *run) attrsOf(ch *plan.Change) (map[string]eval.Value, error) {
+	var attrs map[string]eval.Value
+	if ch.Instance == nil {
+		r.mu.Lock()
+		attrs = RemapIDs(ch.After, r.ids)
+		r.mu.Unlock()
+	} else {
+		evaluated, diags := r.p.Values.EvaluateAttrs(ch.Instance)
+		if diags.HasErrors() {
+			return nil, fmt.Errorf("evaluate %s: %w", ch.Addr, diags.Err())
+		}
+		attrs = evaluated
+		rs, _ := schema.LookupResource(ch.Type)
+		for name, a := range rs.Attrs {
+			if _, set := attrs[name]; !set && a.HasDefault {
+				attrs[name] = a.Default
+			}
+		}
+	}
+	for name, v := range attrs {
+		if !v.IsKnown() {
+			return nil, fmt.Errorf("apply %s: attribute %q is still unknown after dependencies resolved", ch.Addr, name)
+		}
+		if v.IsNull() {
+			delete(attrs, name)
+		}
+	}
+	return attrs, nil
+}
+
+// RemapIDs returns a copy of attrs in which every string, alone or in a
+// list, that is a key of ids is replaced by its value: references to
+// resources that were re-created follow them to their new cloud IDs.
+func RemapIDs(attrs map[string]eval.Value, ids map[string]string) map[string]eval.Value {
+	out := make(map[string]eval.Value, len(attrs))
+	for name, v := range attrs {
+		out[name] = remapID(v, ids)
+	}
+	return out
+}
+
+func remapID(v eval.Value, ids map[string]string) eval.Value {
+	switch v.Kind() {
+	case eval.KindString:
+		if id, ok := ids[v.AsString()]; ok {
+			return eval.String(id)
+		}
+	case eval.KindList:
+		items := make([]eval.Value, len(v.AsList()))
+		for i, e := range v.AsList() {
+			items[i] = remapID(e, ids)
+		}
+		return eval.ListOf(items)
+	}
+	return v
 }
 
 func regionOf(ch *plan.Change, attrs map[string]eval.Value) string {
@@ -705,39 +837,17 @@ func regionOf(ch *plan.Change, attrs map[string]eval.Value) string {
 	return ch.Region
 }
 
-// Destroy builds and applies a plan that deletes everything in the state,
-// in reverse dependency order.
+// Destroy deletes everything in the state, dependents first: a delete-only
+// plan from the planner's builder, applied.
 func Destroy(ctx context.Context, cl cloud.Interface, prior *state.State, opts Options) *Result {
-	p := &plan.Plan{
-		Changes:    map[string]*plan.Change{},
-		Graph:      graph.New(),
-		PriorState: prior.Clone(),
-		Values:     plan.NewEmptyValueStore(),
-	}
+	changes := make([]*plan.Change, 0, prior.Len())
 	for _, addr := range prior.Addrs() {
 		rs := prior.Get(addr)
-		p.Changes[addr] = &plan.Change{
+		changes = append(changes, &plan.Change{
 			Addr: addr, Action: plan.ActionDelete, Type: rs.Type,
 			Region: rs.Region, ID: rs.ID, Before: rs.Attrs, Deps: rs.Dependencies,
-		}
-		p.Deletes++
-		p.Graph.AddNode(addr)
+		})
 	}
-	// Reverse edges: dependents first.
-	instancesOf := map[string][]string{}
-	for _, addr := range prior.Addrs() {
-		r := plan.ResourceAddrOf(addr)
-		instancesOf[r] = append(instancesOf[r], addr)
-	}
-	for _, addr := range prior.Addrs() {
-		for _, depResource := range prior.Get(addr).Dependencies {
-			for _, depInst := range instancesOf[depResource] {
-				if depInst == addr {
-					continue
-				}
-				_ = p.Graph.AddEdge(depInst, addr)
-			}
-		}
-	}
+	p, _ := plan.New(prior, changes) // a cycle fails the walk, which reports it
 	return Apply(ctx, cl, p, opts)
 }

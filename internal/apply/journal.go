@@ -308,8 +308,8 @@ func ReadJournal(path string) (*JournalState, error) {
 			switch rec.Kind {
 			case recBegin:
 				// A fresh begin supersedes any earlier completed op on the
-				// same address (rollback journals a recreate as a delete op
-				// followed by a create op under one addr).
+				// same address (a replace is journaled as its destroy
+				// wave's delete op followed by a create op under one addr).
 				st.Begin = &op
 				st.Done = nil
 				st.FailError = ""

@@ -144,6 +144,8 @@ func redriveOp(ctx context.Context, cl cloud.Interface, st *state.State,
 		return nil
 
 	case plan.ActionCreate.String(), plan.ActionReplace.String():
+		// A replace journals as a delete op and then a create op; journals
+		// written before that recorded it as one "replace" op.
 		if begin.Action == plan.ActionReplace.String() && begin.ID != "" {
 			if err := cl.Delete(ctx, begin.Type, begin.ID, o.Principal); err != nil && !cloud.IsNotFound(err) {
 				return err

@@ -19,6 +19,7 @@ import (
 	"cloudless/internal/cloud"
 	"cloudless/internal/eval"
 	evbus "cloudless/internal/events"
+	"cloudless/internal/plan"
 	"cloudless/internal/provider"
 	"cloudless/internal/schema"
 	"cloudless/internal/state"
@@ -535,17 +536,25 @@ func AdoptAll(Item) Action { return Adopt }
 // apply; reconciliation removes them from state so the planner sees them).
 func RevertAll(Item) Action { return Revert }
 
-// ReconcileResult summarizes a reconciliation pass.
+// ReconcileResult summarizes a reconciliation pass. Items are keyed by
+// address, or by cloud ID for unmanaged resources.
 type ReconcileResult struct {
 	State    *state.State
 	Adopted  []string
 	Reverted []string
 	Notified []string
 	Errors   map[string]error
+	// Reverts are the cloud writes the Revert decisions need, as literal
+	// plan changes under the same keys: an update back to the recorded
+	// values for a modified item, a delete for an unmanaged one. Reconcile
+	// only plans them; the caller applies them and lists each one that
+	// succeeds in Reverted.
+	Reverts []*plan.Change
 }
 
-// Reconcile applies a policy to a drift report, returning an updated state.
-func Reconcile(ctx context.Context, cl cloud.Interface, st *state.State, rep *Report, policy Policy, principal string) *ReconcileResult {
+// Reconcile applies a policy to a drift report, returning an updated state
+// and the cloud writes its reverts need. It touches no cloud.
+func Reconcile(st *state.State, rep *Report, policy Policy) *ReconcileResult {
 	out := &ReconcileResult{State: st.Clone(), Errors: map[string]error{}}
 	for _, item := range rep.Items {
 		key := item.Addr
@@ -582,6 +591,7 @@ func Reconcile(ctx context.Context, cl cloud.Interface, st *state.State, rep *Re
 					continue
 				}
 				attrs := map[string]eval.Value{}
+				var names []string
 				schemaRS, _ := schema.LookupResource(item.Type)
 				for _, name := range item.ChangedAttrs {
 					if schemaRS != nil {
@@ -591,30 +601,27 @@ func Reconcile(ctx context.Context, cl cloud.Interface, st *state.State, rep *Re
 					}
 					if v, ok := rs.Attrs[name]; ok {
 						attrs[name] = v
+						names = append(names, name)
 					}
 				}
 				if len(attrs) == 0 {
 					out.Notified = append(out.Notified, key)
 					continue
 				}
-				if _, err := cl.Update(ctx, cloud.UpdateRequest{
-					Type: item.Type, ID: item.ID, Attrs: attrs, Principal: principal,
-				}); err != nil {
-					out.Errors[key] = err
-					continue
-				}
-				out.Reverted = append(out.Reverted, key)
+				out.Reverts = append(out.Reverts, &plan.Change{
+					Addr: key, Action: plan.ActionUpdate, Type: item.Type, Region: rs.Region,
+					ID: item.ID, Before: item.CloudAttrs, After: attrs, ChangedAttrs: names,
+				})
 			case Deleted:
 				// Cannot revert a deletion in place: drop it from state so
 				// the next plan re-creates it.
 				out.State.Remove(item.Addr)
 				out.Reverted = append(out.Reverted, key)
 			case Unmanaged:
-				if err := cl.Delete(ctx, item.Type, item.ID, principal); err != nil {
-					out.Errors[key] = err
-					continue
-				}
-				out.Reverted = append(out.Reverted, key)
+				out.Reverts = append(out.Reverts, &plan.Change{
+					Addr: key, Action: plan.ActionDelete, Type: item.Type,
+					ID: item.ID, Before: item.CloudAttrs,
+				})
 			}
 		default:
 			out.Notified = append(out.Notified, key)

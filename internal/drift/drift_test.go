@@ -204,7 +204,7 @@ func TestReconcileAdopt(t *testing.T) {
 		Attrs: map[string]eval.Value{"enable_dns": eval.False}, Principal: "ops"})
 
 	rep, _ := FullScan(ctx, sim, st)
-	res := Reconcile(ctx, sim, st, rep, AdoptAll, "cloudless")
+	res := Reconcile(st, rep, AdoptAll)
 	if len(res.Adopted) != 1 {
 		t.Fatalf("adopted = %v errs = %v", res.Adopted, res.Errors)
 	}
@@ -218,30 +218,15 @@ func TestReconcileAdopt(t *testing.T) {
 	}
 }
 
-func TestReconcileRevert(t *testing.T) {
+// TestReconcilePlansRevertsWithoutTheCloud: Reconcile only plans the cloud
+// writes a revert needs — an update back to the recorded values, a delete
+// of the unmanaged resource — and leaves them to the applier.
+func TestReconcilePlansRevertsWithoutTheCloud(t *testing.T) {
 	sim, st := deployBase(t)
 	ctx := context.Background()
 	vpc := st.Get("aws_vpc.main")
 	_, _ = sim.Update(ctx, cloud.UpdateRequest{Type: "aws_vpc", ID: vpc.ID,
 		Attrs: map[string]eval.Value{"enable_dns": eval.False}, Principal: "ops"})
-
-	rep, _ := FullScan(ctx, sim, st)
-	res := Reconcile(ctx, sim, st, rep, RevertAll, "cloudless")
-	if len(res.Reverted) != 1 {
-		t.Fatalf("reverted = %v errs = %v", res.Reverted, res.Errors)
-	}
-	cur, err := sim.Get(ctx, "aws_vpc", vpc.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cur.Attr("enable_dns").Equal(eval.True) {
-		t.Error("cloud value not reverted")
-	}
-}
-
-func TestReconcileRevertDeletesUnmanaged(t *testing.T) {
-	sim, st := deployBase(t)
-	ctx := context.Background()
 	rogue, err := sim.Create(ctx, cloud.CreateRequest{
 		Type: "aws_storage_bucket", Region: "us-east-1",
 		Attrs: map[string]eval.Value{"name": eval.String("rogue")}, Principal: "ops",
@@ -250,12 +235,27 @@ func TestReconcileRevertDeletesUnmanaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, _ := FullScan(ctx, sim, st)
-	res := Reconcile(ctx, sim, st, rep, RevertAll, "cloudless")
-	if len(res.Reverted) != 1 {
-		t.Fatalf("reverted = %v errs = %v", res.Reverted, res.Errors)
+	calls := sim.Metrics().Calls
+	res := Reconcile(st, rep, RevertAll)
+	if got := sim.Metrics().Calls; got != calls {
+		t.Errorf("Reconcile made %d cloud calls", got-calls)
 	}
-	if _, err := sim.Get(ctx, "aws_storage_bucket", rogue.ID); !cloud.IsNotFound(err) {
-		t.Error("unmanaged resource not removed")
+	if len(res.Reverted) != 0 || len(res.Reverts) != 2 {
+		t.Fatalf("reverted = %v, reverts = %+v", res.Reverted, res.Reverts)
+	}
+	for _, ch := range res.Reverts {
+		switch ch.Addr {
+		case "aws_vpc.main":
+			if ch.Action != plan.ActionUpdate || ch.ID != vpc.ID || !ch.After["enable_dns"].Equal(eval.True) {
+				t.Errorf("vpc revert = %+v", ch)
+			}
+		case rogue.ID:
+			if ch.Action != plan.ActionDelete || ch.ID != rogue.ID {
+				t.Errorf("rogue revert = %+v", ch)
+			}
+		default:
+			t.Errorf("unexpected revert %+v", ch)
+		}
 	}
 }
 

@@ -118,38 +118,18 @@ func nonNoopAddrs(p *plan.Plan) []string {
 	return out
 }
 
-// subPlan carves a wave out of the full plan: the subgraph induced by the
-// wave's addresses, sharing the parent's change set and value store so
-// cross-wave references resolve, with the wave's own prior state.
+// subPlan carves a wave out of the full plan: the wave's changes, built
+// into a plan with the wave's own prior state, sharing the parent's value
+// store so cross-wave references resolve.
 func subPlan(p *plan.Plan, addrs []string, prior *state.State) *plan.Plan {
-	keep := make(map[string]struct{}, len(addrs))
+	changes := make([]*plan.Change, 0, len(addrs))
 	for _, a := range addrs {
-		keep[a] = struct{}{}
-	}
-	sp := &plan.Plan{
-		Changes:    map[string]*plan.Change{},
-		Graph:      p.Graph.Subgraph(keep),
-		Values:     p.Values,
-		PriorState: prior,
-		BaseSerial: p.BaseSerial,
-	}
-	for _, a := range addrs {
-		ch := p.Changes[a]
-		if ch == nil {
-			continue
-		}
-		sp.Changes[a] = ch
-		switch ch.Action {
-		case plan.ActionCreate:
-			sp.Creates++
-		case plan.ActionUpdate:
-			sp.Updates++
-		case plan.ActionReplace:
-			sp.Replaces++
-		case plan.ActionDelete:
-			sp.Deletes++
+		if ch := p.Changes[a]; ch != nil {
+			changes = append(changes, ch)
 		}
 	}
+	sp, _ := plan.New(prior, changes) // part of an acyclic plan is acyclic
+	sp.Values, sp.BaseSerial = p.Values, p.BaseSerial
 	return sp
 }
 
@@ -233,11 +213,11 @@ func autoRollback(ctx context.Context, cl cloud.Interface, p *plan.Plan,
 	}
 	sort.Strings(rolled)
 
-	rbPlan := rollback.Compute(cur, tgt)
-	after, err := rollback.ExecuteJournaled(ctx, cl, cur, tgt, rbPlan, rollback.ExecOptions{
-		Principal: applyOpts.Principal,
-		Journal:   applyOpts.Journal,
-	})
+	// The revert is a plan like any other: concurrent, in dependency order,
+	// with per-op events under the "rollback" wave, and not health-gated.
+	rbOpts := applyOpts
+	rbOpts.Guard, rbOpts.Wave = nil, "rollback"
+	after, err := rollback.Execute(ctx, cl, cur, rollback.Compute(cur, tgt), rbOpts)
 	// Merge the (possibly partial) reverted slice back into the run's state.
 	// An address the rollback could not restore keeps its prior record when
 	// one existed: the resource was managed before this run, and forgetting

@@ -201,15 +201,11 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 		}
 		var addrs []string
 		for _, addr := range prior.Addrs() {
-			resourceAddr := addr
-			if idx := indexOfBracket(addr); idx >= 0 {
-				resourceAddr = addr[:idx]
-			}
 			// A cached replan refreshes everything: refresh is how drift is
 			// observed, and the cache turns an observed drift into a dirty
 			// subtree, so narrowing the reads would blind the invalidation.
 			// The reads are batched, so a full refresh is round-trip-cheap.
-			if opts.Cache != nil || inScope(resourceAddr) {
+			if opts.Cache != nil || inScope(ResourceAddrOf(addr)) {
 				addrs = append(addrs, addr)
 			}
 		}
@@ -365,11 +361,7 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 		if _, exists := ex.ByAddr[addr]; exists {
 			continue
 		}
-		resourceAddr := addr
-		if idx := indexOfBracket(addr); idx >= 0 {
-			resourceAddr = addr[:idx]
-		}
-		if scope != nil && !inScope(resourceAddr) {
+		if scope != nil && !inScope(ResourceAddrOf(addr)) {
 			// An orphan outside the scope is still an orphan; incremental
 			// plans pick it up only when scoped to it. Skip.
 			continue
@@ -381,7 +373,9 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 		})
 	}
 
-	diags = diags.Extend(p.buildGraph(ex, prior))
+	if err := p.buildGraph(); err != nil {
+		diags = diags.Append(hcl.Errorf(hcl.Range{}, "plan graph: %s", err))
+	}
 
 	// Seed the cache from this plan so the next Compute replays what did not
 	// move. An errored plan never commits: its outcomes may be partial.
@@ -393,15 +387,6 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 		span.SetAttr("replan_evaluated", st.Evaluated)
 	}
 	return p, diags
-}
-
-func indexOfBracket(s string) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '[' {
-			return i
-		}
-	}
-	return -1
 }
 
 // diffInstance evaluates desired attributes and compares with prior state.
@@ -437,13 +422,10 @@ func (p *Plan) diffInstance(inst *config.Instance, prior *state.ResourceState) (
 	ch.Before = prior.Attrs
 	for name, want := range desired {
 		have, exists := prior.Attrs[name]
-		if want.IsUnknown() {
-			// Cannot prove equality yet; treat as a potential change that
-			// the applier re-checks once the value resolves.
-			ch.ChangedAttrs = append(ch.ChangedAttrs, name)
-			continue
-		}
-		if !exists || !have.Equal(want) {
+		// An unknown value comes only from a referent this plan creates or
+		// replaces, so it will change: on a ForceNew attribute that forces
+		// replacement; elsewhere the applier re-checks it once it resolves.
+		if want.IsUnknown() || !exists || !have.Equal(want) {
 			ch.ChangedAttrs = append(ch.ChangedAttrs, name)
 			if a := rs.Attr(name); a != nil && a.ForceNew {
 				ch.ForcedBy = append(ch.ForcedBy, name)
@@ -512,26 +494,39 @@ func (p *Plan) record(ch *Change) {
 	}
 }
 
-// buildGraph wires the execution graph over non-noop changes.
-func (p *Plan) buildGraph(ex *config.Expansion, prior *state.State) hcl.Diagnostics {
-	var diags hcl.Diagnostics
-	active := func(addr string) bool {
-		ch, ok := p.Changes[addr]
-		return ok && ch.Action != ActionNoop
+// New assembles a plan from changes against prior: it records and counts
+// each change and wires the execution graph with the rule Compute uses. Every
+// plan that does not come from configuration — destroy, rollback, drift
+// revert, a guarded apply's wave — is built here. A change with no
+// configuration Instance is literal: the applier sends its After attributes.
+// The plan comes back even when its graph has a cycle, which the apply walk
+// then reports as a failure.
+func New(prior *state.State, changes []*Change) (*Plan, error) {
+	p := &Plan{
+		Changes:    make(map[string]*Change, len(changes)),
+		Graph:      graph.New(),
+		PriorState: prior,
+		BaseSerial: prior.Serial,
 	}
-	// Instance addresses per resource-level address, across config & state.
+	for _, ch := range changes {
+		p.record(ch)
+	}
+	return p, p.buildGraph()
+}
+
+// buildGraph wires the execution graph over the non-noop changes, and is
+// the one place dependency edges are made: each change waits for every
+// active instance of the resources it depends on. A delete of an instance
+// that others still depend on (shrinking count) therefore waits for those
+// dependents' updates, and a create referencing a deleted resource is a
+// configuration error the cloud surfaces. It fails when the graph has a
+// cycle.
+func (p *Plan) buildGraph() error {
 	instancesOf := map[string][]string{}
-	note := func(addr string) {
-		r := addr
-		if idx := indexOfBracket(addr); idx >= 0 {
-			r = addr[:idx]
-		}
+	for addr := range p.Changes {
+		r := ResourceAddrOf(addr)
 		instancesOf[r] = append(instancesOf[r], addr)
 	}
-	for addr := range p.Changes {
-		note(addr)
-	}
-
 	for addr, ch := range p.Changes {
 		if ch.Action == ActionNoop {
 			continue
@@ -539,35 +534,22 @@ func (p *Plan) buildGraph(ex *config.Expansion, prior *state.State) hcl.Diagnost
 		p.Graph.AddNode(addr)
 		for _, depResource := range ch.Deps {
 			for _, depInst := range instancesOf[depResource] {
-				if !active(depInst) || depInst == addr {
-					continue
-				}
 				depCh := p.Changes[depInst]
+				if depInst == addr || depCh.Action == ActionNoop {
+					continue // AddEdge's only error is a self-edge
+				}
 				if ch.Action == ActionDelete && depCh.Action == ActionDelete {
 					// Destroy order is the reverse of create order: the
-					// dependent (this resource's user) must go first. Here
-					// ch depends on depInst in config terms, so for deletes
-					// the edge flips: depInst waits for ch.
-					if err := p.Graph.AddEdge(depInst, addr); err != nil {
-						diags = diags.Append(hcl.Errorf(hcl.Range{}, "graph: %s", err))
-					}
+					// dependent (this resource's user) must go first, so
+					// between two deletes the edge flips.
+					_ = p.Graph.AddEdge(depInst, addr)
 					continue
 				}
-				if err := p.Graph.AddEdge(addr, depInst); err != nil {
-					diags = diags.Append(hcl.Errorf(hcl.Range{}, "graph: %s", err))
-				}
+				_ = p.Graph.AddEdge(addr, depInst)
 			}
 		}
 	}
-
-	// A delete of an instance that others still depend on (shrinking count)
-	// must wait for those dependents' updates; conversely creates that
-	// reference deleted resources are configuration errors surfaced by the
-	// cloud. Keep the graph acyclic check as the final guard.
-	if err := p.Graph.Validate(); err != nil {
-		diags = diags.Append(hcl.Errorf(hcl.Range{}, "plan graph: %s", err))
-	}
-	return diags
+	return p.Graph.Validate()
 }
 
 // PendingCount returns the number of operations the applier will perform.

@@ -211,6 +211,28 @@ func TestPlanUpdateAndReplace(t *testing.T) {
 	}
 }
 
+// TestPlanCascadingReplaceThroughUnknownForceNew: editing the VPC's cidr
+// replaces the VPC and both subnets. The NIC's subnet_id is then unknown on
+// a ForceNew attribute, which can only resolve to the new subnet's ID, so
+// the NIC is replaced too rather than updated in place. The VM's nic_ids
+// is mutable: an update.
+func TestPlanCascadingReplaceThroughUnknownForceNew(t *testing.T) {
+	prior := stateFromPlanAssumingIDs(t, expandSrc(t, webConfig))
+	ex := expandSrc(t, strings.Replace(webConfig, `cidr_block = "10.0.0.0/16"`, `cidr_block = "10.1.0.0/16"`, 1))
+	p := computeOK(t, ex, prior, Options{})
+	for _, addr := range []string{"aws_vpc.main", "aws_subnet.s[0]", "aws_subnet.s[1]", "aws_network_interface.nic"} {
+		if ch := p.Changes[addr]; ch.Action != ActionReplace {
+			t.Errorf("%s = %s (forced by %v), want replace", addr, ch.Action, ch.ForcedBy)
+		}
+	}
+	if nic := p.Changes["aws_network_interface.nic"]; len(nic.ForcedBy) != 1 || nic.ForcedBy[0] != "subnet_id" {
+		t.Errorf("nic forced by %v, want [subnet_id]", nic.ForcedBy)
+	}
+	if vm := p.Changes["aws_virtual_machine.web"]; vm.Action != ActionUpdate {
+		t.Errorf("vm = %s, want update", vm.Action)
+	}
+}
+
 func TestPlanDeleteOrphans(t *testing.T) {
 	ex := expandSrc(t, webConfig)
 	prior := stateFromPlanAssumingIDs(t, ex)

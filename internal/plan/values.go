@@ -213,12 +213,6 @@ func (vs *ValueStore) exposeLocked(scope *eval.Context, modulePath string, resou
 	scope.Variables["data"] = eval.Object(dataRoot)
 }
 
-// NewEmptyValueStore builds a store with no configuration behind it, used
-// by destroy plans that never evaluate expressions.
-func NewEmptyValueStore() *ValueStore {
-	return NewValueStore(&config.Expansion{ByAddr: map[string]*config.Instance{}})
-}
-
 // RootOutputs exposes the expansion's root output specs.
 func (vs *ValueStore) RootOutputs() map[string]*config.OutputSpec {
 	if vs.ex == nil || vs.ex.Outputs == nil {

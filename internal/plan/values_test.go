@@ -289,9 +289,9 @@ resource "aws_network_interface" "outside" {
 }
 
 func TestValueStoreSetUnindexedAddrIsSafe(t *testing.T) {
-	// Destroy plans use an empty store and Set addresses with no
-	// configuration behind them; that must not panic or corrupt anything.
-	vs := NewEmptyValueStore()
+	// A store with no configuration behind it may be Set addresses it does
+	// not index; that must not panic or corrupt anything.
+	vs := NewValueStore(&config.Expansion{ByAddr: map[string]*config.Instance{}})
 	vs.Set("aws_vpc.ghost", eval.Object(map[string]eval.Value{"id": eval.String("x")}))
 	if v, ok := vs.Get("aws_vpc.ghost"); !ok || v.IsUnknown() {
 		t.Fatalf("get = %v, %v", v, ok)

@@ -95,7 +95,7 @@ func TestExecuteMidCrashRecoversToSnapshot(t *testing.T) {
 					j.Kill()
 					cancel()
 				})
-				_, err = ExecuteJournaled(ctx, sim, cur, v1, p, ExecOptions{Principal: "cloudless", Journal: j})
+				_, err = Execute(ctx, sim, cur, p, apply.Options{Principal: "cloudless", Journal: j})
 				sim.ClearCrash()
 				j.Close()
 				if !fired {
@@ -131,8 +131,8 @@ func TestExecuteMidCrashRecoversToSnapshot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				final, err := ExecuteJournaled(context.Background(), sim, reconciled, v1, p2,
-					ExecOptions{Principal: "cloudless", Journal: j2})
+				final, err := Execute(context.Background(), sim, reconciled, p2,
+					apply.Options{Principal: "cloudless", Journal: j2})
 				if err != nil {
 					t.Fatalf("continuation rollback: %s", err)
 				}

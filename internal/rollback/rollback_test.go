@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"cloudless/internal/apply"
 	"cloudless/internal/cloud"
 	"cloudless/internal/eval"
 	"cloudless/internal/state"
@@ -195,7 +196,7 @@ func TestExecuteAgainstSim(t *testing.T) {
 		Attrs: sub2.Attrs, Dependencies: []string{"aws_vpc.main"}})
 
 	p = Compute(cur, v1)
-	after, err := Execute(ctx, sim, cur, v1, p, "cloudless")
+	after, err := Execute(ctx, sim, cur, p, apply.Options{Principal: "cloudless"})
 	if err != nil {
 		t.Fatalf("execute: %s", err)
 	}
@@ -239,7 +240,7 @@ func TestExecuteInPlaceOnly(t *testing.T) {
 	if p.Reverts != 1 || p.Redeployments != 0 {
 		t.Fatalf("%s", p.Summary())
 	}
-	after, err := Execute(ctx, sim, cur, tgt, p, "cloudless")
+	after, err := Execute(ctx, sim, cur, p, apply.Options{Principal: "cloudless"})
 	if err != nil {
 		t.Fatal(err)
 	}

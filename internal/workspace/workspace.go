@@ -23,6 +23,7 @@ import (
 	"cloudless/internal/drift"
 	"cloudless/internal/eval"
 	"cloudless/internal/events"
+	"cloudless/internal/graph"
 	"cloudless/internal/guard"
 	"cloudless/internal/hcl"
 	"cloudless/internal/health"
@@ -805,7 +806,7 @@ func (w *Workspace) run(ctx context.Context, spanName string, inputStale bool,
 		return res, err
 	}
 
-	if res.Outputs != nil { // an apply or destroy: its state carries the root outputs
+	if res.Outputs != nil { // a configuration plan's apply: its state carries the root outputs
 		txn.SetOutputs(res.State.Outputs)
 	}
 	if err := publish(ctx, txn, append(m.addrs, minted...), res.State); err != nil {
@@ -1009,7 +1010,9 @@ func (w *Workspace) ScanDrift(ctx context.Context) (*drift.Report, error) {
 
 // ReconcileDrift applies drift-phase policies (or the explicit choice) to a
 // report and commits the updated state. The drifted addresses are locked
-// before the first revert reaches the cloud.
+// before the first revert reaches the cloud. Reverts run through the
+// applier without a journal: a reverted modification leaves state as it is,
+// so a crash mid-revert leaves only drift that the next scan finds.
 func (w *Workspace) ReconcileDrift(ctx context.Context, rep *drift.Report, action drift.Action) (*drift.ReconcileResult, error) {
 	var out *drift.ReconcileResult
 	_, err := w.run(ctx, "lifecycle.reconcile_drift", true, func(*telemetry.Span) (*mutation, error) {
@@ -1029,7 +1032,27 @@ func (w *Workspace) ReconcileDrift(ctx context.Context, rep *drift.Report, actio
 		}
 		return &mutation{kind: "reconcile drift", base: snapshot.Serial, addrs: addrs,
 			exec: func(ctx context.Context, _ *apply.Journal) (*apply.Result, []string, error) {
-				out = drift.Reconcile(ctx, w.cloudAPI, snapshot, rep, func(drift.Item) drift.Action { return action }, w.principal)
+				out = drift.Reconcile(snapshot, rep, func(drift.Item) drift.Action { return action })
+				res := &apply.Result{State: out.State, Errors: out.Errors}
+				if len(out.Reverts) > 0 {
+					// Reverts have no dependencies among them, so no cycle.
+					p, _ := plan.New(snapshot, out.Reverts)
+					ar := apply.Apply(ctx, w.cloudAPI, p, apply.Options{
+						Scheduler: apply.CriticalPathScheduler, Principal: w.principal, ContinueOnError: true,
+					})
+					for _, ch := range out.Reverts {
+						switch err := ar.Errors[ch.Addr]; {
+						case err != nil:
+							out.Errors[ch.Addr] = err
+						case ar.Report.Status[ch.Addr] != graph.StatusDone:
+							out.Errors[ch.Addr] = fmt.Errorf("revert never ran: %v", ctx.Err())
+						default:
+							out.Reverted = append(out.Reverted, ch.Addr)
+						}
+					}
+					res.Retries = ar.Retries
+				}
+				res.Applied = len(out.Adopted) + len(out.Reverted)
 				// Imported unmanaged resources get new addresses.
 				var imported []string
 				for _, a := range out.State.Addrs() {
@@ -1037,8 +1060,7 @@ func (w *Workspace) ReconcileDrift(ctx context.Context, rep *drift.Report, actio
 						imported = append(imported, a)
 					}
 				}
-				return &apply.Result{State: out.State, Errors: out.Errors,
-					Applied: len(out.Adopted) + len(out.Reverted)}, imported, nil
+				return res, imported, nil
 			}}, nil
 	})
 	return out, err
@@ -1098,10 +1120,11 @@ func (w *Workspace) PlanRollback(serial int) (*rollback.Plan, *state.State, erro
 	return rollback.Compute(w.db.Snapshot(), target), target, nil
 }
 
-// ExecuteRollback runs a rollback plan and commits the resulting state. A
-// failed step commits nothing; on a journaled workspace the journal is left
-// for Recover.
-func (w *Workspace) ExecuteRollback(ctx context.Context, p *rollback.Plan, target *state.State) error {
+// ExecuteRollback runs a rollback plan through the applier and commits the
+// resulting state. A failed step commits nothing; on a journaled workspace
+// the journal is left for Recover. The plan carries everything it writes;
+// the target state PlanRollback returned beside it is not needed.
+func (w *Workspace) ExecuteRollback(ctx context.Context, p *rollback.Plan, _ *state.State) error {
 	_, err := w.run(ctx, "lifecycle.rollback", true, func(span *telemetry.Span) (*mutation, error) {
 		span.SetAttr("steps", len(p.Steps))
 		current := w.db.Snapshot()
@@ -1111,8 +1134,10 @@ func (w *Workspace) ExecuteRollback(ctx context.Context, p *rollback.Plan, targe
 		}
 		return &mutation{kind: "rollback", journaled: true, base: current.Serial, addrs: addrs,
 			exec: func(ctx context.Context, j *apply.Journal) (*apply.Result, []string, error) {
-				after, err := rollback.ExecuteJournaled(ctx, w.cloudAPI, current, target, p,
-					rollback.ExecOptions{Principal: w.principal, Journal: j})
+				after, err := rollback.Execute(ctx, w.cloudAPI, current, p, apply.Options{
+					Scheduler: apply.CriticalPathScheduler,
+					Principal: w.principal, ContinueOnError: true, Journal: j,
+				})
 				res := &apply.Result{State: after}
 				if err == nil {
 					res.Applied = len(p.Steps)

@@ -188,7 +188,7 @@ func TestRollbackRestoresProperty(t *testing.T) {
 	if rp.Redeployments != 0 {
 		t.Fatalf("renames should revert in place: %s", rp.Summary())
 	}
-	after, err := rollback.Execute(ctx, sim, v2, v1, rp, "cloudless")
+	after, err := rollback.Execute(ctx, sim, v2, rp, apply.Options{Principal: "cloudless"})
 	if err != nil {
 		t.Fatal(err)
 	}
