@@ -286,13 +286,11 @@ func (s *Stack) PolicyDecisionsForDrift(rep *DriftReport) ([]Decision, error) {
 func (s *Stack) Observe(metrics map[string]any) ([]Decision, error) { return s.ws.Observe(metrics) }
 
 // PlanRollback computes a minimal rollback to a historical serial (§3.4).
-func (s *Stack) PlanRollback(serial int) (*RollbackPlan, *State, error) {
-	return s.ws.PlanRollback(serial)
-}
+func (s *Stack) PlanRollback(serial int) (*RollbackPlan, error) { return s.ws.PlanRollback(serial) }
 
 // ExecuteRollback runs a rollback plan and commits the resulting state.
-func (s *Stack) ExecuteRollback(ctx context.Context, p *RollbackPlan, target *State) error {
-	return s.ws.ExecuteRollback(ctx, p, target)
+func (s *Stack) ExecuteRollback(ctx context.Context, p *RollbackPlan) error {
+	return s.ws.ExecuteRollback(ctx, p)
 }
 
 // Outputs returns the last-applied root outputs as plain Go values.

@@ -6,10 +6,8 @@ package main
 //  1. Incremental replan: after a one-resource edit, a cached replan
 //     re-evaluates only the dirty subtree — orders of magnitude fewer
 //     instance evaluations than a full replan, byte-identical output.
-//  2. Bulk cloud ops: a batched apply spends a small fraction of the
-//     admitted control-plane calls an unbatched walker needs, and a drift
-//     poll verifies hundreds of foreign events in a handful of batched
-//     reads.
+//  2. Bulk cloud ops: a drift poll verifies hundreds of foreign events in
+//     a handful of batched reads.
 //
 // The -json-sc output (BENCH_scale.json) is the recorded baseline; a later
 // run with -baseline-sc fails (exit 1) if the watched 2k-graph incremental
@@ -60,10 +58,9 @@ type scResult struct {
 	// Watched guard metric: incremental evaluations after a one-resource
 	// edit on the 2k-instance graph. Deterministic; >5% regression fails.
 	WatchedIncrEvaluated int `json:"watched_incr_evaluated"`
-	// Bulk-ops ratios on the 2k graph.
+	// Cloud calls on the 2k graph: the apply's, and the drift
+	// verification's batched reads.
 	ApplyCallsUnbatched    int64   `json:"apply_calls_unbatched"`
-	ApplyCallsBatched      int64   `json:"apply_calls_batched"`
-	ApplyCallReduction     float64 `json:"apply_call_reduction_x"`
 	DriftEventsVerified    int     `json:"drift_events_verified"`
 	DriftVerifyCalls       int     `json:"drift_verify_calls"`
 	DriftVerifyReductionX  float64 `json:"drift_verify_reduction_x"`
@@ -134,13 +131,11 @@ func sc() {
 		files := workload.RandomDAG(decls, 7)
 		ex := mustExpand(files)
 
-		// Converge a simulated fleet with the batched walker so the replan
-		// measurements run against realistic prior state.
+		// Converge a simulated fleet so the replan measurements run against
+		// realistic prior state.
 		sim := fastSim()
 		p0 := mustPlan(ex, state.New(), plan.Options{})
-		res := apply.Apply(ctx, sim, p0, apply.Options{
-			Principal: "cloudless", Concurrency: 256, BatchOps: true,
-		})
+		res := apply.Apply(ctx, sim, p0, apply.Options{Principal: "cloudless", Concurrency: 256})
 		if err := res.Err(); err != nil {
 			panic(err)
 		}
@@ -211,41 +206,28 @@ func sc() {
 	}
 	table("instances\tfull ms\tfull evals\tincr ms\tincr evals\treplay ms\teval redux\tspeedup\tidentical", rows)
 
-	// Bulk ops on the watched graph: admitted calls per resource, batched
-	// vs unbatched, and batched drift verification.
+	// Bulk ops on the watched graph: the apply's admitted calls, and batched
+	// drift verification.
 	files := workload.RandomDAG(scWatchedSize, 7)
 	ex := mustExpand(files)
 	p := mustPlan(ex, state.New(), plan.Options{})
-	simA := fastSim()
-	resA := apply.Apply(ctx, simA, p, apply.Options{Principal: "cloudless", Concurrency: 256})
-	if err := resA.Err(); err != nil {
+	sim := fastSim()
+	res := apply.Apply(ctx, sim, p, apply.Options{Principal: "cloudless", Concurrency: 256})
+	if err := res.Err(); err != nil {
 		panic(err)
 	}
-	out.ApplyCallsUnbatched = simA.Metrics().Calls
-
-	simB := fastSim()
-	pB := mustPlan(ex, state.New(), plan.Options{})
-	resB := apply.Apply(ctx, simB, pB, apply.Options{
-		Principal: "cloudless", Concurrency: 256, BatchOps: true,
-	})
-	if err := resB.Err(); err != nil {
-		panic(err)
-	}
-	out.ApplyCallsBatched = simB.Metrics().Calls
-	if out.ApplyCallsBatched > 0 {
-		out.ApplyCallReduction = float64(out.ApplyCallsUnbatched) / float64(out.ApplyCallsBatched)
-	}
+	out.ApplyCallsUnbatched = sim.Metrics().Calls
 
 	// Drift: a foreign principal touches 200 VMs; the watcher verifies all
 	// of them in ceil(200/MaxBatchItems) batched reads.
-	w := drift.NewWatcher(simB, "cloudless", simB.LastSeq())
+	w := drift.NewWatcher(sim, "cloudless", sim.LastSeq())
 	touched := 0
-	for _, addr := range resB.State.Addrs() {
-		rs := resB.State.Get(addr)
+	for _, addr := range res.State.Addrs() {
+		rs := res.State.Get(addr)
 		if rs.Type != "aws_virtual_machine" || touched >= 200 {
 			continue
 		}
-		if _, err := simB.Update(ctx, cloud.UpdateRequest{
+		if _, err := sim.Update(ctx, cloud.UpdateRequest{
 			Type: rs.Type, ID: rs.ID,
 			Attrs:     map[string]eval.Value{"name": eval.String(rs.ID + "-drifted")},
 			Principal: "legacy-script",
@@ -254,7 +236,7 @@ func sc() {
 		}
 		touched++
 	}
-	rep, err := w.Poll(ctx, resB.State)
+	rep, err := w.Poll(ctx, res.State)
 	if err != nil {
 		panic(err)
 	}
@@ -264,8 +246,6 @@ func sc() {
 		out.DriftVerifyReductionX = float64(touched) / float64(rep.APICalls)
 	}
 	table("bulk ops\tunbatched\tbatched\treduction", [][]string{
-		{"apply calls (2k graph)", fmt.Sprintf("%d", out.ApplyCallsUnbatched),
-			fmt.Sprintf("%d", out.ApplyCallsBatched), fmt.Sprintf("%.0fx", out.ApplyCallReduction)},
 		{"drift verify calls", fmt.Sprintf("%d", out.DriftEventsVerified),
 			fmt.Sprintf("%d", out.DriftVerifyCalls), fmt.Sprintf("%.0fx", out.DriftVerifyReductionX)},
 	})

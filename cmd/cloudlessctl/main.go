@@ -4,7 +4,7 @@
 //	cloudlessctl validate  -dir ./infra
 //	cloudlessctl plan      -dir ./infra -state cloudless.state.json [-cloud URL]
 //	cloudlessctl apply     -dir ./infra -state cloudless.state.json [-target addr]...
-//	cloudlessctl apply     -dir ./infra -guard -canary 0.2 -max-failures 3
+//	cloudlessctl apply     -dir ./infra -guard -canary 0.2
 //	cloudlessctl apply     -dir ./infra -watch
 //	cloudlessctl tail      -cloud http://host:8080 [-since 42]
 //	cloudlessctl destroy   -state cloudless.state.json
@@ -137,21 +137,14 @@ type commonFlags struct {
 	traceOut     *string
 	stateBackend *string
 
-	providerTTL      *time.Duration
-	providerRetries  *int
-	providerInFlight *int
-
 	// Remote-mode flags (see remote.go).
 	server    *string
 	workspace *string
 	token     *string
 
 	// Guarded-apply flags; registered only by commands that apply.
-	guard            *bool
-	guardCanary      *float64
-	guardMaxFailures *int
-	guardMaxFailFrac *float64
-	healthTimeout    *time.Duration
+	guard       *bool
+	guardCanary *float64
 
 	recorder *telemetry.Recorder
 	rootSpan *telemetry.Span
@@ -170,12 +163,6 @@ func newCommon(name string) *commonFlags {
 		traceOut:  fs.String("trace-out", "", "write a Chrome/Perfetto trace of this run to the given file"),
 		stateBackend: fs.String("state-backend", "memory",
 			"golden-state durability: memory (no log) or wal (durable commit log at <state>.wal/); mvcc is an alias of memory"),
-		providerTTL: fs.Duration("provider-cache-ttl", 0,
-			"provider-runtime read-cache TTL (0 = default 30s, negative = disable caching)"),
-		providerRetries: fs.Int("provider-retries", 0,
-			"provider-runtime retry attempts per cloud call (0 = default 4)"),
-		providerInFlight: fs.Int("provider-max-inflight", 0,
-			"provider-runtime AIMD concurrency-window ceiling per cloud provider (0 = default 64)"),
 		server:    fs.String("server", "", "cloudlessd base URL: run this command against a hosted workspace instead of a local state file"),
 		workspace: fs.String("workspace", "", "hosted workspace name (required with -server)"),
 		token:     fs.String("token", "", "bearer token for -server (empty when the server runs without auth)"),
@@ -260,11 +247,7 @@ func (c *commonFlags) cloud() cloud.Interface {
 // the one command that talks to the cloud without opening a stack;
 // stack-based commands get theirs from cloudless.Open.
 func (c *commonFlags) runtime() cloud.Interface {
-	return provider.New(c.cloud(), provider.Options{
-		CacheTTL:    *c.providerTTL,
-		MaxRetries:  *c.providerRetries,
-		MaxInFlight: *c.providerInFlight,
-	})
+	return provider.New(c.cloud(), provider.Options{})
 }
 
 func (c *commonFlags) open() (*cloudless.Stack, error) {
@@ -285,24 +268,18 @@ func (c *commonFlags) open() (*cloudless.Stack, error) {
 		stateDir = *c.statePath + ".wal"
 	}
 	opts := cloudless.Options{
-		Dir:                 *c.dir,
-		Cloud:               c.cloud(),
-		InitialState:        st,
-		Policies:            policySrc,
-		Telemetry:           c.recorder,
-		StateBackend:        *c.stateBackend,
-		StateDir:            stateDir,
-		JournalPath:         *c.statePath + ".journal",
-		ProviderCacheTTL:    *c.providerTTL,
-		ProviderMaxRetries:  *c.providerRetries,
-		ProviderMaxInFlight: *c.providerInFlight,
+		Dir:          *c.dir,
+		Cloud:        c.cloud(),
+		InitialState: st,
+		Policies:     policySrc,
+		Telemetry:    c.recorder,
+		StateBackend: *c.stateBackend,
+		StateDir:     stateDir,
+		JournalPath:  *c.statePath + ".journal",
 	}
 	if c.guard != nil && *c.guard {
 		opts.GuardApplies = true
 		opts.GuardCanary = *c.guardCanary
-		opts.GuardMaxFailures = *c.guardMaxFailures
-		opts.GuardMaxFailureFraction = *c.guardMaxFailFrac
-		opts.HealthProbeTimeout = *c.healthTimeout
 	}
 	return cloudless.Open(opts)
 }
@@ -360,12 +337,6 @@ func cmdPlanApply(args []string, doApply bool) error {
 		"health-gate the apply: probe each resource until ready, trip a failure fuse per run/region, auto-revert the blast radius when resources never turn ready")
 	c.guardCanary = c.fs.Float64("canary", 0,
 		"with -guard: apply this dependency-closed fraction of the changeset first and release the rest only if it converges healthy (0 disables)")
-	c.guardMaxFailures = c.fs.Int("max-failures", 0,
-		"with -guard: trip a failure domain's fuse at this many failures (0 = default 3)")
-	c.guardMaxFailFrac = c.fs.Float64("max-failure-frac", 0,
-		"with -guard: trip a domain at this failed/planned fraction (0 = default 0.5)")
-	c.healthTimeout = c.fs.Duration("health-timeout", 0,
-		"with -guard: per-resource readiness wait bound (0 = default 30s)")
 	_ = c.fs.Parse(args)
 	if c.remote() {
 		return c.remotePlanApply(doApply, *watch, *concurrency)
@@ -395,8 +366,10 @@ func cmdPlanApply(args []string, doApply bool) error {
 	} else {
 		p, err = stack.Plan(ctx)
 	}
-	if err != nil {
-		return err
+	// A refreshing plan first recovers a crashed run's journal and commits
+	// the recovery, so planning may already have moved the engine's head.
+	if serr := c.saveState(stack); err != nil || serr != nil {
+		return errors.Join(err, serr)
 	}
 	printPlan(p)
 	if !doApply {
@@ -404,7 +377,7 @@ func cmdPlanApply(args []string, doApply bool) error {
 	}
 	if p.PendingCount() == 0 {
 		fmt.Println("nothing to do")
-		return c.saveState(stack)
+		return nil
 	}
 	applyOpts := cloudless.ApplyOptions{Concurrency: *concurrency}
 	if *watch {
@@ -554,7 +527,7 @@ func cmdRollback(args []string) error {
 		return err
 	}
 	defer stack.Close()
-	p, target, err := stack.PlanRollback(*to)
+	p, err := stack.PlanRollback(*to)
 	if err != nil {
 		return err
 	}
@@ -566,7 +539,7 @@ func cmdRollback(args []string) error {
 		return nil
 	}
 	ctx, stop := withSignals(c.ctx())
-	err = stack.ExecuteRollback(ctx, p, target)
+	err = stack.ExecuteRollback(ctx, p)
 	stop()
 	// A failed rollback commits nothing, but the recovery of a crashed run's
 	// journal in front of it does.

@@ -74,7 +74,7 @@ func newCLI(t *testing.T, cloudURL string) *cli {
 		t.Fatal(err)
 	}
 	c.flags = []string{"-dir", c.dir, "-state", c.statePath, "-cloud", cloudURL,
-		"-state-backend", "wal", "-provider-retries", "1"}
+		"-state-backend", "wal"}
 	return c
 }
 
@@ -219,11 +219,12 @@ func TestRollbackGoesThroughTheGoldenState(t *testing.T) {
 	}
 }
 
-// TestRecoverGoesThroughTheGoldenState: the cloud goes away under an apply
-// just after a create landed, leaving that op in doubt in the journal. The
-// recovery is committed to the engine, so the next plan adds only what the
-// crashed run never started and finishing it creates no duplicate.
-func TestRecoverGoesThroughTheGoldenState(t *testing.T) {
+// crashedCLI is a user whose first apply lost the cloud just after its second
+// create (the subnet) landed: the answer to that create was lost, with every
+// call after it, so the journal holds the subnet in doubt. The cloud is back
+// and holds the vpc and that subnet.
+func crashedCLI(t *testing.T, backend string) (*cli, *cloud.Sim) {
+	t.Helper()
 	sim := newSim()
 	api := cloud.NewServer(sim, quiet)
 	var down atomic.Bool
@@ -234,12 +235,11 @@ func TestRecoverGoesThroughTheGoldenState(t *testing.T) {
 		}
 		api.ServeHTTP(w, r)
 	}))
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	c := newCLI(t, srv.URL)
+	c.flags = append(c.flags, "-state-backend", backend)
 	c.configure(baseConfig)
 
-	// The second create (the subnet) lands and its answer is lost, with every
-	// call after it.
 	sim.InjectCrash(cloud.CrashAfterOp, 2, func() { down.Store(true) })
 	if out, err := c.run(cmdApply); err == nil {
 		t.Fatalf("apply succeeded though the cloud went away:\n%s", out)
@@ -248,6 +248,25 @@ func TestRecoverGoesThroughTheGoldenState(t *testing.T) {
 	if sim.TotalResources() != 2 {
 		t.Fatalf("the crashed apply left %d resources in the cloud, want the vpc and the in-doubt subnet", sim.TotalResources())
 	}
+	return c, sim
+}
+
+// oneOfEach checks that no create of baseConfig was duplicated.
+func oneOfEach(t *testing.T, sim *cloud.Sim) {
+	t.Helper()
+	for _, typ := range []string{"aws_vpc", "aws_subnet", "aws_network_interface", "aws_virtual_machine"} {
+		if n := sim.Count(typ); n != 1 {
+			t.Errorf("the cloud holds %d %s, want 1", n, typ)
+		}
+	}
+}
+
+// TestRecoverGoesThroughTheGoldenState: the cloud goes away under an apply
+// just after a create landed, leaving that op in doubt in the journal. The
+// recovery is committed to the engine, so the next plan adds only what the
+// crashed run never started and finishing it creates no duplicate.
+func TestRecoverGoesThroughTheGoldenState(t *testing.T) {
+	c, sim := crashedCLI(t, statedb.BackendWAL)
 
 	if out := c.must(cmdRecover); !strings.Contains(out, "1 confirmed, 1 resumed") {
 		t.Errorf("recover printed:\n%s", out)
@@ -260,13 +279,38 @@ func TestRecoverGoesThroughTheGoldenState(t *testing.T) {
 		t.Errorf("plan after recover wants %d creates, want the 2 the crashed run never started", creates)
 	}
 	c.must(cmdApply)
-	for _, typ := range []string{"aws_vpc", "aws_subnet", "aws_network_interface", "aws_virtual_machine"} {
-		if n := sim.Count(typ); n != 1 {
-			t.Errorf("the cloud holds %d %s, want 1", n, typ)
-		}
-	}
+	oneOfEach(t, sim)
 	c.filesAgree()
 	if out := c.must(cmdRecover); !strings.Contains(out, "nothing to recover") {
 		t.Errorf("recover with no journal printed:\n%s", out)
+	}
+}
+
+// TestPlanThatRecoversRewritesTheStateFile: a refreshing plan recovers the
+// crashed run's journal and commits the recovery before it plans, so it
+// leaves the state file mirroring the engine like every local command that
+// may commit. Under the memory backend the file is all the next command
+// reads: left stale, it plans the recovered subnet again and the apply
+// creates a second one.
+func TestPlanThatRecoversRewritesTheStateFile(t *testing.T) {
+	for _, backend := range []string{statedb.BackendMemory, statedb.BackendWAL} {
+		t.Run(backend, func(t *testing.T) {
+			c, sim := crashedCLI(t, backend)
+			// A memory engine reopened from the file numbers its first commit
+			// anew, so only the summary must repeat, not the base serial.
+			summary := func(out string) string {
+				s, _, _ := strings.Cut(planLine.FindString(out), " (base serial")
+				return s
+			}
+			first, second := summary(c.must(cmdPlan)), summary(c.must(cmdPlan))
+			if first == "" || second != first {
+				t.Errorf("the plan after the recovering plan says %q, want %q", second, first)
+			}
+			if backend == statedb.BackendWAL {
+				c.filesAgree()
+			}
+			c.must(cmdApply)
+			oneOfEach(t, sim)
+		})
 	}
 }

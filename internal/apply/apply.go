@@ -80,13 +80,6 @@ type Options struct {
 	// Wave labels this execution's events on the bus ("canary", "main",
 	// "rollback"); empty means the whole changeset runs as one wave ("all").
 	Wave string
-	// BatchOps coalesces concurrent creates and reads into bulk cloud
-	// calls (cloud.BatchCreate / cloud.BatchGet): a wave of independent
-	// creates the walker unblocks together costs one admitted round-trip
-	// instead of one per resource. Per-op semantics — journal begin/done
-	// records, idempotency keys, health gating — are untouched; only the
-	// wire dispatch is shared.
-	BatchOps bool
 
 	// idemPrefix seeds per-op idempotency keys; set by Apply from the
 	// journal's run ID, or generated fresh so even journal-less applies get
@@ -209,13 +202,6 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 	// policy from our options); a runtime handed down from the facade is
 	// used as-is, so its cache and AIMD window are shared across layers.
 	cl = provider.New(cl, provider.Options{MaxRetries: o.MaxRetries, RetryBase: o.RetryBase})
-
-	// Batched dispatch sits above the runtime: ops still arrive one per
-	// graph node, but concurrent calls share wire batches (which the
-	// runtime admits through its gate as single requests).
-	if o.BatchOps {
-		cl = cloud.NewCoalescer(cl, cloud.CoalescerOptions{})
-	}
 
 	newState := p.PriorState.Clone()
 	var retries int64

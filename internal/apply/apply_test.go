@@ -358,49 +358,3 @@ func TestApplyRefreshDetectsOutOfBandDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestApplyBatchOpsCoalescesCreates: a wide changeset applied with BatchOps
-// must land its creates in bulk cloud calls — at least a 5x reduction in
-// admitted control-plane calls versus the unbatched walker — while the apply
-// itself behaves identically (same ops applied, same state shape).
-func TestApplyBatchOpsCoalescesCreates(t *testing.T) {
-	const wideConfig = `
-resource "aws_vpc" "v" {
-  count      = 40
-  name       = "v-${count.index}"
-  cidr_block = "10.0.0.0/16"
-}
-`
-	// Baseline: unbatched walker, one admitted call per create.
-	simA := newSim()
-	_, resA := planAndApply(t, simA, wideConfig, state.New(), Options{Concurrency: 64})
-	if err := resA.Err(); err != nil {
-		t.Fatal(err)
-	}
-	callsA := simA.Metrics().Calls
-
-	// Batched walker: same plan shape, coalesced dispatch.
-	simB := newSim()
-	_, resB := planAndApply(t, simB, wideConfig, state.New(), Options{
-		Concurrency: 64, BatchOps: true,
-	})
-	if err := resB.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if resB.Applied != resA.Applied || resB.Applied != 40 {
-		t.Fatalf("applied: batched=%d unbatched=%d, want 40", resB.Applied, resA.Applied)
-	}
-	for _, addr := range resA.State.Addrs() {
-		if resB.State.Get(addr) == nil {
-			t.Errorf("batched apply missing %s", addr)
-		}
-	}
-
-	mB := simB.Metrics()
-	if mB.BatchItems != 40 {
-		t.Errorf("batched items = %d, want 40 (creates escaped the coalescer)", mB.BatchItems)
-	}
-	if mB.Calls*5 > callsA {
-		t.Errorf("batched apply admitted %d calls vs %d unbatched: below the 5x reduction", mB.Calls, callsA)
-	}
-}

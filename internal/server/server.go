@@ -575,12 +575,12 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 		if req.ToSerial <= 0 {
 			return nil, 0, errors.New("rollback requires to_serial (a serial the workspace's history lists)")
 		}
-		p, _, err := ws.PlanRollback(req.ToSerial)
+		p, err := ws.PlanRollback(req.ToSerial)
 		if err != nil {
 			return nil, 0, err
 		}
 		return func(ctx context.Context) (any, error) {
-			p, target, err := ws.PlanRollback(req.ToSerial)
+			p, err := ws.PlanRollback(req.ToSerial)
 			if err != nil {
 				return nil, err
 			}
@@ -590,7 +590,7 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 				// A crashed run's journal is recovered first and fails this
 				// job with *ErrJournalRecovered: the plan above predates the
 				// recovery, and the client submits again.
-				if err := ws.ExecuteRollback(ctx, p, target); err != nil {
+				if err := ws.ExecuteRollback(ctx, p); err != nil {
 					return nil, err
 				}
 			}

@@ -29,9 +29,9 @@ type ManagerOptions struct {
 	// DefaultBackend is the statedb backend for workspaces that don't pick
 	// one ("" keeps the engine default; "wal" requires Root).
 	DefaultBackend string
-	// Defaults seeds per-workspace knobs (provider limits, guard settings,
-	// policies) for configs that leave them zero. Name, Sources, Dir,
-	// Vars, Cloud, and path fields in Defaults are ignored.
+	// Defaults seeds per-workspace knobs (guard settings, policies) for
+	// configs that leave them zero. Name, Sources, Dir, Vars, Cloud, and
+	// path fields in Defaults are ignored.
 	Defaults Config
 }
 
@@ -143,21 +143,9 @@ func (m *Manager) build(name string, cfg Config) (*Workspace, error) {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRecorder(telemetry.Config{})
 	}
-	if cfg.ProviderCacheTTL == 0 {
-		cfg.ProviderCacheTTL = d.ProviderCacheTTL
-	}
-	if cfg.ProviderMaxRetries == 0 {
-		cfg.ProviderMaxRetries = d.ProviderMaxRetries
-	}
-	if cfg.ProviderMaxInFlight == 0 {
-		cfg.ProviderMaxInFlight = d.ProviderMaxInFlight
-	}
 	if d.GuardApplies && !cfg.GuardApplies {
 		cfg.GuardApplies = true
 		cfg.GuardCanary = d.GuardCanary
-		cfg.GuardMaxFailures = d.GuardMaxFailures
-		cfg.GuardMaxFailureFraction = d.GuardMaxFailureFraction
-		cfg.HealthProbeTimeout = d.HealthProbeTimeout
 	}
 	if m.opts.Root != "" {
 		dir := filepath.Join(m.opts.Root, name)

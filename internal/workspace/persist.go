@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"cloudless/internal/wal"
 )
@@ -31,15 +30,8 @@ type manifest struct {
 	Policies     string            `json:"policies,omitempty"`
 	Principal    string            `json:"principal,omitempty"`
 
-	ProviderCacheTTL    time.Duration `json:"provider_cache_ttl,omitempty"`
-	ProviderMaxRetries  int           `json:"provider_max_retries,omitempty"`
-	ProviderMaxInFlight int           `json:"provider_max_in_flight,omitempty"`
-
-	GuardApplies            bool    `json:"guard_applies,omitempty"`
-	GuardCanary             float64 `json:"guard_canary,omitempty"`
-	GuardMaxFailures        int     `json:"guard_max_failures,omitempty"`
-	GuardMaxFailureFraction float64 `json:"guard_max_failure_fraction,omitempty"`
-	HealthProbeTimeoutMS    int64   `json:"health_probe_timeout_ms,omitempty"`
+	GuardApplies bool    `json:"guard_applies,omitempty"`
+	GuardCanary  float64 `json:"guard_canary,omitempty"`
 }
 
 // persist writes the workspace manifest atomically, so a crash mid-write
@@ -51,11 +43,7 @@ func (m *Manager) persist(name string, cfg Config) error {
 	man := manifest{
 		Sources: cfg.Sources, Dir: cfg.Dir, Vars: cfg.Vars,
 		StateBackend: cfg.StateBackend, Policies: cfg.Policies, Principal: cfg.Principal,
-		ProviderCacheTTL: cfg.ProviderCacheTTL, ProviderMaxRetries: cfg.ProviderMaxRetries,
-		ProviderMaxInFlight: cfg.ProviderMaxInFlight, GuardApplies: cfg.GuardApplies, GuardCanary: cfg.GuardCanary,
-		GuardMaxFailures:        cfg.GuardMaxFailures,
-		GuardMaxFailureFraction: cfg.GuardMaxFailureFraction,
-		HealthProbeTimeoutMS:    cfg.HealthProbeTimeout.Milliseconds(),
+		GuardApplies: cfg.GuardApplies, GuardCanary: cfg.GuardCanary,
 	}
 	raw, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
@@ -85,11 +73,7 @@ func (m *Manager) loadManifest(name string) (Config, error) {
 	return Config{
 		Sources: man.Sources, Dir: man.Dir, Vars: man.Vars,
 		StateBackend: man.StateBackend, Policies: man.Policies, Principal: man.Principal,
-		ProviderCacheTTL: man.ProviderCacheTTL, ProviderMaxRetries: man.ProviderMaxRetries,
-		ProviderMaxInFlight: man.ProviderMaxInFlight, GuardApplies: man.GuardApplies, GuardCanary: man.GuardCanary,
-		GuardMaxFailures:        man.GuardMaxFailures,
-		GuardMaxFailureFraction: man.GuardMaxFailureFraction,
-		HealthProbeTimeout:      time.Duration(man.HealthProbeTimeoutMS) * time.Millisecond,
+		GuardApplies: man.GuardApplies, GuardCanary: man.GuardCanary,
 	}, nil
 }
 

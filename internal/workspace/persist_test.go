@@ -44,8 +44,8 @@ func TestManagerRecoverRebuildsWorkspaces(t *testing.T) {
 	}
 
 	// A manifest written before Config lost ProviderRetryBase,
-	// HealthProbeInterval and GlobalLock still carries their keys; it must
-	// load all the same.
+	// HealthProbeInterval, GlobalLock and the six provider/guard tuning
+	// fields still carries their keys; it must load all the same.
 	manifestPath := filepath.Join(root, "ws-0", "workspace.json")
 	raw, err := os.ReadFile(manifestPath)
 	if err != nil {
@@ -57,6 +57,12 @@ func TestManagerRecoverRebuildsWorkspaces(t *testing.T) {
 	}
 	old["provider_retry_base"], old["health_probe_interval_ms"] = 50_000_000, 10
 	old["global_lock"] = true
+	for key, v := range map[string]any{
+		"provider_cache_ttl": 30_000_000_000, "provider_max_retries": 1, "provider_max_in_flight": 8,
+		"guard_max_failures": 3, "guard_max_failure_fraction": 0.5, "health_probe_timeout_ms": 30_000,
+	} {
+		old[key] = v
+	}
 	if raw, err = json.Marshal(old); err != nil {
 		t.Fatal(err)
 	}

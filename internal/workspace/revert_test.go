@@ -162,11 +162,11 @@ func TestRollbackAndDriftRevertKeepOutputs(t *testing.T) {
 		t.Errorf("outputs after the drift revert = %s, want %s", got, want)
 	}
 
-	rp, target, err := ws.PlanRollback(deployed)
+	rp, err := ws.PlanRollback(deployed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ws.ExecuteRollback(ctx, rp, target); err != nil {
+	if err := ws.ExecuteRollback(ctx, rp); err != nil {
 		t.Fatal(err)
 	}
 	if live, _ := sim.Get(ctx, "aws_vpc", vpc.ID); live.Attr("name").AsString() != "main" {
@@ -187,14 +187,14 @@ func TestFailedRollbackCommitsNothing(t *testing.T) {
 	}
 	applyConfig(t, ws)
 	before := ws.DB().Serial()
-	rp, target, err := ws.PlanRollback(deployed)
+	rp, err := ws.PlanRollback(deployed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sim.InjectCrash(cloud.CrashBeforeOp, 1, cancel)
-	err = ws.ExecuteRollback(ctx, rp, target)
+	err = ws.ExecuteRollback(ctx, rp)
 	sim.ClearCrash()
 	if err == nil {
 		t.Fatal("rollback succeeded despite the crash")

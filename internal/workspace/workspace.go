@@ -26,7 +26,6 @@ import (
 	"cloudless/internal/graph"
 	"cloudless/internal/guard"
 	"cloudless/internal/hcl"
-	"cloudless/internal/health"
 	"cloudless/internal/plan"
 	"cloudless/internal/policy"
 	"cloudless/internal/provider"
@@ -92,27 +91,13 @@ type Config struct {
 	// instrumentation at near-zero cost.
 	Telemetry *telemetry.Recorder
 
-	// Provider runtime knobs (DESIGN.md S22). Every cloud call the
-	// workspace makes — apply ops, drift scans, plan refresh, activity
-	// tailing — goes through one internal/provider.Runtime that owns read
-	// caching, in-flight dedup, AIMD adaptive concurrency, and retry. Zero
-	// values mean the runtime defaults.
-
-	// ProviderCacheTTL bounds read-cache entry lifetime (default 30s;
-	// negative disables caching).
-	ProviderCacheTTL time.Duration
-	// ProviderMaxRetries bounds attempts per cloud call (default 4).
-	ProviderMaxRetries int
-	// ProviderMaxInFlight is the AIMD concurrency-window ceiling per cloud
-	// provider (default 64).
-	ProviderMaxInFlight int
-
 	// Guarded-apply knobs (DESIGN.md S24). When GuardApplies is set, every
 	// Apply runs health-gated: each create/update is probed until the
 	// resource turns ready before dependents unblock, a per-run/per-region
 	// failure fuse stops admitting ops into domains that fail too much, and
 	// when resources never turn ready (or a fuse trips) the touched blast
-	// radius is automatically reverted under the journal.
+	// radius is automatically reverted under the journal. The readiness
+	// wait and the fuse thresholds are the health package's defaults.
 
 	// GuardApplies turns guarded execution on.
 	GuardApplies bool
@@ -120,14 +105,6 @@ type Config struct {
 	// each changeset first and releases the rest only if the canary
 	// converges healthy. Zero disables the canary split.
 	GuardCanary float64
-	// GuardMaxFailures trips a failure domain's fuse at this many failures
-	// (default 3).
-	GuardMaxFailures int
-	// GuardMaxFailureFraction trips a domain when failed/planned reaches
-	// this fraction of the domain's planned ops (default 0.5).
-	GuardMaxFailureFraction float64
-	// HealthProbeTimeout bounds the per-resource readiness wait (default 30s).
-	HealthProbeTimeout time.Duration
 }
 
 // ErrClosed is returned for lifecycle calls on a workspace that is closing
@@ -164,8 +141,6 @@ type ApplyOptions struct {
 	Concurrency int
 	// SkipPolicyCheck bypasses plan-phase policies.
 	SkipPolicyCheck bool
-	// BatchOps coalesces concurrent creates and reads into bulk cloud calls.
-	BatchOps bool
 	// OnEvent, when set, receives every ops-plane event published during
 	// this apply, in order, on a dedicated goroutine; Apply drains the
 	// queue before returning.
@@ -273,12 +248,7 @@ func New(cfg Config) (*Workspace, error) {
 	// consume it. Publishing with no subscribers is nearly free.
 	bus := events.NewBus(nil)
 
-	popts := provider.Options{
-		CacheTTL:    cfg.ProviderCacheTTL,
-		MaxRetries:  cfg.ProviderMaxRetries,
-		MaxInFlight: cfg.ProviderMaxInFlight,
-		Bus:         bus,
-	}
+	popts := provider.Options{Bus: bus}
 	if cfg.Telemetry != nil {
 		popts.Registry = cfg.Telemetry.Metrics()
 	}
@@ -310,12 +280,7 @@ func New(cfg Config) (*Workspace, error) {
 		w.flight = fr
 	}
 	if cfg.GuardApplies {
-		w.guardOpts = &guard.Options{
-			Canary:             cfg.GuardCanary,
-			MaxFailures:        cfg.GuardMaxFailures,
-			MaxFailureFraction: cfg.GuardMaxFailureFraction,
-			Probe:              health.ProbeOptions{Timeout: cfg.HealthProbeTimeout},
-		}
+		w.guardOpts = &guard.Options{Canary: cfg.GuardCanary}
 	}
 	if sim, ok := provider.Unwrap(cfg.Cloud).(*cloud.Sim); ok && cfg.Telemetry != nil {
 		// Route simulator counters (API calls, throttles, injected failures)
@@ -887,7 +852,6 @@ func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) 
 					Principal:       w.principal,
 					ContinueOnError: true,
 					Journal:         j,
-					BatchOps:        opts.BatchOps,
 				}
 				var res *apply.Result
 				if guardOpts != nil {
@@ -1112,19 +1076,18 @@ func (w *Workspace) Observe(metrics map[string]any) ([]policy.Decision, error) {
 }
 
 // PlanRollback computes a minimal rollback to a historical serial (§3.4).
-func (w *Workspace) PlanRollback(serial int) (*rollback.Plan, *state.State, error) {
+func (w *Workspace) PlanRollback(serial int) (*rollback.Plan, error) {
 	target, err := w.db.SnapshotAt(serial)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return rollback.Compute(w.db.Snapshot(), target), target, nil
+	return rollback.Compute(w.db.Snapshot(), target), nil
 }
 
 // ExecuteRollback runs a rollback plan through the applier and commits the
 // resulting state. A failed step commits nothing; on a journaled workspace
-// the journal is left for Recover. The plan carries everything it writes;
-// the target state PlanRollback returned beside it is not needed.
-func (w *Workspace) ExecuteRollback(ctx context.Context, p *rollback.Plan, _ *state.State) error {
+// the journal is left for Recover.
+func (w *Workspace) ExecuteRollback(ctx context.Context, p *rollback.Plan) error {
 	_, err := w.run(ctx, "lifecycle.rollback", true, func(span *telemetry.Span) (*mutation, error) {
 		span.SetAttr("steps", len(p.Steps))
 		current := w.db.Snapshot()

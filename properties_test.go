@@ -377,14 +377,14 @@ func TestTimeMachineImmutabilityProperty(t *testing.T) {
 	foreignRename("aws_network_interface.r2", "rogue-2")
 	reconcile("revert drift", drift.Revert)
 
-	rp, target, err := s.PlanRollback(deployed)
+	rp, err := s.PlanRollback(deployed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rp.Reverts == 0 {
 		t.Fatalf("rollback plan reverts nothing in place: %s", rp.Summary())
 	}
-	if err := s.ExecuteRollback(ctx, rp, target); err != nil {
+	if err := s.ExecuteRollback(ctx, rp); err != nil {
 		t.Fatal(err)
 	}
 	record("rollback")

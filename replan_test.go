@@ -136,9 +136,9 @@ func TestReplanMatchesFullPlanOnEveryBackend(t *testing.T) {
 				t.Errorf("scale-out replan: %s", rp2.Summary())
 			}
 
-			// Apply the scale-out (batched, for good measure): the serial
-			// advance dirties exactly the committed addresses.
-			if _, _, err := s.Apply(ctx, rp2, cloudless.ApplyOptions{BatchOps: true}); err != nil {
+			// Apply the scale-out: the serial advance dirties exactly the
+			// committed addresses.
+			if _, _, err := s.Apply(ctx, rp2, cloudless.ApplyOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			rp3, err := s.Replan(ctx)

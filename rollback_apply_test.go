@@ -72,7 +72,7 @@ func TestRollbackThroughApplyMatchesItsPlan(t *testing.T) {
 
 			s = open(v2)
 			deploy(t, s)
-			rp, target, err := s.PlanRollback(v1Serial)
+			rp, err := s.PlanRollback(v1Serial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestRollbackThroughApplyMatchesItsPlan(t *testing.T) {
 					}
 				}
 			}()
-			err = s.ExecuteRollback(ctx, rp, target)
+			err = s.ExecuteRollback(ctx, rp)
 			sub.Close()
 			<-done
 			if err != nil {

@@ -19,10 +19,9 @@ import (
 // TestScaleSmoke is the CI guard for the scale-out planning core: on a
 // ~2k-instance random DAG, a one-resource edit must replan with fewer than
 // 10% of a full replan's instance evaluations (it is 1 vs 2001 today, so the
-// bound leaves a wide margin before failing), byte-identical output, and the
-// batched apply must spend at most a fifth of the unbatched walker's
-// one-call-per-resource budget. Gated behind CLOUDLESS_SCALE_SMOKE so the
-// ordinary test run stays fast; CI sets it in a dedicated job.
+// bound leaves a wide margin before failing) and byte-identical output. Gated
+// behind CLOUDLESS_SCALE_SMOKE so the ordinary test run stays fast; CI sets
+// it in a dedicated job.
 func TestScaleSmoke(t *testing.T) {
 	if os.Getenv("CLOUDLESS_SCALE_SMOKE") == "" {
 		t.Skip("set CLOUDLESS_SCALE_SMOKE=1 to run the 2k-instance scale smoke")
@@ -36,15 +35,9 @@ func TestScaleSmoke(t *testing.T) {
 	if diags.HasErrors() {
 		t.Fatal(diags.Error())
 	}
-	created := len(p.Changes)
-	res := apply.Apply(ctx, sim, p, apply.Options{
-		Principal: "cloudless", Concurrency: 128, BatchOps: true,
-	})
+	res := apply.Apply(ctx, sim, p, apply.Options{Principal: "cloudless", Concurrency: 128})
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
-	}
-	if calls := sim.Metrics().Calls; calls*5 > int64(created) {
-		t.Errorf("batched apply admitted %d calls for %d resources: batching below 5x", calls, created)
 	}
 	st := res.State
 
@@ -87,9 +80,7 @@ func TestFullPlanAllocationIsLinear(t *testing.T) {
 		if diags.HasErrors() {
 			t.Fatal(diags.Error())
 		}
-		res := apply.Apply(ctx, newSim(), p, apply.Options{
-			Principal: "cloudless", Concurrency: 128, BatchOps: true,
-		})
+		res := apply.Apply(ctx, newSim(), p, apply.Options{Principal: "cloudless", Concurrency: 128})
 		if err := res.Err(); err != nil {
 			t.Fatal(err)
 		}

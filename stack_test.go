@@ -172,11 +172,11 @@ policy "scale-on-load" {
 	}
 
 	// Time machine: roll back to the 2-VM deployment.
-	rp, target, err := s.PlanRollback(serialAfterDeploy)
+	rp, err := s.PlanRollback(serialAfterDeploy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ExecuteRollback(ctx, rp, target); err != nil {
+	if err := s.ExecuteRollback(ctx, rp); err != nil {
 		t.Fatalf("rollback: %s", err)
 	}
 	if sim.Count("aws_virtual_machine") != 2 {

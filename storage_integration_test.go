@@ -170,14 +170,18 @@ loop:
 
 	// The time machine plans a rollback from the same pinned serial: the
 	// scale-out's 2 NICs + 2 VMs go, and the target is the pre-apply world.
-	rp, target, err := s.PlanRollback(preSerial)
+	rp, err := s.PlanRollback(preSerial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := s.DB().SnapshotAt(preSerial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rp.Steps) != 4 || target.Len() != preLen || target.Serial != preSerial {
 		t.Errorf("rollback to %d: %s, target len=%d serial=%d", preSerial, rp.Summary(), target.Len(), target.Serial)
 	}
-	if _, _, err := s.PlanRollback(s.DB().Serial() + 1); !errors.Is(err, statedb.ErrNoSuchSerial) {
+	if _, err := s.PlanRollback(s.DB().Serial() + 1); !errors.Is(err, statedb.ErrNoSuchSerial) {
 		t.Errorf("rollback to an uncommitted serial: error = %v, want ErrNoSuchSerial", err)
 	}
 
@@ -292,14 +296,14 @@ func TestTimeMachineWindow(t *testing.T) {
 	if _, err := s.PlanOfflineAt(ctx, deployed); !errors.Is(err, statedb.ErrNoSuchSerial) {
 		t.Errorf("PlanOfflineAt(%d) 210 commits on = %v, want ErrNoSuchSerial", deployed, err)
 	}
-	if _, _, err := s.PlanRollback(deployed); !errors.Is(err, statedb.ErrNoSuchSerial) {
+	if _, err := s.PlanRollback(deployed); !errors.Is(err, statedb.ErrNoSuchSerial) {
 		t.Errorf("PlanRollback(%d) 210 commits on = %v, want ErrNoSuchSerial", deployed, err)
 	}
 	recent := s.DB().Serial() - 10
 	if cp, err := s.PlanOfflineAt(ctx, recent); err != nil || cp.PendingCount() != 0 {
 		t.Errorf("plan at a serial 10 commits back = %v, %v; want a converged plan", cp, err)
 	}
-	if rp, _, err := s.PlanRollback(recent); err != nil || len(rp.Steps) != 0 {
+	if rp, err := s.PlanRollback(recent); err != nil || len(rp.Steps) != 0 {
 		t.Errorf("rollback to a serial 10 commits back = %v, %v; want an empty plan", rp, err)
 	}
 }

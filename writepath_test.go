@@ -198,11 +198,11 @@ func TestRollbackRecoversCrashedJournalFirst(t *testing.T) {
 		t.Fatal("no journal left behind by the crashed apply")
 	}
 
-	rp, target, err := s.PlanRollback(deployed)
+	rp, err := s.PlanRollback(deployed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = s.ExecuteRollback(ctx, rp, target)
+	err = s.ExecuteRollback(ctx, rp)
 	var recovered *cloudless.ErrJournalRecovered
 	if !errors.As(err, &recovered) {
 		t.Fatalf("ExecuteRollback over a stale journal = %v, want *ErrJournalRecovered", err)
@@ -215,11 +215,15 @@ func TestRollbackRecoversCrashedJournalFirst(t *testing.T) {
 	if got, want := sim.TotalResources(), s.DB().Snapshot().Len(); got != want {
 		t.Errorf("cloud holds %d resources, state records %d", got, want)
 	}
-	rp, target, err = s.PlanRollback(deployed)
+	rp, err = s.PlanRollback(deployed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ExecuteRollback(ctx, rp, target); err != nil {
+	target, err := s.DB().SnapshotAt(deployed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ExecuteRollback(ctx, rp); err != nil {
 		t.Fatalf("re-planned rollback: %v", err)
 	}
 	if got, want := sim.TotalResources(), target.Len(); got != want {
@@ -331,11 +335,11 @@ func TestWriteVerbsShareOneRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			deploy(t, s)
-			rp, target, err := s.PlanRollback(deployed)
+			rp, err := s.PlanRollback(deployed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return func(ctx context.Context) error { return s.ExecuteRollback(ctx, rp, target) }
+			return func(ctx context.Context) error { return s.ExecuteRollback(ctx, rp) }
 		}},
 		{"ReconcileDrift", false, func(t *testing.T, s *cloudless.Stack, sim *cloud.Sim) func(context.Context) error {
 			rep := hijackAndScan(t, s, sim)
