@@ -133,7 +133,7 @@ func (s *Stack) DB() *statedb.DB { return s.ws.DB() }
 // Close drains and releases the stack: lifecycle calls made after Close
 // begins fail with *ErrStackClosed, in-flight plan/apply/drift/recover
 // operations run to completion first, and only then are the storage
-// engine, flight recorder, and event bus released. Close is idempotent —
+// engine and event bus released. Close is idempotent —
 // concurrent and repeated calls all return the first close's error. Use
 // CloseContext to bound the drain wait.
 func (s *Stack) Close() error { return s.ws.Close(context.Background()) }
@@ -156,10 +156,6 @@ func (s *Stack) Events() *events.Bus { return s.bus }
 // (see Subscription.Dropped) — publishers never block. Close the
 // subscription when done.
 func (s *Stack) Subscribe(filter EventFilter) *EventSubscription { return s.ws.Subscribe(filter) }
-
-// FlightRecorderPath returns the JSONL events artifact location ("" when no
-// journal path is configured).
-func (s *Stack) FlightRecorderPath() string { return s.ws.FlightRecorderPath() }
 
 // Cloud exposes the bound cloud interface — the stack's provider runtime,
 // so sharing it with another stack shares cache, coalescing, and the AIMD

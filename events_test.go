@@ -2,13 +2,11 @@ package cloudless_test
 
 import (
 	"context"
-	"path/filepath"
 	"sync"
 	"testing"
 
 	cloudless "cloudless"
 	"cloudless/internal/cloud"
-	"cloudless/internal/events"
 )
 
 const eventsConfig = `
@@ -24,15 +22,14 @@ resource "aws_subnet" "app" {
 }
 `
 
-func openEventStack(t *testing.T, journal string) *cloudless.Stack {
+func openEventStack(t *testing.T) *cloudless.Stack {
 	t.Helper()
 	opts := cloud.DefaultOptions()
 	opts.DisableRateLimit = true
 	opts.TimeScale = 0 // instant cloud
 	s, err := cloudless.Open(cloudless.Options{
-		Sources:     map[string]string{"main.ccl": eventsConfig},
-		Cloud:       cloud.NewSim(opts),
-		JournalPath: journal,
+		Sources: map[string]string{"main.ccl": eventsConfig},
+		Cloud:   cloud.NewSim(opts),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +53,7 @@ func applyOnce(t *testing.T, s *cloudless.Stack, opts cloudless.ApplyOptions) {
 // carries the full apply lifecycle, in order, with monotonic sequence
 // numbers.
 func TestSubscribeSeesApplyLifecycle(t *testing.T) {
-	s := openEventStack(t, "")
+	s := openEventStack(t)
 	sub := s.Subscribe(cloudless.EventFilter{Kinds: []string{"apply."}})
 	defer sub.Close()
 
@@ -106,7 +103,7 @@ func TestSubscribeSeesApplyLifecycle(t *testing.T) {
 // TestOnEventCallbackSeesWholeRun asserts ApplyOptions.OnEvent observes the
 // complete run — Apply drains the pump before returning.
 func TestOnEventCallbackSeesWholeRun(t *testing.T) {
-	s := openEventStack(t, "")
+	s := openEventStack(t)
 	var mu sync.Mutex
 	var kinds []string
 	applyOnce(t, s, cloudless.ApplyOptions{OnEvent: func(e cloudless.Event) {
@@ -127,42 +124,6 @@ func TestOnEventCallbackSeesWholeRun(t *testing.T) {
 		if !seen {
 			t.Errorf("OnEvent never saw %s (got %v)", k, kinds)
 		}
-	}
-}
-
-// TestFlightRecorderArtifact asserts a journaled stack leaves a readable
-// JSONL event artifact next to the journal covering the last run.
-func TestFlightRecorderArtifact(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "run.journal")
-	s := openEventStack(t, journal)
-	applyOnce(t, s, cloudless.ApplyOptions{})
-
-	path := s.FlightRecorderPath()
-	if path != journal+".events.jsonl" {
-		t.Fatalf("flight path = %q", path)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := events.ReadFlightLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) == 0 {
-		t.Fatal("flight log empty")
-	}
-	if evs[0].Kind != "apply.run_start" {
-		t.Fatalf("flight log starts with %s, want apply.run_start", evs[0].Kind)
-	}
-	sawFinish := false
-	for _, e := range evs {
-		if e.Kind == "apply.run_finish" {
-			sawFinish = true
-		}
-	}
-	if !sawFinish {
-		t.Fatal("flight log missing apply.run_finish")
 	}
 }
 

@@ -3,8 +3,8 @@
 // transition in the system — apply lifecycle, health gates, fuse trips,
 // auto-rollbacks, journal recovery, drift detections, provider-runtime
 // signals, and the cloud activity tail — is published here, and every
-// consumer surface (Stack.Subscribe, ApplyOptions.OnEvent, the flight
-// recorder, cloudlessctl apply -watch) is a subscriber.
+// consumer surface (Stack.Subscribe, ApplyOptions.OnEvent, cloudlessd's
+// event feed, cloudlessctl apply -watch) is a subscriber.
 //
 // Design constraints, in priority order:
 //
@@ -22,12 +22,13 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Event is one observed transition. Kind is dot-namespaced
 // ("apply.op_done", "provider.throttled", "cloud.activity", ...); the
 // remaining fields are optional context, populated per kind and omitted from
-// JSON when empty so flight-recorder artifacts stay compact.
+// JSON when empty so the wire form stays compact.
 type Event struct {
 	Seq  int64  `json:"seq"`
 	Time int64  `json:"time"` // unix nanoseconds
@@ -99,7 +100,7 @@ type Bus struct {
 func NewBus(now func() int64) *Bus {
 	b := &Bus{subs: map[*Subscription]struct{}{}, ring: make([]Event, replayRing), nowNS: now}
 	if b.nowNS == nil {
-		b.nowNS = wallClock
+		b.nowNS = func() int64 { return time.Now().UnixNano() }
 	}
 	return b
 }

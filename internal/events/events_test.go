@@ -1,10 +1,6 @@
 package events
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -207,134 +203,5 @@ func TestConcurrentPublishSubscribeRace(t *testing.T) {
 	// All sequence numbers were assigned exactly once.
 	if got := b.LastSeq(); got != 800 {
 		t.Fatalf("LastSeq=%d, want 800", got)
-	}
-}
-
-func TestFlightRecorderPersistsAndRotates(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.events.jsonl")
-	b := NewBus(nil)
-	rec, err := NewFlightRecorder(path, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Publish(Event{Kind: "apply.run_start", Run: "r1"})
-	b.Publish(Event{Kind: "apply.op_done", Addr: "aws_vpc.main"})
-	b.Publish(Event{Kind: "apply.run_finish", Run: "r1"})
-	// Second run truncates: artifact should hold only r2's events after.
-	b.Publish(Event{Kind: "apply.run_start", Run: "r2"})
-	b.Publish(Event{Kind: "apply.run_finish", Run: "r2"})
-	b.Close()
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFlightLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Kind != "apply.run_start" || got[0].Run != "r2" {
-		t.Fatalf("flight log = %+v, want r2's 2 events", got)
-	}
-}
-
-func TestFlightRecorderBoundsTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "big.events.jsonl")
-	b := NewBus(nil)
-	rec, err := NewFlightRecorder(path, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Publish(Event{Kind: "apply.run_start"})
-	for i := 0; i < flightKeep+500; i++ {
-		b.Publish(Event{Kind: "test.tick", N: int64(i)})
-	}
-	b.Close()
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFlightLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) > flightKeep {
-		t.Fatalf("flight log holds %d events, want <= %d", len(got), flightKeep)
-	}
-	// The tail is the NEWEST events.
-	if last := got[len(got)-1]; last.N != flightKeep+500-1 {
-		t.Fatalf("last event N=%d, want %d", last.N, flightKeep+500-1)
-	}
-	fi, _ := os.Stat(path)
-	if fi.Size() == 0 {
-		t.Fatal("artifact empty")
-	}
-}
-
-// TestFlightRecorderRewritesOncePerBudget: a long run appends one line per
-// event and rewrites the artifact only when it holds twice flightKeep lines,
-// not on every event past the budget; readers still get the newest flightKeep.
-func TestFlightRecorderRewritesOncePerBudget(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "long.events.jsonl")
-	b := NewBus(nil)
-	rec, err := NewFlightRecorder(path, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := func() int {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.Count(string(raw), "\n")
-	}
-	n := 0
-	tick := func(count int) {
-		for i := 0; i < count; i++ {
-			rec.record(Event{Kind: "test.tick", N: int64(n)})
-			n++
-		}
-	}
-	tick(2*flightKeep - 1)
-	if got := lines(); got != 2*flightKeep-1 {
-		t.Fatalf("artifact holds %d lines before the first rewrite, want every one of %d", got, 2*flightKeep-1)
-	}
-	tick(1)
-	if got := lines(); got != flightKeep {
-		t.Fatalf("artifact holds %d lines after the rewrite, want %d", got, flightKeep)
-	}
-	tick(10)
-	if got := lines(); got != flightKeep+10 {
-		t.Fatalf("artifact holds %d lines, want %d: the events after a rewrite are appended", got, flightKeep+10)
-	}
-	b.Close()
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFlightLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != flightKeep || got[len(got)-1].N != int64(n-1) || got[0].N != int64(n-flightKeep) {
-		t.Fatalf("read %d events [%d..%d], want the newest %d ending at %d", len(got), got[0].N, got[len(got)-1].N, flightKeep, n-1)
-	}
-}
-
-func TestReadFlightLogToleratesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "torn.jsonl")
-	body := ""
-	for i := 0; i < 3; i++ {
-		body += fmt.Sprintf(`{"seq":%d,"time":1,"kind":"test.tick"}`+"\n", i+1)
-	}
-	body += `{"seq":4,"ti` // torn mid-write
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFlightLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d events, want 3", len(got))
 	}
 }

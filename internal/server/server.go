@@ -475,7 +475,7 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 	switch req.Kind {
 	case "plan":
 		return func(ctx context.Context) (any, error) {
-			p, err := ws.Replan(ctx)
+			p, err := planFor(ctx, ws, req.Targets)
 			if err != nil {
 				return nil, err
 			}
@@ -498,16 +498,15 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 				}
 			} else {
 				var err error
-				if p, err = ws.Replan(ctx); err != nil {
+				if p, err = planFor(ctx, ws, req.Targets); err != nil {
 					return nil, err
 				}
 			}
-			res, _, err := ws.Apply(ctx, p, workspace.ApplyOptions{Concurrency: req.Concurrency})
+			res, diagnoses, err := ws.Apply(ctx, p, workspace.ApplyOptions{Concurrency: req.Concurrency})
 			if res == nil {
 				return nil, err
 			}
-			sum := summarizeApply(res, ws.DB().Serial(), ws.DisplayOutputs())
-			return sum, err
+			return summarizeApply(res, diagnoses, ws.DB().Serial(), ws.DisplayOutputs()), err
 		}, cost, nil
 	case "destroy":
 		cost := float64(ws.DB().Len())
@@ -519,7 +518,7 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 			if res == nil {
 				return nil, err
 			}
-			return summarizeApply(res, ws.DB().Serial(), nil), err
+			return summarizeApply(res, nil, ws.DB().Serial(), nil), err
 		}, cost, nil
 	case "drift":
 		return func(ctx context.Context) (any, error) {
@@ -608,6 +607,23 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 	default:
 		return nil, 0, fmt.Errorf("unknown job kind %q (plan|apply|destroy|drift|scan|reconcile|rollback|recover)", req.Kind)
 	}
+}
+
+// planFor is every plan a job makes: validate the configuration first — a
+// plan of an invalid one fails with its findings — then plan the impact scope
+// of targets, or everything through the workspace's replan cache.
+func planFor(ctx context.Context, ws *workspace.Workspace, targets []string) (*plan.Plan, error) {
+	if res := ws.Validate(); res.HasErrors() {
+		msgs := make([]string, 0, len(res.Findings))
+		for _, f := range res.Errors() {
+			msgs = append(msgs, f.Error())
+		}
+		return nil, fmt.Errorf("validation failed; not planning:\n  %s", strings.Join(msgs, "\n  "))
+	}
+	if len(targets) > 0 {
+		return ws.PlanIncremental(ctx, targets...)
+	}
+	return ws.Replan(ctx)
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request, name string, _ *workspace.Workspace) {

@@ -435,3 +435,40 @@ func TestServerApplyByExpiredArtifact(t *testing.T) {
 		t.Fatalf("apply with missing artifact: %s, want failed", st.Status)
 	}
 }
+
+// TestPlanJobsValidateFirst: a hosted workspace validates its configuration
+// before it plans, as a local plan always has. A subnet outside its VPC's
+// block fails the plan job, and an apply that plans for itself, with the
+// finding named; nothing reaches the cloud.
+func TestPlanJobsValidateFirst(t *testing.T) {
+	sim, client := newSimServer(t, nil)
+	ctx := context.Background()
+	cl := client("")
+	if _, err := cl.CreateWorkspace(ctx, server.CreateWorkspaceRequest{Name: "bad", Sources: map[string]string{"main.ccl": `
+resource "aws_vpc" "net" {
+  name       = "net"
+  cidr_block = "10.0.0.0/16"
+}
+resource "aws_subnet" "app" {
+  vpc_id     = aws_vpc.net.id
+  cidr_block = "10.1.0.0/24"
+}
+`}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"plan", "apply"} {
+		st, err := cl.SubmitJob(ctx, "bad", server.JobRequest{Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = cl.WaitJob(ctx, "bad", st.ID); err != nil {
+			t.Fatal(err)
+		}
+		if st.Status != jobs.StatusFailed || !strings.Contains(st.Err, "aws/subnet-cidr-within-vpc") {
+			t.Errorf("%s job of an invalid configuration: %s (%s), want failed naming the finding", kind, st.Status, st.Err)
+		}
+	}
+	if n := sim.TotalResources(); n != 0 {
+		t.Errorf("the cloud holds %d resources after two refused jobs", n)
+	}
+}

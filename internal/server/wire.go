@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"cloudless/internal/apply"
+	"cloudless/internal/diagnose"
 	"cloudless/internal/drift"
 	"cloudless/internal/eval"
 	"cloudless/internal/jobs"
@@ -48,6 +49,9 @@ type JobRequest struct {
 	// PlanJob applies the stored plan artifact from an earlier plan job
 	// instead of replanning inside the apply ("" replans).
 	PlanJob string `json:"plan_job,omitempty"`
+	// Targets confines a plan (or an apply that plans) to the impact scope
+	// of these resource addresses; empty plans everything.
+	Targets []string `json:"targets,omitempty"`
 	// Concurrency bounds apply parallelism (0 = default).
 	Concurrency int `json:"concurrency,omitempty"`
 	// Action picks the reconcile action ("adopt", "revert", "notify") for
@@ -99,7 +103,8 @@ type PlanSummary struct {
 // Pending counts the non-noop actions.
 func (p PlanSummary) Pending() int { return p.Creates + p.Updates + p.Replaces + p.Deletes }
 
-// ApplySummary is the wire form of an apply/destroy result.
+// ApplySummary is the wire form of an apply/destroy result. A failed job
+// carries it too: what landed before the failure is committed.
 type ApplySummary struct {
 	Applied    int               `json:"applied"`
 	Failed     int               `json:"failed"`
@@ -108,8 +113,15 @@ type ApplySummary struct {
 	Reverted   bool              `json:"reverted,omitempty"`
 	RolledBack []string          `json:"rolled_back,omitempty"`
 	Errors     map[string]string `json:"errors,omitempty"`
-	Outputs    map[string]any    `json:"outputs,omitempty"`
-	Serial     int               `json:"serial"`
+	// GateFailures and FuseTripped report a guarded apply's health gates:
+	// ops that never turned ready, and failure domains whose fuse opened.
+	GateFailures int      `json:"gate_failures,omitempty"`
+	FuseTripped  []string `json:"fuse_tripped,omitempty"`
+	// Diagnoses explains each failed op in terms of the configuration,
+	// rendered for a terminal.
+	Diagnoses []string       `json:"diagnoses,omitempty"`
+	Outputs   map[string]any `json:"outputs,omitempty"`
+	Serial    int            `json:"serial"`
 }
 
 // DriftItem is one detected divergence.
@@ -247,12 +259,16 @@ func summarizePlan(p *plan.Plan) PlanSummary {
 
 // summarizeApply renders an apply/destroy result; serial is the post-commit
 // golden-state serial, outputs the redacted display outputs.
-func summarizeApply(res *apply.Result, serial int, outputs map[string]any) ApplySummary {
+func summarizeApply(res *apply.Result, diagnoses []*diagnose.Diagnosis, serial int, outputs map[string]any) ApplySummary {
 	s := ApplySummary{
 		Applied: res.Applied, Failed: len(res.Errors), Retries: res.Retries,
 		ElapsedMs: float64(res.Elapsed.Milliseconds()),
 		Reverted:  res.Reverted, RolledBack: res.RolledBack,
+		GateFailures: res.GateFailures, FuseTripped: res.FuseTripped,
 		Outputs: outputs, Serial: serial,
+	}
+	for _, d := range diagnoses {
+		s.Diagnoses = append(s.Diagnoses, d.String())
 	}
 	if len(res.Errors) > 0 {
 		s.Errors = map[string]string{}

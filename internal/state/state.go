@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
-	"os"
 	"sort"
 	"strconv"
 	"time"
@@ -228,16 +227,4 @@ func (s *State) SaveFile(path string) error {
 		return err
 	}
 	return wal.WriteFileAtomic(path, data, 0o644)
-}
-
-// LoadFile reads a state file; a missing file yields an empty state.
-func LoadFile(path string) (*State, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return New(), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("state: read %s: %w", path, err)
-	}
-	return Decode(data)
 }

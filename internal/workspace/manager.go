@@ -16,8 +16,8 @@ import (
 // ManagerOptions configure NewManager.
 type ManagerOptions struct {
 	// Root is the data directory: each workspace gets Root/<name>/ holding
-	// its journal, flight-recorder artifact, and (for the wal backend) its
-	// durable state log. Empty runs every workspace without durability
+	// its manifest, its journal and (for the wal backend) its durable state
+	// log. Empty runs every workspace without durability
 	// (no journal, memory-class state only) — fine for tests.
 	Root string
 	// Cloud is the default control plane for workspaces opened without
@@ -212,7 +212,7 @@ func (m *Manager) Close(ctx context.Context, name string) error {
 		if ctx.Err() != nil {
 			return err // still draining; keep it hosted for a retry
 		}
-		// Released with an error (e.g. flight-recorder flush): the
+		// Released with an error (e.g. the state engine's close): the
 		// workspace is unusable either way, so drop it.
 	}
 	m.mu.Lock()

@@ -1,8 +1,8 @@
 // Package workspace is the hostable per-tenant core of cloudless (DESIGN.md
 // S27). A Workspace owns everything one managed infrastructure needs — the
 // expanded configuration, a golden-state engine, a policy engine, a drift
-// watcher, a journal path, an event bus, a flight recorder, a replan cache,
-// and a provider runtime with its own AIMD gates and read cache — so many
+// watcher, a journal path, an event bus, a replan cache, and a provider
+// runtime with its own AIMD gates and read cache — so many
 // workspaces can live in one process with per-tenant isolation by
 // construction. The public cloudless.Stack facade is a thin single-workspace
 // client of this core; cloudlessd's Manager hosts many of them.
@@ -178,7 +178,6 @@ type Workspace struct {
 	owner       journalOwner
 	guardOpts   *guard.Options
 	bus         *events.Bus
-	flight      *events.FlightRecorder
 	replanCache *plan.ReplanCache
 
 	// Draining close: beginOp/endOp track in-flight lifecycle operations;
@@ -244,7 +243,7 @@ func New(cfg Config) (*Workspace, error) {
 	// caller that passes an already-wrapped Runtime (e.g. another stack's
 	// Cloud()) shares that one instead of stacking dispatchers.
 	// The live ops plane: one bus per workspace. Every layer below publishes
-	// into it; Subscribe, ApplyOptions.OnEvent, and the flight recorder
+	// into it; Subscribe, ApplyOptions.OnEvent, and cloudlessd's event feed
 	// consume it. Publishing with no subscribers is nearly free.
 	bus := events.NewBus(nil)
 
@@ -270,14 +269,6 @@ func New(cfg Config) (*Workspace, error) {
 	w.drain.init()
 	if cfg.JournalPath != "" {
 		w.owner = make(journalOwner, 1)
-		// Flight recorder: the journal's sibling artifact. A run that dies
-		// with no live subscriber still leaves its event tail for
-		// post-mortem reconstruction.
-		fr, err := events.NewFlightRecorder(cfg.JournalPath+".events.jsonl", bus)
-		if err != nil {
-			return nil, fmt.Errorf("cloudless: open flight recorder: %w", err)
-		}
-		w.flight = fr
 	}
 	if cfg.GuardApplies {
 		w.guardOpts = &guard.Options{Canary: cfg.GuardCanary}
@@ -384,7 +375,7 @@ func (w *Workspace) DB() *statedb.DB { return w.db }
 // Close drains and releases the workspace: new lifecycle calls fail with
 // *ErrClosed immediately, in-flight plan/apply/drift/recover operations run
 // to completion (or until their own contexts cancel), and only then are the
-// storage engine, flight recorder, and event bus released. Close is
+// storage engine and event bus released. Close is
 // idempotent; concurrent and repeated calls all return the first close's
 // error. ctx bounds the wait for in-flight operations: when it expires the
 // workspace stays mid-drain (resources are NOT released) and Close returns
@@ -399,11 +390,6 @@ func (w *Workspace) Close(ctx context.Context) error {
 		return err
 	}
 	cerr := w.db.Close()
-	if w.flight != nil {
-		if ferr := w.flight.Close(); cerr == nil {
-			cerr = ferr
-		}
-	}
 	w.bus.Close()
 	w.drain.finish(cerr)
 	return cerr
@@ -439,10 +425,6 @@ func (w *Workspace) Events() *events.Bus { return w.bus }
 func (w *Workspace) Subscribe(filter events.Filter) *events.Subscription {
 	return w.bus.Subscribe(filter, 0)
 }
-
-// FlightRecorderPath returns the JSONL events artifact location ("" when no
-// journal path is configured).
-func (w *Workspace) FlightRecorderPath() string { return w.flight.Path() }
 
 // Cloud exposes the bound cloud interface — the workspace's provider
 // runtime, so sharing it with another workspace shares cache, coalescing,
