@@ -188,8 +188,10 @@ func (s *Stack) HasStaleJournal() bool { return s.ws.HasStaleJournal() }
 // Recover reconciles a crashed run's journal (apply, destroy, or rollback)
 // against the cloud and commits the reconciled state: completed ops are
 // folded in from their done records, in-doubt ops are re-driven under their
-// original idempotency keys, and orphaned resources are adopted or deleted
-// via the activity log. Returns (nil, nil) when there is nothing to recover.
+// original idempotency keys, and ops that never began are left to the next
+// plan. Only the journal is read — never the activity log, so resources the
+// journal does not name (another project's, under the same principal) are
+// left alone. Returns (nil, nil) when there is nothing to recover.
 // The journal is removed only after a fully clean recovery, so a crash
 // during recovery itself is handled by calling Recover again.
 func (s *Stack) Recover(ctx context.Context) (*RecoverReport, error) { return s.ws.Recover(ctx) }

@@ -6,8 +6,8 @@ package main
 // reaches the cloud, after it landed but before the response was recorded,
 // or mid-journal-write leaving a torn frame — then restarts: replay the
 // journal, recover in-doubt ops under their original idempotency keys,
-// sweep orphans against the activity log, re-plan, and finish. A third of
-// crashed trials also crash during recovery itself and recover again.
+// re-plan, and finish. A third of crashed trials also crash during recovery
+// itself and recover again.
 //
 // Convergence is checked exactly as the paper frames correctness for
 // log-native control planes: the re-plan is a noop, every state entry
@@ -45,8 +45,6 @@ type crResult struct {
 	OpsConfirmed     int            `json:"ops_confirmed_from_journal"`
 	OpsResumed       int            `json:"ops_resumed_in_doubt"`
 	IdemReplays      int64          `json:"idempotent_create_replays"`
-	OrphansAdopted   int            `json:"orphans_adopted"`
-	OrphansDeleted   int            `json:"orphans_deleted"`
 	Orphans          int            `json:"orphans_remaining"`
 	DuplicateCreates int            `json:"duplicate_creates"`
 	LostOps          int            `json:"lost_ops"`
@@ -197,8 +195,6 @@ func cr() {
 			latencies = append(latencies, float64(rep.Elapsed)/float64(time.Millisecond))
 			out.OpsConfirmed += rep.Confirmed
 			out.OpsResumed += rep.Resumed
-			out.OrphansAdopted += len(rep.OrphansAdopted)
-			out.OrphansDeleted += len(rep.OrphansDeleted)
 			if err := os.Remove(journalPath); err != nil {
 				panic(err)
 			}
@@ -261,8 +257,6 @@ func cr() {
 		{"ops confirmed from journal", fmt.Sprintf("%d", out.OpsConfirmed)},
 		{"in-doubt ops resumed", fmt.Sprintf("%d", out.OpsResumed)},
 		{"idempotent create replays", fmt.Sprintf("%d", out.IdemReplays)},
-		{"orphans adopted", fmt.Sprintf("%d", out.OrphansAdopted)},
-		{"orphans deleted", fmt.Sprintf("%d", out.OrphansDeleted)},
 		{"orphans remaining", fmt.Sprintf("%d", out.Orphans)},
 		{"duplicate creates", fmt.Sprintf("%d", out.DuplicateCreates)},
 		{"lost ops", fmt.Sprintf("%d", out.LostOps)},

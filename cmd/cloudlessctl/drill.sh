@@ -140,3 +140,28 @@ expect "the interrupt drains" '^cloudlessctl: interrupt — draining' "$out"
 expect "the job ends canceled" '^cloudlessctl: apply job .* canceled' "$out"
 out=$(ctl plan "${F[@]}")
 expect "plan after the interrupt" '^plan: 1 to add, .*\(3 unchanged\)' "$out"
+
+# 5. Recovering one project leaves another alone: project B is converged on
+#    the same cloud under the same principal, project A (the same program
+#    under other names) is killed mid-apply and recovered, and B's plan
+#    still says no changes. Finishing A leaves both projects whole.
+sim 18465 -time-scale 0.02
+project five-b
+project five-a
+sed -i 's/"quickstart"/"quickstart-a"/; s/"example-nic"/"nic-a"/; s/"cloudless"/"vm-a"/' "$work/five-a/main.ccl"
+B=(-dir "$work/five-b" -data-dir "$work/five-b.data" -cloud http://127.0.0.1:18465)
+A=(-dir "$work/five-a" -data-dir "$work/five-a.data" -cloud http://127.0.0.1:18465)
+ctl apply "${B[@]}" >/dev/null
+"$bin/cloudlessctl" apply "${A[@]}" >/dev/null 2>&1 &
+killed=$!
+sleep 0.6
+kill -9 "$killed"
+wait "$killed" 2>/dev/null || true
+out=$(ctl recover "${A[@]}")
+expect "recover project A" '^recovered apply journal: ' "$out"
+out=$(ctl plan "${B[@]}")
+expect "project B is untouched" '^plan: 0 to add, 0 to change, 0 to replace, 0 to destroy \(4 unchanged\)' "$out"
+ctl apply "${A[@]}" >/dev/null
+for typ in aws_vpc aws_subnet aws_network_interface aws_virtual_machine; do
+  expect "one $typ per project" '^2$' "$(count 18465 "$typ")"
+done

@@ -423,8 +423,7 @@ func cmdRollback(args []string) error {
 
 // cmdRecover reconciles a crashed run's journal with the cloud and commits
 // the result to the golden state: completed ops are folded in from their done
-// records, in-doubt ops re-driven under their original idempotency keys, and
-// orphans adopted or deleted via the activity log.
+// records, and in-doubt ops re-driven under their original idempotency keys.
 func cmdRecover(args []string) error {
 	c := newCommon("recover")
 	_ = c.fs.Parse(args)
@@ -447,8 +446,7 @@ func cmdRecover(args []string) error {
 		fmt.Println("no stale journal; nothing to recover")
 		return nil
 	}
-	fmt.Printf("recovered %s journal: %d confirmed, %d resumed, %d orphan(s) adopted, %d orphan(s) deleted\n",
-		rep.Kind, rep.Confirmed, rep.Resumed, len(rep.OrphansAdopted), len(rep.OrphansDeleted))
+	fmt.Printf("recovered %s journal: %d confirmed, %d resumed\n", rep.Kind, rep.Confirmed, rep.Resumed)
 	return nil
 }
 

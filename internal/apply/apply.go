@@ -67,10 +67,10 @@ type Options struct {
 	Principal string
 	// ContinueOnError keeps independent branches running after a failure.
 	ContinueOnError bool
-	// Journal, when set, makes the apply crash-safe: intents are durably
-	// recorded before the first op, a begin record is fsynced before every
-	// cloud call, and creates carry idempotency keys derived from the
-	// journal's run ID so a crashed run's retry never duplicates.
+	// Journal, when set, makes the apply crash-safe: a begin record is
+	// fsynced before every cloud call, and creates carry idempotency keys
+	// derived from the journal's run ID so a crashed run's retry never
+	// duplicates.
 	Journal *Journal
 	// Guard, when set, enables health-gated execution (DESIGN.md S24):
 	// every create/update is probed until ready before its op counts as
@@ -212,11 +212,6 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 	// crash and recovery), a fresh run ID otherwise.
 	if o.Journal != nil {
 		o.idemPrefix = o.Journal.Meta().ID
-		if err := o.Journal.LogIntents(planIntents(p)); err != nil {
-			res.Errors["journal"] = err
-			res.Elapsed = time.Since(start)
-			return res
-		}
 	} else if o.idemPrefix == "" {
 		o.idemPrefix = fmt.Sprintf("run-%d", time.Now().UnixNano())
 	}
@@ -531,29 +526,6 @@ func SeedFuse(f *health.Fuse, p *plan.Plan) {
 			f.Plan(d, 1)
 		}
 	}
-}
-
-// planIntents flattens the plan's non-noop changes into journal intents,
-// sorted by address for deterministic journals.
-func planIntents(p *plan.Plan) []Intent {
-	var out []Intent
-	for addr, ch := range p.Changes {
-		if ch.Action == plan.ActionNoop {
-			continue
-		}
-		in := Intent{Addr: addr, Action: ch.Action.String(), Type: ch.Type,
-			Region: ch.Region, ID: ch.ID, Deps: ch.Deps}
-		attrs := ch.After
-		if ch.Action == plan.ActionDelete {
-			attrs = ch.Before
-		}
-		if v, ok := attrs["name"]; ok && v.IsKnown() && v.Kind() == eval.KindString {
-			in.Name = v.AsString()
-		}
-		out = append(out, in)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
 }
 
 // DefinitiveFailure reports whether an op error proves the cloud rejected

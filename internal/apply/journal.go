@@ -1,21 +1,22 @@
 // Apply journal: a durable write-ahead record of every operation an apply
-// intends to perform, begins, and finishes, kept in a wal.Log (which owns
-// framing, replay and the torn-tail contract). What this file adds is the
-// record schema and the ordering that makes applies crash-safe:
+// begins and finishes, kept in a wal.Log (which owns framing, replay and the
+// torn-tail contract). What this file adds is the record schema and the
+// ordering that makes applies crash-safe:
 //
-//  1. The full op list ("intents") is journaled and fsynced before the first
-//     cloud call, so recovery always knows what the plan was going to do.
-//  2. A "begin" record is journaled and fsynced BEFORE the op touches the
+//  1. A "begin" record is journaled and fsynced BEFORE the op touches the
 //     cloud. A crash can therefore never leave a cloud mutation the journal
 //     does not know about.
-//  3. A "done" record is appended after the op (no fsync — losing one only
+//  2. A "done" record is appended after the op (no fsync — losing one only
 //     makes recovery re-check an op that turns out to be complete, which the
 //     idempotency machinery absorbs).
 //
 // An op with a begin but no done is "in doubt": the process died somewhere
 // between issuing the call and recording the response. Recovery re-issues
 // in-doubt creates under their original idempotency keys and re-checks
-// updates/deletes, then sweeps the activity log for orphans (see recover.go).
+// updates/deletes (see recover.go), which rests on the cloud answering a
+// replayed key with the original resource (cloud.CreateRequest). Older
+// journals also hold an "intents" frame after the meta record; replay skips
+// it.
 package apply
 
 import (
@@ -23,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"sync"
 	"time"
 
@@ -38,11 +40,10 @@ var ErrJournalKilled = errors.New("apply: journal killed (simulated crash)")
 
 // Journal record kinds.
 const (
-	recMeta    = "meta"
-	recIntents = "intents"
-	recBegin   = "begin"
-	recDone    = "done"
-	recFail    = "fail"
+	recMeta  = "meta"
+	recBegin = "begin"
+	recDone  = "done"
+	recFail  = "fail"
 )
 
 // Meta identifies one apply run. Its ID seeds every idempotency key
@@ -54,20 +55,6 @@ type Meta struct {
 	CreatedAt  time.Time `json:"created_at"`
 	BaseSerial int       `json:"base_serial"`
 	Principal  string    `json:"principal"`
-}
-
-// Intent is one planned operation, recorded before any execution. Name is
-// the planned "name" attribute when known — the orphan sweep uses
-// (type, region, name) to match an unclaimed cloud resource back to the
-// plan entry that wanted it.
-type Intent struct {
-	Addr   string   `json:"addr"`
-	Action string   `json:"action"`
-	Type   string   `json:"type"`
-	Region string   `json:"region"`
-	ID     string   `json:"id,omitempty"`
-	Name   string   `json:"name,omitempty"`
-	Deps   []string `json:"deps,omitempty"`
 }
 
 // OpRecord is a begin or done entry for one operation. For begin, ID is the
@@ -88,10 +75,9 @@ type OpRecord struct {
 
 // journalRecord is the JSON payload of one frame.
 type journalRecord struct {
-	Kind    string    `json:"kind"`
-	Meta    *Meta     `json:"meta,omitempty"`
-	Intents []Intent  `json:"intents,omitempty"`
-	Op      *OpRecord `json:"op,omitempty"`
+	Kind string    `json:"kind"`
+	Meta *Meta     `json:"meta,omitempty"`
+	Op   *OpRecord `json:"op,omitempty"`
 }
 
 // Journal is the write side, safe for concurrent use by the apply walk.
@@ -137,12 +123,6 @@ func (j *Journal) Meta() Meta { return j.meta }
 // IdemKey derives the idempotency key for a create at addr. Stable across
 // crash and recovery of the same run — that stability is the whole point.
 func (j *Journal) IdemKey(addr string) string { return j.meta.ID + "/" + addr }
-
-// LogIntents durably records the full op list in one frame, before any op
-// runs.
-func (j *Journal) LogIntents(intents []Intent) error {
-	return j.append(journalRecord{Kind: recIntents, Intents: intents}, true)
-}
 
 // Begin durably records that an op is about to touch the cloud. MUST be
 // fsynced before the call goes out: this is the invariant recovery leans on.
@@ -249,38 +229,29 @@ func (s *OpStatus) InDoubt() bool {
 
 // JournalState is the replayed contents of a journal file.
 type JournalState struct {
-	Meta    Meta
-	Intents []Intent
+	Meta Meta
 	// Ops indexes begin/done/fail records by address.
 	Ops map[string]*OpStatus
 	// Path is the file the state was read from.
 	Path string
 }
 
-// IntentFor returns the recorded intent for addr, or nil.
-func (js *JournalState) IntentFor(addr string) *Intent {
-	for i := range js.Intents {
-		if js.Intents[i].Addr == addr {
-			return &js.Intents[i]
-		}
-	}
-	return nil
-}
-
 // InDoubt lists addresses whose ops began but never durably finished, in
-// intent order.
+// address order.
 func (js *JournalState) InDoubt() []string {
 	var out []string
-	for _, in := range js.Intents {
-		if st := js.Ops[in.Addr]; st != nil && st.InDoubt() {
-			out = append(out, in.Addr)
+	for addr, st := range js.Ops {
+		if st.InDoubt() {
+			out = append(out, addr)
 		}
 	}
+	sort.Strings(out)
 	return out
 }
 
-// ReadJournal replays a journal file, dropping any torn tail. A missing file
-// returns (nil, nil): nothing to recover.
+// ReadJournal replays a journal file, dropping any torn tail and skipping
+// records of a kind it does not read (an older journal's intents frame). A
+// missing file returns (nil, nil): nothing to recover.
 func ReadJournal(path string) (*JournalState, error) {
 	js := &JournalState{Ops: map[string]*OpStatus{}, Path: path}
 	_, _, err := wal.Replay(path, func(payload []byte) bool {
@@ -293,8 +264,6 @@ func ReadJournal(path string) (*JournalState, error) {
 			if rec.Meta != nil {
 				js.Meta = *rec.Meta
 			}
-		case recIntents:
-			js.Intents = append(js.Intents, rec.Intents...)
 		case recBegin, recDone, recFail:
 			if rec.Op == nil {
 				break
@@ -324,7 +293,7 @@ func ReadJournal(path string) (*JournalState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("apply: read journal: %w", err)
 	}
-	if js.Meta.ID == "" && len(js.Intents) == 0 && len(js.Ops) == 0 {
+	if js.Meta.ID == "" && len(js.Ops) == 0 {
 		// No file, or nothing durable survived (e.g. a journal torn inside
 		// its first frame): treat as absent.
 		return nil, nil

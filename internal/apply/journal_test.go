@@ -32,15 +32,6 @@ func tempJournal(t *testing.T) (*Journal, string) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	j, path := tempJournal(t)
-	intents := []Intent{
-		{Addr: "aws_vpc.main", Action: "create", Type: "aws_vpc", Region: "us-east-1", Name: "main"},
-		{Addr: "aws_subnet.s[0]", Action: "create", Type: "aws_subnet", Region: "us-east-1",
-			Name: "s-0", Deps: []string{"aws_vpc.main"}},
-		{Addr: "aws_vpc.old", Action: "delete", Type: "aws_vpc", Region: "us-east-1", ID: "vpc-00000009"},
-	}
-	if err := j.LogIntents(intents); err != nil {
-		t.Fatal(err)
-	}
 	if err := j.Begin(OpRecord{Addr: "aws_vpc.main", Action: "create", Type: "aws_vpc",
 		Region: "us-east-1", IdemKey: j.IdemKey("aws_vpc.main"),
 		Attrs: AttrsOut(map[string]eval.Value{"name": eval.String("main")})}); err != nil {
@@ -71,11 +62,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if js.Meta.Kind != "apply" || js.Meta.BaseSerial != 3 || js.Meta.ID == "" {
 		t.Errorf("meta = %+v", js.Meta)
 	}
-	if len(js.Intents) != 3 {
-		t.Fatalf("%d intents, want 3", len(js.Intents))
-	}
-	if js.IntentFor("aws_subnet.s[0]").Name != "s-0" {
-		t.Errorf("intent lookup: %+v", js.IntentFor("aws_subnet.s[0]"))
+	if len(js.Ops) != 3 {
+		t.Fatalf("%d ops, want 3", len(js.Ops))
 	}
 	vpc := js.Ops["aws_vpc.main"]
 	if vpc == nil || vpc.Begin == nil || vpc.Done == nil || vpc.InDoubt() {
@@ -174,6 +162,8 @@ func TestReadJournalMissingFile(t *testing.T) {
 
 // writeJournalFixture drives the journal the way the apply that produced
 // testdata/parent-format/run.journal did: it died with one create in doubt.
+// That apply also recorded its plan's op list in an intents frame after the
+// meta record; journals no longer carry one.
 func writeJournalFixture(t *testing.T, path string) {
 	t.Helper()
 	j, err := NewJournal(path, Meta{ID: "apply-fixture", Kind: "apply", BaseSerial: 7, Principal: "alice",
@@ -182,12 +172,6 @@ func writeJournalFixture(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 	steps := []error{
-		j.LogIntents([]Intent{
-			{Addr: "aws_vpc.main", Action: "create", Type: "aws_vpc", Region: "us-east-1", Name: "main"},
-			{Addr: "aws_subnet.a", Action: "create", Type: "aws_subnet", Region: "us-east-1", Name: "a", Deps: []string{"aws_vpc.main"}},
-			{Addr: "aws_instance.old", Action: "delete", Type: "aws_instance", Region: "us-east-1", ID: "i-0001"},
-			{Addr: "aws_instance.web", Action: "update", Type: "aws_instance", Region: "us-east-1", ID: "i-0002"},
-		}),
 		j.Begin(OpRecord{Addr: "aws_vpc.main", Type: "aws_vpc", Region: "us-east-1", IdemKey: j.IdemKey("aws_vpc.main"), Attrs: map[string]any{"cidr": "10.0.0.0/16", "name": "main"}}),
 		j.Done(OpRecord{Addr: "aws_vpc.main", Action: "create", Type: "aws_vpc", Region: "us-east-1", ID: "vpc-0001", Attrs: map[string]any{"cidr": "10.0.0.0/16", "name": "main"}}),
 		j.Begin(OpRecord{Addr: "aws_instance.old", Action: "delete", Type: "aws_instance", Region: "us-east-1", ID: "i-0001"}),
@@ -204,10 +188,34 @@ func writeJournalFixture(t *testing.T, path string) {
 	}
 }
 
+// withoutIntents returns raw with its intents frames cut out, failing unless
+// raw is whole frames end to end.
+func withoutIntents(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var out []byte
+	off := 0
+	for off < len(raw) {
+		payload, next, ok := wal.Next(raw, off)
+		if !ok {
+			t.Fatalf("no whole frame at offset %d of %d", off, len(raw))
+		}
+		var rec struct{ Kind string }
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatalf("frame at %d: %v", off, err)
+		}
+		if rec.Kind != "intents" {
+			out = append(out, raw[off:next]...)
+		}
+		off = next
+	}
+	return out
+}
+
 // TestJournalFormatUnchanged holds run.journal to the bytes the journal wrote
 // before it moved onto wal.Log: testdata/parent-format/run.journal is
-// writeJournalFixture run at that commit. It must replay to the same state,
-// and the same calls through this journal must produce the same bytes.
+// writeJournalFixture run at that commit, when it still wrote an intents
+// frame. It must replay to the same state, and the same calls through this
+// journal must produce the same bytes less that one frame.
 func TestJournalFormatUnchanged(t *testing.T) {
 	fixturePath := filepath.Join("testdata", "parent-format", "run.journal")
 	fixture, err := os.ReadFile(fixturePath)
@@ -218,8 +226,8 @@ func TestJournalFormatUnchanged(t *testing.T) {
 	if err != nil || js == nil {
 		t.Fatalf("ReadJournal(fixture) = %v, %v", js, err)
 	}
-	if js.Meta.ID != "apply-fixture" || js.Meta.BaseSerial != 7 || js.Meta.Principal != "alice" || len(js.Intents) != 4 {
-		t.Errorf("fixture meta = %+v with %d intents", js.Meta, len(js.Intents))
+	if js.Meta.ID != "apply-fixture" || js.Meta.BaseSerial != 7 || js.Meta.Principal != "alice" || len(js.Ops) != 3 {
+		t.Errorf("fixture meta = %+v with %d ops", js.Meta, len(js.Ops))
 	}
 	if got := fmt.Sprint(js.InDoubt()); got != "[aws_subnet.a]" {
 		t.Errorf("fixture in doubt = %s, want [aws_subnet.a]", got)
@@ -237,12 +245,16 @@ func TestJournalFormatUnchanged(t *testing.T) {
 		t.Error("ReadJournal modified the file")
 	}
 
+	want := withoutIntents(t, fixture)
+	if len(want) >= len(fixture) {
+		t.Fatal("the fixture holds no intents frame")
+	}
 	fresh := filepath.Join(t.TempDir(), "run.journal")
 	writeJournalFixture(t, fresh)
-	if raw, _ := os.ReadFile(fresh); !bytes.Equal(raw, fixture) {
-		t.Errorf("run.journal differs from the parent format:\n got %q\nwant %q", raw, fixture)
+	if raw, _ := os.ReadFile(fresh); !bytes.Equal(raw, want) {
+		t.Errorf("run.journal differs from the parent format less its intents frame:\n got %q\nwant %q", raw, want)
 	}
-	// A journal extended by one more record still starts with the fixture.
+	// A journal extended by one more record still starts with what it held.
 	l, err := wal.Open(fresh, func([]byte) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +263,7 @@ func TestJournalFormatUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close(false)
-	if raw, _ := os.ReadFile(fresh); !bytes.HasPrefix(raw, fixture) {
+	if raw, _ := os.ReadFile(fresh); !bytes.HasPrefix(raw, want) {
 		t.Error("an append rewrote the bytes before it")
 	}
 	if js, err := ReadJournal(fresh); err != nil || len(js.InDoubt()) != 0 {
@@ -261,7 +273,7 @@ func TestJournalFormatUnchanged(t *testing.T) {
 
 // FuzzReadJournal feeds arbitrary bytes to journal replay. Invariants: it
 // never panics or fails, it leaves the file alone, every in-doubt address has
-// a recorded intent and begin, and replay is deterministic.
+// a recorded begin, and replay is deterministic.
 func FuzzReadJournal(f *testing.F) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-format", "run.journal"))
 	if err != nil {
@@ -288,8 +300,8 @@ func FuzzReadJournal(f *testing.F) {
 			return
 		}
 		for _, addr := range js.InDoubt() {
-			if js.IntentFor(addr) == nil || js.Ops[addr] == nil || js.Ops[addr].Begin == nil {
-				t.Fatalf("in-doubt %q has no intent or no begin", addr)
+			if js.Ops[addr] == nil || js.Ops[addr].Begin == nil {
+				t.Fatalf("in-doubt %q has no begin", addr)
 			}
 		}
 		again, err := ReadJournal(path)

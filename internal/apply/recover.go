@@ -12,12 +12,11 @@
 //	                  landed), updates re-send the recorded delta, deletes
 //	                  tolerate 404.
 //
-// After the per-op pass, an orphan sweep cross-checks the cloud activity log
-// (§3.5's log-native observation channel): any resource created by our
-// principal that neither the reconciled state nor the journal accounts for
-// is adopted into state when it matches a journaled intent (type, region,
-// name), and deleted otherwise. Every step is idempotent, so a crash during
-// recovery itself is recovered by running recovery again.
+// That is all recovery reads: the journal, and the cloud only for the ops it
+// re-drives. A begin is durable before its call goes out, so no cloud
+// mutation the run made escapes the journal, and a create re-driven under
+// its original key cannot land twice. Every step is idempotent, so a crash
+// during recovery itself is recovered by running recovery again.
 package apply
 
 import (
@@ -41,11 +40,8 @@ type RecoverReport struct {
 	Confirmed int `json:"confirmed"`
 	// Resumed counts in-doubt ops re-driven to completion.
 	Resumed int `json:"resumed"`
-	// OrphansAdopted / OrphansDeleted list cloud IDs the sweep reconciled.
-	OrphansAdopted []string `json:"orphans_adopted,omitempty"`
-	OrphansDeleted []string `json:"orphans_deleted,omitempty"`
-	// Errors maps addresses (or cloud IDs, for sweep failures) to what went
-	// wrong; the reconciled state is still valid for everything else.
+	// Errors maps addresses to what went wrong; the reconciled state is
+	// still valid for everything else.
 	Errors map[string]error `json:"-"`
 	// Elapsed is wall-clock recovery time.
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -77,43 +73,44 @@ func Recover(ctx context.Context, cl cloud.Interface, js *JournalState,
 	st := base.Clone()
 
 	bus := evbus.FromContext(ctx)
+	addrs := make([]string, 0, len(js.Ops))
+	for addr := range js.Ops {
+		addrs = append(addrs, addr)
+	}
+	sort.Strings(addrs)
 	bus.Publish(evbus.Event{Kind: "recover.start", Run: js.Meta.ID,
-		Action: js.Meta.Kind, N: int64(len(js.Intents))})
+		Action: js.Meta.Kind, N: int64(len(addrs))})
 
-	for i := range js.Intents {
-		in := &js.Intents[i]
-		ops := js.Ops[in.Addr]
-		if ops == nil || ops.Begin == nil {
-			continue // never started; the re-plan will handle it
+	for _, addr := range addrs {
+		ops := js.Ops[addr]
+		if ops.Begin == nil {
+			continue // a done or fail with no begin: nothing was sent
 		}
+		typ := ops.Begin.Type
 		if ops.Done != nil {
 			applyDoneRecord(st, ops.Done)
 			rep.Confirmed++
 			bus.Publish(evbus.Event{Kind: "recover.op", Run: js.Meta.ID,
-				Addr: in.Addr, Type: in.Type, Action: "confirmed"})
+				Addr: addr, Type: typ, Action: "confirmed"})
 			continue
 		}
 		if ops.FailError != "" {
 			continue // definitively rejected, nothing mutated
 		}
-		if err := redriveOp(ctx, cl, st, js, ops.Begin, o); err != nil {
-			rep.Errors[in.Addr] = err
+		if err := redriveOp(ctx, cl, st, ops.Begin, o); err != nil {
+			rep.Errors[addr] = err
 			bus.Publish(evbus.Event{Kind: "recover.op", Run: js.Meta.ID,
-				Addr: in.Addr, Type: in.Type, Action: "failed", Err: err.Error()})
+				Addr: addr, Type: typ, Action: "failed", Err: err.Error()})
 			continue
 		}
 		rep.Resumed++
 		bus.Publish(evbus.Event{Kind: "recover.op", Run: js.Meta.ID,
-			Addr: in.Addr, Type: in.Type, Action: "resumed"})
+			Addr: addr, Type: typ, Action: "resumed"})
 	}
 
-	err := sweepOrphans(ctx, cl, st, js, o, rep)
 	rep.Elapsed = time.Since(start)
 	bus.Publish(evbus.Event{Kind: "recover.finish", Run: js.Meta.ID,
 		N: int64(rep.Confirmed + rep.Resumed), Ms: durMillis(rep.Elapsed)})
-	if err != nil {
-		return st, rep, err
-	}
 	return st, rep, nil
 }
 
@@ -133,7 +130,7 @@ func applyDoneRecord(st *state.State, done *OpRecord) {
 
 // redriveOp idempotently re-executes an in-doubt op.
 func redriveOp(ctx context.Context, cl cloud.Interface, st *state.State,
-	js *JournalState, begin *OpRecord, o Options) error {
+	begin *OpRecord, o Options) error {
 
 	switch begin.Action {
 	case plan.ActionDelete.String():
@@ -205,110 +202,4 @@ func setFromResource(st *state.State, begin *OpRecord, res *cloud.Resource) {
 		Attrs: res.Attrs, Dependencies: deps,
 		CreatedAt: now, UpdatedAt: now,
 	})
-}
-
-// sweepOrphans cross-checks the activity log for resources our principal
-// created that neither the reconciled state nor the journal accounts for.
-// A full-log scan is safe here: resources from earlier healthy applies are
-// already in state and skipped by the ID check.
-func sweepOrphans(ctx context.Context, cl cloud.Interface, st *state.State,
-	js *JournalState, o Options, rep *RecoverReport) error {
-
-	events, err := cl.Activity(ctx, 0)
-	if err != nil {
-		return fmt.Errorf("recover: read activity log: %w", err)
-	}
-
-	// Alive-and-ours candidates: created by our principal, no later delete.
-	candidates := map[string]cloud.Event{}
-	for _, ev := range events {
-		switch ev.Op {
-		case cloud.OpCreate:
-			if ev.Principal == o.Principal {
-				candidates[ev.ID] = ev
-			}
-		case cloud.OpDelete:
-			delete(candidates, ev.ID)
-		}
-	}
-	for id := range candidates {
-		if st.ByID(id) != nil {
-			delete(candidates, id)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-
-	// Later-created first, so dependency-violating deletes cannot happen
-	// (a dependent is always newer than what it references).
-	ordered := make([]cloud.Event, 0, len(candidates))
-	for _, ev := range candidates {
-		ordered = append(ordered, ev)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq > ordered[j].Seq })
-
-	for _, ev := range ordered {
-		res, err := cl.Get(ctx, ev.Type, ev.ID)
-		if cloud.IsNotFound(err) {
-			continue // already gone
-		}
-		if err != nil {
-			rep.Errors[ev.ID] = err
-			continue
-		}
-		if addr := matchIntent(js, st, res); addr != "" {
-			// The plan wanted exactly this resource: adopt it instead of
-			// destroying work the crashed run already paid for.
-			now := time.Now()
-			var deps []string
-			if in := js.IntentFor(addr); in != nil {
-				deps = in.Deps
-			}
-			st.Set(&state.ResourceState{
-				Addr: addr, Type: res.Type, ID: res.ID, Region: res.Region,
-				Attrs: res.Attrs, Dependencies: deps,
-				CreatedAt: now, UpdatedAt: now,
-			})
-			rep.OrphansAdopted = append(rep.OrphansAdopted, res.ID)
-			evbus.FromContext(ctx).Publish(evbus.Event{Kind: "recover.op",
-				Run: js.Meta.ID, Addr: addr, Type: res.Type, ID: res.ID, Action: "adopted"})
-			continue
-		}
-		if err := cl.Delete(ctx, res.Type, res.ID, o.Principal); err != nil && !cloud.IsNotFound(err) {
-			rep.Errors[res.ID] = err
-			continue
-		}
-		rep.OrphansDeleted = append(rep.OrphansDeleted, res.ID)
-		evbus.FromContext(ctx).Publish(evbus.Event{Kind: "recover.op",
-			Run: js.Meta.ID, Type: res.Type, ID: res.ID, Action: "deleted"})
-	}
-	return nil
-}
-
-// matchIntent finds an unclaimed create/replace intent that describes the
-// orphan: same type and region, and the same planned name when one was
-// journaled. Returns the address to adopt under, or "".
-func matchIntent(js *JournalState, st *state.State, res *cloud.Resource) string {
-	name := ""
-	if v := res.Attr("name"); !v.IsNull() {
-		name = v.AsString()
-	}
-	for i := range js.Intents {
-		in := &js.Intents[i]
-		if in.Action != plan.ActionCreate.String() && in.Action != plan.ActionReplace.String() {
-			continue
-		}
-		if in.Type != res.Type || (in.Region != "" && in.Region != res.Region) {
-			continue
-		}
-		if in.Name != "" && in.Name != name {
-			continue
-		}
-		if existing := st.Get(in.Addr); existing != nil && existing.ID != res.ID {
-			continue // address already satisfied by another resource
-		}
-		return in.Addr
-	}
-	return ""
 }

@@ -3,11 +3,11 @@ package apply
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"cloudless/internal/cloud"
-	"cloudless/internal/eval"
 	"cloudless/internal/plan"
 	"cloudless/internal/state"
 )
@@ -69,22 +69,30 @@ func TestApplyWithJournalDiscardAfterSuccess(t *testing.T) {
 		t.Fatalf("apply: %s", err)
 	}
 
-	// Every non-noop op has durable begin + done before discard.
+	// Every non-noop op has durable begin + done before discard, and the
+	// file holds nothing else but the meta record.
 	js, err := ReadJournal(path)
 	if err != nil || js == nil {
 		t.Fatalf("read journal: %v, %v", js, err)
 	}
-	if len(js.Intents) != 5 {
-		t.Errorf("%d intents, want 5", len(js.Intents))
+	if len(js.Ops) != 5 {
+		t.Errorf("%d ops, want 5", len(js.Ops))
 	}
 	if got := js.InDoubt(); len(got) != 0 {
 		t.Errorf("in-doubt after clean apply: %v", got)
 	}
-	for _, in := range js.Intents {
-		st := js.Ops[in.Addr]
+	for _, addr := range nonNoop(p) {
+		st := js.Ops[addr]
 		if st == nil || st.Begin == nil || st.Done == nil {
-			t.Errorf("%s: incomplete journal entry %+v", in.Addr, st)
+			t.Errorf("%s: incomplete journal entry %+v", addr, st)
 		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(withoutIntents(t, raw)); got != len(raw) {
+		t.Errorf("the journal holds an intents frame (%d of %d bytes)", len(raw)-got, len(raw))
 	}
 	if err := j.Discard(); err != nil {
 		t.Fatal(err)
@@ -195,77 +203,63 @@ func TestRecoverRunsNeverStartedOp(t *testing.T) {
 	assertConverged(t, sim, webConfig, res2.State)
 }
 
-// A resource in the cloud that neither state nor a done record accounts for
-// is adopted when it matches a journaled intent, deleted otherwise.
-func TestRecoverOrphanSweep(t *testing.T) {
-	sim := newSim()
-	ctx := context.Background()
-
-	// An orphan that matches a planned intent (type+region+name)...
-	wanted, err := sim.Create(ctx, cloud.CreateRequest{
-		Type: "aws_vpc", Region: "us-east-1",
-		Attrs:     map[string]eval.Value{"name": eval.String("main"), "cidr_block": eval.String("10.0.0.0/16")},
-		Principal: "cloudless",
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestRecoverLeavesOtherProjectsAlone: recovery touches only what the
+// journal names. Project B is converged on the same cloud under the same
+// principal; recovering project A — from a journal that holds nothing, or
+// from one whose VPC create the cloud rejected because B already holds that
+// name — leaves all of B's resources in the cloud and none in A's state.
+func TestRecoverLeavesOtherProjectsAlone(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, sim *cloud.Sim, j *Journal)
+	}{
+		{"empty journal", func(*testing.T, *cloud.Sim, *Journal) {}},
+		{"vpc name conflict", func(t *testing.T, sim *cloud.Sim, j *Journal) {
+			res := Apply(context.Background(), sim, planFor(t, webConfig, state.New()), Options{Journal: j})
+			var ae *cloud.APIError
+			if err := res.Errors["aws_vpc.main"]; !errors.As(err, &ae) || ae.Code != cloud.CodeConflict {
+				t.Fatalf("project A's VPC create: %v, want a name conflict", err)
+			}
+		}},
 	}
-	// ...and one no intent wants.
-	stray, err := sim.Create(ctx, cloud.CreateRequest{
-		Type: "aws_vpc", Region: "us-east-1",
-		Attrs:     map[string]eval.Value{"name": eval.String("stray"), "cidr_block": eval.String("10.9.0.0/16")},
-		Principal: "cloudless",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	js := &JournalState{
-		Meta: Meta{ID: "apply-test", Kind: "apply", Principal: "cloudless"},
-		Intents: []Intent{
-			{Addr: "aws_vpc.main", Action: "create", Type: "aws_vpc", Region: "us-east-1", Name: "main"},
-		},
-		Ops: map[string]*OpStatus{},
-	}
-	recovered, rep, err := Recover(ctx, sim, js, state.New(), Options{})
-	if err != nil {
-		t.Fatalf("recover: %s", err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatalf("recover report: %s", err)
-	}
-	if len(rep.OrphansAdopted) != 1 || rep.OrphansAdopted[0] != wanted.ID {
-		t.Errorf("adopted = %v, want [%s]", rep.OrphansAdopted, wanted.ID)
-	}
-	if len(rep.OrphansDeleted) != 1 || rep.OrphansDeleted[0] != stray.ID {
-		t.Errorf("deleted = %v, want [%s]", rep.OrphansDeleted, stray.ID)
-	}
-	if got := recovered.Get("aws_vpc.main"); got == nil || got.ID != wanted.ID {
-		t.Errorf("adopted state = %+v", got)
-	}
-	if _, err := sim.Get(ctx, "aws_vpc", stray.ID); !cloud.IsNotFound(err) {
-		t.Errorf("stray still exists: %v", err)
-	}
-	// Foreign-principal resources are out of scope for the sweep.
-	foreign, err := sim.Create(ctx, cloud.CreateRequest{
-		Type: "aws_vpc", Region: "us-east-1",
-		Attrs:     map[string]eval.Value{"name": eval.String("theirs"), "cidr_block": eval.String("10.8.0.0/16")},
-		Principal: "legacy-script",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep2, err := Recover(ctx, sim, js, recovered, Options{})
-	if err != nil {
-		t.Fatalf("second recover: %s", err)
-	}
-	for _, id := range rep2.OrphansDeleted {
-		if id == foreign.ID {
-			t.Error("sweep deleted a foreign principal's resource")
-		}
-	}
-	if _, err := sim.Get(ctx, "aws_vpc", foreign.ID); err != nil {
-		t.Errorf("foreign resource gone: %v", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			sim := newSim()
+			_, b := planAndApply(t, sim, webConfig, state.New(), Options{Principal: "cloudless"})
+			if err := b.Err(); err != nil {
+				t.Fatalf("project B: %s", err)
+			}
+			path := filepath.Join(t.TempDir(), "a.journal")
+			j, err := NewJournal(path, Meta{Kind: "apply", Principal: "cloudless"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.run(t, sim, j)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			js, err := ReadJournal(path)
+			if err != nil || js == nil {
+				t.Fatalf("read journal: %v, %v", js, err)
+			}
+			a, rep, err := Recover(ctx, sim, js, state.New(), Options{Principal: "cloudless"})
+			if err != nil || rep.Err() != nil {
+				t.Fatalf("recover: %v / %v", err, rep.Err())
+			}
+			for _, addr := range b.State.Addrs() {
+				rs := b.State.Get(addr)
+				if _, err := sim.Get(ctx, rs.Type, rs.ID); err != nil {
+					t.Errorf("project B's %s (%s) is gone: %v", addr, rs.ID, err)
+				}
+				if got := a.ByID(rs.ID); got != nil {
+					t.Errorf("project A's state holds B's %s as %s", rs.ID, got.Addr)
+				}
+			}
+			if n := sim.TotalResources(); n != 5 {
+				t.Errorf("cloud holds %d resources, want project B's 5", n)
+			}
+		})
 	}
 }
 
@@ -314,9 +308,6 @@ func TestRecoverSkipsDefinitiveFailures(t *testing.T) {
 	sim := newSim()
 	js := &JournalState{
 		Meta: Meta{ID: "apply-test", Kind: "apply", Principal: "cloudless"},
-		Intents: []Intent{
-			{Addr: "aws_vpc.bad", Action: "create", Type: "aws_vpc", Region: "us-east-1", Name: "bad"},
-		},
 		Ops: map[string]*OpStatus{
 			"aws_vpc.bad": {
 				Begin:     &OpRecord{Addr: "aws_vpc.bad", Action: "create", Type: "aws_vpc", Region: "us-east-1"},

@@ -4,8 +4,8 @@
 // daemon mid-plan/mid-apply across many tenants — then restarts it on the
 // same data dir and checks the crash-safety contract end to end:
 //
-//   - zero lost jobs: every job ID ever acknowledged resolves over HTTP
-//     after the restart (never a 404);
+//   - zero lost jobs: every job ID acknowledged resolves over HTTP after
+//     the restart, unless the queue's retention has retired it (checkJobs);
 //   - every job that was queued or running at the kill reaches a correct
 //     terminal state after restart (mid-apply jobs resume through the
 //     workspace's journal recovery under their original idempotency keys);
@@ -23,11 +23,13 @@ package chaosd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -241,7 +243,7 @@ func Run(dir string, opts Options) (*Result, error) {
 	// deployed once up front so kills land on mutations of real estates.
 	res := &Result{Trials: opts.Trials}
 	deployed := map[string]bool{}
-	var submitted []submittedJob // every job ID ever acknowledged, per tenant
+	submitted := map[string][]string{} // every job ID ever acknowledged, per tenant, oldest first
 	for i := 0; i < opts.Tenants; i++ {
 		name := tenantName(i)
 		if _, err := h.Client.CreateWorkspace(ctx, server.CreateWorkspaceRequest{
@@ -249,7 +251,7 @@ func Run(dir string, opts Options) (*Result, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("chaosd: create %s: %w", name, err)
 		}
-		st, err := h.submitAndRecord(ctx, res, &submitted, name, "apply")
+		st, err := h.submitAndRecord(ctx, res, submitted, name, "apply")
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +276,7 @@ func Run(dir string, opts Options) (*Result, error) {
 			if deployed[name] && rng.Intn(3) == 0 {
 				kind = "destroy"
 			}
-			st, err := h.submitAndRecord(ctx, res, &submitted, name, kind)
+			st, err := h.submitAndRecord(ctx, res, submitted, name, kind)
 			if err != nil {
 				return nil, fmt.Errorf("chaosd trial %d: submit %s %s: %w", trial, name, kind, err)
 			}
@@ -318,21 +320,13 @@ func Run(dir string, opts Options) (*Result, error) {
 		}
 		res.resumes = append(res.resumes, float64(time.Since(resumeStart))/float64(time.Millisecond))
 
-		// Invariant: zero lost jobs. Every ID ever acknowledged — from this
-		// trial or any before it — must still resolve over HTTP. (The queue
-		// retains the last 256 terminal jobs per tenant; these runs stay far
-		// below that.)
-		recovered := 0
-		for _, sj := range submitted {
-			if _, err := h.Client.GetJob(ctx, sj.tenant, sj.id, 0); err != nil {
-				res.LostJobs++
-				res.failures = append(res.failures, fmt.Sprintf(
-					"trial %d: job %s/%s lost after restart: %v", trial, sj.tenant, sj.id, err))
-			} else {
-				recovered++
+		// Invariant: zero lost jobs, from this trial or any before it.
+		res.JobsRecovered = 0
+		for tenant, ids := range submitted {
+			for _, m := range h.checkJobs(ctx, res, tenant, ids) {
+				res.failures = append(res.failures, fmt.Sprintf("trial %d: %s", trial, m))
 			}
 		}
-		res.JobsRecovered = recovered
 
 		// Invariant: in-flight jobs reach a correct terminal state — the
 		// resumed mid-apply/mid-destroy job completes under its original ID.
@@ -356,7 +350,7 @@ func Run(dir string, opts Options) (*Result, error) {
 		// Converge the touched tenants, then check the cloud-vs-state
 		// invariants across ALL tenants.
 		for _, name := range tenants {
-			st, err := h.submitAndRecord(ctx, res, &submitted, name, "apply")
+			st, err := h.submitAndRecord(ctx, res, submitted, name, "apply")
 			if err != nil {
 				return nil, fmt.Errorf("chaosd trial %d: converge %s: %w", trial, name, err)
 			}
@@ -368,7 +362,7 @@ func Run(dir string, opts Options) (*Result, error) {
 			}
 			deployed[name] = true
 		}
-		if msgs := h.checkInvariants(ctx, opts.Tenants, res); len(msgs) > 0 {
+		if msgs := h.checkInvariants(ctx, opts.Tenants, res, submitted); len(msgs) > 0 {
 			for _, m := range msgs {
 				res.failures = append(res.failures, fmt.Sprintf("trial %d: %s", trial, m))
 			}
@@ -393,24 +387,50 @@ func Run(dir string, opts Options) (*Result, error) {
 	return res, nil
 }
 
-type submittedJob struct{ tenant, id string }
-
 // submitAndRecord submits a job and records its acknowledged ID for the
 // zero-lost-jobs sweep.
-func (h *Harness) submitAndRecord(ctx context.Context, res *Result, submitted *[]submittedJob, tenant, kind string) (server.JobStatus, error) {
+func (h *Harness) submitAndRecord(ctx context.Context, res *Result, submitted map[string][]string, tenant, kind string) (server.JobStatus, error) {
 	st, err := h.Client.SubmitJob(ctx, tenant, server.JobRequest{Kind: kind})
 	if err != nil {
 		return st, err
 	}
 	res.JobsSubmitted++
-	*submitted = append(*submitted, submittedJob{tenant: tenant, id: st.ID})
+	submitted[tenant] = append(submitted[tenant], st.ID)
 	return st, nil
+}
+
+// retainedJobs is how many terminal jobs the daemon's queue keeps per
+// tenant (the default of jobs.Options.MaxFinishedPerTenant).
+const retainedJobs = 256
+
+// checkJobs looks up one tenant's acknowledged job IDs, oldest first. The
+// queue retires terminal jobs past retainedJobs oldest first, so every ID
+// among the newest retainedJobs must resolve, and one may 404 only while no
+// older one resolves; any other miss is a lost job.
+func (h *Harness) checkJobs(ctx context.Context, res *Result, tenant string, ids []string) []string {
+	var msgs []string
+	resolved := false
+	for i, id := range ids {
+		_, err := h.Client.GetJob(ctx, tenant, id, 0)
+		var ae *server.APIError
+		switch {
+		case err == nil:
+			res.JobsRecovered++
+			resolved = true
+		case !resolved && i < len(ids)-retainedJobs && errors.As(err, &ae) && ae.Code == http.StatusNotFound:
+			// retired
+		default:
+			res.LostJobs++
+			msgs = append(msgs, fmt.Sprintf("job %s/%s lost after restart: %v", tenant, id, err))
+		}
+	}
+	return msgs
 }
 
 // checkInvariants compares the simulated cloud against the union of every
 // tenant's golden state: orphans, duplicate creates, missing resources,
-// and plan convergence.
-func (h *Harness) checkInvariants(ctx context.Context, tenants int, res *Result) []string {
+// and plan convergence. Its plan jobs are recorded like any other.
+func (h *Harness) checkInvariants(ctx context.Context, tenants int, res *Result, submitted map[string][]string) []string {
 	var msgs []string
 	total := 0
 	for i := 0; i < tenants; i++ {
@@ -430,7 +450,7 @@ func (h *Harness) checkInvariants(ctx context.Context, tenants int, res *Result)
 			}
 		}
 		// Convergence: a fresh plan over the converged tenant is a no-op.
-		pst, err := h.Client.SubmitJob(ctx, name, server.JobRequest{Kind: "plan"})
+		pst, err := h.submitAndRecord(ctx, res, submitted, name, "plan")
 		if err == nil {
 			wctx, cancel := context.WithTimeout(ctx, time.Minute)
 			fin, werr := h.Client.WaitJob(wctx, name, pst.ID)

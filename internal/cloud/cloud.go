@@ -75,6 +75,11 @@ type CreateRequest struct {
 	// in-doubt create without orphaning the first attempt. Mirrors the
 	// client-token mechanisms of real clouds (EC2 ClientToken, Azure
 	// client-request-id).
+	//
+	// Crash recovery rests on this alone (internal/apply recover.go): a
+	// cloud must answer a replayed key with the original resource for as
+	// long as a crashed run's journal can wait for recovery. The sim keeps
+	// keys for its lifetime.
 	IdempotencyKey string
 }
 

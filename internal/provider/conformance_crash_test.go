@@ -71,8 +71,8 @@ func TestConformanceIdemKeyReplay(t *testing.T) {
 
 // TestConformanceActivityLogParity drives the same op sequence through both
 // backends — including an idem-key replay that must NOT append a second
-// create event — and asserts the activity-log views recovery's orphan sweep
-// reads are identical.
+// create event — and asserts the activity-log views that drift watch and
+// the reconciler read are identical.
 func TestConformanceActivityLogParity(t *testing.T) {
 	type view struct {
 		Op        cloud.EventOp

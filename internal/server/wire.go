@@ -170,12 +170,10 @@ type RollbackSummary struct {
 
 // RecoverSummary is the wire form of a journal recovery.
 type RecoverSummary struct {
-	Recovered      bool     `json:"recovered"`
-	Kind           string   `json:"kind,omitempty"`
-	Confirmed      int      `json:"confirmed"`
-	Resumed        int      `json:"resumed"`
-	OrphansAdopted []string `json:"orphans_adopted,omitempty"`
-	OrphansDeleted []string `json:"orphans_deleted,omitempty"`
+	Recovered bool   `json:"recovered"`
+	Kind      string `json:"kind,omitempty"`
+	Confirmed int    `json:"confirmed"`
+	Resumed   int    `json:"resumed"`
 }
 
 // ResumeGap is the typed marker for a broken event-stream watermark: the
@@ -308,7 +306,6 @@ func summarizeRecover(rep *apply.RecoverReport) RecoverSummary {
 	return RecoverSummary{
 		Recovered: true, Kind: rep.Kind,
 		Confirmed: rep.Confirmed, Resumed: rep.Resumed,
-		OrphansAdopted: rep.OrphansAdopted, OrphansDeleted: rep.OrphansDeleted,
 	}
 }
 

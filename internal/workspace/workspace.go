@@ -76,8 +76,8 @@ type Config struct {
 	StateDir string
 	// JournalPath, when set, makes mutating operations crash-safe: every
 	// apply, destroy, and rollback runs under a durable write-ahead journal
-	// at this path (intents and per-op begin/done records, fsynced before
-	// each cloud call). The journal is discarded after a fully successful
+	// at this path (per-op begin/done records, each begin fsynced before
+	// its cloud call). The journal is discarded after a fully successful
 	// commit; if it survives — the process crashed or an op failed — the
 	// next Plan or Apply recovers it first (see Recover).
 	JournalPath string
@@ -479,8 +479,10 @@ func (w *Workspace) HasStaleJournal() bool {
 // Recover reconciles a crashed run's journal (apply, destroy, or rollback)
 // against the cloud and commits the reconciled state: completed ops are
 // folded in from their done records, in-doubt ops are re-driven under their
-// original idempotency keys, and orphaned resources are adopted or deleted
-// via the activity log. Returns (nil, nil) when there is nothing to recover.
+// original idempotency keys, and ops that never began are left to the next
+// plan. Only the journal is read — never the activity log, so resources the
+// journal does not name (another project's, under the same principal) are
+// left alone. Returns (nil, nil) when there is nothing to recover.
 // The journal is removed only after a fully clean recovery, so a crash
 // during recovery itself is handled by calling Recover again. It waits its
 // turn behind a live journaled run instead of recovering that run's journal.
@@ -518,8 +520,6 @@ func (w *Workspace) recover(ctx context.Context) (*apply.RecoverReport, error) {
 	}
 	span.SetAttr("confirmed", rep.Confirmed)
 	span.SetAttr("resumed", rep.Resumed)
-	span.SetAttr("orphans_adopted", len(rep.OrphansAdopted))
-	span.SetAttr("orphans_deleted", len(rep.OrphansDeleted))
 
 	// Commit everything the reconciled state and the base disagree on.
 	addrs := base.Addrs()
