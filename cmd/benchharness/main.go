@@ -464,6 +464,7 @@ func e8() {
 		edit := func(i int, name string, v eval.Value) {
 			rs := st.Get(fmt.Sprintf("aws_virtual_machine.web[%d]", i)).Clone()
 			rs.Attrs[name] = v
+			rs.Generation = 0 // no longer what the cloud answered
 			st.Set(rs)
 		}
 		for i := 0; i < 10; i++ {

@@ -18,9 +18,11 @@ func newHTTPServer(t *testing.T, h http.Handler) string {
 }
 
 // setAttr edits one attribute the only way the immutable-record rule allows:
-// on a copy of the record, which then replaces it.
+// on a copy of the record, which then replaces it. The copy holds attributes
+// no cloud response did, so it drops the generation.
 func setAttr(s *state.State, addr, name string, v eval.Value) {
 	rs := s.Get(addr).Clone()
 	rs.Attrs[name] = v
+	rs.Generation = 0
 	s.Set(rs)
 }

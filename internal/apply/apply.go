@@ -689,7 +689,7 @@ func (r *run) applyChange(ctx context.Context, ch *plan.Change) error {
 		prev := r.state.Get(ch.Addr)
 		rsState := &state.ResourceState{
 			Addr: ch.Addr, Type: ch.Type, ID: created.ID, Region: created.Region,
-			Attrs: created.Attrs, Dependencies: ch.Deps,
+			Attrs: created.Attrs, Generation: created.Generation, Dependencies: ch.Deps,
 			UpdatedAt: time.Now(),
 		}
 		if prev != nil && ch.Action == plan.ActionUpdate {

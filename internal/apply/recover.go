@@ -120,6 +120,8 @@ func applyDoneRecord(st *state.State, done *OpRecord) {
 		st.Remove(done.Addr)
 		return
 	}
+	// The journal records attributes, not their generation: Generation
+	// stays zero and the next refresh reads the resource in full.
 	now := time.Now()
 	st.Set(&state.ResourceState{
 		Addr: done.Addr, Type: done.Type, ID: done.ID, Region: done.Region,
@@ -199,7 +201,7 @@ func setFromResource(st *state.State, begin *OpRecord, res *cloud.Resource) {
 	}
 	st.Set(&state.ResourceState{
 		Addr: begin.Addr, Type: res.Type, ID: res.ID, Region: res.Region,
-		Attrs: res.Attrs, Dependencies: deps,
+		Attrs: res.Attrs, Generation: res.Generation, Dependencies: deps,
 		CreatedAt: now, UpdatedAt: now,
 	})
 }

@@ -18,14 +18,22 @@ const MaxBatchItems = 256
 type ResourceKey struct {
 	Type string `json:"type"`
 	ID   string `json:"id"`
+	// IfGeneration makes the read conditional: a caller that already holds
+	// the resource at this Generation may be answered NotModified instead of
+	// in full. Zero asks for the full resource. A cloud may always ignore it
+	// and answer in full, so wrappers forward it untouched.
+	IfGeneration int `json:"if_generation,omitempty"`
 }
 
 // BatchResult is the per-item outcome of a batched operation. Exactly one of
-// Resource and Err is set; batched calls fail item-by-item, never wholesale,
-// so one invalid request cannot sink its neighbours.
+// Resource, Err and NotModified is set; batched calls fail item-by-item,
+// never wholesale, so one invalid request cannot sink its neighbours.
 type BatchResult struct {
 	Resource *Resource
 	Err      error
+	// NotModified answers a read whose key carried the resource's current
+	// Generation: the caller's copy is still exact.
+	NotModified bool
 }
 
 // ListPageResult is one page of a paginated List. NextPageToken is opaque to
@@ -46,7 +54,9 @@ type BatchCreator interface {
 
 // BatchGetter is the bulk-read part of Interface. The result slice is
 // index-aligned with keys; missing resources surface as per-item 404s, not a
-// whole-call error.
+// whole-call error. A key whose IfGeneration equals the resource's current
+// Generation may be answered NotModified; any other key, and any key of a
+// cloud that ignores IfGeneration, is answered in full.
 type BatchGetter interface {
 	BatchGet(ctx context.Context, keys []ResourceKey) ([]BatchResult, error)
 }

@@ -32,31 +32,38 @@ type Client struct {
 
 var _ Interface = (*Client)(nil)
 
-// NewClient builds a client for the given base URL (e.g.
-// "http://127.0.0.1:8444"). A nil httpClient gets a transport tuned for the
+// defaultHTTP is the HTTP client of every Client built without one. It is
+// shared so that clients made and dropped per stack reuse one connection
+// pool: a transport per client keeps its own idle connections open for
+// IdleConnTimeout after the client is gone. The transport is tuned for the
 // provider runtime's concurrency: the default transport caps idle
-// connections per host at 2, which under a few dozen concurrent calls to
-// one control-plane endpoint churns through TCP handshakes; and a single
+// connections per host at 2, which under a few dozen concurrent calls to one
+// control-plane endpoint churns through TCP handshakes; and a single
 // whole-request timeout is replaced by per-phase timeouts so a stalled
 // server surfaces as an error in seconds, not minutes.
+var defaultHTTP = &http.Client{
+	Transport: &http.Transport{
+		Proxy: http.ProxyFromEnvironment,
+		DialContext: (&net.Dialer{
+			Timeout:   10 * time.Second,
+			KeepAlive: 30 * time.Second,
+		}).DialContext,
+		MaxIdleConns:          256,
+		MaxIdleConnsPerHost:   128,
+		MaxConnsPerHost:       0, // concurrency is the runtime's job
+		IdleConnTimeout:       90 * time.Second,
+		ResponseHeaderTimeout: 30 * time.Second,
+		ExpectContinueTimeout: time.Second,
+	},
+	Timeout: 5 * time.Minute, // last-resort bound; ctx governs per call
+}
+
+// NewClient builds a client for the given base URL (e.g.
+// "http://127.0.0.1:8444"). A nil httpClient shares one package-wide client
+// and its connection pool with every other such Client.
 func NewClient(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
-		httpClient = &http.Client{
-			Transport: &http.Transport{
-				Proxy: http.ProxyFromEnvironment,
-				DialContext: (&net.Dialer{
-					Timeout:   10 * time.Second,
-					KeepAlive: 30 * time.Second,
-				}).DialContext,
-				MaxIdleConns:          256,
-				MaxIdleConnsPerHost:   128,
-				MaxConnsPerHost:       0, // concurrency is the runtime's job
-				IdleConnTimeout:       90 * time.Second,
-				ResponseHeaderTimeout: 30 * time.Second,
-				ExpectContinueTimeout: time.Second,
-			},
-			Timeout: 5 * time.Minute, // last-resort bound; ctx governs per call
-		}
+		httpClient = defaultHTTP
 	}
 	return &Client{base: baseURL, http: httpClient}
 }

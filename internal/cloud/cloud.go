@@ -37,8 +37,11 @@ type Resource struct {
 	// CreatedAt and UpdatedAt are simulator timestamps.
 	CreatedAt time.Time `json:"created_at"`
 	UpdatedAt time.Time `json:"updated_at"`
-	// Generation increments on every mutation; drift comparison uses it as
-	// a cheap change hint.
+	// Generation versions Attrs and Region: every change to either bumps
+	// it, and an (ID, Generation) pair is never reused, so a caller that
+	// holds a resource at some Generation holds exactly what the cloud
+	// holds at that Generation. Conditional reads (ResourceKey.IfGeneration)
+	// rest on this.
 	Generation int `json:"generation"`
 }
 

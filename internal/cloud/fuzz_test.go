@@ -28,6 +28,10 @@ func FuzzServerBodies(f *testing.F) {
 			`{"type":"aws_vpc","region":"us-east-1","attrs":{"name":"bulk-a","cidr_block":"10.0.0.0/16"},"idempotency_key":"key-a"},` +
 			`{"type":"aws_region","attrs":null}]}`,
 		`{"keys":[{"type":"aws_vpc","id":"vpc-00000001"},{"type":"aws_vpc","id":"vpc-missing"}]}`,
+		`{"keys":[{"type":"aws_vpc","id":"vpc-00000001","if_generation":1},` +
+			`{"type":"aws_vpc","id":"vpc-00000001","if_generation":-3},{"type":"aws_vpc","id":"vpc-missing","if_generation":1}]}`,
+		`{"keys":[{"type":"aws_vpc","id":"vpc-00000001","if_generation":"1"}]}`,
+		`{"keys":[{"type":"aws_vpc","id":"vpc-00000001","if_generation":1e30}]}`,
 		`{"keys":[]}`, `{"items":[{}]}`, `{not json`, `[]`, `null`, ``,
 	} {
 		f.Add([]byte(seed))

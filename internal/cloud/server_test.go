@@ -5,10 +5,12 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cloudless/internal/eval"
@@ -196,5 +198,32 @@ func TestUnknownValueSurvivesWire(t *testing.T) {
 	back := fromWire(w)
 	if !back.Attr("pending").IsUnknown() {
 		t.Errorf("unknown lost over the wire: %v", back.Attr("pending"))
+	}
+}
+
+// TestClientsShareOneConnectionPool: clients built without an http.Client
+// and dropped after a call, as a stack opened per request does, share one
+// connection pool, so the server holds a few connections, not one kept idle
+// per dropped client.
+func TestClientsShareOneConnectionPool(t *testing.T) {
+	var live atomic.Int64
+	srv := httptest.NewUnstartedServer(NewServer(newTestSim(), slog.New(slog.NewTextHandler(io.Discard, nil))))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			live.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			live.Add(-1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	for i := 0; i < 200; i++ {
+		if _, err := NewClient(srv.URL, nil).List(context.Background(), "aws_vpc", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := live.Load(); n > 4 {
+		t.Errorf("200 dropped clients left %d live connections, want at most 4", n)
 	}
 }

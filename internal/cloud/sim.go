@@ -510,7 +510,10 @@ func (s *Sim) provisionOne(ctx context.Context, rs *schema.ResourceSchema, req C
 
 	s.mu.Lock()
 	if st := rs.Attr("state"); st != nil && st.Computed {
+		// A changed attribute is a new generation: a reader that saw
+		// "creating" must not be told its copy is current.
 		res.Attrs["state"] = eval.String("running")
+		res.Generation++
 	}
 	res.UpdatedAt = time.Now()
 	hrec.provisioned = true
@@ -799,8 +802,13 @@ func (s *Sim) Update(ctx context.Context, req UpdateRequest) (*Resource, error) 
 		if !r.Attr(name).Equal(v) {
 			changed = append(changed, name)
 		}
+	}
+	// Validated whole before any write, so a rejected update changes
+	// nothing; the generation moves with the attributes, under one lock.
+	for name, v := range req.Attrs {
 		r.Attrs[name] = v
 	}
+	r.Generation++
 	sort.Strings(changed)
 	s.metrics.Updates++
 	s.mu.Unlock()
@@ -809,7 +817,6 @@ func (s *Sim) Update(ctx context.Context, req UpdateRequest) (*Resource, error) 
 
 	s.mu.Lock()
 	r.UpdatedAt = time.Now()
-	r.Generation++
 	s.appendEventLocked(OpUpdate, r, req.Principal, changed)
 	out := r.Clone()
 	s.mu.Unlock()

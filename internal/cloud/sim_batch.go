@@ -78,7 +78,8 @@ func (s *Sim) BatchCreate(ctx context.Context, reqs []CreateRequest) ([]BatchRes
 }
 
 // BatchGet reads up to MaxBatchItems resources under a single admitted call
-// and one modeled read round-trip. Missing resources are per-item 404s.
+// and one modeled read round-trip. Missing resources are per-item 404s; a
+// key whose IfGeneration is the stored Generation is answered NotModified.
 func (s *Sim) BatchGet(ctx context.Context, keys []ResourceKey) ([]BatchResult, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -99,9 +100,13 @@ func (s *Sim) BatchGet(ctx context.Context, keys []ResourceKey) ([]BatchResult, 
 	s.metrics.Reads += int64(len(keys))
 	results := make([]BatchResult, len(keys))
 	for i, k := range keys {
-		if r := s.store[k.Type][k.ID]; r != nil {
+		r := s.store[k.Type][k.ID]
+		switch {
+		case r != nil && k.IfGeneration != 0 && r.Generation == k.IfGeneration:
+			results[i] = BatchResult{NotModified: true}
+		case r != nil:
 			results[i] = BatchResult{Resource: r.Clone()}
-		} else {
+		default:
 			results[i] = BatchResult{Err: &APIError{Code: CodeNotFound, Op: "get", Type: k.Type, ID: k.ID,
 				Message: fmt.Sprintf("ResourceNotFound: %s %q does not exist", prettyType(k.Type), k.ID)}}
 		}

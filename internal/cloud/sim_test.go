@@ -639,3 +639,88 @@ func TestInjectCrashDuringDelete(t *testing.T) {
 		t.Errorf("retry err = %v, want 404", err)
 	}
 }
+
+// TestGenerationMovesWithEveryAttrsChange: with provisioning and update
+// latency on, a reader polling a resource never sees two attribute sets
+// under one generation (the creating -> running transition and a read in
+// the middle of an update's sleep included), and a rejected update changes
+// neither attributes nor generation.
+func TestGenerationMovesWithEveryAttrsChange(t *testing.T) {
+	opts := DefaultOptions()
+	opts.DisableRateLimit = true
+	opts.EnforceConstraints = false
+	opts.TimeScale = 0.0005 // VM: 90s create -> 45ms, 30s update -> 15ms
+	opts.ReadLatency = 0
+	s := NewSim(opts)
+	ctx := context.Background()
+
+	seen := map[int]uint64{} // generation -> hash of the attributes read at it
+	observe := func(r *Resource) {
+		h := eval.Object(r.Attrs).Hash()
+		if prev, ok := seen[r.Generation]; ok && prev != h {
+			t.Errorf("generation %d read with two attribute sets (now %v)", r.Generation, r.Attrs)
+		}
+		seen[r.Generation] = h
+	}
+	// poll reads every VM until op returns, then once more.
+	poll := func(op func() error) {
+		done := make(chan error, 1)
+		go func() { done <- op() }()
+		for {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs, err := s.List(ctx, "aws_virtual_machine", "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range rs {
+					observe(r)
+				}
+				return
+			default:
+			}
+			rs, err := s.List(ctx, "aws_virtual_machine", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rs {
+				observe(r)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	var vm *Resource
+	poll(func() (err error) {
+		vm, err = s.Create(ctx, CreateRequest{Type: "aws_virtual_machine", Region: "us-east-1",
+			Attrs: map[string]eval.Value{"name": eval.String("web"), "nic_ids": eval.Strings("nic-1")}})
+		return err
+	})
+	if len(seen) < 2 {
+		t.Fatalf("polling saw generations %v; want the provisioning one and the running one", seen)
+	}
+	poll(func() error {
+		_, err := s.Update(ctx, UpdateRequest{Type: vm.Type, ID: vm.ID,
+			Attrs: map[string]eval.Value{"name": eval.String("web-2")}})
+		return err
+	})
+	before, err := s.Get(ctx, vm.Type, vm.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Update(ctx, UpdateRequest{Type: vm.Type, ID: vm.ID,
+		Attrs: map[string]eval.Value{"name": eval.String("web-3"), "id": eval.String("vm-hax")}}); err == nil {
+		t.Fatal("update of a computed attribute accepted")
+	}
+	after, err := s.Get(ctx, vm.Type, vm.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Generation != before.Generation || !eval.Object(after.Attrs).Equal(eval.Object(before.Attrs)) {
+		t.Errorf("rejected update changed the resource: gen %d -> %d, name %v -> %v",
+			before.Generation, after.Generation, before.Attr("name"), after.Attr("name"))
+	}
+}

@@ -5,8 +5,12 @@ import "errors"
 // Wire shapes for the bulk API:
 //
 //	POST /v1/batch/create  {"items":[{type, region, attrs, ...}]}  -> {"results":[...]}
-//	POST /v1/batch/get     {"keys":[{"type","id"}]}                -> {"results":[...]}
+//	POST /v1/batch/get     {"keys":[{"type","id","if_generation"}]} -> {"results":[...]}
 //	GET  /v1/resources/{type}?limit=&page_token=                   -> {"resources":[...], "next_page_token":""}
+//
+// A batch/get key's if_generation is optional. When it equals the resource's
+// current generation, the result may be {"not_modified":true} in place of the
+// resource: the caller's copy is still exact.
 
 // wireBatchCreateItem is one create in a batch body. Unlike the single-create
 // POST, the type travels in the body (the batch URL has no {type} segment).
@@ -28,8 +32,9 @@ type wireBatchGet struct {
 
 // wireBatchResult carries one item outcome; exactly one field is set.
 type wireBatchResult struct {
-	Resource *wireResource `json:"resource,omitempty"`
-	Error    *APIError     `json:"error,omitempty"`
+	Resource    *wireResource `json:"resource,omitempty"`
+	Error       *APIError     `json:"error,omitempty"`
+	NotModified bool          `json:"not_modified,omitempty"`
 }
 
 type wireBatchResults struct {
@@ -53,6 +58,10 @@ func toWireBatchResults(results []BatchResult) wireBatchResults {
 			out.Results[i].Error = ae
 			continue
 		}
+		if r.NotModified {
+			out.Results[i].NotModified = true
+			continue
+		}
 		w := toWire(r.Resource)
 		out.Results[i].Resource = &w
 	}
@@ -67,9 +76,11 @@ func fromWireBatchResults(w wireBatchResults) []BatchResult {
 			out[i].Err = r.Error
 		case r.Resource != nil:
 			out[i].Resource = fromWire(*r.Resource)
+		case r.NotModified:
+			out[i].NotModified = true
 		default:
 			out[i].Err = &APIError{Code: CodeInternal, Op: "batch",
-				Message: "MalformedResponse: batch item carries neither resource nor error"}
+				Message: "MalformedResponse: batch item carries no resource, error or not_modified"}
 		}
 	}
 	return out

@@ -568,8 +568,10 @@ func Reconcile(st *state.State, rep *Report, policy Policy) *ReconcileResult {
 				out.State.Remove(item.Addr)
 			case Modified:
 				if rs := out.State.Get(item.Addr); rs != nil && item.CloudAttrs != nil {
+					// The item carries attributes, not the generation they
+					// were read at: the next refresh reads this one in full.
 					cp := *rs
-					cp.Attrs, cp.UpdatedAt = item.CloudAttrs, time.Now()
+					cp.Attrs, cp.Generation, cp.UpdatedAt = item.CloudAttrs, 0, time.Now()
 					out.State.Set(&cp)
 				}
 			case Unmanaged:

@@ -1,6 +1,8 @@
 package hcl
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -206,5 +208,21 @@ func TestLexIdentWithDashesAndDigits(t *testing.T) {
 	toks := lexOK(t, "us-east-1a")
 	if toks[0].Type != TokenIdent || toks[0].Text != "us-east-1a" {
 		t.Errorf("got %v %q", toks[0].Type, toks[0].Text)
+	}
+}
+
+// TestLexAllocatesTokensOnce: a large configuration lexes into a token slice
+// sized once from the source, not one that append grows (and copies) dozens
+// of times.
+func TestLexAllocatesTokensOnce(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&b, "resource \"aws_virtual_machine\" \"r%d\" {\n  name      = \"r-vm-%d\"\n"+
+			"  subnet_id = aws_subnet.s%d.id\n  tags      = [\"web\", \"tier-%d\"]\n}\n\n", i, i, i%7, i%3)
+	}
+	src := b.String()
+	toks := lexOK(t, src)
+	if allocs := testing.AllocsPerRun(5, func() { Lex("big.ccl", src) }); allocs > 2 {
+		t.Errorf("Lex of %d bytes (%d tokens): %.0f allocations, want at most 2", len(src), len(toks), allocs)
 	}
 }

@@ -193,7 +193,9 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	// incremental planner only those in scope. The Gets fan out through the
 	// provider runtime as fresh reads (refresh exists to observe
 	// out-of-band change, so cached values would defeat it); results are
-	// folded back in address order so diagnostics stay deterministic.
+	// folded back in address order so diagnostics stay deterministic. Each
+	// read is conditional on the generation the record holds: an unchanged
+	// resource comes back NotModified and its record is kept as it is.
 	prior = prior.Clone()
 	if opts.Refresh {
 		if opts.Cloud == nil {
@@ -215,7 +217,7 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 		keys := make([]cloud.ResourceKey, len(addrs))
 		for i, addr := range addrs {
 			rs := prior.Get(addr)
-			keys[i] = cloud.ResourceKey{Type: rs.Type, ID: rs.ID}
+			keys[i] = cloud.ResourceKey{Type: rs.Type, ID: rs.ID, IfGeneration: rs.Generation}
 		}
 		fctx := provider.WithFresh(ctx)
 		results := make([]cloud.BatchResult, 0, len(addrs))
@@ -239,11 +241,13 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 				prior.Remove(addr) // gone out-of-band; will be recreated
 			case err != nil:
 				diags = diags.Append(hcl.Errorf(hcl.Range{}, "refresh %s: %s", addr, err))
+			case results[i].NotModified:
+				// The record already holds what the cloud holds.
 			default:
 				// Records are shared with the caller's state: fold the read
 				// into a copy.
 				cp := *rs
-				cp.Attrs, cp.Region = cur.Attrs, cur.Region
+				cp.Attrs, cp.Region, cp.Generation = cur.Attrs, cur.Region, cur.Generation
 				prior.Set(&cp)
 			}
 		}

@@ -151,7 +151,7 @@ func Import(ctx context.Context, cl cloud.Interface, opts ImportOptions) (*Impor
 		sort.Strings(deps)
 		result.State.Set(&state.ResourceState{
 			Addr: rename(ir.addr), Type: ir.res.Type, ID: ir.res.ID, Region: ir.res.Region,
-			Attrs: ir.res.Attrs, Dependencies: deps,
+			Attrs: ir.res.Attrs, Generation: ir.res.Generation, Dependencies: deps,
 			CreatedAt: ir.res.CreatedAt, UpdatedAt: ir.res.UpdatedAt,
 		})
 	}

@@ -233,6 +233,9 @@ func describe(r cloud.BatchResult) string {
 		}
 		return "err " + r.Err.Error()
 	}
+	if r.NotModified {
+		return "not_modified"
+	}
 	return fmt.Sprintf("ok %s %s %s name=%s gen=%d", r.Resource.Type, r.Resource.ID, r.Resource.Region,
 		r.Resource.Attr("name").AsString(), r.Resource.Generation)
 }
@@ -318,6 +321,41 @@ func TestConformanceBulkVerbs(t *testing.T) {
 			if got[0].Err != nil || got[0].Resource.ID != idA || got[2].Err != nil || got[2].Resource.ID != idB ||
 				!cloud.IsNotFound(got[1].Err) {
 				t.Errorf("batch get => %s | %s | %s; want hit, 404, hit", describe(got[0]), describe(got[1]), describe(got[2]))
+			}
+
+			// A conditional read: the generation the caller holds comes back
+			// not_modified, any other is answered in full, a missing ID is
+			// still its item's 404; after an update the old generation reads
+			// the new resource.
+			genA, genB := got[0].Resource.Generation, got[2].Resource.Generation
+			conditional := func(step string, gen int) []cloud.BatchResult {
+				t.Helper()
+				res, err := rt.BatchGet(ctx, []cloud.ResourceKey{
+					{Type: "aws_vpc", ID: idA, IfGeneration: gen},
+					{Type: "aws_vpc", ID: idB, IfGeneration: genB + 7},
+					{Type: "aws_vpc", ID: "vpc-missing", IfGeneration: 1}})
+				if err != nil || len(res) != 3 {
+					t.Fatalf("conditional batch get => %d results, %v", len(res), err)
+				}
+				for i, r := range res {
+					note(fmt.Sprintf("%s[%d]", step, i), describe(r))
+				}
+				if res[1].Err != nil || res[1].Resource.ID != idB || res[1].Resource.Generation != genB || !cloud.IsNotFound(res[2].Err) {
+					t.Errorf("%s => %s | %s; want %s in full at generation %d, then a 404",
+						step, describe(res[1]), describe(res[2]), idB, genB)
+				}
+				return res
+			}
+			if r := conditional("if-gen", genA)[0]; !r.NotModified || r.Resource != nil || r.Err != nil {
+				t.Errorf("read of %s at its generation %d => %s, want not_modified", idA, genA, describe(r))
+			}
+			if _, err := rt.Update(ctx, cloud.UpdateRequest{Type: "aws_vpc", ID: idA, Principal: "conf",
+				Attrs: map[string]eval.Value{"enable_dns": eval.False}}); err != nil {
+				t.Fatal(err)
+			}
+			if r := conditional("if-old-gen", genA)[0]; r.Err != nil || r.NotModified || r.Resource.Generation <= genA ||
+				!r.Resource.Attr("enable_dns").Equal(eval.False) {
+				t.Errorf("read of %s at the generation before an update => %s, want the updated resource", idA, describe(r))
 			}
 
 			// An oversized batch fails whole, with a 400, at the upstream (the

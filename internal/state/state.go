@@ -33,6 +33,13 @@ type ResourceState struct {
 	Region string
 	// Attrs is the full attribute set as last read from the cloud.
 	Attrs map[string]eval.Value
+	// Generation is the cloud's Generation of the response Attrs (and
+	// Region) were copied from, so a refresh can ask for the resource only
+	// if it changed since. Zero means unknown: the next refresh reads in
+	// full. Code that sets Attrs from anything but that same cloud response
+	// (a journal record, a drift report, a Clone edited by hand) must set
+	// Generation to zero.
+	Generation int
 	// Dependencies are resource-level addresses this instance depended on
 	// at creation; destroy ordering reverses them.
 	Dependencies []string
@@ -162,6 +169,7 @@ type resourceJSON struct {
 	ID           string         `json:"id"`
 	Region       string         `json:"region"`
 	Attrs        map[string]any `json:"attrs"`
+	Generation   int            `json:"generation,omitempty"`
 	Dependencies []string       `json:"dependencies,omitempty"`
 	CreatedAt    time.Time      `json:"created_at"`
 	UpdatedAt    time.Time      `json:"updated_at"`
@@ -181,7 +189,7 @@ func (s *State) Encode() ([]byte, error) {
 			attrs[k] = eval.ToGo(v)
 		}
 		out.Resources[addr] = resourceJSON{
-			Type: rs.Type, ID: rs.ID, Region: rs.Region, Attrs: attrs,
+			Type: rs.Type, ID: rs.ID, Region: rs.Region, Attrs: attrs, Generation: rs.Generation,
 			Dependencies: rs.Dependencies, CreatedAt: rs.CreatedAt, UpdatedAt: rs.UpdatedAt,
 		}
 	}
@@ -209,7 +217,7 @@ func Decode(data []byte) (*State, error) {
 		}
 		s.Resources[addr] = &ResourceState{
 			Addr: addr, Type: rj.Type, ID: rj.ID, Region: rj.Region,
-			Attrs: attrs, Dependencies: rj.Dependencies,
+			Attrs: attrs, Generation: rj.Generation, Dependencies: rj.Dependencies,
 			CreatedAt: rj.CreatedAt, UpdatedAt: rj.UpdatedAt,
 		}
 	}

@@ -3,6 +3,7 @@ package state
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,8 +19,9 @@ func sampleState() *State {
 			"cidr_block": eval.String("10.0.0.0/16"),
 			"enable_dns": eval.True,
 		},
-		CreatedAt: time.Now().UTC().Truncate(time.Second),
-		UpdatedAt: time.Now().UTC().Truncate(time.Second),
+		Generation: 3,
+		CreatedAt:  time.Now().UTC().Truncate(time.Second),
+		UpdatedAt:  time.Now().UTC().Truncate(time.Second),
 	})
 	s.Set(&ResourceState{
 		Addr: "aws_subnet.s[0]", Type: "aws_subnet", ID: "subnet-00000001", Region: "us-east-1",
@@ -34,10 +36,12 @@ func sampleState() *State {
 }
 
 // setAttr edits one attribute the only way the immutable-record rule allows:
-// on a copy of the record, which then replaces it.
+// on a copy of the record, which then replaces it. The copy holds attributes
+// no cloud response did, so it drops the generation.
 func setAttr(s *State, addr, name string, v eval.Value) {
 	rs := s.Get(addr).Clone()
 	rs.Attrs[name] = v
+	rs.Generation = 0
 	s.Set(rs)
 }
 
@@ -55,12 +59,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("len = %d", back.Len())
 	}
 	vpc := back.Get("aws_vpc.main")
-	if vpc == nil || vpc.ID != "vpc-00000001" || !vpc.Attr("enable_dns").Equal(eval.True) {
+	if vpc == nil || vpc.ID != "vpc-00000001" || !vpc.Attr("enable_dns").Equal(eval.True) || vpc.Generation != 3 {
 		t.Errorf("vpc = %+v", vpc)
 	}
 	sub := back.Get("aws_subnet.s[0]")
 	if len(sub.Dependencies) != 1 || sub.Dependencies[0] != "aws_vpc.main" {
 		t.Errorf("deps = %v", sub.Dependencies)
+	}
+	// A record with no generation keeps the bytes it had before the field.
+	if n := strings.Count(string(data), `"generation"`); n != 1 {
+		t.Errorf("encoding carries %d generation fields, want the vpc's alone:\n%s", n, data)
 	}
 	if !back.Outputs["vpc_id"].Equal(eval.String("vpc-00000001")) {
 		t.Errorf("outputs = %v", back.Outputs)
