@@ -338,7 +338,7 @@ func BenchmarkE8Rollback(b *testing.B) {
 		var redeploys float64
 		for i := 0; i < b.N; i++ {
 			p := rollback.Compute(st, target)
-			redeploys = float64(p.Redeployments)
+			redeploys = float64(p.Creates + p.Replaces)
 		}
 		b.ReportMetric(redeploys, "redeployments")
 	})

@@ -33,7 +33,6 @@ import (
 	"cloudless/internal/plan"
 	"cloudless/internal/policy"
 	"cloudless/internal/provider"
-	"cloudless/internal/rollback"
 	"cloudless/internal/state"
 	"cloudless/internal/statedb"
 	"cloudless/internal/telemetry"
@@ -55,8 +54,6 @@ type (
 	Diagnosis = diagnose.Diagnosis
 	// Decision is a policy decision.
 	Decision = policy.Decision
-	// RollbackPlan is a computed rollback.
-	RollbackPlan = rollback.Plan
 	// RecoverReport summarizes a crashed run's journal recovery.
 	RecoverReport = apply.RecoverReport
 	// Event is one live ops-plane transition (see internal/events).
@@ -284,10 +281,10 @@ func (s *Stack) PolicyDecisionsForDrift(rep *DriftReport) ([]Decision, error) {
 func (s *Stack) Observe(metrics map[string]any) ([]Decision, error) { return s.ws.Observe(metrics) }
 
 // PlanRollback computes a minimal rollback to a historical serial (§3.4).
-func (s *Stack) PlanRollback(serial int) (*RollbackPlan, error) { return s.ws.PlanRollback(serial) }
+func (s *Stack) PlanRollback(serial int) (*Plan, error) { return s.ws.PlanRollback(serial) }
 
 // ExecuteRollback runs a rollback plan and commits the resulting state.
-func (s *Stack) ExecuteRollback(ctx context.Context, p *RollbackPlan) error {
+func (s *Stack) ExecuteRollback(ctx context.Context, p *Plan) error {
 	return s.ws.ExecuteRollback(ctx, p)
 }
 

@@ -474,12 +474,22 @@ func e8() {
 			edit(10+i, "image", eval.String("ami-x"))
 		}
 		p := rollback.Compute(st, target)
+		// Only the edited images are irreversible; the renames, and the
+		// balancer's reference to any replaced VM, revert in place.
+		wantUpdates := 10
+		if irreversible > 0 {
+			wantUpdates++
+		}
+		if p.Replaces != irreversible || p.Updates != wantUpdates {
+			panic(fmt.Sprintf("E8: %d irreversible changes plan %s, want %d to replace and %d to change",
+				irreversible, p.Summary(), irreversible, wantUpdates))
+		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", irreversible),
-			fmt.Sprintf("%d", p.Reverts),
-			fmt.Sprintf("%d", p.Redeployments),
+			fmt.Sprintf("%d", p.Updates),
+			fmt.Sprintf("%d", p.Creates+p.Replaces),
 			fmt.Sprintf("%d", target.Len()),
-			fmt.Sprintf("%.0f%%", 100*(1-float64(p.Redeployments)/float64(target.Len()))),
+			fmt.Sprintf("%.0f%%", 100*(1-float64(p.Creates+p.Replaces)/float64(target.Len()))),
 		})
 	}
 	table("irreversible-changes\tin-place-reverts\tredeployments\tbaseline(redeploy all)\tredeployment avoided", rows)

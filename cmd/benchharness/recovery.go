@@ -180,14 +180,11 @@ func cr() {
 					rpoint = cloud.CrashAfterOp
 				}
 				sim.InjectCrash(rpoint, 1+rng.Intn(2), rcancel)
-				_, _, _ = apply.Recover(rctx, sim, js, base, apply.Options{})
+				_, _ = apply.Recover(rctx, sim, js, base, apply.Options{})
 				sim.ClearCrash()
 				rcancel()
 			}
-			st, rep, err := apply.Recover(context.Background(), sim, js, base, apply.Options{})
-			if err != nil {
-				panic(fmt.Sprintf("CR trial %d: recover: %s", trial, err))
-			}
+			st, rep := apply.Recover(context.Background(), sim, js, base, apply.Options{})
 			if err := rep.Err(); err != nil {
 				panic(fmt.Sprintf("CR trial %d: recover report: %s", trial, err))
 			}

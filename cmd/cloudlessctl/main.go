@@ -409,14 +409,10 @@ func cmdRollback(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("rollback to serial %d: %d steps: %d in-place reverts, %d redeployments\n",
-		res.ToSerial, len(res.Steps), res.Reverts, res.Redeployments)
-	for _, step := range res.Steps {
-		fmt.Printf("  %-16s %-40s %s\n", step.Kind, step.Addr, step.Reason)
-	}
-	if !*dryRun && len(res.Steps) > 0 {
-		fmt.Printf("rolled back: %d in-place revert(s), %d redeployment(s) — serial %d\n",
-			res.Reverts, res.Redeployments, res.Serial)
+	fmt.Printf("rollback to serial %d:\n", res.ToSerial)
+	printPlan(res.PlanSummary)
+	if !*dryRun && res.Pending() > 0 {
+		fmt.Printf("rolled back: %d change(s) — serial %d\n", res.Pending(), res.Serial)
 	}
 	return nil
 }
@@ -455,7 +451,7 @@ func cmdRecover(args []string) error {
 func cmdDrift(args []string) error {
 	c := newCommon("drift")
 	scan := c.fs.Bool("scan", false, "full API scan instead of activity-log watch")
-	reconcile := c.fs.String("reconcile", "", `reconcile detected drift: "adopt" or "revert"`)
+	reconcile := c.fs.String("reconcile", "", `reconcile detected drift: "adopt" or "revert" (a revert only reports unmanaged resources, never deletes them)`)
 	_ = c.fs.Parse(args)
 	c.initTelemetry()
 	defer c.writeTrace()

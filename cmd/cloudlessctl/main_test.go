@@ -192,6 +192,32 @@ func TestRollbackGoesThroughTheGoldenState(t *testing.T) {
 	}
 }
 
+// TestRollbackDryRunPrintsThePlan: a rollback is a plan, and its dry run
+// prints the change lines and summary line that plan prints for the
+// configuration it rolls back to.
+func TestRollbackDryRunPrintsThePlan(t *testing.T) {
+	sim := newSim()
+	srv := httptest.NewServer(cloud.NewServer(sim, quiet))
+	defer srv.Close()
+	c := newCLI(t, srv.URL)
+
+	c.configure(baseConfig)
+	c.must(cmdApply)
+	_, first := c.planned()
+	c.configure(baseConfig + twoMore)
+	c.must(cmdApply)
+
+	rollback := c.must(cmdRollback, "-to", strconv.Itoa(first), "-dry-run")
+	c.configure(baseConfig)
+	planned := c.must(cmdPlan)
+	if !strings.Contains(planned, "2 to destroy (4 unchanged)") {
+		t.Fatalf("plan of the first configuration:\n%s", planned)
+	}
+	if want := fmt.Sprintf("rollback to serial %d:\n%s", first, planned); rollback != want {
+		t.Errorf("rollback -dry-run printed\n%s\nwant\n%s", rollback, want)
+	}
+}
+
 // crashedCLI is a user whose first apply lost the cloud just after its second
 // create (the subnet) landed: the answer to that create was lost, with every
 // call after it, so the journal holds the subnet in doubt. The cloud is back

@@ -121,14 +121,11 @@ func recoverAndFinish(t *testing.T, sim *cloud.Sim, src string, base *state.Stat
 				point = cloud.CrashAfterOp
 			}
 			sim.InjectCrash(point, 1+rng.Intn(2), rcancel)
-			_, _, _ = Recover(rctx, sim, js, base, Options{})
+			_, _ = Recover(rctx, sim, js, base, Options{})
 			sim.ClearCrash()
 			rcancel()
 		}
-		st, rep, err := Recover(context.Background(), sim, js, base, Options{})
-		if err != nil {
-			t.Fatalf("recover: %s", err)
-		}
+		st, rep := Recover(context.Background(), sim, js, base, Options{})
 		if err := rep.Err(); err != nil {
 			t.Fatalf("recover report: %s", err)
 		}
@@ -214,9 +211,9 @@ func TestChaosRepeatedCrashesSameRun(t *testing.T) {
 				if js, err := ReadJournal(journalPath); err != nil {
 					t.Fatal(err)
 				} else if js != nil {
-					st, rep, err := Recover(context.Background(), sim, js, base, Options{})
-					if err != nil || rep.Err() != nil {
-						t.Fatalf("round %d recover: %v / %v", round, err, rep.Err())
+					st, rep := Recover(context.Background(), sim, js, base, Options{})
+					if err := rep.Err(); err != nil {
+						t.Fatalf("round %d recover: %v", round, err)
 					}
 					base = st
 					if err := os.Remove(journalPath); err != nil {

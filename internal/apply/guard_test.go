@@ -235,10 +235,7 @@ resource "aws_vpc" "b" {
 		t.Fatal("failed op carries no fail record")
 	}
 
-	recovered, rep, err := Recover(context.Background(), sim, js, state.New(), Options{})
-	if err != nil {
-		t.Fatalf("recover: %s", err)
-	}
+	recovered, rep := Recover(context.Background(), sim, js, state.New(), Options{})
 	if err := rep.Err(); err != nil {
 		t.Fatalf("recover report: %s", err)
 	}

@@ -60,7 +60,7 @@ func (r *RecoverReport) Err() error {
 // re-driven to have done). The caller commits that state and then re-plans:
 // ops the crashed run never started become ordinary plan changes.
 func Recover(ctx context.Context, cl cloud.Interface, js *JournalState,
-	base *state.State, opts Options) (*state.State, *RecoverReport, error) {
+	base *state.State, opts Options) (*state.State, *RecoverReport) {
 
 	o := (&opts).withDefaults()
 	start := time.Now()
@@ -111,7 +111,7 @@ func Recover(ctx context.Context, cl cloud.Interface, js *JournalState,
 	rep.Elapsed = time.Since(start)
 	bus.Publish(evbus.Event{Kind: "recover.finish", Run: js.Meta.ID,
 		N: int64(rep.Confirmed + rep.Resumed), Ms: durMillis(rep.Elapsed)})
-	return st, rep, nil
+	return st, rep
 }
 
 // applyDoneRecord folds a completed op's recorded result into state.

@@ -133,10 +133,7 @@ func TestRecoverResumesInDoubtCreate(t *testing.T) {
 	if len(js.InDoubt()) == 0 {
 		t.Fatal("no in-doubt ops recorded")
 	}
-	recovered, rep, err := Recover(context.Background(), sim, js, state.New(), Options{})
-	if err != nil {
-		t.Fatalf("recover: %s", err)
-	}
+	recovered, rep := Recover(context.Background(), sim, js, state.New(), Options{})
 	if err := rep.Err(); err != nil {
 		t.Fatalf("recover report: %s", err)
 	}
@@ -188,10 +185,7 @@ func TestRecoverRunsNeverStartedOp(t *testing.T) {
 	if err != nil || js == nil {
 		t.Fatalf("read journal: %v, %v", js, err)
 	}
-	recovered, rep, err := Recover(context.Background(), sim, js, state.New(), Options{})
-	if err != nil {
-		t.Fatalf("recover: %s", err)
-	}
+	recovered, rep := Recover(context.Background(), sim, js, state.New(), Options{})
 	if err := rep.Err(); err != nil {
 		t.Fatalf("recover report: %s", err)
 	}
@@ -243,9 +237,9 @@ func TestRecoverLeavesOtherProjectsAlone(t *testing.T) {
 			if err != nil || js == nil {
 				t.Fatalf("read journal: %v, %v", js, err)
 			}
-			a, rep, err := Recover(ctx, sim, js, state.New(), Options{Principal: "cloudless"})
-			if err != nil || rep.Err() != nil {
-				t.Fatalf("recover: %v / %v", err, rep.Err())
+			a, rep := Recover(ctx, sim, js, state.New(), Options{Principal: "cloudless"})
+			if err := rep.Err(); err != nil {
+				t.Fatalf("recover: %v", err)
 			}
 			for _, addr := range b.State.Addrs() {
 				rs := b.State.Get(addr)
@@ -286,14 +280,14 @@ func TestRecoverIdempotent(t *testing.T) {
 	if err != nil || js == nil {
 		t.Fatalf("read journal: %v, %v", js, err)
 	}
-	st1, rep1, err := Recover(context.Background(), sim, js, state.New(), Options{})
-	if err != nil || rep1.Err() != nil {
-		t.Fatalf("first recover: %v / %v", err, rep1.Err())
+	st1, rep1 := Recover(context.Background(), sim, js, state.New(), Options{})
+	if err := rep1.Err(); err != nil {
+		t.Fatalf("first recover: %v", err)
 	}
 	resourcesAfterFirst := sim.TotalResources()
-	st2, rep2, err := Recover(context.Background(), sim, js, state.New(), Options{})
-	if err != nil || rep2.Err() != nil {
-		t.Fatalf("second recover: %v / %v", err, rep2.Err())
+	st2, rep2 := Recover(context.Background(), sim, js, state.New(), Options{})
+	if err := rep2.Err(); err != nil {
+		t.Fatalf("second recover: %v", err)
 	}
 	if sim.TotalResources() != resourcesAfterFirst {
 		t.Errorf("second recovery changed the cloud: %d -> %d", resourcesAfterFirst, sim.TotalResources())
@@ -315,9 +309,9 @@ func TestRecoverSkipsDefinitiveFailures(t *testing.T) {
 			},
 		},
 	}
-	st, rep, err := Recover(context.Background(), sim, js, state.New(), Options{})
-	if err != nil || rep.Err() != nil {
-		t.Fatalf("recover: %v / %v", err, rep.Err())
+	st, rep := Recover(context.Background(), sim, js, state.New(), Options{})
+	if err := rep.Err(); err != nil {
+		t.Fatalf("recover: %v", err)
 	}
 	if rep.Resumed != 0 || st.Len() != 0 || sim.TotalResources() != 0 {
 		t.Errorf("failed op was re-driven: resumed=%d state=%d cloud=%d",

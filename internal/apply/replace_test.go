@@ -123,9 +123,9 @@ resource "aws_vpc" "main" {
 	if fmt.Sprint(js.InDoubt()) != "[aws_vpc.main]" || begin.Action != "replace" || begin.ID != old.ID {
 		t.Fatalf("fixture: in doubt %v, begin %+v; want one replace of %s", js.InDoubt(), begin, old.ID)
 	}
-	st, rep, err := Recover(ctx, sim, js, res.State, Options{})
-	if err != nil || rep.Err() != nil {
-		t.Fatalf("recover: %v / %v", err, rep.Err())
+	st, rep := Recover(ctx, sim, js, res.State, Options{})
+	if err := rep.Err(); err != nil {
+		t.Fatalf("recover: %v", err)
 	}
 	if rep.Resumed != 1 {
 		t.Errorf("resumed = %d, want 1", rep.Resumed)

@@ -515,7 +515,8 @@ const (
 	// path).
 	Adopt Action = iota
 	// Revert pushes the recorded state back to the cloud, undoing the
-	// out-of-band change.
+	// out-of-band change. It never deletes: an unmanaged resource is
+	// notified, since it may be another project's.
 	Revert
 	// Notify leaves the drift in place for a human.
 	Notify
@@ -533,7 +534,8 @@ type Policy func(Item) Action
 func AdoptAll(Item) Action { return Adopt }
 
 // RevertAll undoes every modification (deletions are re-created by the next
-// apply; reconciliation removes them from state so the planner sees them).
+// apply; reconciliation removes them from state so the planner sees them)
+// and notifies every unmanaged resource.
 func RevertAll(Item) Action { return Revert }
 
 // ReconcileResult summarizes a reconciliation pass. Items are keyed by
@@ -546,9 +548,8 @@ type ReconcileResult struct {
 	Errors   map[string]error
 	// Reverts are the cloud writes the Revert decisions need, as literal
 	// plan changes under the same keys: an update back to the recorded
-	// values for a modified item, a delete for an unmanaged one. Reconcile
-	// only plans them; the caller applies them and lists each one that
-	// succeeds in Reverted.
+	// values for each modified item. Reconcile only plans them; the caller
+	// applies them and lists each one that succeeds in Reverted.
 	Reverts []*plan.Change
 }
 
@@ -620,10 +621,10 @@ func Reconcile(st *state.State, rep *Report, policy Policy) *ReconcileResult {
 				out.State.Remove(item.Addr)
 				out.Reverted = append(out.Reverted, key)
 			case Unmanaged:
-				out.Reverts = append(out.Reverts, &plan.Change{
-					Addr: key, Action: plan.ActionDelete, Type: item.Type,
-					ID: item.ID, Before: item.CloudAttrs,
-				})
+				// Not this state's to delete: a full scan lists every
+				// resource in the account, other projects' and tenants'
+				// too. Importing one is Adopt's job, and the porter's.
+				out.Notified = append(out.Notified, key)
 			}
 		default:
 			out.Notified = append(out.Notified, key)

@@ -219,8 +219,9 @@ func TestReconcileAdopt(t *testing.T) {
 }
 
 // TestReconcilePlansRevertsWithoutTheCloud: Reconcile only plans the cloud
-// writes a revert needs — an update back to the recorded values, a delete
-// of the unmanaged resource — and leaves them to the applier.
+// writes a revert needs — an update back to the recorded values — and
+// leaves them to the applier. The unmanaged resource is notified, not
+// deleted: it may be another project's.
 func TestReconcilePlansRevertsWithoutTheCloud(t *testing.T) {
 	sim, st := deployBase(t)
 	ctx := context.Background()
@@ -240,22 +241,15 @@ func TestReconcilePlansRevertsWithoutTheCloud(t *testing.T) {
 	if got := sim.Metrics().Calls; got != calls {
 		t.Errorf("Reconcile made %d cloud calls", got-calls)
 	}
-	if len(res.Reverted) != 0 || len(res.Reverts) != 2 {
+	if len(res.Reverted) != 0 || len(res.Reverts) != 1 {
 		t.Fatalf("reverted = %v, reverts = %+v", res.Reverted, res.Reverts)
 	}
-	for _, ch := range res.Reverts {
-		switch ch.Addr {
-		case "aws_vpc.main":
-			if ch.Action != plan.ActionUpdate || ch.ID != vpc.ID || !ch.After["enable_dns"].Equal(eval.True) {
-				t.Errorf("vpc revert = %+v", ch)
-			}
-		case rogue.ID:
-			if ch.Action != plan.ActionDelete || ch.ID != rogue.ID {
-				t.Errorf("rogue revert = %+v", ch)
-			}
-		default:
-			t.Errorf("unexpected revert %+v", ch)
-		}
+	if ch := res.Reverts[0]; ch.Addr != "aws_vpc.main" || ch.Action != plan.ActionUpdate ||
+		ch.ID != vpc.ID || !ch.After["enable_dns"].Equal(eval.True) {
+		t.Errorf("vpc revert = %+v", ch)
+	}
+	if fmt.Sprint(res.Notified) != fmt.Sprintf("[%s]", rogue.ID) {
+		t.Errorf("notified = %v, want the unmanaged %s", res.Notified, rogue.ID)
 	}
 }
 

@@ -184,9 +184,9 @@ func TestChaosGuardedCrashMidCanary(t *testing.T) {
 			if err != nil || js == nil {
 				t.Fatalf("read journal: %v, %v", js, err)
 			}
-			st, rep, err := apply.Recover(context.Background(), sim, js, state.New(), apply.Options{})
-			if err != nil || rep.Err() != nil {
-				t.Fatalf("recover: %v / %v", err, rep.Err())
+			st, rep := apply.Recover(context.Background(), sim, js, state.New(), apply.Options{})
+			if err := rep.Err(); err != nil {
+				t.Fatalf("recover: %v", err)
 			}
 			if err := os.Remove(journalPath); err != nil {
 				t.Fatal(err)
@@ -256,9 +256,9 @@ func TestChaosGuardedCrashMidAutoRollback(t *testing.T) {
 			if err != nil || js == nil {
 				t.Fatalf("read journal: %v, %v", js, err)
 			}
-			st, rep, err := apply.Recover(context.Background(), sim, js, state.New(), apply.Options{})
-			if err != nil || rep.Err() != nil {
-				t.Fatalf("recover: %v / %v", err, rep.Err())
+			st, rep := apply.Recover(context.Background(), sim, js, state.New(), apply.Options{})
+			if err := rep.Err(); err != nil {
+				t.Fatalf("recover: %v", err)
 			}
 			if err := os.Remove(journalPath); err != nil {
 				t.Fatal(err)

@@ -217,7 +217,7 @@ func autoRollback(ctx context.Context, cl cloud.Interface, p *plan.Plan,
 	// with per-op events under the "rollback" wave, and not health-gated.
 	rbOpts := applyOpts
 	rbOpts.Guard, rbOpts.Wave = nil, "rollback"
-	after, err := rollback.Execute(ctx, cl, cur, rollback.Compute(cur, tgt), rbOpts)
+	after, err := rollback.Execute(ctx, cl, rollback.Compute(cur, tgt), rbOpts)
 	// Merge the (possibly partial) reverted slice back into the run's state.
 	// An address the rollback could not restore keeps its prior record when
 	// one existed: the resource was managed before this run, and forgetting

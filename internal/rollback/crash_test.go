@@ -80,7 +80,7 @@ func TestExecuteMidCrashRecoversToSnapshot(t *testing.T) {
 
 				// Crash the rollback partway through.
 				p := Compute(cur, v1)
-				if p.Redeployments == 0 {
+				if p.Creates+p.Replaces == 0 {
 					t.Fatalf("scenario must force redeployments: %s", p.Summary())
 				}
 				j, err := apply.NewJournal(journalPath, apply.Meta{Kind: "rollback", Principal: "cloudless"})
@@ -95,7 +95,7 @@ func TestExecuteMidCrashRecoversToSnapshot(t *testing.T) {
 					j.Kill()
 					cancel()
 				})
-				_, err = Execute(ctx, sim, cur, p, apply.Options{Principal: "cloudless", Journal: j})
+				_, err = Execute(ctx, sim, p, apply.Options{Principal: "cloudless", Journal: j})
 				sim.ClearCrash()
 				j.Close()
 				if !fired {
@@ -114,10 +114,7 @@ func TestExecuteMidCrashRecoversToSnapshot(t *testing.T) {
 				if js == nil {
 					t.Fatal("journal vanished")
 				}
-				st, rep, err := apply.Recover(context.Background(), sim, js, cur, apply.Options{})
-				if err != nil {
-					t.Fatalf("recover: %s", err)
-				}
+				st, rep := apply.Recover(context.Background(), sim, js, cur, apply.Options{})
 				if err := rep.Err(); err != nil {
 					t.Fatalf("recover report: %s", err)
 				}
@@ -131,7 +128,7 @@ func TestExecuteMidCrashRecoversToSnapshot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				final, err := Execute(context.Background(), sim, reconciled, p2,
+				final, err := Execute(context.Background(), sim, p2,
 					apply.Options{Principal: "cloudless", Journal: j2})
 				if err != nil {
 					t.Fatalf("continuation rollback: %s", err)
@@ -143,8 +140,8 @@ func TestExecuteMidCrashRecoversToSnapshot(t *testing.T) {
 				// Converged to the snapshot: nothing left to roll back, the
 				// cloud holds exactly the state's resources, and the reverted
 				// attributes are back.
-				if p3 := Compute(final, v1); len(p3.Steps) != 0 {
-					t.Errorf("rollback not converged: %s: %+v", p3.Summary(), p3.Steps)
+				if p3 := Compute(final, v1); p3.PendingCount() != 0 {
+					t.Errorf("rollback not converged: %s: %+v", p3.Summary(), p3.Changes)
 				}
 				for _, addr := range final.Addrs() {
 					rs := final.Get(addr)

@@ -310,7 +310,7 @@ func TestRollbackJobAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dry.DryRun || len(dry.Steps) != 4 || dry.Serial != destroyed.Serial || sim.TotalResources() != 0 {
+	if !dry.DryRun || dry.Pending() != 4 || dry.Serial != destroyed.Serial || sim.TotalResources() != 0 {
 		t.Errorf("dry run = %+v with %d resources in the cloud, want a 4-step plan and nothing touched", dry, sim.TotalResources())
 	}
 

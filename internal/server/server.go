@@ -570,7 +570,7 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 	case "rollback":
 		// Planned here as well as in the job: a serial outside the time
 		// machine's window is the submitter's error (the message names the
-		// window), and the steps are the job's cost.
+		// window), and the pending changes are the job's cost.
 		if req.ToSerial <= 0 {
 			return nil, 0, errors.New("rollback requires to_serial (a serial the workspace's history lists)")
 		}
@@ -583,9 +583,8 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 			if err != nil {
 				return nil, err
 			}
-			sum := summarizeRollback(req.ToSerial, p)
-			sum.DryRun = req.DryRun
-			if !req.DryRun && len(p.Steps) > 0 {
+			sum := RollbackSummary{ToSerial: req.ToSerial, PlanSummary: summarizePlan(p), DryRun: req.DryRun}
+			if !req.DryRun && p.PendingCount() > 0 {
 				// A crashed run's journal is recovered first and fails this
 				// job with *ErrJournalRecovered: the plan above predates the
 				// recovery, and the client submits again.
@@ -595,7 +594,7 @@ func (s *Server) jobFn(name string, ws *workspace.Workspace, req JobRequest) (fu
 			}
 			sum.Serial = ws.DB().Serial()
 			return sum, nil
-		}, max(1, float64(len(p.Steps))), nil
+		}, max(1, float64(p.PendingCount())), nil
 	case "recover":
 		return func(ctx context.Context) (any, error) {
 			rep, err := ws.Recover(ctx)

@@ -9,7 +9,6 @@ import (
 	"cloudless/internal/eval"
 	"cloudless/internal/jobs"
 	"cloudless/internal/plan"
-	"cloudless/internal/rollback"
 )
 
 // Wire types shared by the server and its Go client. Lifecycle results
@@ -150,22 +149,13 @@ type ReconcileSummary struct {
 	Errors   map[string]string `json:"errors,omitempty"`
 }
 
-// RollbackStep is one planned rollback operation.
-type RollbackStep struct {
-	Kind   string `json:"kind"`
-	Addr   string `json:"addr"`
-	Reason string `json:"reason,omitempty"`
-}
-
 // RollbackSummary is the wire form of a rollback job: the plan, and the
 // golden-state serial once it ran (or was found to have nothing to do).
 type RollbackSummary struct {
-	ToSerial      int            `json:"to_serial"`
-	Steps         []RollbackStep `json:"steps,omitempty"`
-	Reverts       int            `json:"reverts"`
-	Redeployments int            `json:"redeployments"`
-	DryRun        bool           `json:"dry_run,omitempty"`
-	Serial        int            `json:"serial"`
+	ToSerial int `json:"to_serial"`
+	PlanSummary
+	DryRun bool `json:"dry_run,omitempty"`
+	Serial int  `json:"serial"`
 }
 
 // RecoverSummary is the wire form of a journal recovery.
@@ -285,15 +275,6 @@ func summarizeDrift(rep *drift.Report) DriftSummary {
 			Kind: it.Kind.String(), Addr: it.Addr, Type: it.Type, ID: it.ID,
 			Actor: it.Actor, ChangedAttrs: it.ChangedAttrs,
 		})
-	}
-	return s
-}
-
-// summarizeRollback renders a rollback plan.
-func summarizeRollback(to int, p *rollback.Plan) RollbackSummary {
-	s := RollbackSummary{ToSerial: to, Reverts: p.Reverts, Redeployments: p.Redeployments}
-	for _, step := range p.Steps {
-		s.Steps = append(s.Steps, RollbackStep{Kind: step.Kind.String(), Addr: step.Addr, Reason: step.Reason})
 	}
 	return s
 }

@@ -82,26 +82,46 @@ func TestReconcileRevert(t *testing.T) {
 	}
 }
 
-func TestReconcileRevertDeletesUnmanaged(t *testing.T) {
+// TestReconcileRevertNotifiesUnmanaged: two projects share one cloud, so
+// one project's full scan lists the other's resources as unmanaged.
+// Reverting its drift notifies them and deletes nothing: the other
+// project's next plan is still a no-op.
+func TestReconcileRevertNotifiesUnmanaged(t *testing.T) {
 	ws, sim := deployRevertConfig(t, "")
 	ctx := context.Background()
-	rogue, err := sim.Create(ctx, cloud.CreateRequest{
-		Type: "aws_storage_bucket", Region: "us-east-1",
-		Attrs: map[string]eval.Value{"name": eval.String("rogue")}, Principal: "ops",
-	})
+	other, err := New(Config{Sources: map[string]string{"main.ccl": `
+resource "aws_storage_bucket" "logs" { name = "other-logs" }
+resource "aws_storage_bucket" "data" { name = "other-data" }
+`}, Cloud: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _ := ws.ScanDrift(ctx)
+	t.Cleanup(func() { other.Close(context.Background()) })
+	applyConfig(t, other)
+	if n := sim.TotalResources(); n != 4 {
+		t.Fatalf("the two projects hold %d resources, want 4", n)
+	}
+
+	rep, err := ws.ScanDrift(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := ws.ReconcileDrift(ctx, rep, drift.Revert)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Reverted) != 1 {
-		t.Fatalf("reverted = %v errs = %v", res.Reverted, res.Errors)
+	if len(res.Reverted) != 0 || len(res.Notified) != 2 {
+		t.Errorf("reverted = %v, notified = %v, want the other project's two buckets notified", res.Reverted, res.Notified)
 	}
-	if _, err := sim.Get(ctx, "aws_storage_bucket", rogue.ID); !cloud.IsNotFound(err) {
-		t.Error("unmanaged resource not removed")
+	if n := sim.TotalResources(); n != 4 {
+		t.Errorf("the revert left %d resources, want 4", n)
+	}
+	p, err := other.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.PendingCount() != 0 {
+		t.Errorf("the other project's plan after the revert: %s", p.Summary())
 	}
 }
 

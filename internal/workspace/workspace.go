@@ -514,10 +514,7 @@ func (w *Workspace) recover(ctx context.Context) (*apply.RecoverReport, error) {
 	span.SetAttr("journal_kind", js.Meta.Kind)
 
 	base := w.db.Snapshot()
-	st, rep, err := apply.Recover(ctx, w.cloudAPI, js, base, apply.Options{Principal: w.principal})
-	if err != nil {
-		return rep, err
-	}
+	st, rep := apply.Recover(ctx, w.cloudAPI, js, base, apply.Options{Principal: w.principal})
 	span.SetAttr("confirmed", rep.Confirmed)
 	span.SetAttr("resumed", rep.Resumed)
 
@@ -815,18 +812,11 @@ func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) 
 				return nil, &ErrPolicyDenied{Message: msg}
 			}
 		}
-		addrs := make([]string, 0, len(p.Changes))
-		for addr, ch := range p.Changes {
-			if ch.Action != plan.ActionNoop {
-				addrs = append(addrs, addr)
-			}
-		}
-		sort.Strings(addrs)
 		guardOpts := w.guardOpts
 		if opts.Guard != nil {
 			guardOpts = opts.Guard
 		}
-		return &mutation{kind: "apply", journaled: true, base: p.BaseSerial, addrs: addrs,
+		return &mutation{kind: "apply", journaled: true, base: p.BaseSerial, addrs: pendingAddrs(p),
 			exec: func(ctx context.Context, j *apply.Journal) (*apply.Result, []string, error) {
 				applyOpts := apply.Options{
 					Concurrency:     opts.Concurrency,
@@ -1058,7 +1048,7 @@ func (w *Workspace) Observe(metrics map[string]any) ([]policy.Decision, error) {
 }
 
 // PlanRollback computes a minimal rollback to a historical serial (§3.4).
-func (w *Workspace) PlanRollback(serial int) (*rollback.Plan, error) {
+func (w *Workspace) PlanRollback(serial int) (*plan.Plan, error) {
 	target, err := w.db.SnapshotAt(serial)
 	if err != nil {
 		return nil, err
@@ -1067,30 +1057,38 @@ func (w *Workspace) PlanRollback(serial int) (*rollback.Plan, error) {
 }
 
 // ExecuteRollback runs a rollback plan through the applier and commits the
-// resulting state. A failed step commits nothing; on a journaled workspace
+// resulting state. A failed change commits nothing; on a journaled workspace
 // the journal is left for Recover.
-func (w *Workspace) ExecuteRollback(ctx context.Context, p *rollback.Plan) error {
+func (w *Workspace) ExecuteRollback(ctx context.Context, p *plan.Plan) error {
 	_, err := w.run(ctx, "lifecycle.rollback", true, func(span *telemetry.Span) (*mutation, error) {
-		span.SetAttr("steps", len(p.Steps))
-		current := w.db.Snapshot()
-		addrs := make([]string, len(p.Steps))
-		for i, step := range p.Steps {
-			addrs[i] = step.Addr
-		}
-		return &mutation{kind: "rollback", journaled: true, base: current.Serial, addrs: addrs,
+		span.SetAttr("changes", p.PendingCount())
+		return &mutation{kind: "rollback", journaled: true, base: p.BaseSerial, addrs: pendingAddrs(p),
 			exec: func(ctx context.Context, j *apply.Journal) (*apply.Result, []string, error) {
-				after, err := rollback.Execute(ctx, w.cloudAPI, current, p, apply.Options{
+				after, err := rollback.Execute(ctx, w.cloudAPI, p, apply.Options{
 					Scheduler: apply.CriticalPathScheduler,
 					Principal: w.principal, ContinueOnError: true, Journal: j,
 				})
 				res := &apply.Result{State: after}
 				if err == nil {
-					res.Applied = len(p.Steps)
+					res.Applied = p.PendingCount()
 				}
 				return res, nil, err
 			}}, nil
 	})
 	return err
+}
+
+// pendingAddrs lists, sorted, the addresses a plan changes: the ones its run
+// locks.
+func pendingAddrs(p *plan.Plan) []string {
+	addrs := make([]string, 0, p.PendingCount())
+	for addr, ch := range p.Changes {
+		if ch.Action != plan.ActionNoop {
+			addrs = append(addrs, addr)
+		}
+	}
+	sort.Strings(addrs)
+	return addrs
 }
 
 // Outputs returns the last-applied root outputs as plain Go values.

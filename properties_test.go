@@ -185,10 +185,10 @@ func TestRollbackRestoresProperty(t *testing.T) {
 	v2 := res2.State
 
 	rp := rollback.Compute(v2, v1)
-	if rp.Redeployments != 0 {
+	if rp.Creates+rp.Replaces != 0 {
 		t.Fatalf("renames should revert in place: %s", rp.Summary())
 	}
-	after, err := rollback.Execute(ctx, sim, v2, rp, apply.Options{Principal: "cloudless"})
+	after, err := rollback.Execute(ctx, sim, rp, apply.Options{Principal: "cloudless"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestTimeMachineImmutabilityProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Reverts == 0 {
+	if rp.Updates == 0 {
 		t.Fatalf("rollback plan reverts nothing in place: %s", rp.Summary())
 	}
 	if err := s.ExecuteRollback(ctx, rp); err != nil {

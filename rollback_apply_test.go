@@ -9,7 +9,6 @@ import (
 
 	"cloudless"
 	"cloudless/internal/apply"
-	"cloudless/internal/rollback"
 	"cloudless/internal/schema"
 	"cloudless/internal/workload"
 )
@@ -76,7 +75,7 @@ func TestRollbackThroughApplyMatchesItsPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rp.Redeployments == 0 || rp.Reverts == 0 {
+			if rp.Creates+rp.Replaces == 0 || rp.Updates == 0 {
 				t.Fatalf("seed %d plans no mix of redeployments and reverts: %s", seed, rp.Summary())
 			}
 			sub := s.Subscribe(cloudless.EventFilter{})
@@ -96,15 +95,9 @@ func TestRollbackThroughApplyMatchesItsPlan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("rollback: %v", err)
 			}
-			recreates := 0
-			for _, st := range rp.Steps {
-				if st.Kind == rollback.Recreate {
-					recreates++
-				}
-			}
-			if ops["create"] != rp.Redeployments || ops["update"] != rp.Reverts || ops["delete"] != recreates {
+			if ops["create"] != rp.Creates+rp.Replaces || ops["update"] != rp.Updates || ops["delete"] != rp.Replaces {
 				t.Errorf("ops applied %v, want %d creates, %d updates, %d deletes (%s)",
-					ops, rp.Redeployments, rp.Reverts, recreates, rp.Summary())
+					ops, rp.Creates+rp.Replaces, rp.Updates, rp.Replaces, rp.Summary())
 			}
 			s.Close()
 

@@ -178,7 +178,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rp.Steps) != 4 || target.Len() != preLen || target.Serial != preSerial {
+	if rp.PendingCount() != 4 || target.Len() != preLen || target.Serial != preSerial {
 		t.Errorf("rollback to %d: %s, target len=%d serial=%d", preSerial, rp.Summary(), target.Len(), target.Serial)
 	}
 	if _, err := s.PlanRollback(s.DB().Serial() + 1); !errors.Is(err, statedb.ErrNoSuchSerial) {
@@ -303,7 +303,7 @@ func TestTimeMachineWindow(t *testing.T) {
 	if cp, err := s.PlanOfflineAt(ctx, recent); err != nil || cp.PendingCount() != 0 {
 		t.Errorf("plan at a serial 10 commits back = %v, %v; want a converged plan", cp, err)
 	}
-	if rp, err := s.PlanRollback(recent); err != nil || len(rp.Steps) != 0 {
+	if rp, err := s.PlanRollback(recent); err != nil || rp.PendingCount() != 0 {
 		t.Errorf("rollback to a serial 10 commits back = %v, %v; want an empty plan", rp, err)
 	}
 }
