@@ -141,7 +141,7 @@ func (c *Client) once(ctx context.Context, method, path string, raw []byte, hasB
 		return err
 	}
 	defer resp.Body.Close()
-	respRaw, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	respRaw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
 	}
@@ -306,7 +306,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return "", err
 	}
@@ -331,7 +331,7 @@ func (c *Client) State(ctx context.Context, ws string) (*state.State, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ package state
 
 import (
 	"encoding/json"
-	"fmt"
 	"maps"
 	"sort"
 	"strconv"
@@ -197,34 +196,6 @@ func (s *State) Encode() ([]byte, error) {
 		out.Outputs[k] = eval.ToGo(v)
 	}
 	return json.MarshalIndent(out, "", "  ")
-}
-
-// Decode parses a serialized state.
-func Decode(data []byte) (*State, error) {
-	var in stateJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("state: decode: %w", err)
-	}
-	if in.Version != 1 {
-		return nil, fmt.Errorf("state: unsupported version %d", in.Version)
-	}
-	s := New()
-	s.Serial = in.Serial
-	for addr, rj := range in.Resources {
-		attrs := make(map[string]eval.Value, len(rj.Attrs))
-		for k, v := range rj.Attrs {
-			attrs[k] = eval.FromGoWithUnknowns(v)
-		}
-		s.Resources[addr] = &ResourceState{
-			Addr: addr, Type: rj.Type, ID: rj.ID, Region: rj.Region,
-			Attrs: attrs, Generation: rj.Generation, Dependencies: rj.Dependencies,
-			CreatedAt: rj.CreatedAt, UpdatedAt: rj.UpdatedAt,
-		}
-	}
-	for k, v := range in.Outputs {
-		s.Outputs[k] = eval.FromGoWithUnknowns(v)
-	}
-	return s, nil
 }
 
 // SaveFile writes the state to a file atomically and durably: the commit

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,5 +146,80 @@ func TestFingerprintSensitivity(t *testing.T) {
 	setAttr(b, "aws_vpc.main", "enable_dns", eval.False)
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("changed state has same fingerprint")
+	}
+}
+
+// estate is a converged 1 002-instance estate shaped like the repository
+// benchmark's (one VPC, 333 subnets, 334 NICs and 334 VMs, with the
+// simulator's attributes), encoded as snapshot.json holds it.
+func estate(tb testing.TB) []byte {
+	tb.Helper()
+	s := New()
+	s.Serial = 2
+	at := time.Date(2026, 10, 18, 1, 42, 42, 648001740, time.UTC)
+	add := func(addr, typ, id string, attrs map[string]eval.Value, deps ...string) {
+		attrs["id"] = eval.String(id)
+		s.Set(&ResourceState{Addr: addr, Type: typ, ID: id, Region: "us-east-1", Attrs: attrs, Generation: 1,
+			Dependencies: deps, CreatedAt: at, UpdatedAt: at.Add(time.Microsecond)})
+		at = at.Add(37 * time.Microsecond)
+	}
+	add("aws_vpc.r", "aws_vpc", "vpc-00000001", map[string]eval.Value{
+		"arn": eval.String("arn:sim:aws:us-east-1:vpc-00000001"), "cidr_block": eval.String("10.0.0.0/16"),
+		"enable_dns": eval.True, "name": eval.String("rand"),
+	})
+	for i := 0; i < 333; i++ {
+		add(fmt.Sprintf("aws_subnet.r[%d]", i), "aws_subnet", fmt.Sprintf("subnet-%08d", i+2), map[string]eval.Value{
+			"cidr_block": eval.String(fmt.Sprintf("10.0.%d.%d/25", i/2, i%2*128)),
+			"name":       eval.String(fmt.Sprintf("r-sub-%d", i)), "vpc_id": eval.String("vpc-00000001"),
+		}, "aws_vpc.r")
+	}
+	for i := 0; i < 334; i++ {
+		nic := fmt.Sprintf("network_interface-%08d", 335+i)
+		add(fmt.Sprintf("aws_network_interface.r%d", i), "aws_network_interface", nic, map[string]eval.Value{
+			"mac_address": eval.String(fmt.Sprintf("02:00:00:00:%02x:%02x", i>>8, i&0xff)),
+			"name":        eval.String(fmt.Sprintf("r-nic-%d", i)),
+			"subnet_id":   eval.String(fmt.Sprintf("subnet-%08d", 2+i*7%333)),
+		}, "aws_subnet.r")
+		add(fmt.Sprintf("aws_virtual_machine.r%d", i), "aws_virtual_machine", fmt.Sprintf("virtual_machine-%08d", 669+i), map[string]eval.Value{
+			"image": eval.String("ami-linux-2026"), "instance_type": eval.String("t3.micro"),
+			"name": eval.String(fmt.Sprintf("r-vm-%d", i)), "nic_ids": eval.Strings(nic),
+			"private_ip": eval.String(fmt.Sprintf("10.0.%d.%d", i/200, i%200+10)),
+			"public_ip":  eval.String(fmt.Sprintf("52.0.%d.%d", i/200, i%200+10)), "state": eval.String("running"),
+		}, fmt.Sprintf("aws_network_interface.r%d", i))
+	}
+	data, err := s.Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestDecodeAllocationCeiling pins what reading a state allocates per
+// record: ≤18 for the 1 002-instance estate. The encoding/json decoder Decode
+// replaced made 36.4 here (a map[string]any per record, then a copy of every
+// value); the one-pass reader makes 9.9.
+func TestDecodeAllocationCeiling(t *testing.T) {
+	data := estate(t)
+	per := testing.AllocsPerRun(5, func() {
+		if _, err := Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	}) / 1002
+	if per > 18 {
+		t.Errorf("decoding the 1 002-record estate allocated %.1f times per record, want at most 18", per)
+	}
+}
+
+// BenchmarkStateDecode reads the 1 002-instance estate, as opening a
+// snapshot.json does.
+func BenchmarkStateDecode(b *testing.B) {
+	data := estate(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(data); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -32,7 +32,7 @@ const (
 	compactEvery = 64
 )
 
-// walRecord is the JSON payload of one framed commit.
+// walRecord is the JSON payload of one framed commit, as append writes it.
 type walRecord struct {
 	Serial  int      `json:"serial"`
 	Desc    string   `json:"desc,omitempty"`
@@ -41,6 +41,62 @@ type walRecord struct {
 	// outputs) re-using the versioned state serialization.
 	Writes     json.RawMessage `json:"writes,omitempty"`
 	SetOutputs bool            `json:"set_outputs,omitempty"`
+}
+
+// recordFields are walRecord's JSON field names, in the order readRecord
+// numbers them.
+var recordFields = []string{"serial", "desc", "deletes", "writes", "set_outputs"}
+
+// loggedCommit is a walRecord as replay reads it: one pass over the payload
+// (state.Reader) decodes the writes with the rest, so they are never held as
+// raw bytes.
+type loggedCommit struct {
+	serial     int
+	desc       string
+	deletes    []string
+	setOutputs bool
+	writes     *state.State // nil when the record has none
+}
+
+// readRecord decodes one payload for a replay over a state at serial floor.
+// It refuses exactly what json.Unmarshal into walRecord refused, and a
+// record above floor whose writes do not decode; a record at or below floor
+// is replay's to skip, so its writes are not held against it.
+func readRecord(payload []byte, floor int) (loggedCommit, error) {
+	var (
+		c         loggedCommit
+		writesErr error
+	)
+	r := state.NewReader(payload)
+	r.Fields(recordFields, func(f int) {
+		switch f {
+		case 0:
+			r.Int(&c.serial)
+		case 1:
+			r.String(&c.desc)
+		case 2:
+			c.deletes = r.Strings(c.deletes)
+		case 3:
+			c.writes, writesErr = r.State()
+		case 4:
+			r.Bool(&c.setOutputs)
+		}
+	})
+	if err := r.Finish(); err != nil {
+		return c, err
+	}
+	if c.serial > floor && writesErr != nil {
+		return c, writesErr
+	}
+	return c, nil
+}
+
+// readSerial reads only a payload's serial, refusing what json.Unmarshal
+// into a struct of that one field refused.
+func readSerial(payload []byte) (serial int, err error) {
+	r := state.NewReader(payload)
+	r.Fields(recordFields[:1], func(int) { r.Int(&serial) })
+	return serial, r.Finish()
 }
 
 // commitLog is the engine's optional durability: an fsynced wal.Log append
@@ -97,25 +153,22 @@ func openDurable(dir string, seed *state.State) (*Engine, error) {
 // not decode. Records at or below the engine's serial are already in the
 // snapshot.
 func (e *Engine) replay(payload []byte) bool {
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	c, err := readRecord(payload, e.serial)
+	if err != nil {
 		return false
 	}
-	if rec.Serial <= e.serial {
+	if c.serial <= e.serial {
 		return true
 	}
-	ws := state.New()
-	if len(rec.Writes) > 0 {
-		var err error
-		if ws, err = state.Decode(rec.Writes); err != nil {
-			return false
-		}
+	ws := c.writes
+	if ws == nil {
+		ws = state.New()
 	}
-	deletes := make(map[string]bool, len(rec.Deletes))
-	for _, addr := range rec.Deletes {
+	deletes := make(map[string]bool, len(c.deletes))
+	for _, addr := range c.deletes {
 		deletes[addr] = true
 	}
-	e.apply(rec.Serial, rec.Desc, ws.Resources, deletes, ws.Outputs, rec.SetOutputs)
+	e.apply(c.serial, c.desc, ws.Resources, deletes, ws.Outputs, c.setOutputs)
 	return true
 }
 
@@ -166,13 +219,11 @@ func (l *commitLog) compact(e *Engine) error {
 	}
 	var keep [][]byte
 	_, _, err = wal.Replay(filepath.Join(l.dir, walLogName), func(payload []byte) bool {
-		var rec struct {
-			Serial int `json:"serial"`
-		}
-		if json.Unmarshal(payload, &rec) != nil {
+		serial, err := readSerial(payload)
+		if err != nil {
 			return false
 		}
-		if rec.Serial > floor {
+		if serial > floor {
 			keep = append(keep, payload)
 		}
 		return true
