@@ -19,6 +19,7 @@ import (
 	"cloudless/internal/plan"
 	"cloudless/internal/policy"
 	"cloudless/internal/port"
+	"cloudless/internal/provider"
 	"cloudless/internal/rollback"
 	"cloudless/internal/state"
 	"cloudless/internal/statedb"
@@ -269,9 +270,8 @@ func BenchmarkE6Validation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sim := benchSim()
 			p := mustPlan(b, ex, state.New(), plan.Options{})
-			res := apply.Apply(context.Background(), sim, p, apply.Options{
-				ContinueOnError: true, MaxRetries: 1,
-			})
+			rt := provider.New(sim, provider.Options{MaxRetries: 1})
+			res := apply.Apply(context.Background(), rt, p, apply.Options{ContinueOnError: true})
 			if res.Err() == nil {
 				b.Fatal("deploy should fail")
 			}

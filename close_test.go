@@ -5,8 +5,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	cloudless "cloudless"
+	"cloudless/internal/cloud"
 )
 
 // TestStackCloseDrains is the draining-close regression test: Close must
@@ -73,7 +75,9 @@ func TestStackCloseDrains(t *testing.T) {
 // reports the deadline error while the operation keeps running, and a later
 // unbounded Close finishes the drain.
 func TestStackCloseContextHonorsDeadline(t *testing.T) {
-	sim := newSim()
+	// The apply's creates wait for release, so the apply is still in flight
+	// when the expired close runs, however the goroutines are scheduled.
+	sim := &heldCreates{Sim: newSim(), release: make(chan struct{})}
 	s := openStack(t, sim, "")
 	ctx := context.Background()
 	p, err := s.Plan(ctx)
@@ -97,7 +101,15 @@ func TestStackCloseContextHonorsDeadline(t *testing.T) {
 
 	expired, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := s.CloseContext(expired); !errors.Is(err, context.Canceled) {
+	closed := make(chan error, 1)
+	go func() { closed <- s.CloseContext(expired) }()
+	select {
+	case err = <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("CloseContext(expired) waited for the in-flight apply")
+	}
+	close(sim.release)
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("CloseContext(expired) = %v, want context.Canceled", err)
 	}
 	// The in-flight apply must still complete cleanly: its engine was not
@@ -108,6 +120,22 @@ func TestStackCloseContextHonorsDeadline(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("final Close: %v", err)
 	}
+}
+
+// heldCreates is a cloud whose creates wait until release is closed.
+type heldCreates struct {
+	*cloud.Sim
+	release chan struct{}
+}
+
+func (h *heldCreates) Create(ctx context.Context, req cloud.CreateRequest) (*cloud.Resource, error) {
+	<-h.release
+	return h.Sim.Create(ctx, req)
+}
+
+func (h *heldCreates) BatchCreate(ctx context.Context, reqs []cloud.CreateRequest) ([]cloud.BatchResult, error) {
+	<-h.release
+	return h.Sim.BatchCreate(ctx, reqs)
 }
 
 // TestSetVarConcurrentWithPlans: bindings and the expansion they produce

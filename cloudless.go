@@ -155,8 +155,8 @@ func (s *Stack) Events() *events.Bus { return s.bus }
 func (s *Stack) Subscribe(filter EventFilter) *EventSubscription { return s.ws.Subscribe(filter) }
 
 // Cloud exposes the bound cloud interface — the stack's provider runtime,
-// so sharing it with another stack shares cache, coalescing, and the AIMD
-// window too.
+// so sharing it with another stack shares coalescing and the AIMD window
+// too.
 func (s *Stack) Cloud() cloud.Interface { return s.cloudAPI }
 
 // Provider exposes the stack's provider runtime for stats inspection. It

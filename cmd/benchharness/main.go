@@ -26,6 +26,7 @@ import (
 	"cloudless/internal/plan"
 	"cloudless/internal/policy"
 	"cloudless/internal/port"
+	"cloudless/internal/provider"
 	"cloudless/internal/rollback"
 	"cloudless/internal/state"
 	"cloudless/internal/statedb"
@@ -401,7 +402,8 @@ resource "aws_network_interface" "n5" {
 		// Baseline: deploy until the cloud errors out.
 		sim := fastSim()
 		p := mustPlan(ex, state.New(), plan.Options{})
-		ares := apply.Apply(context.Background(), sim, p, apply.Options{ContinueOnError: true, MaxRetries: 1})
+		rt := provider.New(sim, provider.Options{MaxRetries: 1})
+		ares := apply.Apply(context.Background(), rt, p, apply.Options{ContinueOnError: true})
 		deployFailed := ares.Err() != nil
 		wasted := sim.Metrics().Creates // resources provisioned before the failure
 

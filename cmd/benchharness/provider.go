@@ -96,6 +96,22 @@ func pv() {
 		}
 		fmt.Printf("wrote %s\n", jsonOutPV)
 	}
+	if err := pvCoalescingGate(res.Scan); err != nil {
+		panic(err)
+	}
+}
+
+// pvCoalescingGate fails the run when the runtime's concurrent scans did not
+// coalesce into about one sweep: at most ⌈1.1 × direct ÷ scanners⌉ calls,
+// with at least one read coalesced.
+func pvCoalescingGate(s pvScanResult) error {
+	n := int64(s.Scanners)
+	bound := (11*s.CallsDirect + 10*n - 1) / (10 * n)
+	if s.CallsRuntime > bound || s.Coalesced == 0 {
+		return fmt.Errorf("PV: runtime scans made %d calls (%d coalesced) against %d direct across %d scanners; want at most %d and some coalesced",
+			s.CallsRuntime, s.Coalesced, s.CallsDirect, s.Scanners, bound)
+	}
+	return nil
 }
 
 // pvScanWorld deploys a microservices estate on a rate-limited simulator
@@ -217,10 +233,10 @@ func pvApplyUnder429s() pvApplyResult {
 
 	// Direct-style: the retry policy every layer had before the runtime —
 	// fixed concurrency window, deterministic exponential backoff, no
-	// Retry-After, no caching or coalescing.
+	// Retry-After, no coalescing.
 	wallD, retriesD, throttledD, _ := pvApplyOnce(provider.Options{
 		MaxRetries: 16, DisableAdaptive: true, DisableJitter: true,
-		IgnoreRetryAfter: true, DisableCoalesce: true, CacheTTL: -1,
+		IgnoreRetryAfter: true, DisableCoalesce: true,
 	})
 	r.WallDirectMs = float64(wallD.Microseconds()) / 1000
 	r.RetriesDirect = retriesD

@@ -57,12 +57,6 @@ type Options struct {
 	// same default Terraform uses).
 	Concurrency int
 	Scheduler   Scheduler
-	// MaxRetries bounds attempts per operation on retryable errors. It is
-	// forwarded to the provider runtime when the applier has to wrap a bare
-	// cloud itself; a caller-supplied runtime keeps its own policy.
-	MaxRetries int
-	// RetryBase seeds the runtime's full-jitter exponential backoff.
-	RetryBase time.Duration
 	// Principal is recorded in the cloud activity log.
 	Principal string
 	// ContinueOnError keeps independent branches running after a failure.
@@ -111,12 +105,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Concurrency <= 0 {
 		out.Concurrency = 10
-	}
-	if out.MaxRetries <= 0 {
-		out.MaxRetries = 4
-	}
-	if out.RetryBase <= 0 {
-		out.RetryBase = 50 * time.Millisecond
 	}
 	if out.Principal == "" {
 		out.Principal = "cloudless"
@@ -198,10 +186,10 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 	start := time.Now()
 
 	// All cloud I/O goes through the provider runtime: callers that hand us
-	// a bare simulator or HTTP client get one wrapped on the spot (retry
-	// policy from our options); a runtime handed down from the facade is
-	// used as-is, so its cache and AIMD window are shared across layers.
-	cl = provider.New(cl, provider.Options{MaxRetries: o.MaxRetries, RetryBase: o.RetryBase})
+	// a bare simulator or HTTP client get one wrapped on the spot with the
+	// default retry policy; a runtime handed down from the facade is used
+	// as-is, so its retry policy and AIMD window are shared across layers.
+	cl = provider.New(cl, provider.Options{})
 
 	newState := p.PriorState.Clone()
 	var retries int64

@@ -10,6 +10,7 @@ import (
 	"cloudless/internal/config"
 	"cloudless/internal/eval"
 	"cloudless/internal/plan"
+	"cloudless/internal/provider"
 	"cloudless/internal/state"
 )
 
@@ -239,9 +240,8 @@ func TestApplyRetriesTransientFailures(t *testing.T) {
 	opts.FailureRate = 0.3
 	opts.Seed = 7
 	sim := cloud.NewSim(opts)
-	_, res := planAndApply(t, sim, webConfig, state.New(), Options{
-		MaxRetries: 8, RetryBase: time.Millisecond,
-	})
+	rt := provider.New(sim, provider.Options{MaxRetries: 8, RetryBase: time.Millisecond})
+	_, res := planAndApply(t, rt, webConfig, state.New(), Options{})
 	if err := res.Err(); err != nil {
 		t.Fatalf("apply with fault injection: %s", err)
 	}
@@ -257,9 +257,8 @@ func TestApplyFailureSkipsDependents(t *testing.T) {
 	opts.DisableRateLimit = true
 	opts.FailureRate = 1.0
 	sim := cloud.NewSim(opts)
-	_, res := planAndApply(t, sim, webConfig, state.New(), Options{
-		MaxRetries: 2, RetryBase: time.Millisecond, ContinueOnError: true,
-	})
+	rt := provider.New(sim, provider.Options{MaxRetries: 2, RetryBase: time.Millisecond})
+	_, res := planAndApply(t, rt, webConfig, state.New(), Options{ContinueOnError: true})
 	if res.Err() == nil {
 		t.Fatal("expected failure")
 	}

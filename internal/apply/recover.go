@@ -64,10 +64,7 @@ func Recover(ctx context.Context, cl cloud.Interface, js *JournalState,
 
 	o := (&opts).withDefaults()
 	start := time.Now()
-	cl = provider.New(cl, provider.Options{MaxRetries: o.MaxRetries, RetryBase: o.RetryBase})
-	// Recovery reasons about what is actually in the cloud; never serve it
-	// from a warm read cache.
-	ctx = provider.WithFresh(ctx)
+	cl = provider.New(cl, provider.Options{})
 
 	rep := &RecoverReport{JournalID: js.Meta.ID, Kind: js.Meta.Kind, Errors: map[string]error{}}
 	st := base.Clone()

@@ -20,7 +20,6 @@ import (
 	"cloudless/internal/eval"
 	evbus "cloudless/internal/events"
 	"cloudless/internal/plan"
-	"cloudless/internal/provider"
 	"cloudless/internal/schema"
 	"cloudless/internal/state"
 )
@@ -211,7 +210,7 @@ func FullScan(ctx context.Context, cl cloud.Interface, st *state.State) (*Report
 		}
 	}
 
-	scanCtx, cancel := context.WithCancel(provider.WithFresh(ctx))
+	scanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	lists := make([][]*cloud.Resource, len(jobs))
 	errs := make([]error, len(jobs))
@@ -468,14 +467,13 @@ func ScanAddrs(ctx context.Context, cl cloud.Interface, st *state.State, addrs [
 		keys = append(keys, cloud.ResourceKey{Type: rs.Type, ID: rs.ID})
 		records = append(records, rs)
 	}
-	fctx := provider.WithFresh(ctx)
 	for i := 0; i < len(keys); i += cloud.MaxBatchItems {
 		end := i + cloud.MaxBatchItems
 		if end > len(keys) {
 			end = len(keys)
 		}
 		chunk := keys[i:end]
-		results, err := cl.BatchGet(fctx, chunk)
+		results, err := cl.BatchGet(ctx, chunk)
 		rep.APICalls++
 		if err != nil {
 			return rep, fmt.Errorf("drift scoped scan: %w", err)

@@ -10,6 +10,7 @@ import (
 	"cloudless/internal/config"
 	"cloudless/internal/eval"
 	"cloudless/internal/plan"
+	"cloudless/internal/provider"
 	"cloudless/internal/state"
 )
 
@@ -386,5 +387,63 @@ func TestFullScanPaginatesLargeTypes(t *testing.T) {
 	// The bucket type needed two pages; every other (type, region) one.
 	if rep.APICalls < 51 {
 		t.Errorf("scan used %d API calls; expected at least one page per (type, region) plus the overflow page", rep.APICalls)
+	}
+}
+
+// heldGets is an upstream whose Get reads the simulator and then waits for
+// release before it returns: a read that was in flight while the cloud
+// changed under it.
+type heldGets struct {
+	*cloud.Sim
+	read    chan struct{}
+	release chan struct{}
+}
+
+func (h *heldGets) Get(ctx context.Context, typ, id string) (*cloud.Resource, error) {
+	res, err := h.Sim.Get(ctx, typ, id)
+	h.read <- struct{}{}
+	<-h.release
+	return res, err
+}
+
+// TestWatcherVerifiesAgainstTheCloud: a read that started before a foreign
+// update and returns after another reader has tailed the log past the
+// update's event must not hide the update from the watcher's verifying read.
+func TestWatcherVerifiesAgainstTheCloud(t *testing.T) {
+	sim, st := deployBase(t)
+	ctx := context.Background()
+	up := &heldGets{Sim: sim, read: make(chan struct{}), release: make(chan struct{})}
+	rt := provider.New(up, provider.Options{})
+	w := NewWatcher(rt, "cloudless", sim.LastSeq())
+	vpc := st.Get("aws_vpc.main")
+
+	got := make(chan error, 1)
+	go func() {
+		_, err := rt.Get(ctx, "aws_vpc", vpc.ID)
+		got <- err
+	}()
+	<-up.read
+	if _, err := sim.Update(ctx, cloud.UpdateRequest{
+		Type: "aws_vpc", ID: vpc.ID,
+		Attrs:     map[string]eval.Value{"enable_dns": eval.False},
+		Principal: "team-networking",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Another reader of the same runtime tails the log first.
+	if _, err := rt.Activity(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	close(up.release)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := w.Poll(ctx, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Items) != 1 || rep.Items[0].Kind != Modified || rep.Items[0].Addr != "aws_vpc.main" {
+		t.Fatalf("items = %+v, want one Modified aws_vpc.main", rep.Items)
 	}
 }

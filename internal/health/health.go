@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"cloudless/internal/cloud"
-	"cloudless/internal/provider"
 )
 
 // ProbeOptions bound one readiness probe loop.
@@ -81,12 +80,10 @@ func IsGateError(err error) bool {
 
 // Probe polls a resource's health until it is ready (nil error), definitively
 // failed, or the timeout passes (*GateError), or ctx is canceled (ctx error).
-// Probes run under provider.WithFresh: a cached "provisioning" report must
-// never satisfy — or starve — the gate; fresh reads still coalesce across
-// concurrent probes of the same resource.
+// Through a provider runtime, concurrent probes of the same resource share
+// one call.
 func Probe(ctx context.Context, cl cloud.Interface, typ, id string, o ProbeOptions) (time.Duration, error) {
 	o = o.withDefaults()
-	ctx = provider.WithFresh(ctx)
 	start := time.Now()
 	deadline := start.Add(o.Timeout)
 	interval := o.Interval

@@ -11,7 +11,6 @@ import (
 	"cloudless/internal/eval"
 	"cloudless/internal/graph"
 	"cloudless/internal/hcl"
-	"cloudless/internal/provider"
 	"cloudless/internal/schema"
 	"cloudless/internal/state"
 	"cloudless/internal/telemetry"
@@ -219,14 +218,13 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 			rs := prior.Get(addr)
 			keys[i] = cloud.ResourceKey{Type: rs.Type, ID: rs.ID, IfGeneration: rs.Generation}
 		}
-		fctx := provider.WithFresh(ctx)
 		results := make([]cloud.BatchResult, 0, len(addrs))
 		for start := 0; start < len(keys); start += cloud.MaxBatchItems {
 			end := start + cloud.MaxBatchItems
 			if end > len(keys) {
 				end = len(keys)
 			}
-			batch, err := opts.Cloud.BatchGet(fctx, keys[start:end])
+			batch, err := opts.Cloud.BatchGet(ctx, keys[start:end])
 			if err != nil {
 				return p, diags.Append(hcl.Errorf(hcl.Range{}, "refresh: %s", err))
 			}

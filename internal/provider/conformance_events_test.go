@@ -134,7 +134,7 @@ func TestConformanceActivityBusExactlyOnce(t *testing.T) {
 			bus := events.NewBus(nil)
 			defer bus.Close()
 			sub := bus.Subscribe(events.Filter{Kinds: []string{"cloud.activity"}}, 1024)
-			rt, sim := ep.make(t, opts, Options{Bus: bus, CacheTTL: -1})
+			rt, sim := ep.make(t, opts, Options{Bus: bus})
 
 			mutate(t, rt)
 			last := sim.LastSeq()

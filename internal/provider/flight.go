@@ -5,6 +5,13 @@ import (
 	"sync"
 )
 
+// Flight keys: concurrent reads with the same key share one upstream call.
+// Gets and health probes are keyed by (type, id), list pages by (type,
+// region, limit, page token).
+func getKey(typ, id string) string      { return "get/" + typ + "/" + id }
+func healthKey(typ, id string) string   { return "health/" + typ + "/" + id }
+func listKey(typ, region string) string { return "list/" + typ + "/" + region }
+
 // flight is one in-progress upstream read shared by every caller that asked
 // for the same key while it was in the air.
 type flight struct {

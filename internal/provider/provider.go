@@ -5,11 +5,10 @@
 // or skip:
 //
 //   - in-flight deduplication: identical concurrent reads (Get/List/
-//     Activity) collapse into one upstream call whose result is shared by
-//     every waiter (singleflight);
-//   - a read-through cache keyed by (type, id) for Get and (type, region)
-//     for List, invalidated by the runtime's own writes and by activity-log
-//     events that flow through it;
+//     Health/Activity) collapse into one upstream call whose result is
+//     shared by every waiter (singleflight). Nothing outlives the flight:
+//     there is no read cache, so every read observes the cloud as it is
+//     when the call goes out;
 //   - AIMD adaptive concurrency per provider: additive increase on success,
 //     multiplicative decrease on 429s and latency spikes, replacing fixed
 //     semaphores for cloud I/O;
@@ -19,7 +18,7 @@
 // The Runtime satisfies cloud.Interface, so it is transparent to callers
 // and composes with both the in-process simulator and the HTTP client.
 // Everything is instrumented through internal/telemetry: queue depth,
-// window size, cache hit and coalesce rates, retries.
+// window size, coalesce rates, retries.
 package provider
 
 import (
@@ -47,9 +46,6 @@ type Options struct {
 	RetryBase time.Duration
 	// RetryCap caps the backoff ceiling (default 2s).
 	RetryCap time.Duration
-	// CacheTTL bounds read-cache entry lifetime. 0 means the default of
-	// 30s; negative disables the cache entirely.
-	CacheTTL time.Duration
 	// MaxInFlight is the AIMD window ceiling per provider (default 64).
 	// The window starts wide (at the ceiling) and halves on congestion.
 	MaxInFlight int
@@ -63,7 +59,7 @@ type Options struct {
 	DisableJitter bool
 	// IgnoreRetryAfter drops server backpressure hints (ablation knob).
 	IgnoreRetryAfter bool
-	// Clock supplies timestamps (latency EWMA, cache expiry). Defaults to
+	// Clock supplies timestamps (latency EWMA, congestion cooldown). Defaults to
 	// telemetry.System; tests inject a VirtualClock.
 	Clock telemetry.Clock
 	// Sleep, when non-nil, replaces the real backoff sleep. Tests use it
@@ -89,9 +85,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryCap <= 0 {
 		o.RetryCap = 2 * time.Second
 	}
-	if o.CacheTTL == 0 {
-		o.CacheTTL = 30 * time.Second
-	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 64
 	}
@@ -111,7 +104,6 @@ type Runtime struct {
 	opts     Options
 
 	flights flightGroup
-	cache   *ttlCache
 
 	gateMu sync.Mutex
 	gates  map[string]*gate
@@ -119,8 +111,8 @@ type Runtime struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// seen is the activity-log invalidation watermark: events at or below
-	// it have already been applied to the cache.
+	// seen is the activity-log watermark: events at or below it have
+	// already been republished on the bus as cloud.activity.
 	seen atomic.Int64
 
 	stats statsCounters
@@ -140,7 +132,6 @@ func New(upstream cloud.Interface, opts Options) *Runtime {
 	return &Runtime{
 		upstream: upstream,
 		opts:     opts,
-		cache:    newTTLCache(opts.CacheTTL),
 		gates:    map[string]*gate{},
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 	}
@@ -155,21 +146,11 @@ func Unwrap(cl cloud.Interface) cloud.Interface {
 	return cl
 }
 
-// freshKey marks contexts whose reads must bypass the cache lookup.
-type freshKey struct{}
-
-// WithFresh returns a context whose reads skip the cache and hit the cloud
-// (results are still coalesced with concurrent identical reads, and still
-// populate the cache). Drift scans and plan refresh use it: their whole
-// point is observing out-of-band change, which no TTL heuristic can bound.
-func WithFresh(ctx context.Context) context.Context {
-	return context.WithValue(ctx, freshKey{}, true)
-}
-
-func isFresh(ctx context.Context) bool {
-	v, _ := ctx.Value(freshKey{}).(bool)
-	return v
-}
+// WithFresh returns ctx unchanged. It once made reads skip the runtime's
+// read cache; the cache is gone and every read reaches the cloud, so there
+// is nothing left to skip. It stays because the repository benchmark
+// (bench/) calls it.
+func WithFresh(ctx context.Context) context.Context { return ctx }
 
 // retryCounterKey carries a per-call retry counter through the context.
 type retryCounterKey struct{}
@@ -189,21 +170,22 @@ func retryCounter(ctx context.Context) *atomic.Int64 {
 
 // statsCounters are the always-on internal counters behind Stats().
 type statsCounters struct {
-	calls       atomic.Int64
-	retries     atomic.Int64
-	throttles   atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	coalesced   atomic.Int64
+	calls     atomic.Int64
+	retries   atomic.Int64
+	throttles atomic.Int64
+	coalesced atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of runtime behaviour.
 type Stats struct {
-	Calls       int64              // upstream attempts issued
-	Retries     int64              // attempts beyond the first
-	Throttles   int64              // 429s observed
-	CacheHits   int64              // reads served from cache
-	CacheMisses int64              // reads that went upstream
+	Calls     int64 // upstream attempts issued
+	Retries   int64 // attempts beyond the first
+	Throttles int64 // 429s observed
+	// CacheHits and CacheMisses are always 0: the runtime has no read
+	// cache. They stay because the repository benchmark (bench/) reads
+	// them, and reports a hit fraction only when they are nonzero.
+	CacheHits   int64
+	CacheMisses int64
 	Coalesced   int64              // reads that joined an in-flight call
 	Windows     map[string]float64 // AIMD window per provider gate
 }
@@ -211,12 +193,10 @@ type Stats struct {
 // Stats snapshots the runtime counters and per-gate windows.
 func (r *Runtime) Stats() Stats {
 	s := Stats{
-		Calls:       r.stats.calls.Load(),
-		Retries:     r.stats.retries.Load(),
-		Throttles:   r.stats.throttles.Load(),
-		CacheHits:   r.stats.cacheHits.Load(),
-		CacheMisses: r.stats.cacheMisses.Load(),
-		Windows:     map[string]float64{},
+		Calls:     r.stats.calls.Load(),
+		Retries:   r.stats.retries.Load(),
+		Throttles: r.stats.throttles.Load(),
+		Windows:   map[string]float64{},
 	}
 	r.gateMu.Lock()
 	for k, g := range r.gates {
@@ -367,47 +347,26 @@ func asAPIError(err error) (*cloud.APIError, bool) {
 	return ae, ok
 }
 
-// read is the shared Get/List/Activity path: cache lookup (unless fresh),
-// then coalesced upstream call, then cache fill.
-func (r *Runtime) read(ctx context.Context, op, typ, key string, cacheable bool, fn func(context.Context) (any, error)) (any, error) {
-	reg := r.registryFor(ctx)
-	if cacheable && !isFresh(ctx) {
-		if v, ok := r.cache.get(key, r.now()); ok {
-			r.stats.cacheHits.Add(1)
-			reg.Counter("provider.cache_hits", "op", op).Inc()
-			return v, nil
-		}
-	}
-	if cacheable {
-		r.stats.cacheMisses.Add(1)
-		reg.Counter("provider.cache_misses", "op", op).Inc()
-	}
+// read is the shared Get/ListPage/Health/Activity path: one upstream call
+// through the gate and retry loop, shared with every concurrent read of the
+// same key. The result is shared by the flight's waiters, so callers copy
+// it before handing it out.
+func (r *Runtime) read(ctx context.Context, op, typ, key string, fn func(context.Context) (any, error)) (any, error) {
 	do := func(fctx context.Context) (any, error) {
 		return r.call(fctx, op, typ, fn)
 	}
-	var (
-		v   any
-		err error
-	)
 	if r.opts.DisableCoalesce {
-		v, err = do(ctx)
-	} else {
-		v, _, err = r.flights.Do(ctx, key, do, func() {
-			r.stats.coalesced.Add(1)
-			reg.Counter("provider.coalesced", "op", op).Inc()
-		})
+		return do(ctx)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if cacheable {
-		r.cache.put(key, v, r.now())
-	}
-	return v, nil
+	reg := r.registryFor(ctx)
+	v, _, err := r.flights.Do(ctx, key, do, func() {
+		r.stats.coalesced.Add(1)
+		reg.Counter("provider.coalesced", "op", op).Inc()
+	})
+	return v, err
 }
 
-// Create implements cloud.Interface. The response write-throughs into the
-// Get cache and invalidates the type's List entries.
+// Create implements cloud.Interface.
 func (r *Runtime) Create(ctx context.Context, req cloud.CreateRequest) (*cloud.Resource, error) {
 	v, err := r.call(ctx, "create", req.Type, func(cctx context.Context) (any, error) {
 		return r.upstream.Create(cctx, req)
@@ -415,16 +374,12 @@ func (r *Runtime) Create(ctx context.Context, req cloud.CreateRequest) (*cloud.R
 	if err != nil {
 		return nil, err
 	}
-	res := v.(*cloud.Resource)
-	r.cache.put(getKey(req.Type, res.ID), res.Clone(), r.now())
-	r.cache.invalidateLists(req.Type)
-	r.cache.invalidate(healthKey(req.Type, res.ID))
-	return res, nil
+	return v.(*cloud.Resource), nil
 }
 
 // Get implements cloud.Interface.
 func (r *Runtime) Get(ctx context.Context, typ, id string) (*cloud.Resource, error) {
-	v, err := r.read(ctx, "get", typ, getKey(typ, id), true, func(cctx context.Context) (any, error) {
+	v, err := r.read(ctx, "get", typ, getKey(typ, id), func(cctx context.Context) (any, error) {
 		return r.upstream.Get(cctx, typ, id)
 	})
 	if err != nil {
@@ -441,11 +396,7 @@ func (r *Runtime) Update(ctx context.Context, req cloud.UpdateRequest) (*cloud.R
 	if err != nil {
 		return nil, err
 	}
-	res := v.(*cloud.Resource)
-	r.cache.put(getKey(req.Type, res.ID), res.Clone(), r.now())
-	r.cache.invalidateLists(req.Type)
-	r.cache.invalidate(healthKey(req.Type, res.ID))
-	return res, nil
+	return v.(*cloud.Resource), nil
 }
 
 // Delete implements cloud.Interface.
@@ -453,11 +404,6 @@ func (r *Runtime) Delete(ctx context.Context, typ, id, principal string) error {
 	_, err := r.call(ctx, "delete", typ, func(cctx context.Context) (any, error) {
 		return nil, r.upstream.Delete(cctx, typ, id, principal)
 	})
-	// Drop cache entries even on error: a failed delete may have partially
-	// executed server-side, and a 404 means the entry is stale anyway.
-	r.cache.invalidate(getKey(typ, id))
-	r.cache.invalidateLists(typ)
-	r.cache.invalidate(healthKey(typ, id))
 	return err
 }
 
@@ -470,13 +416,10 @@ func (r *Runtime) List(ctx context.Context, typ, region string) ([]*cloud.Resour
 	return page.Resources, nil
 }
 
-// Health implements cloud.Interface. Probes are cacheable reads: concurrent
-// probes of the same resource coalesce, and a cached report serves casual
-// readers. The guarded apply's probe loop runs under WithFresh — readiness
-// is exactly the kind of out-of-band change no TTL can bound — which still
-// coalesces and refills the cache for everyone else.
+// Health implements cloud.Interface. Every probe reaches the cloud;
+// concurrent probes of the same resource share one call.
 func (r *Runtime) Health(ctx context.Context, typ, id string) (*cloud.HealthReport, error) {
-	v, err := r.read(ctx, "health", typ, healthKey(typ, id), true, func(cctx context.Context) (any, error) {
+	v, err := r.read(ctx, "health", typ, healthKey(typ, id), func(cctx context.Context) (any, error) {
 		return r.upstream.Health(cctx, typ, id)
 	})
 	if err != nil {
@@ -486,15 +429,11 @@ func (r *Runtime) Health(ctx context.Context, typ, id string) (*cloud.HealthRepo
 	return &rep, nil
 }
 
-// Activity implements cloud.Interface. Results are never cached (the log
-// only grows, so a cached tail is immediately stale) but concurrent reads
-// of the same cursor coalesce. Every event flowing through invalidates the
-// cache entries it touches — this is what keeps cached reads coherent with
-// out-of-band change: the drift watcher always reads the log before it
-// issues Gets, so by the time it looks, the stale entries are gone.
+// Activity implements cloud.Interface. Concurrent reads of the same cursor
+// coalesce, and the events flow through observeEvents.
 func (r *Runtime) Activity(ctx context.Context, afterSeq int64) ([]cloud.Event, error) {
 	key := "activity/" + strconv.FormatInt(afterSeq, 10)
-	v, err := r.read(ctx, "activity", "", key, false, func(cctx context.Context) (any, error) {
+	v, err := r.read(ctx, "activity", "", key, func(cctx context.Context) (any, error) {
 		return r.upstream.Activity(cctx, afterSeq)
 	})
 	if err != nil {
@@ -508,10 +447,9 @@ func (r *Runtime) Activity(ctx context.Context, afterSeq int64) ([]cloud.Event, 
 }
 
 // WaitActivity implements cloud.Interface: it long-polls the upstream,
-// bypassing the runtime's gates and cache — activity reads are deliberately
-// cheap and a parked poll must not hold an AIMD slot. Events still flow
-// through observeEvents, so a tail keeps the cache coherent exactly like
-// Activity.
+// bypassing the runtime's gates — activity reads are deliberately cheap and
+// a parked poll must not hold an AIMD slot. Events still flow through
+// observeEvents, exactly like Activity.
 func (r *Runtime) WaitActivity(ctx context.Context, afterSeq int64, wait time.Duration) ([]cloud.Event, error) {
 	evs, err := r.upstream.WaitActivity(ctx, afterSeq, wait)
 	if err != nil {
@@ -521,11 +459,8 @@ func (r *Runtime) WaitActivity(ctx context.Context, afterSeq int64, wait time.Du
 	return evs, nil
 }
 
-// observeEvents applies activity-log invalidation: every event newer than
-// the watermark evicts the cache entries for its resource and type. The
-// watermark only advances after the evictions run, so overlapping readers
-// at worst invalidate twice, never skip. The watermark advance doubles as
-// an exactly-once claim for the bus: the reader whose CAS lands owns the
+// observeEvents republishes activity-log events on the bus exactly once.
+// The watermark advance is the claim: the reader whose CAS lands owns the
 // (cur, last] range and republishes exactly those events as cloud.activity
 // — overlapping readers never produce duplicates, and since ranges abut,
 // never leave gaps.
@@ -533,15 +468,8 @@ func (r *Runtime) observeEvents(ctx context.Context, evs []cloud.Event) {
 	if len(evs) == 0 {
 		return
 	}
-	seen := r.seen.Load()
-	last := seen
+	last := r.seen.Load()
 	for _, e := range evs {
-		if e.Seq <= seen {
-			continue
-		}
-		r.cache.invalidate(getKey(e.Type, e.ID))
-		r.cache.invalidateLists(e.Type)
-		r.cache.invalidate(healthKey(e.Type, e.ID))
 		if e.Seq > last {
 			last = e.Seq
 		}

@@ -3,7 +3,6 @@ package provider
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,188 +214,12 @@ func testOptions(sleeps *[]time.Duration) Options {
 	}
 }
 
-func TestCacheServesRepeatReads(t *testing.T) {
-	f := newFakeCloud()
-	f.put("aws_vpc", "vpc-1", "us-east-1")
-	rt := New(f, testOptions(nil))
-	ctx := context.Background()
-
-	for i := 0; i < 5; i++ {
-		r, err := rt.Get(ctx, "aws_vpc", "vpc-1")
-		if err != nil || r.ID != "vpc-1" {
-			t.Fatalf("get %d: %v %v", i, r, err)
-		}
-	}
-	if got := f.getCount(); got != 1 {
-		t.Errorf("upstream gets = %d, want 1 (cache)", got)
-	}
-	st := rt.Stats()
-	if st.CacheHits != 4 || st.CacheMisses != 1 {
-		t.Errorf("stats = %+v, want 4 hits / 1 miss", st)
-	}
-
-	// Lists cache too, keyed by region.
-	for i := 0; i < 3; i++ {
-		if _, err := rt.List(ctx, "aws_vpc", "us-east-1"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.mu.Lock()
-	lists := f.lists
-	f.mu.Unlock()
-	if lists != 1 {
-		t.Errorf("upstream lists = %d, want 1", lists)
-	}
-}
-
-func TestWritesInvalidateAndWriteThrough(t *testing.T) {
-	f := newFakeCloud()
-	f.put("aws_vpc", "vpc-1", "us-east-1")
-	rt := New(f, testOptions(nil))
-	ctx := context.Background()
-
-	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
-		t.Fatal(err)
-	}
-	// Lists of the type in every spelling, and one of another type.
-	listAll := func() int {
-		t.Helper()
-		for _, l := range [][2]string{{"aws_vpc", ""}, {"aws_vpc", "us-east-1"}, {"aws_subnet", ""}} {
-			if _, err := rt.List(ctx, l[0], l[1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := rt.ListPage(ctx, "aws_vpc", "", 10, ""); err != nil {
-			t.Fatal(err)
-		}
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return f.lists
-	}
-	listsBefore := listAll()
-	// The update response write-throughs into the Get cache...
-	upd, err := rt.Update(ctx, cloud.UpdateRequest{Type: "aws_vpc", ID: "vpc-1",
-		Attrs: map[string]eval.Value{"name": eval.String("renamed")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rt.Get(ctx, "aws_vpc", "vpc-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Attr("name").Equal(upd.Attr("name")) {
-		t.Errorf("cached get after update = %v, want renamed", got.Attr("name"))
-	}
-	if f.getCount() != 1 {
-		t.Errorf("upstream gets = %d, want 1 (write-through serves the read)", f.getCount())
-	}
-	// ...and invalidates the type's list entries — both regions and the
-	// page — while the other type's list stays cached.
-	if listsAfter := listAll(); listsAfter != listsBefore+3 {
-		t.Errorf("upstream lists went %d -> %d after a vpc update, want the 3 vpc listings refetched and the subnet one served from cache",
-			listsBefore, listsAfter)
-	}
-
-	// Delete drops the Get entry.
-	if err := rt.Delete(ctx, "aws_vpc", "vpc-1", "test"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); !cloud.IsNotFound(err) {
-		t.Errorf("get after delete = %v, want NotFound", err)
-	}
-}
-
-// TestCacheBoundCountsEveryBucket: list entries sit in per-type buckets but
-// count against the one bound, and the overflow sweep reaches them.
-func TestCacheBoundCountsEveryBucket(t *testing.T) {
-	c := newTTLCache(time.Minute)
-	now := time.Unix(0, 0)
-	held := func() int {
-		n := len(c.m)
-		for _, b := range c.lists {
-			n += len(b)
-		}
-		return n
-	}
-	for i := 0; i < 3*cacheMaxEntries; i++ {
-		c.put(getKey("aws_vpc", fmt.Sprint(i)), i, now)
-		c.put(listKey(fmt.Sprintf("type%d", i%7), fmt.Sprint(i)), i, now)
-		c.put(listKey("aws_vpc", "")+"?limit=10&after="+fmt.Sprint(i), i, now)
-		if held() != c.size || c.size > cacheMaxEntries {
-			t.Fatalf("after %d rounds: %d entries held, %d counted, bound %d", i+1, held(), c.size, cacheMaxEntries)
-		}
-	}
-	if len(c.lists["aws_vpc"]) == 0 || len(c.lists["type3"]) == 0 {
-		t.Fatalf("buckets hold %d and %d entries", len(c.lists["aws_vpc"]), len(c.lists["type3"]))
-	}
-	c.invalidateLists("aws_vpc")
-	if len(c.lists["aws_vpc"]) != 0 || len(c.lists["type3"]) == 0 || held() != c.size {
-		t.Errorf("after dropping one type's lists: %d of its entries left, %d of another's, %d held, %d counted",
-			len(c.lists["aws_vpc"]), len(c.lists["type3"]), held(), c.size)
-	}
-	c.invalidate(getKey("aws_vpc", fmt.Sprint(3*cacheMaxEntries-1)))
-	if _, ok := c.get(listKey("type3", "gone"), now); ok || held() != c.size {
-		t.Errorf("%d held, %d counted after invalidating one entry", held(), c.size)
-	}
-}
-
-func TestActivityEventsInvalidate(t *testing.T) {
-	f := newFakeCloud()
-	f.put("aws_vpc", "vpc-1", "us-east-1")
-	rt := New(f, testOptions(nil))
-	ctx := context.Background()
-
-	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
-		t.Fatal(err)
-	}
-	// A foreign event for vpc-1 flows through the runtime.
-	rt.observeEvents(context.Background(), []cloud.Event{{Seq: 7, Op: cloud.OpUpdate, Type: "aws_vpc", ID: "vpc-1", Principal: "legacy"}})
-	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
-		t.Fatal(err)
-	}
-	if f.getCount() != 2 {
-		t.Errorf("upstream gets = %d, want 2 (event invalidated the entry)", f.getCount())
-	}
-	// The same seq again must not invalidate twice.
-	rt.observeEvents(context.Background(), []cloud.Event{{Seq: 7, Op: cloud.OpUpdate, Type: "aws_vpc", ID: "vpc-1", Principal: "legacy"}})
-	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
-		t.Fatal(err)
-	}
-	if f.getCount() != 2 {
-		t.Errorf("upstream gets = %d, want 2 (watermark suppresses replay)", f.getCount())
-	}
-}
-
-func TestFreshBypassesCacheButStillStores(t *testing.T) {
-	f := newFakeCloud()
-	f.put("aws_vpc", "vpc-1", "us-east-1")
-	rt := New(f, testOptions(nil))
-	ctx := context.Background()
-
-	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Get(WithFresh(ctx), "aws_vpc", "vpc-1"); err != nil {
-		t.Fatal(err)
-	}
-	if f.getCount() != 2 {
-		t.Errorf("fresh read did not hit upstream (gets = %d)", f.getCount())
-	}
-	// The fresh result refreshed the cache for subsequent cached reads.
-	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
-		t.Fatal(err)
-	}
-	if f.getCount() != 2 {
-		t.Errorf("cached read after fresh hit upstream (gets = %d)", f.getCount())
-	}
-}
-
 func TestCoalescingSharesOneFlight(t *testing.T) {
 	f := newFakeCloud()
 	f.put("aws_vpc", "vpc-1", "us-east-1")
 	f.hold = make(chan struct{})
 	rt := New(f, Options{Clock: telemetry.NewVirtualClock(time.Unix(1000, 0), time.Microsecond)})
-	ctx := WithFresh(context.Background()) // bypass cache so all readers race
+	ctx := context.Background()
 
 	const readers = 8
 	var wg sync.WaitGroup
@@ -439,7 +262,7 @@ func TestCoalescedFlightSurvivesLeaderCancel(t *testing.T) {
 	f.hold = make(chan struct{})
 	rt := New(f, Options{Clock: telemetry.NewVirtualClock(time.Unix(1000, 0), time.Microsecond)})
 
-	leaderCtx, cancelLeader := context.WithCancel(WithFresh(context.Background()))
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
 		_, err := rt.Get(leaderCtx, "aws_vpc", "vpc-1")
@@ -450,7 +273,7 @@ func TestCoalescedFlightSurvivesLeaderCancel(t *testing.T) {
 
 	followerErr := make(chan error, 1)
 	go func() {
-		_, err := rt.Get(WithFresh(context.Background()), "aws_vpc", "vpc-1")
+		_, err := rt.Get(context.Background(), "aws_vpc", "vpc-1")
 		followerErr <- err
 	}()
 	waitFor(t, func() bool { return rt.Stats().Coalesced == 1 })
@@ -512,7 +335,7 @@ func TestRetryFullJitterAndRetryAfter(t *testing.T) {
 	f.errs = []error{&cloud.APIError{Code: cloud.CodeThrottled, Retryable: true,
 		RetryAfter: 900 * time.Millisecond, Message: "TooManyRequests"}}
 	sleeps = sleeps[:0]
-	if _, err := rt.Get(WithFresh(ctx), "aws_vpc", "vpc-1"); err != nil {
+	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
 		t.Fatal(err)
 	}
 	if len(sleeps) != 1 || sleeps[0] < 900*time.Millisecond {
@@ -549,6 +372,23 @@ func TestNonRetryableReturnsImmediately(t *testing.T) {
 	if f.getCount() != 1 {
 		t.Errorf("attempts = %d, want 1 (no retry on 404)", f.getCount())
 	}
+
+	// Every read reaches the cloud: a Get after a Delete sees the resource
+	// gone.
+	ctx := context.Background()
+	f.put("aws_vpc", "vpc-1", "us-east-1")
+	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Delete(ctx, "aws_vpc", "vpc-1", "test"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); !cloud.IsNotFound(err) {
+		t.Errorf("get after delete = %v, want NotFound", err)
+	}
+	if f.getCount() != 3 {
+		t.Errorf("upstream gets = %d, want 3", f.getCount())
+	}
 }
 
 func TestAIMDWindowHalvesAndRecovers(t *testing.T) {
@@ -578,7 +418,7 @@ func TestAIMDWindowHalvesAndRecovers(t *testing.T) {
 
 	// A second congestion event inside the cooldown must NOT halve again.
 	f.errs = []error{throttle}
-	if _, err := rt.Get(WithFresh(ctx), "aws_vpc", "vpc-1"); err != nil {
+	if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
 		t.Fatal(err)
 	}
 	if w := rt.Stats().Windows["aws"]; w < 7.5 {
@@ -588,7 +428,7 @@ func TestAIMDWindowHalvesAndRecovers(t *testing.T) {
 	// Successes grow the window additively (1/W per success).
 	before := rt.Stats().Windows["aws"]
 	for i := 0; i < 40; i++ {
-		if _, err := rt.Get(WithFresh(ctx), "aws_vpc", "vpc-1"); err != nil {
+		if _, err := rt.Get(ctx, "aws_vpc", "vpc-1"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -671,9 +511,6 @@ func TestRuntimeMetricsFlow(t *testing.T) {
 	if reg.CounterSum("provider.retries") != 1 {
 		t.Errorf("provider.retries = %d, want 1", reg.CounterSum("provider.retries"))
 	}
-	if reg.CounterSum("provider.cache_hits") != 1 {
-		t.Errorf("provider.cache_hits = %d, want 1", reg.CounterSum("provider.cache_hits"))
-	}
 }
 
 func TestConcurrentMixedTrafficRace(t *testing.T) {
@@ -701,7 +538,7 @@ func TestConcurrentMixedTrafficRace(t *testing.T) {
 				case 3:
 					rt.observeEvents(context.Background(), []cloud.Event{{Seq: seq.Add(1), Type: "aws_vpc", ID: "vpc-1"}})
 				case 4:
-					_, _ = rt.Get(WithFresh(ctx), "aws_vpc", "vpc-1")
+					_, _ = rt.Health(ctx, "aws_vpc", "vpc-1")
 				}
 			}
 		}(i)

@@ -23,7 +23,7 @@ type ManagerOptions struct {
 	// Cloud is the default control plane for workspaces opened without
 	// their own. Pass the raw endpoint (sim or HTTP client), not a
 	// pre-wrapped runtime: each workspace wraps it in its own
-	// provider.Runtime so tenants get separate AIMD windows, read caches,
+	// provider.Runtime so tenants get separate AIMD windows, coalescing,
 	// and retry budgets over the shared transport.
 	Cloud cloud.Interface
 	// DefaultBackend is the statedb backend for workspaces that don't pick

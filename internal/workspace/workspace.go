@@ -2,7 +2,7 @@
 // S27). A Workspace owns everything one managed infrastructure needs — the
 // expanded configuration, a golden-state engine, a policy engine, a drift
 // watcher, a journal path, an event bus, a replan cache, and a provider
-// runtime with its own AIMD gates and read cache — so many
+// runtime with its own AIMD gates and retry budget — so many
 // workspaces can live in one process with per-tenant isolation by
 // construction. The public cloudless.Stack facade is a thin single-workspace
 // client of this core; cloudlessd's Manager hosts many of them.
@@ -54,7 +54,7 @@ type Config struct {
 	Vars map[string]any
 	// Cloud is the control plane to deploy onto. Required. A raw endpoint
 	// (simulator or HTTP client) is wrapped in this workspace's own
-	// provider runtime — separate AIMD gates, read cache, and retry budget
+	// provider runtime — separate AIMD gates, coalescing, and retry budget
 	// per tenant; passing an existing *provider.Runtime shares it instead.
 	Cloud cloud.Interface
 	// Modules resolves module sources; defaults to directory resolution
@@ -856,7 +856,7 @@ func (w *Workspace) Apply(ctx context.Context, p *plan.Plan, opts ApplyOptions) 
 }
 
 // PublishRunFinish emits the run-terminating event plus a provider-runtime
-// stats snapshot (cache hit / coalesce / throttle counters), so a watcher
+// stats snapshot (call / retry / throttle / coalesce counters), so a watcher
 // sees how the dispatch layer behaved without polling Stats itself. It is
 // exported for the facade's white-box seams; bus, rt and failed (what went
 // wrong with the run, if anything) may be nil.
@@ -875,7 +875,6 @@ func PublishRunFinish(bus *events.Bus, rt *provider.Runtime, runID string, res *
 			v    int64
 		}{
 			{"calls", st.Calls}, {"retries", st.Retries}, {"throttles", st.Throttles},
-			{"cache_hits", st.CacheHits}, {"cache_misses", st.CacheMisses},
 			{"coalesced", st.Coalesced},
 		} {
 			bus.Publish(events.Event{Kind: "provider.stats", Run: runID,
