@@ -96,6 +96,11 @@ type Module struct {
 	Outputs   map[string]*Output
 	Providers map[string]*ProviderCfg
 	Calls     map[string]*ModuleCall
+
+	// readersMemo indexes which declarations read each variable, built on
+	// first use (see readers in reexpand.go).
+	readersOnce sync.Once
+	readersMemo varReaders
 }
 
 func newModule() *Module {

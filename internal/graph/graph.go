@@ -132,41 +132,85 @@ func (e *CycleError) Error() string {
 }
 
 // TopoSort returns the nodes in dependency-first order. Ties are broken
-// lexicographically so output is deterministic. Returns a *CycleError if the
-// graph is cyclic.
+// lexicographically so output is deterministic: of the nodes whose
+// dependencies are all out, the least comes next. Returns a *CycleError if
+// the graph is cyclic.
 func (g *Graph) TopoSort() ([]string, error) {
 	indeg := make(map[string]int, len(g.nodes))
+	var ready minHeap
 	for n := range g.nodes {
-		indeg[n] = len(g.deps[n])
-	}
-	var ready []string
-	for n, d := range indeg {
+		d := len(g.deps[n])
+		indeg[n] = d
 		if d == 0 {
 			ready = append(ready, n)
 		}
 	}
-	sort.Strings(ready)
+	ready.init()
 	out := make([]string, 0, len(g.nodes))
 	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
+		n := ready.pop()
 		out = append(out, n)
-		var unlocked []string
 		for rd := range g.rdeps[n] {
 			indeg[rd]--
 			if indeg[rd] == 0 {
-				unlocked = append(unlocked, rd)
+				ready.push(rd)
 			}
-		}
-		if len(unlocked) > 0 {
-			ready = append(ready, unlocked...)
-			sort.Strings(ready)
 		}
 	}
 	if len(out) != len(g.nodes) {
 		return nil, &CycleError{Cycle: g.findCycle()}
 	}
 	return out, nil
+}
+
+// minHeap is a binary min-heap of node IDs: TopoSort's ready set, which
+// yields the least ready node in O(log n) instead of re-sorting the set.
+type minHeap []string
+
+func (h minHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *minHeap) push(n string) {
+	*h = append(*h, n)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent] <= s[i] {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+func (h *minHeap) pop() string {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	*h = s[:last]
+	h.down(0)
+	return top
+}
+
+func (h minHeap) down(i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l] < h[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] < h[least] {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // findCycle locates one cycle for error reporting.

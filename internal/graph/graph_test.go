@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -392,5 +394,98 @@ func TestDOTOutput(t *testing.T) {
 	dot := g.DOT("deps")
 	if !strings.Contains(dot, `"a" -> "b"`) {
 		t.Errorf("DOT = %s", dot)
+	}
+}
+
+// referenceTopoSort is TopoSort as it was before the ready set became a heap:
+// the ready list is re-sorted whenever a node unlocks others. It is kept here
+// as the oracle the heap must match.
+func referenceTopoSort(g *Graph) ([]string, error) {
+	indeg := make(map[string]int, len(g.nodes))
+	for n := range g.nodes {
+		indeg[n] = len(g.deps[n])
+	}
+	var ready []string
+	for n, d := range indeg {
+		if d == 0 {
+			ready = append(ready, n)
+		}
+	}
+	sort.Strings(ready)
+	out := make([]string, 0, len(g.nodes))
+	for len(ready) > 0 {
+		n := ready[0]
+		ready = ready[1:]
+		out = append(out, n)
+		var unlocked []string
+		for rd := range g.rdeps[n] {
+			indeg[rd]--
+			if indeg[rd] == 0 {
+				unlocked = append(unlocked, rd)
+			}
+		}
+		if len(unlocked) > 0 {
+			ready = append(ready, unlocked...)
+			sort.Strings(ready)
+		}
+	}
+	if len(out) != len(g.nodes) {
+		return nil, &CycleError{Cycle: g.findCycle()}
+	}
+	return out, nil
+}
+
+// TestTopoSortMatchesReference: on random graphs — DAGs, and DAGs with back
+// edges that close cycles — the heap sort returns exactly the order, or the
+// *CycleError naming exactly the cycle, of the sort it replaced. Node names
+// are random so the lexicographic tie-break is not the insertion order.
+func TestTopoSortMatchesReference(t *testing.T) {
+	cycles := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("%c%d", 'a'+rng.Intn(26), rng.Intn(1000))
+		}
+		g := New()
+		for _, name := range names {
+			g.AddNode(name)
+		}
+		density := rng.Float64() * 0.3
+		for i := 1; i < n; i++ {
+			for j := 0; j < i; j++ {
+				if names[i] != names[j] && rng.Float64() < density {
+					mustEdge(t, g, names[i], names[j])
+				}
+			}
+		}
+		if seed%3 == 0 && n > 1 {
+			// Back edges: some of these close cycles.
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				i, j := rng.Intn(n), rng.Intn(n)
+				if names[i] != names[j] {
+					mustEdge(t, g, names[j], names[i])
+				}
+			}
+		}
+		got, gotErr := g.TopoSort()
+		want, wantErr := referenceTopoSort(g)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: TopoSort = %v, reference = %v", seed, got, want)
+		}
+		var gotCycle, wantCycle *CycleError
+		if errors.As(gotErr, &gotCycle) != errors.As(wantErr, &wantCycle) {
+			t.Fatalf("seed %d: TopoSort error %v, reference error %v", seed, gotErr, wantErr)
+		}
+		if gotCycle != nil {
+			cycles++
+			if !reflect.DeepEqual(gotCycle.Cycle, wantCycle.Cycle) {
+				t.Fatalf("seed %d: cycle %v, reference cycle %v", seed, gotCycle.Cycle, wantCycle.Cycle)
+			}
+		}
+	}
+	if cycles < 20 {
+		t.Errorf("only %d of 300 graphs were cyclic: the cycle path is barely exercised", cycles)
 	}
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -83,7 +84,7 @@ func (c *ReplanCache) LastStats() CacheStats {
 // Drift surfaces here naturally: a refresh that changed recorded attributes
 // yields a record that differs in content, dirtying exactly the drifted
 // addresses.
-func (c *ReplanCache) dirtySeeds(hashes map[string]uint64, instsByResource map[string][]*config.Instance, prior *state.State) (seeds []string, cold bool) {
+func (c *ReplanCache) dirtySeeds(hashes map[string]uint64, ex *config.Expansion, prior *state.State) (seeds []string, cold bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.hashes == nil {
@@ -91,7 +92,8 @@ func (c *ReplanCache) dirtySeeds(hashes map[string]uint64, instsByResource map[s
 		return nil, true
 	}
 	var cfgDirty, stateDirty int
-	for r, insts := range instsByResource {
+	for _, g := range ex.Shape().Groups {
+		r, insts := g.Addr, ex.Instances[g.Start:g.End]
 		h := hashes[r]
 		if oh, ok := c.hashes[r]; !ok || oh != h {
 			seeds = append(seeds, r)
@@ -167,15 +169,18 @@ const (
 
 // commit records a finished Compute: fresh evaluations insert entries,
 // replays are kept, and anything skipped or failed is dropped so the next
-// plan re-derives it.
-func (c *ReplanCache) commit(hashes map[string]uint64, prior *state.State, instsByResource map[string][]*config.Instance, outcomes map[string]replanOutcome, p *Plan) {
+// plan re-derives it. hashes is the expansion's own map: it is copied before
+// a dropped resource's hash is taken out.
+func (c *ReplanCache) commit(hashes map[string]uint64, prior *state.State, ex *config.Expansion, outcomes map[string]replanOutcome, p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries == nil {
 		c.entries = map[string]*cacheEntry{}
 	}
 	replayed, evaluated := 0, 0
-	for r, insts := range instsByResource {
+	copied := false
+	for _, g := range ex.Shape().Groups {
+		r, insts := g.Addr, ex.Instances[g.Start:g.End]
 		switch outcomes[r] {
 		case outcomeReplayed:
 			replayed++
@@ -183,6 +188,9 @@ func (c *ReplanCache) commit(hashes map[string]uint64, prior *state.State, insts
 		case outcomeSkipped, outcomeFailed:
 			for _, inst := range insts {
 				delete(c.entries, inst.Addr)
+			}
+			if !copied {
+				hashes, copied = maps.Clone(hashes), true
 			}
 			delete(hashes, r)
 			continue
@@ -200,15 +208,9 @@ func (c *ReplanCache) commit(hashes map[string]uint64, prior *state.State, insts
 			c.entries[inst.Addr] = e
 		}
 	}
-	// Entries of resources that left the configuration entirely.
-	current := map[string]bool{}
-	for _, insts := range instsByResource {
-		for _, inst := range insts {
-			current[inst.Addr] = true
-		}
-	}
+	// Entries of instances that left the configuration entirely.
 	for addr := range c.entries {
-		if !current[addr] {
+		if _, ok := ex.ByAddr[addr]; !ok {
 			delete(c.entries, addr)
 		}
 	}

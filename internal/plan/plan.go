@@ -143,24 +143,13 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	}()
 
 	// Resource-level dependency graph over configuration: its topological
-	// order is the evaluation order, its closure the impact scope.
-	cfgGraph := graph.New()
-	for _, inst := range ex.Instances {
-		cfgGraph.AddNode(inst.ResourceAddr())
+	// order is the evaluation order, its closure the impact scope. Both come
+	// with the expansion's shape, built once for every plan over it.
+	shape := ex.Shape()
+	if shape.Err != nil {
+		return p, diags.Append(hcl.Errorf(hcl.Range{}, "configuration has a dependency cycle: %s", shape.Err))
 	}
-	for _, inst := range ex.Instances {
-		for _, dep := range inst.DependsOn {
-			if cfgGraph.HasNode(dep) {
-				if err := cfgGraph.AddEdge(inst.ResourceAddr(), dep); err != nil {
-					diags = diags.Append(hcl.Errorf(inst.DeclRange, "dependency error: %s", err))
-				}
-			}
-		}
-	}
-	order, err := cfgGraph.TopoSort()
-	if err != nil {
-		return p, diags.Append(hcl.Errorf(hcl.Range{}, "configuration has a dependency cycle: %s", err))
-	}
+	cfgGraph, order := shape.Graph, shape.Order
 
 	// Impact scope: the set of resource-level addresses we must (re)plan.
 	var scope map[string]struct{}
@@ -255,12 +244,6 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	}
 	p.PriorState = prior
 
-	instByResource := map[string][]*config.Instance{}
-	for _, inst := range ex.Instances {
-		r := inst.ResourceAddr()
-		instByResource[r] = append(instByResource[r], inst)
-	}
-
 	// Incremental replan: fingerprint the declarations and ask the cache for
 	// the dirty seeds, then close over dependents. A nil dirtyScope means
 	// everything is dirty (no cache, or a cold one).
@@ -268,7 +251,7 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	var dirtyScope map[string]struct{}
 	if opts.Cache != nil {
 		declHashes = ex.DeclHashes()
-		if seeds, cold := opts.Cache.dirtySeeds(declHashes, instByResource, prior); !cold {
+		if seeds, cold := opts.Cache.dirtySeeds(declHashes, ex, prior); !cold {
 			dirtyScope = cfgGraph.ImpactScope(seeds...)
 		}
 	}
@@ -288,7 +271,7 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	outcomes := make(map[string]replanOutcome, len(order))
 	evalDiags := map[string]hcl.Diagnostics{}
 	for _, resourceAddr := range order {
-		insts := instByResource[resourceAddr]
+		insts := ex.InstancesOf(resourceAddr)
 
 		// Clean resource under a warm cache: replay the memoized diffs and
 		// planned values instead of re-evaluating. The replayed records are
@@ -358,8 +341,9 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 		diags = diags.Extend(evalDiags[resourceAddr])
 	}
 
-	// Deletions: state entries with no configuration instance.
-	for _, addr := range prior.Addrs() {
+	// Deletions: state entries with no configuration instance. Recording is
+	// order-free, so the entries are visited in map order, unsorted.
+	for addr, rs := range prior.Resources {
 		if _, exists := ex.ByAddr[addr]; exists {
 			continue
 		}
@@ -368,7 +352,6 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 			// plans pick it up only when scoped to it. Skip.
 			continue
 		}
-		rs := prior.Get(addr)
 		p.record(&Change{
 			Addr: addr, Action: ActionDelete, Type: rs.Type, Region: rs.Region,
 			ID: rs.ID, Before: rs.Attrs, Deps: rs.Dependencies,
@@ -382,7 +365,7 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	// Seed the cache from this plan so the next Compute replays what did not
 	// move. An errored plan never commits: its outcomes may be partial.
 	if opts.Cache != nil && !diags.HasErrors() {
-		opts.Cache.commit(declHashes, prior, instByResource, outcomes, p)
+		opts.Cache.commit(declHashes, prior, ex, outcomes, p)
 		st := opts.Cache.LastStats()
 		span.SetAttr("replan_invalidation", st.Invalidation)
 		span.SetAttr("replan_replayed", st.Replayed)

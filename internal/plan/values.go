@@ -67,21 +67,12 @@ func ParseAddr(addr string) (Addr, error) {
 	return out, nil
 }
 
-// group is one resource-level declaration's instances and their assembled
-// value: a single object, an index-ordered list, or a key-addressed map.
-type group struct {
-	modulePath string
-	data       bool
-	typ, name  string
-	members    []member
-	// assembled caches the group value; Set on any member clears valid.
-	assembled eval.Value
-	valid     bool
-}
-
-type member struct {
-	addr string
-	key  any // nil, int, or string
+// groupValue is one group's assembled value — a single object, an
+// index-ordered list, or a key-addressed map — cached until Set writes a
+// member.
+type groupValue struct {
+	value eval.Value
+	valid bool
 }
 
 // ValueStore holds the evaluated object value of every resource instance and
@@ -94,14 +85,15 @@ type member struct {
 // O(references) plus the re-assembly of referenced groups written since
 // their last read, so N scopes interleaved with N writes — a full plan —
 // cost O(N) when dependencies are evaluated before their dependents.
+//
+// Which instances form a group is the expansion's Shape, shared by every
+// store over the expansion; a store owns only its values and their cache.
 type ValueStore struct {
-	mu   sync.Mutex
-	vals map[string]eval.Value // instance addr -> object value
-	ex   *config.Expansion
-
-	// Static index, built once from the expansion.
-	groups   map[string]*group // resource-level addr -> group
-	memberOf map[string]*group // instance addr -> group
+	mu    sync.Mutex
+	vals  map[string]eval.Value // instance addr -> object value
+	ex    *config.Expansion
+	shape *config.Shape
+	cache []groupValue // by shape.Groups index
 
 	// The root module's "module" root, rebuilt after a write inside any
 	// child module.
@@ -111,42 +103,31 @@ type ValueStore struct {
 
 // NewValueStore builds a store for an expansion.
 func NewValueStore(ex *config.Expansion) *ValueStore {
-	vs := &ValueStore{
-		vals:     map[string]eval.Value{},
-		ex:       ex,
-		groups:   map[string]*group{},
-		memberOf: map[string]*group{},
+	shape := ex.Shape()
+	return &ValueStore{
+		vals:  make(map[string]eval.Value, len(ex.Instances)),
+		ex:    ex,
+		shape: shape,
+		cache: make([]groupValue, len(shape.Groups)),
 	}
-	for _, inst := range ex.Instances {
-		pa, err := ParseAddr(inst.Addr)
-		if err != nil {
-			continue
-		}
-		resourceAddr := inst.ResourceAddr()
-		g := vs.groups[resourceAddr]
-		if g == nil {
-			g = &group{modulePath: pa.ModulePath, data: pa.Data, typ: pa.Type, name: pa.Name}
-			vs.groups[resourceAddr] = g
-		}
-		g.members = append(g.members, member{addr: inst.Addr, key: pa.Key})
-		vs.memberOf[inst.Addr] = g
-	}
-	return vs
 }
 
-// assembleLocked returns the group's value, re-assembling it from the member
+// assembleLocked returns group gi's value, re-assembling it from the member
 // values when a member was written since the last call.
-func (vs *ValueStore) assembleLocked(g *group) eval.Value {
-	if g.valid {
-		return g.assembled
+func (vs *ValueStore) assembleLocked(gi int) eval.Value {
+	c := &vs.cache[gi]
+	if c.valid {
+		return c.value
 	}
-	switch g.members[0].key.(type) {
+	g := vs.shape.Groups[gi]
+	members := vs.ex.Instances[g.Start:g.End]
+	switch members[0].Key.(type) {
 	case nil:
-		g.assembled = vs.valueOfLocked(g.members[0])
+		c.value = vs.valueOfLocked(members[0])
 	case int:
 		maxIdx := -1
-		for _, m := range g.members {
-			if i := m.key.(int); i > maxIdx {
+		for _, m := range members {
+			if i := m.Key.(int); i > maxIdx {
 				maxIdx = i
 			}
 		}
@@ -154,23 +135,23 @@ func (vs *ValueStore) assembleLocked(g *group) eval.Value {
 		for i := range list {
 			list[i] = eval.Unknown
 		}
-		for _, m := range g.members {
-			list[m.key.(int)] = vs.valueOfLocked(m)
+		for _, m := range members {
+			list[m.Key.(int)] = vs.valueOfLocked(m)
 		}
-		g.assembled = eval.ListOf(list)
+		c.value = eval.ListOf(list)
 	case string:
-		obj := make(map[string]eval.Value, len(g.members))
-		for _, m := range g.members {
-			obj[m.key.(string)] = vs.valueOfLocked(m)
+		obj := make(map[string]eval.Value, len(members))
+		for _, m := range members {
+			obj[m.Key.(string)] = vs.valueOfLocked(m)
 		}
-		g.assembled = eval.Object(obj)
+		c.value = eval.Object(obj)
 	}
-	g.valid = true
-	return g.assembled
+	c.valid = true
+	return c.value
 }
 
-func (vs *ValueStore) valueOfLocked(m member) eval.Value {
-	if v, ok := vs.vals[m.addr]; ok {
+func (vs *ValueStore) valueOfLocked(m *config.Instance) eval.Value {
+	if v, ok := vs.vals[m.Addr]; ok {
 		return v
 	}
 	return eval.Unknown
@@ -193,9 +174,9 @@ func (vs *ValueStore) exposeLocked(scope *eval.Context, modulePath string, resou
 		return byType[typ]
 	}
 	for _, addr := range resourceAddrs {
-		if g := vs.groups[addr]; g != nil {
-			if g.modulePath == modulePath {
-				names(g.data, g.typ)[g.name] = vs.assembleLocked(g)
+		if gi, ok := vs.shape.Index(addr); ok {
+			if first := vs.ex.Instances[vs.shape.Groups[gi].Start]; first.ModulePath == modulePath {
+				names(first.Mode == config.DataMode, first.Type)[first.Name] = vs.assembleLocked(gi)
 			}
 		} else if pa, err := ParseAddr(addr); err == nil && pa.ModulePath == modulePath {
 			// An undeclared resource still binds its type root, so evaluation
@@ -241,9 +222,9 @@ func ResourceAddrOf(addr string) string {
 func (vs *ValueStore) Set(addr string, v eval.Value) {
 	vs.mu.Lock()
 	vs.vals[addr] = v
-	if g := vs.memberOf[addr]; g != nil {
-		g.valid = false
-		if g.modulePath != "" {
+	if gi, ok := vs.shape.GroupOf(addr); ok {
+		vs.cache[gi].valid = false
+		if vs.ex.Instances[vs.shape.Groups[gi].Start].ModulePath != "" {
 			vs.moduleRootValid = false
 		}
 	}

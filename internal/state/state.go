@@ -176,11 +176,21 @@ type resourceJSON struct {
 
 // Encode serializes the state as JSON.
 func (s *State) Encode() ([]byte, error) {
+	return json.MarshalIndent(s.encodable(), "", "  ")
+}
+
+// EncodeCompact is Encode without the indentation: the bytes json.Compact
+// makes of Encode's, in one pass.
+func (s *State) EncodeCompact() ([]byte, error) {
+	return json.Marshal(s.encodable())
+}
+
+func (s *State) encodable() stateJSON {
 	out := stateJSON{
 		Version:   1,
 		Serial:    s.Serial,
-		Resources: map[string]resourceJSON{},
-		Outputs:   map[string]any{},
+		Resources: make(map[string]resourceJSON, len(s.Resources)),
+		Outputs:   make(map[string]any, len(s.Outputs)),
 	}
 	for addr, rs := range s.Resources {
 		attrs := make(map[string]any, len(rs.Attrs))
@@ -189,13 +199,23 @@ func (s *State) Encode() ([]byte, error) {
 		}
 		out.Resources[addr] = resourceJSON{
 			Type: rs.Type, ID: rs.ID, Region: rs.Region, Attrs: attrs, Generation: rs.Generation,
-			Dependencies: rs.Dependencies, CreatedAt: rs.CreatedAt, UpdatedAt: rs.UpdatedAt,
+			Dependencies: rs.Dependencies, CreatedAt: encodableTime(rs.CreatedAt), UpdatedAt: encodableTime(rs.UpdatedAt),
 		}
 	}
 	for k, v := range s.Outputs {
 		out.Outputs[k] = eval.ToGo(v)
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return out
+}
+
+// encodableTime returns t, or the same instant in UTC when t's zone offset
+// is 24 hours or more: RFC 3339, and so time.Time.MarshalJSON, cannot write
+// such an offset, though UnmarshalJSON reads one.
+func encodableTime(t time.Time) time.Time {
+	if _, off := t.Zone(); off <= -24*60*60 || off >= 24*60*60 {
+		return t.UTC()
+	}
+	return t
 }
 
 // SaveFile writes the state to a file atomically and durably: the commit

@@ -279,7 +279,7 @@ func New(cfg Config) (*Workspace, error) {
 		// telemetry-carrying context.
 		sim.AttachTelemetry(cfg.Telemetry.Metrics())
 	}
-	if err := w.reexpand(); err != nil {
+	if err := w.reexpand(nil); err != nil {
 		return nil, err
 	}
 
@@ -301,10 +301,18 @@ func New(cfg Config) (*Workspace, error) {
 // Name returns the workspace's name ("" for facade-opened workspaces).
 func (w *Workspace) Name() string { return w.name }
 
-// reexpand recomputes the expansion from the module and current vars. The
-// caller holds bindMu (New, which nothing else can see yet, does not).
-func (w *Workspace) reexpand() error {
-	ex, diags := config.Expand(w.module, w.vars, w.resolver)
+// reexpand recomputes the expansion from the module and current vars: in
+// full the first time, then from the current expansion, re-expanding only
+// what reads the changed variables. The caller holds bindMu (New, which
+// nothing else can see yet, does not).
+func (w *Workspace) reexpand(changed []string) error {
+	var ex *config.Expansion
+	var diags hcl.Diagnostics
+	if w.expansion == nil {
+		ex, diags = config.Expand(w.module, w.vars, w.resolver)
+	} else {
+		ex, diags = w.expansion.Reexpand(w.vars, w.resolver, changed)
+	}
 	if diags.HasErrors() {
 		return diags
 	}
@@ -338,13 +346,15 @@ func (w *Workspace) SetVar(name string, value any) error {
 // later call with its own diagnostic. The caller holds bindMu.
 func (w *Workspace) bind(vals map[string]eval.Value) error {
 	prev := make(map[string]eval.Value, len(vals))
+	changed := make([]string, 0, len(vals))
 	for name, v := range vals {
 		if old, ok := w.vars[name]; ok {
 			prev[name] = old
 		}
 		w.vars[name], w.engine.Vars[name] = v, v
+		changed = append(changed, name)
 	}
-	err := w.reexpand()
+	err := w.reexpand(changed)
 	if err != nil {
 		for name := range vals {
 			if old, ok := prev[name]; ok {

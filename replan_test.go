@@ -3,6 +3,7 @@ package cloudless_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -275,5 +276,71 @@ func TestReplanCacheEquivalenceProperty(t *testing.T) {
 					cp3.EvaluatedInstances, fp3.EvaluatedInstances)
 			}
 		})
+	}
+}
+
+// TestReexpandedPlansMatchFreshExpansionProperty: plans over an expansion
+// that Reexpand derived, edit after edit, are byte-identical to plans over a
+// fresh config.Expand with the same variables — full plans, and cached
+// replans through one cache, whose evaluation count matches too.
+func TestReexpandedPlansMatchFreshExpansionProperty(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 3; seed++ {
+		files, vms := workload.EditableDAG(40, seed)
+		m, diags := config.Load(files)
+		if diags.HasErrors() {
+			t.Fatal(diags.Error())
+		}
+		vars := map[string]eval.Value{}
+		ex, diags := config.Expand(m, vars, nil)
+		if diags.HasErrors() {
+			t.Fatal(diags.Error())
+		}
+		p, diags := plan.Compute(ctx, ex, state.New(), plan.Options{})
+		if diags.HasErrors() {
+			t.Fatal(diags.Error())
+		}
+		res := apply.Apply(ctx, newSim(), p, apply.Options{Principal: "cloudless"})
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		st := res.State
+		derivedCache, freshCache := plan.NewReplanCache(), plan.NewReplanCache()
+		compute := func(ex *config.Expansion, cache *plan.ReplanCache) *cloudless.Plan {
+			t.Helper()
+			p, diags := plan.Compute(ctx, ex, st, plan.Options{Cache: cache})
+			if diags.HasErrors() {
+				t.Fatal(diags.Error())
+			}
+			return p
+		}
+		compute(ex, derivedCache)
+		compute(ex, freshCache)
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 12; step++ {
+			name := fmt.Sprintf("rev_%d", rng.Intn(vms))
+			vars[name] = eval.String(fmt.Sprint(rng.Intn(3)))
+			next, diags := ex.Reexpand(vars, nil, []string{name})
+			if diags.HasErrors() {
+				t.Fatal(diags.Error())
+			}
+			fresh, diags := config.Expand(m, vars, nil)
+			if diags.HasErrors() {
+				t.Fatal(diags.Error())
+			}
+			got, want := compute(next, nil), compute(fresh, nil)
+			if encodeFacadePlan(got) != encodeFacadePlan(want) {
+				t.Fatalf("seed %d step %d: plan over the re-expansion differs:\n--- derived\n%s\n--- fresh\n%s",
+					seed, step, encodeFacadePlan(got), encodeFacadePlan(want))
+			}
+			got, want = compute(next, derivedCache), compute(fresh, freshCache)
+			if encodeFacadePlan(got) != encodeFacadePlan(want) {
+				t.Fatalf("seed %d step %d: cached plan over the re-expansion differs", seed, step)
+			}
+			if g, w := derivedCache.LastStats(), freshCache.LastStats(); g != w {
+				t.Fatalf("seed %d step %d: cache stats %+v over the re-expansion, %+v over a fresh one", seed, step, g, w)
+			}
+			ex = next
+		}
 	}
 }
