@@ -18,6 +18,11 @@ package main
 // Part 3 — the circuit breaker: a persistently failing repair target must
 // trip the breaker into detect-only (no unbounded retry storms), and the
 // controller must recover to repairing once the fault clears.
+//
+// The controller runs with its production timing (reconcile.Debounce and
+// its siblings). Parts 1 and 2 run in real time; part 3 waits out backoffs
+// and a one-minute breaker cooloff, so its controller runs on a
+// telemetry.VirtualClock the part advances.
 
 import (
 	"context"
@@ -33,6 +38,7 @@ import (
 	"cloudless/internal/drift"
 	"cloudless/internal/eval"
 	"cloudless/internal/reconcile"
+	"cloudless/internal/telemetry"
 	"cloudless/internal/workload"
 	"cloudless/internal/workspace"
 )
@@ -66,19 +72,10 @@ type rcResult struct {
 // 300ms (real periodic scanners run minutes apart).
 const rcPeriod = 300 * time.Millisecond
 
-// rcTuning is the converge loop's knob set for the bench: fast debounce,
-// activity polling as the only detection path (periodic FullScan disabled).
-func rcTuning() reconcile.Tuning {
-	return reconcile.Tuning{
-		Debounce: 2 * time.Millisecond, PollWait: 50 * time.Millisecond,
-		FullScanEvery: -1,
-		BackoffBase:   10 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
-		BreakerThreshold: 2, BreakerCooloff: 50 * time.Millisecond,
-		// The churn arms deliberately hammer the same few resources; raise
-		// the flap ceiling so damping (measured elsewhere) stays out of the
-		// latency race.
-		FlapThreshold: 1000,
-	}
+// rcReconciler is the bench's controller: activity polling is the only
+// detection path (periodic FullScan disabled).
+func rcReconciler(mode string, clk telemetry.Clock) workspace.ReconcilerOptions {
+	return workspace.ReconcilerOptions{Mode: mode, Watermark: -1, FullScanEvery: -1, Clock: clk}
 }
 
 // rcDeploy stands up a web tier workspace on a fresh fast sim.
@@ -118,6 +115,19 @@ func rcTargets(sim *cloud.Sim) []rcTarget {
 }
 
 type rcTarget struct{ typ, id, name string }
+
+// rcPick draws the next churn target, passing over any already drifted
+// reconcile.FlapThreshold times: one more would be flap-suppressed, which
+// is damping (exercised in part 2 and the controller's tests), not repair
+// latency.
+func rcPick(rng *rand.Rand, targets []rcTarget, used map[int]int) rcTarget {
+	for {
+		if i := rng.Intn(len(targets)); used[i] < reconcile.FlapThreshold {
+			used[i]++
+			return targets[i]
+		}
+	}
+}
 
 // rcInject renames the target under a foreign principal.
 func rcInject(sim *cloud.Sim, tgt rcTarget, as string) {
@@ -203,15 +213,14 @@ func rcChurnEvent(drifts int, rng *rand.Rand) (ttrs []float64, callsPerDrift flo
 	sim, ws := rcDeploy("rce")
 	ctx := context.Background()
 	defer ws.Close(ctx)
-	if _, err := ws.StartReconciler(workspace.ReconcilerOptions{
-		Mode: reconcile.ModeRepair, Watermark: -1, Tuning: rcTuning(),
-	}); err != nil {
+	if _, err := ws.StartReconciler(rcReconciler(reconcile.ModeRepair, nil)); err != nil {
 		panic(err)
 	}
 	targets := rcTargets(sim)
+	used := map[int]int{}
 	calls0 := sim.Metrics().Calls
 	for i := 0; i < drifts; i++ {
-		tgt := targets[rng.Intn(len(targets))]
+		tgt := rcPick(rng, targets, used)
 		rcInject(sim, tgt, fmt.Sprintf("rogue-%d", i))
 		ttrs = append(ttrs, float64(rcAwaitRestore(sim, tgt, 30*time.Second))/float64(time.Millisecond))
 		// Random think time between incidents, like real churn.
@@ -227,6 +236,7 @@ func rcChurnPeriodic(drifts int, rng *rand.Rand) (ttrs []float64, callsPerDrift 
 	ctx := context.Background()
 	defer ws.Close(ctx)
 	targets := rcTargets(sim)
+	used := map[int]int{}
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -252,7 +262,7 @@ func rcChurnPeriodic(drifts int, rng *rand.Rand) (ttrs []float64, callsPerDrift 
 
 	calls0 := sim.Metrics().Calls
 	for i := 0; i < drifts; i++ {
-		tgt := targets[rng.Intn(len(targets))]
+		tgt := rcPick(rng, targets, used)
 		// Random phase within the scan period, like real incidents.
 		time.Sleep(time.Duration(rng.Intn(int(rcPeriod))))
 		rcInject(sim, tgt, fmt.Sprintf("rogue-%d", i))
@@ -275,9 +285,7 @@ func rcStormTrial(trial int, rng *rand.Rand) (brokenDetect, brokenRepair int) {
 	}
 	mk := func(name, mode string) arm {
 		sim, ws := rcDeploy(name)
-		if _, err := ws.StartReconciler(workspace.ReconcilerOptions{
-			Mode: mode, Watermark: -1, Tuning: rcTuning(),
-		}); err != nil {
+		if _, err := ws.StartReconciler(rcReconciler(mode, nil)); err != nil {
 			panic(err)
 		}
 		return arm{sim, ws}
@@ -336,27 +344,32 @@ func rcDeleteLB(sim *cloud.Sim) {
 // rcBreaker drives a persistent repair failure — a foreign-deleted load
 // balancer whose every recreation comes up broken — until the breaker trips
 // into detect-only, then clears the fault and confirms the controller
-// recovers and converges.
+// recovers and converges. The controller's clock is virtual: each step
+// moves it a minute, past every deadline the controller can hold, and
+// waits for the round that wakes to finish and the loop to park again.
 func rcBreaker() (trips int64, recovered bool) {
 	sim, ws := rcDeploy("rcb")
 	ctx := context.Background()
 	defer ws.Close(ctx)
-	ctrl, err := ws.StartReconciler(workspace.ReconcilerOptions{
-		Mode: reconcile.ModeRepair, Watermark: -1, Tuning: rcTuning(),
-	})
+	clk := telemetry.NewVirtualClock(time.Now(), 0)
+	ctrl, err := ws.StartReconciler(rcReconciler(reconcile.ModeRepair, clk))
 	if err != nil {
 		panic(err)
 	}
-	sim.InjectUnhealthy(cloud.UnhealthySpec{Count: 1000, Type: "aws_load_balancer"})
-	rcDeleteLB(sim)
+	clk.BlockUntil(1)
+	step := func(d time.Duration) { clk.BlockUntil(clk.Advance(d) + 1) }
 
-	deadline := time.Now().Add(30 * time.Second)
-	for ctrl.Status().BreakerTrips == 0 {
-		if time.Now().After(deadline) {
+	sim.InjectUnhealthy(cloud.UnhealthySpec{Count: 1000, Type: "aws_load_balancer"})
+	parked := clk.Waiters()
+	rcDeleteLB(sim)
+	clk.BlockUntil(parked + 1) // the delete's debounce
+	step(reconcile.Debounce)
+	for i := 0; ctrl.Status().BreakerTrips == 0; i++ {
+		if i == 2*reconcile.BreakerThreshold {
 			st, _ := json.Marshal(ctrl.Status())
 			panic(fmt.Sprintf("RC: breaker never tripped under a persistent repair fault: %s", st))
 		}
-		time.Sleep(5 * time.Millisecond)
+		step(time.Minute)
 	}
 	trips = ctrl.Status().BreakerTrips
 
@@ -371,17 +384,14 @@ func rcBreaker() (trips int64, recovered bool) {
 	for _, lb := range lbs {
 		sim.SetHealth("aws_load_balancer", lb.ID, cloud.HealthReady, "")
 	}
-	deadline = time.Now().Add(30 * time.Second)
-	for {
+	for i := 0; i < 5; i++ {
+		step(time.Minute)
 		st := ctrl.Status()
 		if !st.BreakerOpen && st.Repaired >= 1 && rcDriftCount(sim, ws) == 0 {
 			return trips, true
 		}
-		if time.Now().After(deadline) {
-			return trips, false
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
+	return trips, false
 }
 
 func rc() {

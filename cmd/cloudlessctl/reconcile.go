@@ -26,10 +26,6 @@ func cmdReconcile(args []string) error {
 	mode := c.fs.String("mode", "repair", `with "on": "repair" auto-repairs drift through guarded applies, "detect" only surfaces it`)
 	fullScanEvery := c.fs.Duration("full-scan-every", 0,
 		`with "on": periodic safety-net full-scan interval (0 = controller default, negative disables)`)
-	flapThreshold := c.fs.Int("flap-threshold", 0,
-		`with "on": suppress an address after this many repairs inside the flap window (0 = controller default)`)
-	breakerThreshold := c.fs.Int("breaker-threshold", 0,
-		`with "on": open the circuit breaker (degrade to detect-only) after this many consecutive all-fail repair rounds (0 = controller default)`)
 	_ = c.fs.Parse(args)
 	if *c.server == "" {
 		return fmt.Errorf("reconcile requires -server <url> -workspace <name>: the controller runs inside cloudlessd")
@@ -43,12 +39,7 @@ func cmdReconcile(args []string) error {
 
 	switch sub {
 	case "on":
-		req := server.ReconcilerRequest{
-			Enabled:          true,
-			Mode:             *mode,
-			FlapThreshold:    *flapThreshold,
-			BreakerThreshold: *breakerThreshold,
-		}
+		req := server.ReconcilerRequest{Enabled: true, Mode: *mode}
 		if *fullScanEvery < 0 {
 			req.FullScanEveryMs = -1
 		} else {

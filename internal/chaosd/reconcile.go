@@ -9,6 +9,7 @@ import (
 	"cloudless/internal/cloud"
 	"cloudless/internal/eval"
 	"cloudless/internal/jobs"
+	"cloudless/internal/reconcile"
 	"cloudless/internal/server"
 	"cloudless/internal/workload"
 )
@@ -104,15 +105,14 @@ func RunReconcile(dir string, opts ReconcileOptions) (*ReconcileResult, error) {
 		return nil, err
 	}
 
-	// Fast knobs, periodic FullScan off: every catch must come from the
-	// activity tail resuming at the journaled watermark.
+	// Periodic FullScan off: every catch must come from the activity tail
+	// resuming at the journaled watermark. Flap damping needs no override:
+	// it remembers repairs per process, suppression takes a drift after
+	// FlapThreshold (3) repairs of one target, and a daemon life sees at
+	// most three drifts (a trial's pre-kill and downtime ones, then the
+	// next trial's pre-kill one) before a trial kills it.
 	if _, err := h.Client.SetReconciler(ctx, rcTenant, server.ReconcilerRequest{
-		Enabled: true, Mode: "repair",
-		DebounceMs: 5, PollWaitMs: 250, FullScanEveryMs: -1,
-		BackoffBaseMs: 50, BackoffMaxMs: 500,
-		// Trials re-drift the same two targets on purpose; keep flap
-		// damping from suppressing late-trial repairs at high budgets.
-		FlapThreshold: 1000,
+		Enabled: true, Mode: "repair", FullScanEveryMs: -1,
 	}); err != nil {
 		return nil, fmt.Errorf("chaosd: enable reconciler: %w", err)
 	}
@@ -136,9 +136,9 @@ func RunReconcile(dir string, opts ReconcileOptions) (*ReconcileResult, error) {
 		var preKillAck int64
 		if midRepair {
 			// Kill inside the detect/repair window: give the controller just
-			// enough time to have seen the event, not necessarily to have
-			// finished (and acked) the repair.
-			time.Sleep(time.Duration(5+rng.Intn(40)) * time.Millisecond)
+			// enough time to have seen the event and let its debounce run
+			// out, not necessarily to have finished (and acked) the repair.
+			time.Sleep(reconcile.Debounce + time.Duration(5+rng.Intn(40))*time.Millisecond)
 			res.MidRepairKills++
 		} else {
 			// Kill mid-poll: wait until the repair completed AND its watermark

@@ -12,7 +12,8 @@ import "encoding/json"
 const reconcilerID = "_reconciler"
 
 // SaveReconciler durably records a tenant's reconciler checkpoint (an
-// opaque JSON document: enabled flag, mode, acknowledged watermark, tuning).
+// opaque JSON document: enabled flag, mode, acknowledged watermark,
+// full-scan period).
 // Last write wins, exactly like any other journal record.
 func (s *Store) SaveReconciler(tenant string, checkpoint json.RawMessage) error {
 	return s.Append(StoredJob{

@@ -26,10 +26,14 @@
 // been verified (and repaired, when repair is on), so a restarted controller
 // resumes from its journaled watermark with no missed drift, and re-verifies
 // instead of re-repairing anything the previous life already fixed.
+//
+// Every wait and timestamp goes through the Config's telemetry.Clock, so a
+// test runs the same loops on a VirtualClock and replays a run exactly.
 package reconcile
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -51,59 +55,30 @@ const (
 	ModeDetect = "detect"
 )
 
-// Tuning holds the controller's timing and damping knobs. Zero values take
-// the defaults below; FullScanEvery < 0 disables the periodic safety net.
-type Tuning struct {
+// The controller's timing and damping. They are constants: each one only
+// paces or damps the loop, and no deployment has a reason to choose it
+// differently. The full-scan period is the exception (Config.FullScanEvery).
+const (
 	// Debounce batches a burst of foreign events into one scoped scan.
-	Debounce time.Duration `json:"debounce,omitempty"`
-	// PollWait bounds one activity long-poll.
-	PollWait time.Duration `json:"poll_wait,omitempty"`
-	// FullScanEvery schedules the periodic FullScan safety net.
-	FullScanEvery time.Duration `json:"full_scan_every,omitempty"`
-	// BackoffBase/BackoffMax bound the per-address exponential backoff
+	Debounce = 100 * time.Millisecond
+	// PollWait bounds one activity long-poll, and is the pause after a
+	// failed one.
+	PollWait = 2 * time.Second
+	// BackoffBase and BackoffMax bound the per-address exponential backoff
 	// after failed repairs.
-	BackoffBase time.Duration `json:"backoff_base,omitempty"`
-	BackoffMax  time.Duration `json:"backoff_max,omitempty"`
-	// FlapThreshold repairs of one address within FlapWindow suppress it.
-	FlapWindow    time.Duration `json:"flap_window,omitempty"`
-	FlapThreshold int           `json:"flap_threshold,omitempty"`
-	// BreakerThreshold consecutive failed repair batches open the circuit
+	BackoffBase = time.Second
+	BackoffMax  = 2 * time.Minute
+	// FlapThreshold repairs of one address within FlapWindow suppress it
+	// for FlapWindow.
+	FlapWindow    = time.Minute
+	FlapThreshold = 3
+	// BreakerThreshold consecutive all-fail repair rounds open the circuit
 	// breaker (detect-only) for BreakerCooloff.
-	BreakerThreshold int           `json:"breaker_threshold,omitempty"`
-	BreakerCooloff   time.Duration `json:"breaker_cooloff,omitempty"`
-	// BusBuffer sizes the drift.detected subscription (0 = bus default).
-	BusBuffer int `json:"bus_buffer,omitempty"`
-}
-
-func (t *Tuning) fill() {
-	if t.Debounce <= 0 {
-		t.Debounce = 100 * time.Millisecond
-	}
-	if t.PollWait <= 0 {
-		t.PollWait = 2 * time.Second
-	}
-	if t.FullScanEvery == 0 {
-		t.FullScanEvery = 5 * time.Minute
-	}
-	if t.BackoffBase <= 0 {
-		t.BackoffBase = time.Second
-	}
-	if t.BackoffMax <= 0 {
-		t.BackoffMax = 2 * time.Minute
-	}
-	if t.FlapWindow <= 0 {
-		t.FlapWindow = time.Minute
-	}
-	if t.FlapThreshold <= 0 {
-		t.FlapThreshold = 3
-	}
-	if t.BreakerThreshold <= 0 {
-		t.BreakerThreshold = 3
-	}
-	if t.BreakerCooloff <= 0 {
-		t.BreakerCooloff = time.Minute
-	}
-}
+	BreakerThreshold = 3
+	BreakerCooloff   = time.Minute
+	// DefaultFullScanEvery is the safety-net period when Config leaves it 0.
+	DefaultFullScanEvery = 5 * time.Minute
+)
 
 // RepairOutcome is what one guarded repair attempt reports back. The
 // controller trusts its own confirmation scan (not the outcome) to decide
@@ -121,10 +96,32 @@ type RepairOutcome struct {
 // Checkpoint is the durable resume state a host persists via OnCheckpoint
 // and feeds back through Config on restart.
 type Checkpoint struct {
-	Enabled   bool    `json:"enabled"`
-	Mode      string  `json:"mode"`
-	Watermark int64   `json:"watermark"`
-	Tuning    *Tuning `json:"tuning,omitempty"`
+	Enabled   bool   `json:"enabled"`
+	Mode      string `json:"mode"`
+	Watermark int64  `json:"watermark"`
+	// FullScanEvery is Config.FullScanEvery as the controller was enabled.
+	FullScanEvery time.Duration `json:"full_scan_every,omitempty"`
+}
+
+// UnmarshalJSON also reads the older form, which kept the full-scan period
+// under "tuning" next to nine knobs that are constants now; those are
+// ignored.
+func (cp *Checkpoint) UnmarshalJSON(b []byte) error {
+	type plain Checkpoint
+	var v struct {
+		plain
+		Tuning *struct {
+			FullScanEvery time.Duration `json:"full_scan_every"`
+		} `json:"tuning"`
+	}
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*cp = Checkpoint(v.plain)
+	if v.Tuning != nil && cp.FullScanEvery == 0 {
+		cp.FullScanEvery = v.Tuning.FullScanEvery
+	}
+	return nil
 }
 
 // Config wires a Controller to its workspace. The function hooks keep this
@@ -163,7 +160,14 @@ type Config struct {
 	// advances — everything at or below it has been fully handled.
 	OnCheckpoint func(watermark int64)
 
-	Tuning Tuning
+	// FullScanEvery is the period of the FullScan safety net: 0 means
+	// DefaultFullScanEvery, < 0 turns it off. It is the one timing a
+	// deployment sets, because it trades API quota (each full scan reads
+	// the whole estate) against how soon drift the activity log cannot show
+	// is found.
+	FullScanEvery time.Duration
+	// Clock drives every wait and timestamp; nil means telemetry.System.
+	Clock telemetry.Clock
 }
 
 // addrState is the per-address controller state machine:
@@ -232,7 +236,7 @@ type Status struct {
 // Stop. All methods are safe for concurrent use.
 type Controller struct {
 	cfg Config
-	tun Tuning
+	clk telemetry.Clock
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -274,12 +278,16 @@ func Start(cfg Config) (*Controller, error) {
 	if cfg.Mode == ModeRepair && cfg.Repair == nil {
 		return nil, errors.New("reconcile: ModeRepair requires a Repair hook")
 	}
-	tun := cfg.Tuning
-	tun.fill()
+	if cfg.FullScanEvery == 0 {
+		cfg.FullScanEvery = DefaultFullScanEvery
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = telemetry.System
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Controller{
 		cfg:    cfg,
-		tun:    tun,
+		clk:    cfg.Clock,
 		ctx:    ctx,
 		cancel: cancel,
 		wake:   make(chan struct{}, 1),
@@ -287,8 +295,8 @@ func Start(cfg Config) (*Controller, error) {
 		dirty:  map[string]bool{},
 		state:  "idle",
 	}
-	if tun.FullScanEvery > 0 {
-		c.fullScanAt = time.Now().Add(tun.FullScanEvery)
+	if cfg.FullScanEvery > 0 {
+		c.fullScanAt = c.clk.Now().Add(cfg.FullScanEvery)
 	}
 
 	// Anchor the cursor. A fresh enable (Watermark < 0) starts at the log
@@ -312,7 +320,7 @@ func Start(cfg Config) (*Controller, error) {
 	if cfg.Bus != nil {
 		// Subscribe before Start returns, so drift published right after
 		// enabling cannot slip past an unregistered subscription.
-		sub := cfg.Bus.Subscribe(events.Filter{Kinds: []string{"drift.detected"}}, tun.BusBuffer)
+		sub := cfg.Bus.Subscribe(events.Filter{Kinds: []string{"drift.detected"}}, 0)
 		c.wg.Add(1)
 		go c.busLoop(sub)
 	}
@@ -350,7 +358,7 @@ func (c *Controller) Watermark() int64 {
 func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
+	now := c.clk.Now()
 	out := c.st
 	out.Enabled = c.ctx.Err() == nil
 	out.Mode = c.cfg.Mode
@@ -388,13 +396,13 @@ func (c *Controller) activityLoop(start int64) {
 	defer c.wg.Done()
 	cursor := start
 	for c.ctx.Err() == nil {
-		evs, err := c.cfg.Cloud.WaitActivity(c.ctx, cursor, c.tun.PollWait)
+		evs, err := c.cfg.Cloud.WaitActivity(c.ctx, cursor, PollWait)
 		if err != nil {
 			if c.ctx.Err() != nil {
 				return
 			}
-			// Transient (throttle, restartings sim): back off briefly.
-			sleepCtx(c.ctx, c.tun.PollWait)
+			// Transient (throttle, restarting sim): back off briefly.
+			c.sleep(PollWait)
 			continue
 		}
 		if len(evs) == 0 {
@@ -446,42 +454,54 @@ func (c *Controller) ingest(evs []cloud.Event, cursor int64) int64 {
 // busLoop feeds externally-detected drift (one-shot drift/scan jobs on the
 // same workspace) into the converge loop and watches its own subscription
 // for overflow: dropped events mean silently missed drift, so a gap
-// schedules a catch-up FullScan.
+// schedules a catch-up FullScan. A burst is taken under one lock and costs
+// one kick.
 func (c *Controller) busLoop(sub *events.Subscription) {
 	defer c.wg.Done()
 	defer sub.Close()
 	var seenDropped int64
 	for {
+		var e events.Event
+		var ok bool
 		select {
 		case <-c.ctx.Done():
 			return
-		case e, ok := <-sub.C():
+		case e, ok = <-sub.C():
 			if !ok {
 				return
 			}
-			if d := sub.Dropped(); d > seenDropped {
-				delta := d - seenDropped
-				seenDropped = d
-				c.mu.Lock()
-				c.st.EventsDropped += delta
-				c.needFullScan = true
-				c.fullScanReason = "events-dropped"
-				c.mu.Unlock()
-				c.counter("reconcile.events_dropped").Add(delta)
-				c.publish(events.Event{Kind: "reconcile.gap", N: delta})
-				c.kick()
-			}
+		}
+		c.mu.Lock()
+		marked := false
+		for ok {
 			// Our own scoped verifier publishes drift.detected too; feeding
 			// it back would make the loop chase its own tail.
-			if e.Wave == "scoped" || e.Addr == "" {
-				continue
+			if e.Wave != "scoped" && e.Addr != "" {
+				c.markLocked(e.Addr, 0, time.Unix(0, e.Time), e.Principal)
+				if e.Action != "" {
+					c.addrs[e.Addr].kind = e.Action
+				}
+				marked = true
 			}
-			c.mu.Lock()
-			c.markLocked(e.Addr, 0, time.Unix(0, e.Time), e.Principal)
-			if e.Action != "" {
-				c.addrs[e.Addr].kind = e.Action
+			select {
+			case e, ok = <-sub.C():
+			default:
+				ok = false
 			}
-			c.mu.Unlock()
+		}
+		delta := sub.Dropped() - seenDropped
+		if delta > 0 {
+			seenDropped += delta
+			c.st.EventsDropped += delta
+			c.needFullScan = true
+			c.fullScanReason = "events-dropped"
+		}
+		c.mu.Unlock()
+		if delta > 0 {
+			c.counter("reconcile.events_dropped").Add(delta)
+			c.publish(events.Event{Kind: "reconcile.gap", N: delta})
+		}
+		if marked || delta > 0 {
 			c.kick()
 		}
 	}
@@ -520,21 +540,17 @@ func (c *Controller) kick() {
 func (c *Controller) convergeLoop() {
 	defer c.wg.Done()
 	for {
-		d := c.untilNextDeadline()
-		if d > 0 {
-			t := time.NewTimer(d)
+		if d := c.untilNextDeadline(); d > 0 {
 			select {
 			case <-c.ctx.Done():
-				t.Stop()
 				return
 			case <-c.wake:
-				t.Stop()
 				// Debounce: let a burst of foreign events accumulate into
 				// one scoped scan instead of one scan per event.
-				if !sleepCtx(c.ctx, c.tun.Debounce) {
+				if !c.sleep(Debounce) {
 					return
 				}
-			case <-t.C:
+			case <-c.clk.After(d):
 			}
 		}
 		if c.ctx.Err() != nil {
@@ -549,7 +565,7 @@ func (c *Controller) convergeLoop() {
 func (c *Controller) untilNextDeadline() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
+	now := c.clk.Now()
 	next := now.Add(time.Minute) // re-evaluate at least this often
 	due := func(t time.Time) {
 		if !t.IsZero() && t.Before(next) {
@@ -566,25 +582,34 @@ func (c *Controller) untilNextDeadline() time.Duration {
 	for _, as := range c.addrs {
 		switch as.status {
 		case "backoff":
-			due(as.next)
+			due(c.retryAtLocked(as))
 		case "suppressed":
 			due(as.suppressed)
 		}
 	}
-	if c.tun.FullScanEvery > 0 {
+	if c.cfg.FullScanEvery > 0 {
 		due(c.fullScanAt)
 	}
-	d := time.Until(next)
-	if d < 0 {
-		d = 0
+	if d := next.Sub(now); d > 0 {
+		return d
 	}
-	return d
+	return 0
+}
+
+// retryAtLocked is when an address in backoff is retried: at the end of its
+// backoff, or of the breaker's cooloff if that is later. An open breaker
+// repairs nothing, so retrying sooner would only re-verify in a loop.
+func (c *Controller) retryAtLocked(as *addrState) time.Time {
+	if c.breakerOpen && c.breakerUntil.After(as.next) {
+		return c.breakerUntil
+	}
+	return as.next
 }
 
 // round runs one converge iteration: safety-net scan if due, then a scoped
 // verify over the batch, then guarded repair of what is eligible.
 func (c *Controller) round() {
-	now := time.Now()
+	now := c.clk.Now()
 	c.mu.Lock()
 	if c.retryAt.After(now) {
 		c.mu.Unlock()
@@ -594,13 +619,13 @@ func (c *Controller) round() {
 	if c.needFullScan {
 		runFull, reason = true, c.fullScanReason
 		c.needFullScan = false
-	} else if c.tun.FullScanEvery > 0 && !c.fullScanAt.After(now) {
+	} else if c.cfg.FullScanEvery > 0 && !c.fullScanAt.After(now) {
 		runFull, reason = true, "periodic"
 	}
 	c.mu.Unlock()
 	if runFull {
 		c.fullScan(reason)
-		now = time.Now()
+		now = c.clk.Now()
 	}
 
 	batch := c.takeBatch(now)
@@ -616,7 +641,7 @@ func (c *Controller) round() {
 		c.deferBatch(batch)
 		return
 	}
-	drifted := c.recordVerify(batch, rep, time.Now())
+	drifted := c.recordVerify(batch, rep, c.clk.Now())
 
 	eligible := c.eligibleRepairs(drifted)
 	if len(eligible) > 0 {
@@ -641,7 +666,7 @@ func (c *Controller) takeBatch(now time.Time) []string {
 		case "drifted":
 			set[addr] = true
 		case "backoff":
-			if !as.next.After(now) {
+			if !c.retryAtLocked(as).After(now) {
 				set[addr] = true
 			}
 		case "suppressed":
@@ -668,7 +693,7 @@ func (c *Controller) deferBatch(batch []string) {
 	for _, addr := range batch {
 		c.dirty[addr] = true
 	}
-	c.retryAt = time.Now().Add(c.tun.BackoffBase)
+	c.retryAt = c.clk.Now().Add(BackoffBase)
 	c.mu.Unlock()
 }
 
@@ -743,7 +768,7 @@ func (c *Controller) eligibleRepairs(drifted map[string]drift.Item) []string {
 	if c.cfg.Mode != ModeRepair || len(drifted) == 0 {
 		return nil
 	}
-	now := time.Now()
+	now := c.clk.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.breakerOpen && c.breakerUntil.After(now) {
@@ -767,14 +792,14 @@ func (c *Controller) eligibleRepairs(drifted map[string]drift.Item) []string {
 		// and surface it instead of joining the fight.
 		recent := as.recent[:0]
 		for _, t := range as.recent {
-			if now.Sub(t) <= c.tun.FlapWindow {
+			if now.Sub(t) <= FlapWindow {
 				recent = append(recent, t)
 			}
 		}
 		as.recent = recent
-		if len(as.recent) >= c.tun.FlapThreshold {
+		if len(as.recent) >= FlapThreshold {
 			as.status = "suppressed"
-			as.suppressed = now.Add(c.tun.FlapWindow)
+			as.suppressed = now.Add(FlapWindow)
 			as.firstSeq = 0 // surfaced, not missed: don't pin the watermark
 			c.st.Suppressed++
 			c.counter("reconcile.suppressions").Inc()
@@ -813,13 +838,13 @@ func (c *Controller) repairBatch(rep *drift.Report, eligible []string) {
 	}
 	halfOpenTrial := false
 	c.mu.Lock()
-	if c.breakerOpen && !c.breakerUntil.After(time.Now()) {
+	if c.breakerOpen && !c.breakerUntil.After(c.clk.Now()) {
 		halfOpenTrial = true
 	}
 	c.mu.Unlock()
 
 	conf, cerr := c.verify(eligible)
-	now := time.Now()
+	now := c.clk.Now()
 	still := map[string]bool{}
 	if cerr == nil {
 		for _, it := range conf.Items {
@@ -856,7 +881,7 @@ func (c *Controller) repairBatch(rep *drift.Report, eligible []string) {
 		as.failures++
 		as.attempts++
 		as.status = "backoff"
-		as.next = now.Add(backoff(c.tun.BackoffBase, c.tun.BackoffMax, as.attempts))
+		as.next = now.Add(backoff(BackoffBase, BackoffMax, as.attempts))
 		switch {
 		case out != nil && out.Errors[addr] != "":
 			as.lastErr = out.Errors[addr]
@@ -894,10 +919,10 @@ func (c *Controller) repairBatch(rep *drift.Report, eligible []string) {
 		trip := false
 		if halfOpenTrial {
 			// The trial failed: stay open for another cooloff.
-			c.breakerUntil = now.Add(c.tun.BreakerCooloff)
-		} else if !c.breakerOpen && c.consecFails >= c.tun.BreakerThreshold {
+			c.breakerUntil = now.Add(BreakerCooloff)
+		} else if !c.breakerOpen && c.consecFails >= BreakerThreshold {
 			c.breakerOpen = true
-			c.breakerUntil = now.Add(c.tun.BreakerCooloff)
+			c.breakerUntil = now.Add(BreakerCooloff)
 			c.st.BreakerTrips++
 			trip = true
 		}
@@ -917,15 +942,15 @@ func (c *Controller) repairBatch(rep *drift.Report, eligible []string) {
 func (c *Controller) fullScan(reason string) {
 	c.mu.Lock()
 	c.st.FullScans++
-	if c.tun.FullScanEvery > 0 {
-		c.fullScanAt = time.Now().Add(c.tun.FullScanEvery)
+	if c.cfg.FullScanEvery > 0 {
+		c.fullScanAt = c.clk.Now().Add(c.cfg.FullScanEvery)
 	}
 	c.mu.Unlock()
 	c.counter("reconcile.full_scans").Inc()
 	rep, err := c.cfg.FullScan(c.busCtx())
 	if err != nil {
 		c.mu.Lock()
-		c.retryAt = time.Now().Add(c.tun.BackoffBase)
+		c.retryAt = c.clk.Now().Add(BackoffBase)
 		c.mu.Unlock()
 		return
 	}
@@ -1021,17 +1046,13 @@ func backoff(base, max time.Duration, n int) time.Duration {
 	return d
 }
 
-// sleepCtx sleeps d or until ctx is done; false means ctx fired.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+// sleep waits d on the controller's clock; false means the controller is
+// stopping.
+func (c *Controller) sleep(d time.Duration) bool {
 	select {
-	case <-ctx.Done():
+	case <-c.ctx.Done():
 		return false
-	case <-t.C:
+	case <-c.clk.After(d):
 		return true
 	}
 }

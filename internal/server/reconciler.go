@@ -18,43 +18,17 @@ import (
 // daemon restart so they resume from the journaled watermark instead of
 // rescanning.
 
-// ReconcilerRequest enables or disables a workspace's reconciler. All knob
-// overrides are optional (0 = controller default); FullScanEveryMs < 0
-// disables the periodic safety-net scan.
+// ReconcilerRequest enables or disables a workspace's reconciler. The
+// controller's timing is fixed (reconcile.Debounce and its siblings) except
+// for the safety-net period: FullScanEveryMs 0 takes
+// reconcile.DefaultFullScanEvery, < 0 disables the periodic full scan. A
+// request carrying one of the knob fields older clients sent is accepted and
+// the field ignored.
 type ReconcilerRequest struct {
 	Enabled bool `json:"enabled"`
 	// Mode is "repair" (default) or "detect".
-	Mode             string `json:"mode,omitempty"`
-	DebounceMs       int    `json:"debounce_ms,omitempty"`
-	PollWaitMs       int    `json:"poll_wait_ms,omitempty"`
-	FullScanEveryMs  int    `json:"full_scan_every_ms,omitempty"`
-	BackoffBaseMs    int    `json:"backoff_base_ms,omitempty"`
-	BackoffMaxMs     int    `json:"backoff_max_ms,omitempty"`
-	FlapWindowMs     int    `json:"flap_window_ms,omitempty"`
-	FlapThreshold    int    `json:"flap_threshold,omitempty"`
-	BreakerThreshold int    `json:"breaker_threshold,omitempty"`
-	BreakerCooloffMs int    `json:"breaker_cooloff_ms,omitempty"`
-}
-
-// tuning converts the wire overrides into controller tuning.
-func (r ReconcilerRequest) tuning() reconcile.Tuning {
-	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
-	t := reconcile.Tuning{
-		Debounce:         ms(r.DebounceMs),
-		PollWait:         ms(r.PollWaitMs),
-		BackoffBase:      ms(r.BackoffBaseMs),
-		BackoffMax:       ms(r.BackoffMaxMs),
-		FlapWindow:       ms(r.FlapWindowMs),
-		FlapThreshold:    r.FlapThreshold,
-		BreakerThreshold: r.BreakerThreshold,
-		BreakerCooloff:   ms(r.BreakerCooloffMs),
-	}
-	if r.FullScanEveryMs < 0 {
-		t.FullScanEvery = -1
-	} else {
-		t.FullScanEvery = ms(r.FullScanEveryMs)
-	}
-	return t
+	Mode            string `json:"mode,omitempty"`
+	FullScanEveryMs int    `json:"full_scan_every_ms,omitempty"`
 }
 
 // ReconcilerStatus is the wire form of a controller snapshot.
@@ -94,7 +68,7 @@ func (s *Server) handleSetReconciler(w http.ResponseWriter, r *http.Request, nam
 	// A fresh enable anchors at the activity-log tail: history before the
 	// operator turned reconciliation on is not missed drift. Resuming from
 	// a journaled watermark is the restart path (RecoverReconcilers).
-	c, err := s.startReconciler(name, ws, mode, -1, req.tuning())
+	c, err := s.startReconciler(name, ws, mode, -1, time.Duration(req.FullScanEveryMs)*time.Millisecond)
 	if err != nil {
 		if ws.Reconciler() != nil {
 			writeError(w, http.StatusConflict, err.Error())
@@ -120,15 +94,14 @@ func (s *Server) handleReconcilerStatus(w http.ResponseWriter, _ *http.Request, 
 
 // startReconciler starts a controller whose checkpoints persist through the
 // jobs journal under this workspace's tenant.
-func (s *Server) startReconciler(name string, ws *workspace.Workspace, mode string, watermark int64, tun reconcile.Tuning) (*reconcile.Controller, error) {
-	tunCopy := tun
+func (s *Server) startReconciler(name string, ws *workspace.Workspace, mode string, watermark int64, fullScanEvery time.Duration) (*reconcile.Controller, error) {
 	return ws.StartReconciler(workspace.ReconcilerOptions{
-		Mode:      mode,
-		Watermark: watermark,
-		Tuning:    tun,
+		Mode:          mode,
+		Watermark:     watermark,
+		FullScanEvery: fullScanEvery,
 		OnCheckpoint: func(wm int64) {
 			s.saveReconcilerCheckpoint(name, reconcile.Checkpoint{
-				Enabled: true, Mode: mode, Watermark: wm, Tuning: &tunCopy,
+				Enabled: true, Mode: mode, Watermark: wm, FullScanEvery: fullScanEvery,
 			})
 		},
 	})
@@ -192,11 +165,7 @@ func (s *Server) RecoverReconcilers(ctx context.Context) (*ReconcilerRecoveryRep
 			s.log.Warn("reconciler checkpoint orphaned", "workspace", tenant, "err", err)
 			continue
 		}
-		var tun reconcile.Tuning
-		if cp.Tuning != nil {
-			tun = *cp.Tuning
-		}
-		if _, err := s.startReconciler(tenant, ws, cp.Mode, cp.Watermark, tun); err != nil {
+		if _, err := s.startReconciler(tenant, ws, cp.Mode, cp.Watermark, cp.FullScanEvery); err != nil {
 			s.log.Warn("reconciler restart failed", "workspace", tenant, "err", err)
 			continue
 		}

@@ -2,8 +2,11 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"cloudless/internal/cloud"
 	"cloudless/internal/eval"
 	"cloudless/internal/jobs"
+	"cloudless/internal/reconcile"
 	"cloudless/internal/server"
 	"cloudless/internal/workspace"
 )
@@ -137,7 +141,7 @@ func TestReconcilerEndpointLifecycle(t *testing.T) {
 
 	st, err = alice.SetReconciler(ctx, "a1", server.ReconcilerRequest{
 		Enabled: true, Mode: "repair",
-		DebounceMs: 1, PollWaitMs: 200, FullScanEveryMs: -1, BackoffBaseMs: 20,
+		FullScanEveryMs: -1,
 	})
 	if err != nil || !st.Enabled || st.Mode != "repair" {
 		t.Fatalf("enable = %+v, %v", st, err)
@@ -181,5 +185,123 @@ func TestReconcilerEndpointLifecycle(t *testing.T) {
 	}
 	if st, err = alice.ReconcilerStatus(ctx, "a1"); err != nil || st.Enabled {
 		t.Fatalf("post-disable status = %+v, %v", st, err)
+	}
+}
+
+// renameNIC renames one network interface under a foreign principal.
+func renameNIC(t *testing.T, sim *cloud.Sim, name, newName string) string {
+	t.Helper()
+	ctx := context.Background()
+	nics, err := sim.List(ctx, "aws_network_interface", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nics {
+		if n.Attrs["name"].AsString() == name {
+			if _, err := sim.Update(ctx, cloud.UpdateRequest{Type: "aws_network_interface", ID: n.ID,
+				Attrs:     map[string]eval.Value{"name": eval.String(newName)},
+				Principal: "rogue"}); err != nil {
+				t.Fatal(err)
+			}
+			return n.ID
+		}
+	}
+	t.Fatalf("no network interface named %s", name)
+	return ""
+}
+
+// TestRecoverReconcilerFromOlderCheckpoint: a checkpoint in the older
+// format, which nested the full-scan period (-1: off) with nine knobs that
+// are constants now under "tuning", still resumes its controller. The
+// controller picks up at the checkpoint's watermark: drift at or below it
+// was the previous life's and is left alone, drift past it is repaired, and
+// the full-scan period carries into the checkpoints it writes.
+func TestRecoverReconcilerFromOlderCheckpoint(t *testing.T) {
+	raw, err := os.ReadFile("testdata/reconciler_checkpoint_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		Watermark int64                      `json:"watermark"`
+		Tuning    map[string]json.RawMessage `json:"tuning"`
+	}
+	if err := json.Unmarshal(raw, &old); err != nil || len(old.Tuning) != 10 {
+		t.Fatalf("testdata checkpoint: %d tuning fields, err %v; want all 10", len(old.Tuning), err)
+	}
+
+	ctx := context.Background()
+	dir := t.TempDir()
+	sim := newDurableSim()
+	d := newDurableStack(t, dir, sim)
+	if _, err := d.client.CreateWorkspace(ctx, server.CreateWorkspaceRequest{
+		Name: "cp", Sources: tenantSource("cp"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mustJob(t, d.client, "cp", server.JobRequest{Kind: "apply"})
+	// Foreign drift up to the checkpoint's watermark: the previous life's.
+	if sim.LastSeq() >= old.Watermark {
+		t.Fatalf("the apply alone reaches seq %d; the testdata watermark %d must lie past it", sim.LastSeq(), old.Watermark)
+	}
+	var vpc string
+	for i := 0; sim.LastSeq() < old.Watermark; i++ {
+		vpc = foreignRename(t, sim, "cp", fmt.Sprintf("rogue-cp-%d", i))
+	}
+	d.stop(t)
+
+	// While down, drift lands past the watermark (on a leaf, so its repair
+	// cannot reach the VPC); then the older daemon's checkpoint is what the
+	// journal holds.
+	nic := renameNIC(t, sim, "web-nic-cp-1", "rogue-down")
+	store, err := jobs.OpenStore(dir, jobs.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveReconciler("cp", raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d = newDurableStack(t, dir, sim)
+	t.Cleanup(func() { d.stop(t) })
+	d.recover(t)
+	rep, err := d.srv.RecoverReconcilers(ctx)
+	if err != nil || rep.Resumed != 1 {
+		t.Fatalf("RecoverReconcilers = %+v, %v; want 1 resumed", rep, err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	var st server.ReconcilerStatus
+	for {
+		if st, err = d.client.ReconcilerStatus(ctx, "cp"); err != nil {
+			t.Fatal(err)
+		}
+		if st.Repaired >= 1 && st.Watermark == st.IngestSeq {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("resumed reconciler never repaired the downtime drift: %+v", st)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if st.Mode != "repair" || st.Repaired != 1 || st.FullScans != 0 || st.Watermark <= old.Watermark {
+		t.Fatalf("resumed status: %+v", st)
+	}
+	if res, err := sim.Get(ctx, "aws_network_interface", nic); err != nil || res.Attrs["name"].AsString() != "web-nic-cp-1" {
+		t.Fatalf("downtime drift not repaired: %v %v", res.Attrs["name"], err)
+	}
+	if res, err := sim.Get(ctx, "aws_vpc", vpc); err != nil || res.Attrs["name"].AsString() == "net-cp" {
+		t.Fatalf("drift at or below the checkpoint's watermark was replayed and repaired: %v %v", res.Attrs["name"], err)
+	}
+
+	// The checkpoints the resumed controller writes keep the period.
+	saved, err := d.queue.Store().LoadReconciler("cp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp reconcile.Checkpoint
+	if err := json.Unmarshal(saved, &cp); err != nil || cp.FullScanEvery != -1 || cp.Watermark != st.Watermark {
+		t.Fatalf("saved checkpoint %s (%+v, %v): want full_scan_every -1 at watermark %d", saved, cp, err, st.Watermark)
 	}
 }

@@ -311,3 +311,38 @@ func TestDoubleEndIsNoop(t *testing.T) {
 		t.Fatalf("span recorded %d times", rec.SpanCount())
 	}
 }
+
+// TestVirtualClockAfter: After channels fire in deadline order once Advance
+// reaches them, Advance reports what is still pending, and BlockUntil
+// returns once a goroutine has armed a wait.
+func TestVirtualClockAfter(t *testing.T) {
+	start := time.Unix(1000, 0)
+	clk := NewVirtualClock(start, 0)
+	if got := <-clk.After(0); !got.Equal(start) {
+		t.Fatalf("After(0) = %v, want %v at once", got, start)
+	}
+	late, early := clk.After(2*time.Second), clk.After(time.Second)
+	if n := clk.Advance(time.Second); n != 1 {
+		t.Fatalf("pending after 1s = %d, want 1", n)
+	}
+	if got := <-early; !got.Equal(start.Add(time.Second)) {
+		t.Fatalf("early fired at %v", got)
+	}
+	select {
+	case <-late:
+		t.Fatal("late fired before its deadline")
+	default:
+	}
+	if n := clk.Advance(time.Hour); n != 0 || clk.Waiters() != 0 {
+		t.Fatalf("pending after 1h = %d, want 0", n)
+	}
+	<-late
+
+	fired := make(chan time.Time)
+	go func() { fired <- <-clk.After(time.Minute) }()
+	clk.BlockUntil(1)
+	clk.Advance(time.Minute)
+	if got := <-fired; !got.Equal(start.Add(time.Second + time.Hour + time.Minute)) {
+		t.Fatalf("parked waiter fired at %v", got)
+	}
+}

@@ -107,6 +107,7 @@ func Validate(ex *config.Expansion, kb *schema.KnowledgeBase) *Result {
 		v.checkValueSemantics(inst)
 		v.checkRules(inst)
 	}
+	v.checkUniqueNames()
 	sort.SliceStable(v.findings, func(i, j int) bool {
 		if v.findings[i].Addr != v.findings[j].Addr {
 			return v.findings[i].Addr < v.findings[j].Addr
@@ -370,6 +371,37 @@ func (v *validator) checkValueSemantics(inst *config.Instance) {
 				})
 			}
 		}
+	}
+}
+
+// checkUniqueNames reports statically known names that collide within one
+// (type, region), between count/for_each siblings or distinct declarations:
+// the cloud creates the first and refuses the next with 409 Conflict,
+// leaving the deployment half done.
+func (v *validator) checkUniqueNames() {
+	type key struct{ typ, region, name string }
+	first := map[key]string{}
+	for _, inst := range v.ex.Instances {
+		if _, set := inst.Attrs["name"]; !set || inst.Mode == config.DataMode || inst.Region == "" {
+			continue
+		}
+		name := v.static[inst.Addr]["name"]
+		if !name.IsKnown() || name.Kind() != eval.KindString {
+			continue
+		}
+		k := key{inst.Type, inst.Region, name.AsString()}
+		prev, dup := first[k]
+		if !dup {
+			first[k] = inst.Addr
+			continue
+		}
+		v.add(Finding{
+			RuleID: "semantic/unique-name", Severity: hcl.DiagError,
+			Addr: inst.Addr, Attr: "name", Range: inst.AttrRange["name"],
+			Summary: fmt.Sprintf("name %q is already used by %s; %s names must be unique in %s",
+				k.name, prev, inst.Type, inst.Region),
+			Detail: "the cloud would create the first and refuse this one with 409 Conflict, leaving the deployment half done",
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"cloudless/internal/config"
 	"cloudless/internal/eval"
 	"cloudless/internal/hcl"
+	"cloudless/internal/workload"
 )
 
 func validateSrc(t *testing.T, src string) *Result {
@@ -339,5 +340,104 @@ resource "aws_storage_bucket" "b" { name = "data" }
 	r := Validate(ex, kb)
 	if !hasFinding(r, "corp/buckets-must-version") {
 		t.Fatalf("custom rule did not fire: %+v", r.Findings)
+	}
+}
+
+// TestDuplicateNamesRejected: names are unique per (type, region) in the
+// cloud, so statically known collisions — count siblings with a constant
+// name, or two declarations — fail validation instead of failing half way
+// through a deploy with 409 Conflict.
+func TestDuplicateNamesRejected(t *testing.T) {
+	r := validateSrc(t, `
+resource "aws_vpc" "a" {
+  count      = 2
+  name       = "same"
+  cidr_block = "10.0.0.0/16"
+}
+`)
+	got := findingsByRule(r, "semantic/unique-name")
+	if len(got) != 1 || got[0].Addr != "aws_vpc.a[1]" || got[0].Attr != "name" || !r.HasErrors() {
+		t.Fatalf("count siblings: findings %+v", r.Findings)
+	}
+	if !strings.Contains(got[0].Summary, "aws_vpc.a[0]") {
+		t.Fatalf("summary does not name the first holder: %s", got[0].Summary)
+	}
+
+	r = validateSrc(t, `
+resource "aws_vpc" "a" {
+  name       = "net"
+  cidr_block = "10.0.0.0/16"
+}
+resource "aws_vpc" "b" {
+  name       = "net"
+  cidr_block = "10.1.0.0/16"
+}
+`)
+	if got := findingsByRule(r, "semantic/unique-name"); len(got) != 1 || got[0].Addr != "aws_vpc.b" {
+		t.Fatalf("distinct declarations: findings %+v", r.Findings)
+	}
+}
+
+// TestUniqueNameSkipsWhatItCannotKnow: per-instance names, names that only
+// exist at deploy time, other regions and other types are not collisions.
+func TestUniqueNameSkipsWhatItCannotKnow(t *testing.T) {
+	r := validateSrc(t, `
+resource "aws_vpc" "counted" {
+  count      = 2
+  name       = "net-${count.index}"
+  cidr_block = "10.0.0.0/16"
+}
+resource "aws_vpc" "east" {
+  name       = "net"
+  cidr_block = "10.1.0.0/16"
+}
+resource "aws_vpc" "west" {
+  name       = "net"
+  region     = "us-west-2"
+  cidr_block = "10.2.0.0/16"
+}
+resource "aws_security_group" "net" {
+  name   = "net"
+  vpc_id = aws_vpc.east.id
+}
+resource "aws_subnet" "a" {
+  name       = "sub-${aws_vpc.east.id}"
+  vpc_id     = aws_vpc.east.id
+  cidr_block = "10.1.1.0/24"
+}
+resource "aws_subnet" "b" {
+  name       = "sub-${aws_vpc.east.id}"
+  vpc_id     = aws_vpc.east.id
+  cidr_block = "10.1.2.0/24"
+}
+`)
+	if got := findingsByRule(r, "semantic/unique-name"); len(got) != 0 {
+		t.Fatalf("false collisions: %+v", got)
+	}
+}
+
+// TestBenchProgramsValidateClean: the generators behind the repository
+// benchmark pass Validate with no finding at the sizes the benchmark uses.
+// cloudlessd validates before every plan and apply job, so a finding here
+// would fail daemon_mixed's jobs.
+func TestBenchProgramsValidateClean(t *testing.T) {
+	editable, _ := workload.EditableDAG(667, 1)
+	for name, files := range map[string]map[string]string{
+		"RandomDAG(667)":   workload.RandomDAG(667, 1),
+		"RandomDAG(167)":   workload.RandomDAG(167, 1),
+		"EditableDAG(667)": editable,
+		"WebTier(2, 10)":   workload.WebTier("t1-0", 2, 10),
+	} {
+		m, diags := config.Load(files)
+		if diags.HasErrors() {
+			t.Fatalf("%s: load: %s", name, diags.Error())
+		}
+		ex, diags := config.Expand(m, nil, nil)
+		if diags.HasErrors() {
+			t.Fatalf("%s: expand: %s", name, diags.Error())
+		}
+		if r := Validate(ex, nil); len(r.Findings) != 0 {
+			t.Errorf("%s: %d findings, first %v", name, len(r.Findings), r.Findings[0])
+		}
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"sort"
 	"strings"
+	"time"
 
 	"cloudless/internal/drift"
 	"cloudless/internal/guard"
 	"cloudless/internal/plan"
 	"cloudless/internal/reconcile"
 	"cloudless/internal/statedb"
+	"cloudless/internal/telemetry"
 )
 
 // repairGuard is the guard configuration forced onto auto-repairs when the
@@ -28,8 +30,11 @@ type ReconcilerOptions struct {
 	// OnCheckpoint receives the acknowledged watermark as it advances; the
 	// daemon persists it in the jobs journal so a restart resumes here.
 	OnCheckpoint func(watermark int64)
-	// Tuning overrides the controller's timing knobs (zero = defaults).
-	Tuning reconcile.Tuning
+	// FullScanEvery is reconcile.Config.FullScanEvery: the safety-net
+	// period (0 = reconcile.DefaultFullScanEvery, < 0 = off).
+	FullScanEvery time.Duration
+	// Clock drives the controller's waits (nil = telemetry.System).
+	Clock telemetry.Clock
 }
 
 // StartReconciler starts the workspace's continuous reconciliation
@@ -57,11 +62,12 @@ func (w *Workspace) StartReconciler(opts ReconcilerOptions) (*reconcile.Controll
 		FullScan: func(ctx context.Context) (*drift.Report, error) {
 			return w.ScanDrift(ctx)
 		},
-		Repair:       w.RepairDrift,
-		Mode:         opts.Mode,
-		Watermark:    opts.Watermark,
-		OnCheckpoint: opts.OnCheckpoint,
-		Tuning:       opts.Tuning,
+		Repair:        w.RepairDrift,
+		Mode:          opts.Mode,
+		Watermark:     opts.Watermark,
+		OnCheckpoint:  opts.OnCheckpoint,
+		FullScanEvery: opts.FullScanEvery,
+		Clock:         opts.Clock,
 	}
 	if w.telemetry != nil {
 		cfg.Registry = w.telemetry.Metrics()
